@@ -20,8 +20,9 @@ Family quick reference (true, unscaled versions):
          (the most general family; qap1-qap4 are special cases)
 
 The closed-form slack of each family at a vertex is a polynomial in the
-number of matched index pairs; ``closed_form_slack`` implements those
-formulas with the convention binom2(x) = x(x-1)/2 for any integer x.
+number of matched index pairs; ``slack_from_counts`` holds those formulas,
+with the convention binom2(x) = x(x-1)/2 for any integer x, and runs them on
+the counts of one vertex or of a whole batch.
 """
 
 from __future__ import annotations
@@ -526,90 +527,86 @@ BUILDERS = {
 # closed-form slacks
 
 
-def matched_count(pairs, sigma: Permutation) -> int:
-    return sum(1 for i, j in pairs if sigma(i) == j)
+def match_statistics(family: str, params, sigma: Permutation) -> dict[str, int]:
+    """The matched-pair counts the closed slack formulas run on."""
+    image = sigma.image  # image[i - 1] == sigma(i), read directly: this runs per vertex
+    if family in ("qap1", "qap4"):
+        q = sum(image[i - 1] == j for i, j in zip(params.i_set, params.j_set))
+        if family == "qap4":
+            return {"q": q}
+        return {"q": q, "pkl": int(image[params.k - 1] == params.l)}
+    if family == "qap2":
+        return {"q": sum(image[i - 1] in params.q_set for i in params.p_set)}
+    if family == "qap3":
+        return {"q1": sum(image[i - 1] in params.q_set for i in params.p1_set),
+                "q2": sum(image[i - 1] in params.q_set for i in params.p2_set)}
+    if family == "qap5":
+        coeffs = params.coeff_map()
+        return {"s": sum(coeffs.get((i, j), 0) for i, j in enumerate(image, start=1))}
+    raise InvalidParameterError(f"unknown family {family!r}")
 
 
-def closed_form_slack_on_match_rows(family: str, params, zt: np.ndarray) -> np.ndarray:
-    """Vectorized closed-form slack over a whole batch of vertices.
-
-    Mirrors closed_form_slack but computes the matched-pair counts with the
-    0/1 match matrix (one row per position pair, one column per vertex).
-    Returns unscaled int64 slacks.
-    """
+def _match_statistics_on_rows(family: str, params, zt: np.ndarray) -> dict[str, np.ndarray]:
+    """match_statistics for every vertex at once, as int64 count vectors read
+    from the 0/1 match matrix (one row per flat index, one column per vertex)."""
     n = params.n
+    zero = np.zeros(zt.shape[1], dtype=np.int64)
 
-    def row(i, j):
+    def hit(i, j):
         return zt[flat_index(n, i, j) - 1].astype(np.int64)
 
-    def count(rows_, cols_):
-        q = np.zeros(zt.shape[1], dtype=np.int64)
-        for i in rows_:
-            for j in cols_:
-                q += row(i, j)
-        return q
+    def count(cells):
+        return sum((hit(i, j) for i, j in cells), zero)
 
-    if family == "qap1":
-        q = np.zeros(zt.shape[1], dtype=np.int64)
-        for i, j in zip(params.i_set, params.j_set):
-            q += row(i, j)
-        x = q - row(params.k, params.l)
-        return x * (x - 1) // 2
+    if family in ("qap1", "qap4"):
+        q = count(zip(params.i_set, params.j_set))
+        if family == "qap4":
+            return {"q": q}
+        return {"q": q, "pkl": hit(params.k, params.l)}
     if family == "qap2":
-        x = count(params.p_set, params.q_set) - (params.beta - 1)
-        return x * (x - 1) // 2
+        return {"q": count(itertools.product(params.p_set, params.q_set))}
     if family == "qap3":
-        b = params.beta
-        q1 = count(params.p1_set, params.q_set)
-        q2 = count(params.p2_set, params.q_set)
-        x = q1 - (b - 1)
-        return x * (x - 1) // 2 + (2 * q2 * b + q2 * (q2 - 1) - 2 * q1 * q2) // 2
-    if family == "qap4":
-        q = np.zeros(zt.shape[1], dtype=np.int64)
-        for i, j in zip(params.i_set, params.j_set):
-            q += row(i, j)
-        return (q - 1) * (q - 2) // 2
+        return {"q1": count(itertools.product(params.p1_set, params.q_set)),
+                "q2": count(itertools.product(params.p2_set, params.q_set))}
     if family == "qap5":
-        s = np.zeros(zt.shape[1], dtype=np.int64)
-        for (i, j), v in params.coeffs:
-            s += v * row(i, j)
-        return (s - params.beta) * (s - params.beta + 1)
+        return {"s": sum((v * hit(i, j) for (i, j), v in params.coeffs), zero)}
+    raise InvalidParameterError(f"unknown family {family!r}")
+
+
+def slack_from_counts(family: str, params, counts: dict):
+    """True (unscaled) slack from the matched-pair counts.
+
+    The one place each family's slack polynomial is written; the arithmetic
+    is the same on int counts and on int64 count vectors.
+    """
+    if family == "qap1":
+        return binom2(counts["q"] - counts["pkl"])
+    if family == "qap2":
+        return binom2(counts["q"] - (params.beta - 1))
+    if family == "qap3":
+        q1, q2, b = counts["q1"], counts["q2"], params.beta
+        return binom2(q1 - (b - 1)) + q2 * b + binom2(q2) - q1 * q2
+    if family == "qap4":
+        return binom2(counts["q"] - 1)
+    if family == "qap5":
+        s = counts["s"] - params.beta
+        return s * (s + 1)
     raise InvalidParameterError(f"unknown family {family!r}")
 
 
 def closed_form_slack(family: str, params, sigma: Permutation, check: bool = True):
     """True (unscaled) slack of the family's form at a vertex, from the
     closed formulas in terms of matched-pair counts."""
-    if family == "qap1":
-        if check:
-            params.validate()
-        q = matched_count(zip(params.i_set, params.j_set), sigma)
-        pkl = 1 if sigma(params.k) == params.l else 0
-        return binom2(q - pkl)
-    if family == "qap2":
-        if check:
-            params.validate()
-        q = sum(1 for i in params.p_set if sigma(i) in params.q_set)
-        return binom2(q - (params.beta - 1))
-    if family == "qap3":
-        if check:
-            params.validate()
-        q1 = sum(1 for i in params.p1_set if sigma(i) in params.q_set)
-        q2 = sum(1 for i in params.p2_set if sigma(i) in params.q_set)
-        b = params.beta
-        return binom2(q1 - (b - 1)) + (2 * q2 * b + q2 * (q2 - 1) - 2 * q1 * q2) // 2
-    if family == "qap4":
-        if check:
-            params.validate()
-        q = matched_count(zip(params.i_set, params.j_set), sigma)
-        return binom2(q - 1)
-    if family == "qap5":
-        if check:
-            params.validate()
-        coeffs = params.coeff_map()
-        s = sum(coeffs.get((i, sigma(i)), 0) for i in range(1, sigma.n + 1))
-        return (s - params.beta) * (s - params.beta + 1)
-    raise InvalidParameterError(f"unknown family {family!r}")
+    if check:
+        params.validate()
+    return slack_from_counts(family, params, match_statistics(family, params, sigma))
+
+
+def closed_form_slack_on_match_rows(family: str, params, zt: np.ndarray) -> np.ndarray:
+    """closed_form_slack over a whole batch of vertices at once, with the
+    counts read from the 0/1 match matrix.  Returns unscaled int64 slacks."""
+    return slack_from_counts(family, params,
+                             _match_statistics_on_rows(family, params, zt))
 
 
 # ---------------------------------------------------------------------------
@@ -695,6 +692,26 @@ def _qap5_param_stream(n: int, bounds: Qap5Bounds):
             yield Qap5Params(n=n, beta=beta, coeffs=coeffs)
 
 
+def _param_stream(n: int, family: str, bounds: Qap5Bounds | None, cap: int):
+    """The family's parameter sets at size n, in enumeration order."""
+    if n > cap:
+        raise CapExceededError(f"n={n} exceeds the enumeration cap {cap}")
+    if family == "qap1":
+        return _qap1_param_stream(n)
+    if family == "qap2":
+        return _qap2_param_stream(n)
+    if family == "qap3":
+        return _qap3_param_stream(n)
+    if family == "qap4":
+        return _qap4_param_stream(n)
+    if family == "qap5":
+        if bounds is None:
+            raise InvalidParameterError(
+                "qap5 is an infinite family: enumeration bounds are required")
+        return _qap5_param_stream(n, bounds)
+    raise InvalidParameterError(f"unknown family {family!r}")
+
+
 def enumerate_family(n: int, family: str, bounds: Qap5Bounds | None = None,
                      cap: int = DEFAULT_ENUMERATION_CAP, check: bool = False):
     """Yield every parameter-valid form of a family at size n, in a fixed
@@ -706,44 +723,10 @@ def enumerate_family(n: int, family: str, bounds: Qap5Bounds | None = None,
     produce valid parameter sets (qap3 filters internally); pass check=True
     to re-validate each one.
     """
-    if n > cap:
-        raise CapExceededError(f"n={n} exceeds the enumeration cap {cap}")
-    if family == "qap1":
-        stream = _qap1_param_stream(n)
-    elif family == "qap2":
-        stream = _qap2_param_stream(n)
-    elif family == "qap3":
-        stream = _qap3_param_stream(n)
-    elif family == "qap4":
-        stream = _qap4_param_stream(n)
-    elif family == "qap5":
-        if bounds is None:
-            raise InvalidParameterError(
-                "qap5 is an infinite family: enumeration bounds are required")
-        stream = _qap5_param_stream(n, bounds)
-    else:
-        raise InvalidParameterError(f"unknown family {family!r}")
+    stream = _param_stream(n, family, bounds, cap)
     builder = BUILDERS[family]
     for params in stream:
         yield builder(params, check=check)
-
-
-def match_statistics(family: str, params, sigma: Permutation) -> dict[str, int]:
-    """The matched-pair counts the closed slack formulas run on."""
-    if family == "qap1":
-        return {"q": matched_count(zip(params.i_set, params.j_set), sigma),
-                "pkl": 1 if sigma(params.k) == params.l else 0}
-    if family == "qap2":
-        return {"q": sum(1 for i in params.p_set if sigma(i) in params.q_set)}
-    if family == "qap3":
-        return {"q1": sum(1 for i in params.p1_set if sigma(i) in params.q_set),
-                "q2": sum(1 for i in params.p2_set if sigma(i) in params.q_set)}
-    if family == "qap4":
-        return {"q": matched_count(zip(params.i_set, params.j_set), sigma)}
-    if family == "qap5":
-        coeffs = params.coeff_map()
-        return {"s": sum(coeffs.get((i, sigma(i)), 0) for i in range(1, sigma.n + 1))}
-    raise InvalidParameterError(f"unknown family {family!r}")
 
 
 def slack_table_csv(family: str, forms, perms) -> str:
@@ -753,7 +736,7 @@ def slack_table_csv(family: str, forms, perms) -> str:
         for sigma in perms:
             stats = match_statistics(family, form.params, sigma)
             stat_text = ";".join(f"{k}={v}" for k, v in stats.items())
-            slack = closed_form_slack(family, form.params, sigma, check=False)
+            slack = slack_from_counts(family, form.params, stats)
             lines.append(f"{form_id},{sigma.one_line()},{stat_text},{slack}")
     return "\n".join(lines) + "\n"
 
@@ -762,9 +745,10 @@ def family_form_at(n: int, family: str, index: int,
                    bounds: Qap5Bounds | None = None,
                    cap: int = DEFAULT_ENUMERATION_CAP) -> LinearForm:
     """The index-th form of the deterministic enumeration (form ids are
-    stable, so this reconstructs membership witnesses)."""
-    form = next(itertools.islice(enumerate_family(n, family, bounds, cap),
-                                 index, None), None)
-    if form is None:
+    stable, so this reconstructs membership witnesses).  Only the parameter
+    stream is walked; one form is built."""
+    params = next(itertools.islice(_param_stream(n, family, bounds, cap),
+                                   index, None), None)
+    if params is None:
         raise InvalidParameterError(f"{family} at n={n} has no form #{index}")
-    return form
+    return BUILDERS[family](params, check=False)

@@ -47,9 +47,6 @@ class Permutation:
     def fixed_points(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.image, start=1) if i == v)
 
-    def is_derangement(self) -> bool:
-        return not self.fixed_points()
-
     def sign(self) -> int:
         """Parity of the permutation: +1 for even, -1 for odd."""
         seen = [False] * self.n

@@ -8,19 +8,23 @@ an independent exact branch-and-bound solver.
 
 Membership itself is decided by brute force: the point is evaluated against
 every enumerated form of the family with exact integer arithmetic (the
-point is denominator-cleared first).  Forms are compiled into flat
-coordinate/coefficient arrays in enumeration order, in chunks, so verdicts
-are fast and the first violated form (lowest form id) is the witness.
+point is denominator-cleared first).  Each (family, n) is compiled once into
+flat position/coefficient blocks in enumeration order and kept in a
+two-entry LRU cache, so repeated queries are fast and the first violated
+form (lowest form id) is the witness.  A family whose compiled form would
+pass COMPILE_ENTRY_LIMIT entries is refused with CapExceededError.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidParameterError, QappolyError
+from .errors import CapExceededError, InvalidParameterError, QappolyError
 from .graphs import (
     Graph,
     cliques_of_size_at_least,
@@ -128,75 +132,52 @@ def build_point_qap4(graph: Graph, t: int) -> YPoint:
 # compiled membership sweeps
 
 
-@dataclass
-class _Chunk:
-    start: int              # global id of the first form in this chunk
-    coords: np.ndarray      # int64 triangle positions, concatenated
-    coeffs: np.ndarray      # int64 coefficients, concatenated
-    offsets: np.ndarray     # int64 segment starts into coords (len = forms)
-    rhs: np.ndarray         # int64 per form
+# Forms per compiled block.  Blocks keep enumeration order, so a violated
+# form's id is the number of forms in earlier blocks plus its row.
+BLOCK_FORMS = 50_000
+
+# Most coefficient entries one compiled family may hold.  Every family at
+# n <= 8 fits: the largest is qap1 at n = 8 with 137,208,960 entries (about
+# 0.8 GB as int32 positions plus int16 coefficients), then qap3 at n = 8 with
+# 72,984,128.  qap1, qap3 and qap4 at n = 9 do not fit and are refused.
+COMPILE_ENTRY_LIMIT = 140_000_000
 
 
-_sweep_cache: dict[tuple[str, int], list[_Chunk]] = {}
-_CACHE_ENTRY_BUDGET = 30_000_000
+@functools.lru_cache(maxsize=2)
+def compiled_blocks(family: str, n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The family's forms at size n as blocks (coords, coeffs, offsets, rhs)
+    of BLOCK_FORMS forms each: per block the int32 triangle positions and
+    int16 coefficients of all its forms concatenated, each form's segment
+    start, and each form's scaled right-hand side.
 
-
-def _compiled_chunks(family: str, n: int, cap: int, chunk_forms: int = 50000):
-    """Yield compiled chunks of the family's enumeration, caching them when
-    the total size stays within budget."""
-    key = (family, n)
-    if key in _sweep_cache:
-        yield from _sweep_cache[key]
-        return
-    collecting: list[_Chunk] | None = []
-    total_entries = 0
-
-    coords: list[int] = []
-    coeffs: list[int] = []
-    offsets: list[int] = []
-    rhs: list[int] = []
-    start = 0
-
-    def flush(start_idx: int) -> _Chunk:
-        piece = _Chunk(start=start_idx,
-                       coords=np.array(coords, dtype=np.int64),
-                       coeffs=np.array(coeffs, dtype=np.int64),
-                       offsets=np.array(offsets, dtype=np.int64),
-                       rhs=np.array(rhs, dtype=np.int64))
-        coords.clear()
-        coeffs.clear()
-        offsets.clear()
-        rhs.clear()
-        return piece
-
-    count = 0
-    for form in enumerate_family(n, family, cap=cap):
-        offsets.append(len(coords))
-        rhs.append(form.rhs)
-        for (f1, f2), c in form.coefficient_items():
-            coords.append(triangle_position(n, f1, f2))
-            coeffs.append(c)
-        count += 1
-        if count - start == chunk_forms:
-            piece = flush(start)
-            total_entries += piece.coords.size
-            if collecting is not None:
-                if total_entries <= _CACHE_ENTRY_BUDGET:
-                    collecting.append(piece)
-                else:
-                    collecting = None  # too big to keep; stream on later calls
-            yield piece
-            start = count
-    if count > start:
-        piece = flush(start)
-        total_entries += piece.coords.size
-        if collecting is not None and total_entries <= _CACHE_ENTRY_BUDGET:
-            collecting.append(piece)
-        else:
-            collecting = None
-        yield piece
-    if collecting is not None:
-        _sweep_cache[key] = collecting
+    Raises CapExceededError once the entries pass COMPILE_ENTRY_LIMIT.  The
+    enumeration cap is the caller's to check.
+    """
+    blocks = []
+    entries = 0
+    forms = enumerate_family(n, family, cap=n)
+    while True:
+        coords: list[int] = []
+        coeffs: list[int] = []
+        offsets: list[int] = []
+        rhs: list[int] = []
+        for form in itertools.islice(forms, BLOCK_FORMS):
+            offsets.append(len(coords))
+            rhs.append(form.rhs)
+            for (f1, f2), c in form.coefficient_items():
+                coords.append(triangle_position(n, f1, f2))
+                coeffs.append(c)
+        if not rhs:
+            return tuple(blocks)
+        entries += len(coords)
+        if entries > COMPILE_ENTRY_LIMIT:
+            raise CapExceededError(
+                f"{family} at n={n} compiles to more than {COMPILE_ENTRY_LIMIT} "
+                "coefficient entries; its membership sweep is refused")
+        blocks.append((np.array(coords, dtype=np.int32),
+                       np.array(coeffs, dtype=np.int16),
+                       np.array(offsets, dtype=np.int32),
+                       np.array(rhs, dtype=np.int64)))
 
 
 @dataclass
@@ -225,18 +206,20 @@ def brute_force_membership(point: YPoint, family: str,
         raise InvalidParameterError(
             f"membership supports {MEMBERSHIP_FAMILIES}, got {family!r}")
     n = point.n
+    if n > cap:
+        raise CapExceededError(f"n={n} exceeds the enumeration cap {cap}")
     yvec, denom = point.to_scaled_vector()
     sense = _SENSE[family]
     checked = 0
-    for piece in _compiled_chunks(family, n, cap):
-        vals = piece.coeffs * yvec[piece.coords]
-        lhs = np.add.reduceat(vals, piece.offsets) if piece.offsets.size else np.array([])
-        bound = denom * piece.rhs
+    for coords, coeffs, offsets, rhs in compiled_blocks(family, n):
+        start = checked
+        checked += rhs.size
+        lhs = np.add.reduceat(coeffs * yvec[coords], offsets)  # int16 * int64 -> int64
+        bound = denom * rhs
         violated = lhs > bound if sense == "<=" else lhs < bound
-        checked += piece.rhs.size
-        hits = np.nonzero(violated)[0]
+        hits = np.flatnonzero(violated)
         if hits.size:
-            idx = piece.start + int(hits[0])
+            idx = start + int(hits[0])
             witness = family_form_at(n, family, idx, cap=cap)
             result = evaluate(witness, point)
             if result.satisfied:

@@ -30,6 +30,7 @@ from qappoly.inequalities import (
     closed_form_slack_on_match_rows,
     enumerate_family,
     evaluate,
+    family_form_at,
 )
 from qappoly.perms import Permutation, enumerate_permutations, vertex_from_permutation
 
@@ -298,6 +299,17 @@ def test_enumerate_qap5_requires_bounds():
                         beta_min=1, beta_max=2)
     forms = list(enumerate_family(4, "qap5", bounds=bounds))
     assert len(forms) == 8  # 2 beta values x 4 assignments
+
+
+@pytest.mark.parametrize("family,n", [("qap1", 6), ("qap2", 7), ("qap3", 7), ("qap4", 7)])
+def test_family_form_at_matches_enumeration(family, n):
+    forms = list(enumerate_family(n, family))
+    for index in (0, len(forms) // 2, len(forms) - 1):
+        form = family_form_at(n, family, index)
+        assert form.key() == forms[index].key()
+        assert form.params == forms[index].params
+    with pytest.raises(InvalidParameterError, match="no form"):
+        family_form_at(n, family, len(forms))
 
 
 def test_enumerate_cap():

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from qappoly.errors import InvalidParameterError
+from qappoly import reductions
+from qappoly.errors import CapExceededError, InvalidParameterError
 from qappoly.graphs import Graph, max_clique_bruteforce
 from qappoly.inequalities import YPoint, evaluate
 from qappoly.perms import Permutation, vertex_from_permutation
@@ -13,6 +14,7 @@ from qappoly.reductions import (
     build_point_qap2,
     build_point_qap4,
     clique_via_membership_oracle,
+    compiled_blocks,
     neighborhood_clique_number,
 )
 
@@ -102,6 +104,30 @@ def test_qap1_witness_confirmed_by_evaluator():
     assert verdict.witness is not None
     res = evaluate(verdict.witness, build_point_qap1(triangle6, 6, 6, 2))
     assert not res.satisfied
+
+
+def test_cap_checked_on_a_warm_cache():
+    brute_force_membership(YPoint.zero(6), "qap1")  # (qap1, 6) is now compiled
+    with pytest.raises(CapExceededError, match="cap 5"):
+        brute_force_membership(YPoint.zero(6), "qap1", cap=5)
+
+
+def test_violated_queries_compile_once():
+    triangle6 = Graph.from_edges(6, [(1, 2), (2, 3), (1, 3)])
+    point = build_point_qap1(triangle6, 6, 6, 2)
+    compiled_blocks.cache_clear()
+    assert not brute_force_membership(point, "qap1").member
+    assert not brute_force_membership(point, "qap1").member
+    info = compiled_blocks.cache_info()
+    assert info.misses == 1 and info.hits == 1
+
+
+def test_compile_refuses_families_over_the_entry_limit(monkeypatch):
+    compiled_blocks.cache_clear()
+    monkeypatch.setattr(reductions, "COMPILE_ENTRY_LIMIT", 1000)
+    with pytest.raises(CapExceededError, match="more than 1000"):
+        compiled_blocks("qap1", 6)
+    assert compiled_blocks.cache_info().currsize == 0
 
 
 def test_qap2_threshold_matches_spec_example():
