@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import Caps, caps_from_config, parse_config
-from .errors import QappolyError
+from .errors import CapExceededError, QappolyError
 from .geometry import (
     MatchPattern,
     check_equality_set,
@@ -125,7 +125,15 @@ def _build_form(args):
     raise QappolyError(f"unsupported family {args.family!r}")
 
 
+def _require_enumerable(n: int, caps: Caps) -> None:
+    """Refuse a size whose permutations the enumeration cap does not allow."""
+    if n > caps.enumeration_cap:
+        raise CapExceededError(
+            f"n={n} exceeds the enumeration cap {caps.enumeration_cap}")
+
+
 def _cmd_verify_facet(args, report: RunReport, caps: Caps):
+    _require_enumerable(args.n, caps)
     form = _build_form(args)
     facet = verify_facet(form, args.n, workers=args.workers, certify=args.certify)
     report.add("validity", True, note="no violating vertex found")
@@ -174,20 +182,24 @@ def _cmd_verify_lemmas(args, report: RunReport, caps: Caps):
         report.add("identity2 has 32 nonzeros (16 of each sign)", bad == 0,
                    runs=args.samples, failures=bad)
     if which in ("szeroconn", "all"):
+        _require_enumerable(n, caps)
         res = check_s0_connectivity(n, pattern, cap=caps.enumeration_cap)
         report.add("S0 transposition graph connected", res.connected,
                    size=res.size, components=res.component_count, status=res.status)
     if which in ("skasnxt4", "all"):
+        _require_enumerable(n, caps)
         res = verify_skasnxt4(n, pattern, samples=args.samples, seed=args.seed,
                               workers=args.workers)
         report.add("S_k spans (k>=4)", res.all_member, samples=res.samples,
                    members=res.member_count)
     if which in ("s3ss0", "all"):
+        _require_enumerable(n, caps)
         res = verify_s3ss0(n, pattern, samples=args.samples, seed=args.seed,
                            workers=args.workers)
         report.add("S_3 span membership", res.all_member, samples=res.samples,
                    members=res.member_count)
     if which in ("szeroins", "all"):
+        _require_enumerable(n, caps)
         res = verify_szeroins(n, pattern, samples=args.samples, seed=args.seed,
                               workers=args.workers)
         report.add("S_0 neighbor differences in span(S)", res.all_member,
@@ -196,12 +208,13 @@ def _cmd_verify_lemmas(args, report: RunReport, caps: Caps):
 
 def _cmd_verify_slack(args, report: RunReport, caps: Caps):
     n = args.n
-    space = vertex_space(n, cap=caps.enumeration_cap)
+    _require_enumerable(n, caps)
+    space = vertex_space(n)
     checked = 0
     mismatches = 0
     invalid = 0
     csv_forms = []
-    for form in enumerate_family(n, args.family, cap=caps.enumeration_cap):
+    for form in enumerate_family(n, args.family):
         scaled = form.scaled_slack_on_match_rows(space.zt)
         expected = np.fromiter(
             (form.scale * closed_form_slack(args.family, form.params, p, check=False)

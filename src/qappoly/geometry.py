@@ -24,7 +24,6 @@ from .errors import DimensionMismatchError, QappolyError
 from .indexing import EntryKey, Pair, canon_entry, flat_index, pair_from_flat, triangle_dimension
 from .inequalities import LinearForm, Qap4Params
 from .modrank import (
-    DEFAULT_PRIME_COUNT,
     ModularSpanBasis,
     RankReport,
     rank_consensus,
@@ -71,6 +70,11 @@ def classify_vertex(sigma: Permutation, pattern: MatchPattern) -> int:
     return sum(1 for i, j in pattern.pairs if sigma(i) == j)
 
 
+def _require_pattern_within(pattern: MatchPattern, n: int) -> None:
+    if any(not 1 <= v <= n for pair in pattern.pairs for v in pair):
+        raise QappolyError(f"pattern pairs {pattern.pairs} must lie in [1, {n}]")
+
+
 # ---------------------------------------------------------------------------
 # vertex space cache
 
@@ -80,8 +84,6 @@ class VertexSpace:
     n: int
     perms: list[Permutation]
     index: dict[tuple[int, ...], int]
-    coords: list[EntryKey]
-    coord_index: dict[EntryKey, int]
     vmatrix: np.ndarray  # (n!, support) int8, one sparse vertex per row
     zt: np.ndarray       # (n*n, n!) int32 match indicators
 
@@ -93,8 +95,8 @@ class VertexSpace:
 
 
 @lru_cache(maxsize=3)
-def vertex_space(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> VertexSpace:
-    perms = list(enumerate_permutations(n, cap=cap))
+def vertex_space(n: int) -> VertexSpace:
+    perms = list(enumerate_permutations(n))
     index = {p.image: v for v, p in enumerate(perms)}
 
     coords: list[EntryKey] = [(f, f) for f in range(1, n * n + 1)]
@@ -115,8 +117,7 @@ def vertex_space(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> VertexSpace:
             zt[f - 1, v] = 1
         for fa, fb in itertools.combinations(flats, 2):
             vmatrix[v, coord_index[canon_entry(fa, fb)]] = 1
-    return VertexSpace(n=n, perms=perms, index=index, coords=coords,
-                       coord_index=coord_index, vmatrix=vmatrix, zt=zt)
+    return VertexSpace(n=n, perms=perms, index=index, vmatrix=vmatrix, zt=zt)
 
 
 def _as_permutation(v) -> Permutation:
@@ -139,8 +140,7 @@ def _vertex_rows(vertices, space: VertexSpace) -> tuple[list[Permutation], np.nd
 # affine dimension and facet verification
 
 
-def affine_dim(vertices, prime_count: int = DEFAULT_PRIME_COUNT,
-               workers: int = 1, certify: bool = False) -> RankReport:
+def affine_dim(vertices, workers: int = 1, certify: bool = False) -> RankReport:
     """Affine dimension of a vertex set, exactly.
 
     Differences are taken against the vertex of the lexicographically
@@ -156,8 +156,8 @@ def affine_dim(vertices, prime_count: int = DEFAULT_PRIME_COUNT,
     perms, rows = _vertex_rows(vertices, space)
     base_row = space.row_of(min(perms))
     diffs = space.vmatrix[rows].astype(np.int64) - space.vmatrix[base_row].astype(np.int64)
-    report = rank_consensus(diffs, prime_count=prime_count,
-                            column_dimension=triangle_dimension(n), workers=workers)
+    report = rank_consensus(diffs, column_dimension=triangle_dimension(n),
+                            workers=workers)
     if certify and report.consensus_rank is not None:
         exact = rank_exact_rational(diffs)
         if exact != report.consensus_rank:
@@ -169,12 +169,11 @@ def affine_dim(vertices, prime_count: int = DEFAULT_PRIME_COUNT,
 
 
 @lru_cache(maxsize=4)
-def polytope_affine_dim(n: int, prime_count: int = DEFAULT_PRIME_COUNT,
-                        workers: int = 1) -> RankReport:
+def polytope_affine_dim(n: int, workers: int = 1) -> RankReport:
     """Affine dimension of the whole polytope at size n (cached; this is the
     expensive full-vertex-set rank)."""
     space = vertex_space(n)
-    return affine_dim(space.perms, prime_count=prime_count, workers=workers)
+    return affine_dim(space.perms, workers=workers)
 
 
 @dataclass
@@ -188,8 +187,8 @@ class FacetReport:
     tight_rank: RankReport | None
 
 
-def verify_facet(form: LinearForm, n: int, prime_count: int = DEFAULT_PRIME_COUNT,
-                 workers: int = 1, certify: bool = False) -> FacetReport:
+def verify_facet(form: LinearForm, n: int, workers: int = 1,
+                 certify: bool = False) -> FacetReport:
     """Decide facet-ness: valid everywhere and the tight vertices span an
     affine subspace of dimension exactly one less than the polytope's."""
     if form.n != n:
@@ -201,19 +200,17 @@ def verify_facet(form: LinearForm, n: int, prime_count: int = DEFAULT_PRIME_COUN
         sigma = space.perms[int(bad[0])]
         raise QappolyError(
             f"form is not valid: violated by sigma = {sigma.one_line()}")
-    full = polytope_affine_dim(n, prime_count=prime_count, workers=workers)
+    full = polytope_affine_dim(n, workers=workers)
     if certify:
         # re-run the full set with rational certification
-        full = affine_dim(space.perms, prime_count=prime_count,
-                          workers=workers, certify=True)
+        full = affine_dim(space.perms, workers=workers, certify=True)
     tight_rows = np.nonzero(slack == 0)[0]
     if tight_rows.size == 0:
         return FacetReport(verdict="not facet", n=n, tight_count=0,
                            polytope_dim=int(full.consensus_rank), tight_dim=-1,
                            polytope_rank=full, tight_rank=None)
     tight = [space.perms[int(r)] for r in tight_rows]
-    tight_report = affine_dim(tight, prime_count=prime_count, workers=workers,
-                              certify=certify)
+    tight_report = affine_dim(tight, workers=workers, certify=certify)
     verdict = ("facet"
                if tight_report.consensus_rank == full.consensus_rank - 1
                else "not facet")
@@ -389,6 +386,7 @@ def check_s0_connectivity(n: int, pattern: MatchPattern,
                           cap: int = DEFAULT_ENUMERATION_CAP) -> S0ConnectivityReport:
     """Connectivity of the graph on S_0 whose edges join permutations one
     transposition apart (with both endpoints avoiding every pattern pair)."""
+    _require_pattern_within(pattern, n)
     members = [p for p in enumerate_permutations(n, cap=cap)
                if classify_vertex(p, pattern) == 0]
     if not members:
@@ -430,8 +428,7 @@ class SpanReport:
     generator_count: int
 
 
-def check_span_membership(target, generators, prime_count: int = DEFAULT_PRIME_COUNT,
-                          workers: int = 1) -> SpanReport:
+def check_span_membership(target, generators, workers: int = 1) -> SpanReport:
     """Exact linear-span membership by modular consensus.
 
     Equivalent to comparing rank(G) with rank(G + {target}): the target is
@@ -443,9 +440,7 @@ def check_span_membership(target, generators, prime_count: int = DEFAULT_PRIME_C
         raise QappolyError("span membership needs at least one generator")
     n = _as_permutation(generators[0]).n
     space = vertex_space(n)
-    _, rows = _vertex_rows(generators, space)
-    basis = ModularSpanBasis(space.vmatrix[rows].astype(np.int64),
-                             prime_count=prime_count, workers=workers)
+    basis = _span_basis_for(space, generators, workers)
     if isinstance(target, np.ndarray):
         vec = target
     else:
@@ -457,11 +452,11 @@ def check_span_membership(target, generators, prime_count: int = DEFAULT_PRIME_C
     return SpanReport(member=member, votes=votes, generator_count=len(generators))
 
 
-def s_k_sets(n: int, pattern: MatchPattern,
-             cap: int = DEFAULT_ENUMERATION_CAP) -> dict[int, list[Permutation]]:
+def s_k_sets(n: int, pattern: MatchPattern) -> dict[int, list[Permutation]]:
     """Partition of all permutations by pattern match count."""
+    _require_pattern_within(pattern, n)
     sets: dict[int, list[Permutation]] = {k: [] for k in range(pattern.m + 1)}
-    for p in enumerate_permutations(n, cap=cap):
+    for p in enumerate_permutations(n):
         sets[classify_vertex(p, pattern)].append(p)
     return sets
 
@@ -477,16 +472,13 @@ class SpanLemmaReport:
     details: dict = field(default_factory=dict)
 
 
-def _span_basis_for(space: VertexSpace, perms, prime_count: int,
-                    workers: int) -> ModularSpanBasis:
-    rows = np.array([space.row_of(p) for p in perms], dtype=np.int64)
-    return ModularSpanBasis(space.vmatrix[rows].astype(np.int64),
-                            prime_count=prime_count, workers=workers)
+def _span_basis_for(space: VertexSpace, vertices, workers: int) -> ModularSpanBasis:
+    _, rows = _vertex_rows(vertices, space)
+    return ModularSpanBasis(space.vmatrix[rows].astype(np.int64), workers=workers)
 
 
 def verify_skasnxt4(n: int, pattern: MatchPattern | None = None, samples: int = 200,
-                    seed: int = 0, prime_count: int = DEFAULT_PRIME_COUNT,
-                    workers: int = 1) -> SpanLemmaReport:
+                    seed: int = 0, workers: int = 1) -> SpanLemmaReport:
     """Sampled check: every vertex in S_k (k >= 4) lies in the span of
     S_{k-1} .. S_{k-4}."""
     pattern = pattern or MatchPattern.diagonal(n)
@@ -494,6 +486,9 @@ def verify_skasnxt4(n: int, pattern: MatchPattern | None = None, samples: int = 
     space = vertex_space(n)
     sets = s_k_sets(n, pattern)
     ks = [k for k in range(4, pattern.m + 1) if sets[k]]
+    if not ks:
+        raise QappolyError(f"no vertex lies in any S_k with k >= 4 for a "
+                           f"pattern of {pattern.m} pairs")
     bases = {}
     member_count = 0
     per_k: dict[int, int] = {k: 0 for k in ks}
@@ -501,7 +496,7 @@ def verify_skasnxt4(n: int, pattern: MatchPattern | None = None, samples: int = 
         k = ks[s % len(ks)]
         if k not in bases:
             gens = [p for kk in (k - 1, k - 2, k - 3, k - 4) for p in sets[kk]]
-            bases[k] = _span_basis_for(space, gens, prime_count, workers)
+            bases[k] = _span_basis_for(space, gens, workers)
         target = rng.choice(sets[k])
         member, _ = bases[k].contains(space.vector_of(target).astype(np.int64))
         member_count += member
@@ -513,15 +508,16 @@ def verify_skasnxt4(n: int, pattern: MatchPattern | None = None, samples: int = 
 
 
 def verify_s3ss0(n: int, pattern: MatchPattern | None = None, samples: int = 200,
-                 seed: int = 0, prime_count: int = DEFAULT_PRIME_COUNT,
-                 workers: int = 1) -> SpanLemmaReport:
+                 seed: int = 0, workers: int = 1) -> SpanLemmaReport:
     """Sampled check: every vertex in S_3 lies in span(S_1, S_2, S_0)."""
     pattern = pattern or MatchPattern.diagonal(n)
     rng = random.Random(seed)
     space = vertex_space(n)
     sets = s_k_sets(n, pattern)
+    if not sets.get(3):
+        raise QappolyError(f"S_3 is empty for a pattern of {pattern.m} pairs")
     gens = sets[1] + sets[2] + sets[0]
-    basis = _span_basis_for(space, gens, prime_count, workers)
+    basis = _span_basis_for(space, gens, workers)
     member_count = 0
     for _ in range(samples):
         target = rng.choice(sets[3])
@@ -533,15 +529,14 @@ def verify_s3ss0(n: int, pattern: MatchPattern | None = None, samples: int = 200
 
 
 def verify_szeroins(n: int, pattern: MatchPattern | None = None, samples: int = 200,
-                    seed: int = 0, prime_count: int = DEFAULT_PRIME_COUNT,
-                    workers: int = 1) -> SpanLemmaReport:
+                    seed: int = 0, workers: int = 1) -> SpanLemmaReport:
     """Sampled check: differences of S_0 neighbors (one transposition apart,
     both in S_0) lie in span(S_1, S_2); the pattern needs m >= 7."""
     pattern = pattern or MatchPattern.diagonal(n)
     rng = random.Random(seed)
     space = vertex_space(n)
     sets = s_k_sets(n, pattern)
-    basis = _span_basis_for(space, sets[1] + sets[2], prime_count, workers)
+    basis = _span_basis_for(space, sets[1] + sets.get(2, []), workers)
     member_count = 0
     pairs_seen = 0
     while pairs_seen < samples:

@@ -713,20 +713,19 @@ def _param_stream(n: int, family: str, bounds: Qap5Bounds | None, cap: int):
 
 
 def enumerate_family(n: int, family: str, bounds: Qap5Bounds | None = None,
-                     cap: int = DEFAULT_ENUMERATION_CAP, check: bool = False):
+                     cap: int = DEFAULT_ENUMERATION_CAP):
     """Yield every parameter-valid form of a family at size n, in a fixed
     deterministic order (parameters canonicalized: index sets sorted, the
     j-assignment enumerated lexicographically).
 
     qap1-qap4 are finite at fixed n; qap5 is infinite and requires explicit
-    bounds.  Validation is skipped by default because the streams only
-    produce valid parameter sets (qap3 filters internally); pass check=True
-    to re-validate each one.
+    bounds.  Validation is skipped because the streams only produce valid
+    parameter sets (qap3 filters internally).
     """
     stream = _param_stream(n, family, bounds, cap)
     builder = BUILDERS[family]
     for params in stream:
-        yield builder(params, check=check)
+        yield builder(params, check=False)
 
 
 def slack_table_csv(family: str, forms, perms) -> str:
@@ -742,12 +741,11 @@ def slack_table_csv(family: str, forms, perms) -> str:
 
 
 def family_form_at(n: int, family: str, index: int,
-                   bounds: Qap5Bounds | None = None,
                    cap: int = DEFAULT_ENUMERATION_CAP) -> LinearForm:
-    """The index-th form of the deterministic enumeration (form ids are
-    stable, so this reconstructs membership witnesses).  Only the parameter
-    stream is walked; one form is built."""
-    params = next(itertools.islice(_param_stream(n, family, bounds, cap),
+    """The index-th form of the deterministic qap1-qap4 enumeration (form ids
+    are stable, so this reconstructs membership witnesses).  Only the
+    parameter stream is walked; one form is built."""
+    params = next(itertools.islice(_param_stream(n, family, None, cap),
                                    index, None), None)
     if params is None:
         raise InvalidParameterError(f"{family} at n={n} has no form #{index}")

@@ -35,8 +35,7 @@ class RankReport:
     """Outcome of a multi-prime rank computation.
 
     ``consensus_rank`` is set only when every prime agrees; otherwise the
-    status is "inconclusive" and ``retry_primes`` suggests the next primes
-    to try.
+    status is "inconclusive".
     """
 
     row_count: int
@@ -44,23 +43,10 @@ class RankReport:
     ranks: list[tuple[int, int]] = field(default_factory=list)  # (prime, rank)
     consensus_rank: int | None = None
     status: str = "ok"
-    retry_primes: tuple[int, ...] = ()
 
     @property
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.ranks)
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps({
-            "row_count": self.row_count,
-            "column_dimension": self.column_dimension,
-            "ranks": [[p, r] for p, r in self.ranks],
-            "consensus_rank": self.consensus_rank,
-            "status": self.status,
-            "retry_primes": list(self.retry_primes),
-        }, sort_keys=True)
 
 
 def _echelonize_mod_p(matrix: np.ndarray, p: int):
@@ -111,13 +97,23 @@ def _strip_zero_columns(matrix: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(matrix[:, used])
 
 
-def rank_consensus(matrix: np.ndarray, prime_count: int = DEFAULT_PRIME_COUNT,
-                   column_dimension: int | None = None,
+def _per_prime(fn, primes, workers: int) -> list:
+    """[fn(p) for p in primes], on a thread pool when workers > 1.
+
+    Each extra worker holds one more reduced copy of the matrix, so workers
+    trade memory for time."""
+    if workers > 1 and len(primes) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, primes))
+    return [fn(p) for p in primes]
+
+
+def rank_consensus(matrix: np.ndarray, column_dimension: int | None = None,
                    workers: int = 1) -> RankReport:
     """Rank of an integer matrix by modular consensus.
 
     Disagreement escalates once to 5 primes; if the escalated set still
-    disagrees the report is marked inconclusive with retry primes.
+    disagrees the report is marked inconclusive.
     """
     rows, cols = matrix.shape
     report = RankReport(row_count=rows,
@@ -127,23 +123,19 @@ def rank_consensus(matrix: np.ndarray, prime_count: int = DEFAULT_PRIME_COUNT,
         return report
     work = _strip_zero_columns(matrix)
 
-    def run(primes):
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(lambda p: (p, rank_mod_p(work, p)), primes))
-        return [(p, rank_mod_p(work, p)) for p in primes]
+    def prime_and_rank(p):
+        return p, rank_mod_p(work, p)
 
-    report.ranks = run(PRIME_POOL[:prime_count])
+    report.ranks = _per_prime(prime_and_rank, PRIME_POOL[:DEFAULT_PRIME_COUNT], workers)
     values = {r for _, r in report.ranks}
     if len(values) > 1:
-        extra = PRIME_POOL[prime_count:ESCALATED_PRIME_COUNT]
-        report.ranks += run(extra)
+        extra = PRIME_POOL[DEFAULT_PRIME_COUNT:ESCALATED_PRIME_COUNT]
+        report.ranks += _per_prime(prime_and_rank, extra, workers)
         values = {r for _, r in report.ranks}
     if len(values) == 1:
         report.consensus_rank = values.pop()
     else:
         report.status = "inconclusive"
-        report.retry_primes = PRIME_POOL[ESCALATED_PRIME_COUNT:]
     return report
 
 
@@ -151,31 +143,24 @@ class ModularSpanBasis:
     """Echelon bases of a fixed generator span at several primes, reused
     across many membership queries."""
 
-    def __init__(self, generators: np.ndarray,
-                 prime_count: int = DEFAULT_PRIME_COUNT, workers: int = 1):
+    def __init__(self, generators: np.ndarray, workers: int = 1):
         if generators.ndim != 2:
             raise QappolyError("generator matrix must be 2-dimensional")
         self._generators = generators
         self._workers = workers
         self.columns = generators.shape[1]
-        self.primes = PRIME_POOL[:prime_count]
+        self.primes = PRIME_POOL[:DEFAULT_PRIME_COUNT]
         self._bases: dict[int, tuple[list[int], np.ndarray]] = {}
         self._build(self.primes)
 
     def _build(self, primes):
         def build(p):
             _, pivots, rows = _echelonize_mod_p(self._generators, p)
-            return p, (pivots, rows)
+            # a copy, so the basis does not pin the whole reduced matrix
+            return pivots, rows.copy()
 
         todo = [p for p in primes if p not in self._bases]
-        if self._workers > 1 and len(todo) > 1:
-            with ThreadPoolExecutor(max_workers=self._workers) as pool:
-                self._bases.update(pool.map(build, todo))
-        else:
-            self._bases.update(build(p) for p in todo)
-
-    def rank_at(self, p: int) -> int:
-        return len(self._bases[p][0])
+        self._bases.update(zip(todo, _per_prime(build, todo, self._workers)))
 
     def contains_mod_p(self, vector: np.ndarray, p: int) -> bool:
         pivots, rows = self._bases[p]

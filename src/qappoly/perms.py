@@ -44,9 +44,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.image[i - 1]
 
-    def fixed_points(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.image, start=1) if i == v)
-
     def sign(self) -> int:
         """Parity of the permutation: +1 for even, -1 for odd."""
         seen = [False] * self.n

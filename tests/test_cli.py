@@ -102,3 +102,55 @@ def test_config_file_flows_through_cli(tmp_path, triangle7):
     code = main(["clique-oracle", "--family", "qap2", "--graph", str(triangle7),
                  "--config", str(cfg), "--acknowledge-caps"])
     assert code == 0
+
+
+@pytest.fixture
+def cap4(tmp_path):
+    path = tmp_path / "cap4.cfg"
+    path.write_text("enumeration_cap=4\n")
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-facet", "--family", "qap5", "--n", "5", "--beta", "0",
+     "--coeffs", "1,1:1;2,2:-1", "--expect", "valid-only"],
+    ["verify-slack", "--family", "qap1", "--n", "5", "--limit", "1"],
+    ["verify-lemmas", "--which", "szeroconn", "--n", "5"],
+    ["verify-lemmas", "--which", "skasnxt4", "--n", "5", "--samples", "5"],
+    ["verify-lemmas", "--which", "s3ss0", "--n", "5", "--samples", "5"],
+    ["verify-lemmas", "--which", "szeroins", "--n", "5", "--samples", "5"],
+])
+def test_enumeration_cap_from_config_refuses(argv, cap4, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(argv + ["--config", str(cap4), "--json", str(out)]) == 1
+    verdicts = json.loads(out.read_text())["verdicts"]
+    assert [v["name"] for v in verdicts] == ["usage"]
+    assert "exceeds the enumeration cap 4" in verdicts[0]["details"]["error"]
+
+
+@pytest.mark.parametrize("which", ["identity1", "identity2"])
+def test_identity_lemmas_ignore_the_enumeration_cap(which, cap4):
+    assert main(["verify-lemmas", "--which", which, "--n", "5", "--samples", "5",
+                 "--config", str(cap4)]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--which", "skasnxt4", "--n", "5", "--m", "3"],  # no S_k with k >= 4
+    ["--which", "s3ss0", "--n", "5", "--m", "2"],     # no S_3
+    ["--which", "s3ss0", "--n", "5", "--m", "7"],     # pattern outside [1, 5]
+    ["--which", "szeroconn", "--n", "5", "--m", "7"],
+])
+def test_lemma_patterns_without_the_sampled_class_are_usage_failures(argv, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify-lemmas", "--samples", "5", "--json", str(out)] + argv) == 1
+    verdicts = json.loads(out.read_text())["verdicts"]
+    assert [v["name"] for v in verdicts] == ["usage"]
+
+
+def test_verify_slack_reuses_the_cached_vertex_space():
+    from qappoly.geometry import vertex_space
+
+    vertex_space(6)
+    misses = vertex_space.cache_info().misses
+    assert main(["verify-slack", "--family", "qap1", "--n", "6", "--limit", "1"]) == 0
+    assert vertex_space.cache_info().misses == misses

@@ -232,3 +232,10 @@ def test_equality_set_requires_qap4():
     form = build_qap2(Qap2Params(n=7, p_set=(1, 2, 3), q_set=(1, 2, 3), beta=2))
     with pytest.raises(QappolyError, match="qap4"):
         check_equality_set(form, 7)
+
+
+def test_szeroins_with_a_one_pair_pattern_has_no_s2_generators():
+    from qappoly.geometry import verify_szeroins
+
+    report = verify_szeroins(5, MatchPattern.diagonal(1), samples=3)
+    assert report.samples == 3
