@@ -1,8 +1,8 @@
 """Exact affine dimensions and what makes an inequality facet-defining.
 
 All ranks are computed modulo at least three 31-bit primes and accepted
-only on consensus; a Fraction-based rational elimination can certify the
-small cases.  A valid inequality is facet-defining when its tight vertices
+only on consensus; a fraction-free (Bareiss) integer elimination can
+certify the small cases.  A valid inequality is facet-defining when its tight vertices
 span an affine subspace of dimension exactly one less than the polytope's.
 
 The full n=7 runs take a few minutes; this demo works at n<=5 and prints

@@ -6,9 +6,13 @@ cells, plus off-diagonal cells with distinct rows and distinct columns) are
 carried in the matrices; identically-zero coordinates never affect a rank.
 
 The vertex classification S_k, the signed-sum identities, S_0 connectivity,
-and the span lemmas are all driven by a per-n ``VertexSpace`` cache holding
-every vertex as a sparse 0/1 vector plus the 0/1 match matrix used for
-batch evaluation of linear forms.
+and the span lemmas are all driven by a per-n ``VertexSpace`` cache.  It
+stores each vertex once, as a column of the 0/1 match matrix ``zt`` that
+also drives batch evaluation of linear forms; ``VertexSpace.rows`` derives
+int8 vertex rows from it on demand, and ``VertexSpace.match_counts``
+classifies every vertex into its S_k at once.  Rows and their differences
+(entries -1..1) go to ``modrank`` as int8, which widens them only inside
+the elimination.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatchError, QappolyError
-from .indexing import EntryKey, Pair, canon_entry, flat_index, pair_from_flat, triangle_dimension
+from .indexing import EntryKey, Pair, flat_index, pair_from_flat, triangle_dimension
 from .inequalities import LinearForm, Qap4Params
 from .modrank import (
     ModularSpanBasis,
@@ -79,45 +83,48 @@ def _require_pattern_within(pattern: MatchPattern, n: int) -> None:
 # vertex space cache
 
 
+@lru_cache(maxsize=4)
+def _off_diagonal_support(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices (0-based) of the off-diagonal support pairs f1 < f2 with
+    distinct rows and distinct columns, in lexicographic order."""
+    row, col = np.divmod(np.arange(n * n), n)
+    f1, f2 = np.triu_indices(n * n, k=1)
+    keep = (row[f1] != row[f2]) & (col[f1] != col[f2])
+    return f1[keep], f2[keep]
+
+
 @dataclass
 class VertexSpace:
     n: int
     perms: list[Permutation]
     index: dict[tuple[int, ...], int]
-    vmatrix: np.ndarray  # (n!, support) int8, one sparse vertex per row
-    zt: np.ndarray       # (n*n, n!) int32 match indicators
+    zt: np.ndarray       # (n*n, n!) int32 match indicators, one vertex per column
 
     def row_of(self, perm: Permutation) -> int:
         return self.index[perm.image]
 
-    def vector_of(self, perm: Permutation) -> np.ndarray:
-        return self.vmatrix[self.row_of(perm)]
+    def rows(self, idx) -> np.ndarray:
+        """int8 rows of the vertices at ``idx`` over the support coordinates:
+        the diagonal cells in flat order, then the off-diagonal support pairs
+        in lexicographic order, each the product of its two match indicators."""
+        z = self.zt[:, idx].T.astype(np.int8)
+        f1, f2 = _off_diagonal_support(self.n)
+        return np.concatenate([z, z[:, f1] * z[:, f2]], axis=1)
+
+    def match_counts(self, pattern: MatchPattern) -> np.ndarray:
+        """S_k index of every vertex: its number of matched pattern pairs."""
+        flats = [flat_index(self.n, i, j) - 1 for i, j in pattern.pairs]
+        return self.zt[flats].sum(axis=0)
 
 
 @lru_cache(maxsize=3)
 def vertex_space(n: int) -> VertexSpace:
     perms = list(enumerate_permutations(n))
     index = {p.image: v for v, p in enumerate(perms)}
-
-    coords: list[EntryKey] = [(f, f) for f in range(1, n * n + 1)]
-    for f1 in range(1, n * n + 1):
-        i1, j1 = pair_from_flat(n, f1)
-        for f2 in range(f1 + 1, n * n + 1):
-            i2, j2 = pair_from_flat(n, f2)
-            if i1 != i2 and j1 != j2:
-                coords.append((f1, f2))
-    coord_index = {key: pos for pos, key in enumerate(coords)}
-
-    vmatrix = np.zeros((len(perms), len(coords)), dtype=np.int8)
     zt = np.zeros((n * n, len(perms)), dtype=np.int32)
-    for v, perm in enumerate(perms):
-        flats = [flat_index(n, i, perm(i)) for i in range(1, n + 1)]
-        for f in flats:
-            vmatrix[v, f - 1] = 1  # diagonal coords sit first, in flat order
-            zt[f - 1, v] = 1
-        for fa, fb in itertools.combinations(flats, 2):
-            vmatrix[v, coord_index[canon_entry(fa, fb)]] = 1
-    return VertexSpace(n=n, perms=perms, index=index, vmatrix=vmatrix, zt=zt)
+    images = np.array([p.image for p in perms], dtype=np.int64)
+    zt[n * np.arange(n) + images - 1, np.arange(len(perms))[:, None]] = 1
+    return VertexSpace(n=n, perms=perms, index=index, zt=zt)
 
 
 def _as_permutation(v) -> Permutation:
@@ -145,7 +152,7 @@ def affine_dim(vertices, workers: int = 1, certify: bool = False) -> RankReport:
 
     Differences are taken against the vertex of the lexicographically
     smallest permutation in the set; the report's consensus_rank is the
-    affine dimension.  With certify=True a Fraction-based rational
+    affine dimension.  With certify=True a fraction-free (Bareiss) integer
     elimination must agree with the modular consensus.
     """
     vertices = list(vertices)
@@ -155,7 +162,7 @@ def affine_dim(vertices, workers: int = 1, certify: bool = False) -> RankReport:
     space = vertex_space(n)
     perms, rows = _vertex_rows(vertices, space)
     base_row = space.row_of(min(perms))
-    diffs = space.vmatrix[rows].astype(np.int64) - space.vmatrix[base_row].astype(np.int64)
+    diffs = space.rows(rows) - space.rows([base_row])
     report = rank_consensus(diffs, column_dimension=triangle_dimension(n),
                             workers=workers)
     if certify and report.consensus_rank is not None:
@@ -200,10 +207,8 @@ def verify_facet(form: LinearForm, n: int, workers: int = 1,
         sigma = space.perms[int(bad[0])]
         raise QappolyError(
             f"form is not valid: violated by sigma = {sigma.one_line()}")
-    full = polytope_affine_dim(n, workers=workers)
-    if certify:
-        # re-run the full set with rational certification
-        full = affine_dim(space.perms, workers=workers, certify=True)
+    full = (affine_dim(space.perms, workers=workers, certify=True) if certify
+            else polytope_affine_dim(n, workers=workers))
     tight_rows = np.nonzero(slack == 0)[0]
     if tight_rows.size == 0:
         return FacetReport(verdict="not facet", n=n, tight_count=0,
@@ -238,10 +243,7 @@ def check_equality_set(form: LinearForm, n: int) -> EqualitySetReport:
     pattern = MatchPattern.from_qap4(form.params)
     space = vertex_space(n)
     slack = form.scaled_slack_on_match_rows(space.zt)
-    pattern_rows = [flat_index(n, i, j) - 1 for i, j in pattern.pairs]
-    k_of = np.zeros(len(space.perms), dtype=np.int64)
-    for r in pattern_rows:
-        k_of += space.zt[r]
+    k_of = space.match_counts(pattern)
     sizes = {int(k): int((k_of == k).sum()) for k in range(pattern.m + 1)}
     tight = slack == 0
     in_s1_s2 = (k_of == 1) | (k_of == 2)
@@ -382,6 +384,17 @@ class S0ConnectivityReport:
     status: str  # "ok" or "vacuous"
 
 
+def _s0_neighbours(sigma: Permutation, pattern: MatchPattern) -> list[Permutation]:
+    """The S_0 permutations one transposition (x, y) away from sigma, in
+    ``combinations`` order of (x, y)."""
+    out = []
+    for x, y in itertools.combinations(range(1, sigma.n + 1), 2):
+        other = apply_transposition(sigma, x, y)
+        if classify_vertex(other, pattern) == 0:
+            out.append(other)
+    return out
+
+
 def check_s0_connectivity(n: int, pattern: MatchPattern,
                           cap: int = DEFAULT_ENUMERATION_CAP) -> S0ConnectivityReport:
     """Connectivity of the graph on S_0 whose edges join permutations one
@@ -403,14 +416,10 @@ def check_s0_connectivity(n: int, pattern: MatchPattern,
         return a
 
     for idx, p in enumerate(members):
-        for x, y in itertools.combinations(range(1, n + 1), 2):
-            img = list(p.image)
-            img[x - 1], img[y - 1] = img[y - 1], img[x - 1]
-            other = member_index.get(tuple(img))
-            if other is not None:
-                ra, rb = find(idx), find(other)
-                if ra != rb:
-                    parent[ra] = rb
+        for other in _s0_neighbours(p, pattern):
+            ra, rb = find(idx), find(member_index[other.image])
+            if ra != rb:
+                parent[ra] = rb
     components = len({find(idx) for idx in range(len(members))})
     return S0ConnectivityReport(n=n, pattern=pattern, size=len(members),
                                 component_count=components,
@@ -440,25 +449,31 @@ def check_span_membership(target, generators, workers: int = 1) -> SpanReport:
         raise QappolyError("span membership needs at least one generator")
     n = _as_permutation(generators[0]).n
     space = vertex_space(n)
-    basis = _span_basis_for(space, generators, workers)
+    _, rows = _vertex_rows(generators, space)
+    basis = ModularSpanBasis(space.rows(rows), workers=workers)
     if isinstance(target, np.ndarray):
         vec = target
     else:
         tp = _as_permutation(target)
         if tp.n != n:
             raise DimensionMismatchError("target and generators have mixed sizes")
-        vec = space.vector_of(tp).astype(np.int64)
+        vec = space.rows([space.row_of(tp)])[0]
     member, votes = basis.contains(vec)
     return SpanReport(member=member, votes=votes, generator_count=len(generators))
 
 
+def _class_rows(space: VertexSpace, pattern: MatchPattern) -> dict[int, np.ndarray]:
+    """Vertex rows of each S_k, k = 0..m, in enumeration order."""
+    _require_pattern_within(pattern, space.n)
+    counts = space.match_counts(pattern)
+    return {k: np.flatnonzero(counts == k) for k in range(pattern.m + 1)}
+
+
 def s_k_sets(n: int, pattern: MatchPattern) -> dict[int, list[Permutation]]:
     """Partition of all permutations by pattern match count."""
-    _require_pattern_within(pattern, n)
-    sets: dict[int, list[Permutation]] = {k: [] for k in range(pattern.m + 1)}
-    for p in enumerate_permutations(n):
-        sets[classify_vertex(p, pattern)].append(p)
-    return sets
+    space = vertex_space(n)
+    return {k: [space.perms[v] for v in rows]
+            for k, rows in _class_rows(space, pattern).items()}
 
 
 @dataclass
@@ -472,11 +487,6 @@ class SpanLemmaReport:
     details: dict = field(default_factory=dict)
 
 
-def _span_basis_for(space: VertexSpace, vertices, workers: int) -> ModularSpanBasis:
-    _, rows = _vertex_rows(vertices, space)
-    return ModularSpanBasis(space.vmatrix[rows].astype(np.int64), workers=workers)
-
-
 def verify_skasnxt4(n: int, pattern: MatchPattern | None = None, samples: int = 200,
                     seed: int = 0, workers: int = 1) -> SpanLemmaReport:
     """Sampled check: every vertex in S_k (k >= 4) lies in the span of
@@ -484,8 +494,8 @@ def verify_skasnxt4(n: int, pattern: MatchPattern | None = None, samples: int = 
     pattern = pattern or MatchPattern.diagonal(n)
     rng = random.Random(seed)
     space = vertex_space(n)
-    sets = s_k_sets(n, pattern)
-    ks = [k for k in range(4, pattern.m + 1) if sets[k]]
+    classes = _class_rows(space, pattern)
+    ks = [k for k in range(4, pattern.m + 1) if classes[k].size]
     if not ks:
         raise QappolyError(f"no vertex lies in any S_k with k >= 4 for a "
                            f"pattern of {pattern.m} pairs")
@@ -495,10 +505,10 @@ def verify_skasnxt4(n: int, pattern: MatchPattern | None = None, samples: int = 
     for s in range(samples):
         k = ks[s % len(ks)]
         if k not in bases:
-            gens = [p for kk in (k - 1, k - 2, k - 3, k - 4) for p in sets[kk]]
-            bases[k] = _span_basis_for(space, gens, workers)
-        target = rng.choice(sets[k])
-        member, _ = bases[k].contains(space.vector_of(target).astype(np.int64))
+            gens = np.concatenate([classes[kk] for kk in (k - 1, k - 2, k - 3, k - 4)])
+            bases[k] = ModularSpanBasis(space.rows(gens), workers=workers)
+        target = rng.choice(classes[k])
+        member, _ = bases[k].contains(space.rows([target])[0])
         member_count += member
         per_k[k] += 1
     return SpanLemmaReport(lemma="s_k in span of the four sets below", n=n,
@@ -513,15 +523,15 @@ def verify_s3ss0(n: int, pattern: MatchPattern | None = None, samples: int = 200
     pattern = pattern or MatchPattern.diagonal(n)
     rng = random.Random(seed)
     space = vertex_space(n)
-    sets = s_k_sets(n, pattern)
-    if not sets.get(3):
+    classes = _class_rows(space, pattern)
+    if pattern.m < 3 or not classes[3].size:
         raise QappolyError(f"S_3 is empty for a pattern of {pattern.m} pairs")
-    gens = sets[1] + sets[2] + sets[0]
-    basis = _span_basis_for(space, gens, workers)
+    gens = np.concatenate([classes[1], classes[2], classes[0]])
+    basis = ModularSpanBasis(space.rows(gens), workers=workers)
     member_count = 0
     for _ in range(samples):
-        target = rng.choice(sets[3])
-        member, _ = basis.contains(space.vector_of(target).astype(np.int64))
+        target = rng.choice(classes[3])
+        member, _ = basis.contains(space.rows([target])[0])
         member_count += member
     return SpanLemmaReport(lemma="s_3 in span of S, S_0", n=n, samples=samples,
                            member_count=member_count,
@@ -535,23 +545,22 @@ def verify_szeroins(n: int, pattern: MatchPattern | None = None, samples: int = 
     pattern = pattern or MatchPattern.diagonal(n)
     rng = random.Random(seed)
     space = vertex_space(n)
-    sets = s_k_sets(n, pattern)
-    basis = _span_basis_for(space, sets[1] + sets.get(2, []), workers)
+    classes = _class_rows(space, pattern)
+    if not any(_s0_neighbours(space.perms[v], pattern) for v in classes[0]):
+        raise QappolyError(f"no S_0 vertex has an S_0 neighbour at n={n} for a "
+                           f"pattern of {pattern.m} pairs")
+    gens = np.concatenate([classes[k] for k in (1, 2) if k in classes])
+    basis = ModularSpanBasis(space.rows(gens), workers=workers)
     member_count = 0
     pairs_seen = 0
     while pairs_seen < samples:
-        sigma = rng.choice(sets[0])
-        neighbors = []
-        for x, y in itertools.combinations(range(1, n + 1), 2):
-            other = apply_transposition(sigma, x, y)
-            if classify_vertex(other, pattern) == 0:
-                neighbors.append(other)
+        sigma = space.perms[rng.choice(classes[0])]
+        neighbors = _s0_neighbours(sigma, pattern)
         if not neighbors:
             continue
         other = rng.choice(neighbors)
-        diff = space.vector_of(sigma).astype(np.int64) - \
-            space.vector_of(other).astype(np.int64)
-        member, _ = basis.contains(diff)
+        pair = space.rows([space.row_of(sigma), space.row_of(other)])
+        member, _ = basis.contains(pair[0] - pair[1])
         member_count += member
         pairs_seen += 1
     return SpanLemmaReport(lemma="S_0 neighbor differences in span(S)", n=n,

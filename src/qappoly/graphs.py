@@ -176,26 +176,28 @@ def max_clique_bruteforce(graph: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> tuple[
     return len(best), tuple(sorted(best))
 
 
-def cliques_of_size_at_least(graph: Graph, smallest: int) -> int | None:
-    """Largest clique size >= smallest found by direct subset enumeration,
-    or None.  Intended for thresholds near n where few subsets remain."""
+def _largest_clique_between(graph: Graph, largest: int, smallest: int) -> int | None:
+    """Largest clique size in [smallest, largest] by direct subset
+    enumeration, largest size first, or None."""
     adj = graph.adjacency()
-    for size in range(graph.n, smallest - 1, -1):
+    for size in range(largest, smallest - 1, -1):
         for subset in itertools.combinations(range(1, graph.n + 1), size):
             if all(v in adj[u] for u, v in itertools.combinations(subset, 2)):
                 return size
     return None
 
 
+def cliques_of_size_at_least(graph: Graph, smallest: int) -> int | None:
+    """Largest clique size >= smallest found by direct subset enumeration,
+    or None.  Intended for thresholds near n where few subsets remain."""
+    return _largest_clique_between(graph, graph.n, smallest)
+
+
 def max_clique_capped(graph: Graph, largest: int) -> int:
     """Exact clique number when it is known to be at most ``largest``:
     direct subset enumeration from that size downward."""
-    adj = graph.adjacency()
-    for size in range(min(largest, graph.n), 1, -1):
-        for subset in itertools.combinations(range(1, graph.n + 1), size):
-            if all(v in adj[u] for u, v in itertools.combinations(subset, 2)):
-                return size
-    return 1 if graph.n else 0
+    size = _largest_clique_between(graph, min(largest, graph.n), 2)
+    return size if size is not None else (1 if graph.n else 0)
 
 
 @lru_cache(maxsize=2)

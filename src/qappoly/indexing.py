@@ -47,13 +47,3 @@ def triangle_position(n: int, f1: int, f2: int) -> int:
     upper-triangular order.  Requires f1 <= f2."""
     nn = n * n
     return (f1 - 1) * nn - (f1 - 1) * f1 // 2 + (f2 - 1)
-
-
-def entry_from_position(n: int, pos: int) -> EntryKey:
-    """Inverse of triangle_position (linear scan over rows; fine for n <= 9)."""
-    nn = n * n
-    f1 = 1
-    while triangle_position(n, f1 + 1, f1 + 1) <= pos:
-        f1 += 1
-    f2 = pos - triangle_position(n, f1, f1) + f1
-    return f1, f2

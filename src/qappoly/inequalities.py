@@ -148,34 +148,6 @@ class LinearForm:
     def term_counts(self) -> tuple[int, int]:
         return len(self.diag), len(self.offdiag)
 
-    def lhs_at_vertex(self, vertex: QapVertex) -> int:
-        """Exact scaled lhs at a vertex.
-
-        Vertex entries are exactly the keys with value 1, so the sum walks
-        the vertex's sparse support and picks up matching coefficients.
-        """
-        if vertex.n != self.n:
-            raise DimensionMismatchError(f"form n={self.n} vs vertex n={vertex.n}")
-        total = 0
-        diag, off = self.diag, self.offdiag
-        for key in vertex.entries:
-            f1, f2 = key
-            if f1 == f2:
-                total += diag.get(f1, 0)
-            else:
-                total += off.get(key, 0)
-        return total
-
-    def slack_at_vertex(self, vertex: QapVertex) -> Fraction:
-        """True (unscaled) slack: rhs - lhs for <=, lhs - rhs for >=."""
-        lhs = self.lhs_at_vertex(vertex)
-        num = self.rhs - lhs if self.sense == "<=" else lhs - self.rhs
-        return Fraction(num, self.scale)
-
-    def scaled_slack_at_vertex(self, vertex: QapVertex) -> int:
-        lhs = self.lhs_at_vertex(vertex)
-        return self.rhs - lhs if self.sense == "<=" else lhs - self.rhs
-
     def lhs_on_match_rows(self, zt: np.ndarray) -> np.ndarray:
         """Scaled lhs on a whole batch of vertices at once.
 

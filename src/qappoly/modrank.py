@@ -5,17 +5,19 @@ primes: the rank mod p never exceeds the rational rank and equals it for
 all but finitely many primes, so agreement across >= 3 primes from the
 vetted pool is taken as the exact answer (escalating to 5 primes on any
 disagreement, which has never been observed for these 0/+-1 matrices).
-A Fraction-based rational elimination is available for certification runs;
-it is exact but far slower.
+A fraction-free (Bareiss) integer elimination is available for
+certification runs; it is exact but slower.
 
-All primes are below 2**31 so products of two residues fit in int64.
+Callers hand in signed integer matrices of any width (the vertex layer
+passes int8 rows and differences); each elimination widens its own reduced
+copy to int64 once.  All primes are below 2**31 so products of two residues
+fit in int64.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -50,13 +52,14 @@ class RankReport:
 
 
 def _echelonize_mod_p(matrix: np.ndarray, p: int):
-    """Row-reduce an integer matrix mod p.
+    """Row-reduce an integer matrix mod p, on a reduced int64 copy.
 
     Returns (rank, pivot columns, echelon rows): each echelon row has a
     leading 1 at its pivot column and zeros in earlier columns, which is
     all that membership reduction needs.
     """
-    m = np.ascontiguousarray(np.mod(matrix, p), dtype=np.int64)
+    # an np.int64 modulus: numpy 2 rejects a Python int above the input dtype
+    m = np.ascontiguousarray(np.mod(matrix, np.int64(p)))
     rows, cols = m.shape
     r = 0
     pivots: list[int] = []
@@ -164,7 +167,7 @@ class ModularSpanBasis:
 
     def contains_mod_p(self, vector: np.ndarray, p: int) -> bool:
         pivots, rows = self._bases[p]
-        v = np.mod(vector.astype(np.int64), p)
+        v = np.mod(vector, np.int64(p))
         for idx, c in enumerate(pivots):
             coef = v[c]
             if coef:
@@ -190,25 +193,27 @@ class ModularSpanBasis:
 
 
 def rank_exact_rational(matrix: np.ndarray) -> int:
-    """Certification path: exact rank over Q by Fraction elimination.
+    """Certification path: exact rank over Q by fraction-free elimination.
 
-    Orders of magnitude slower than the modular route; intended for small
-    and medium instances or opt-in certification runs.
+    Bareiss's scheme (Math. Comp. 1968) keeps every entry an integer minor
+    of the input: after each pivot step the rows below are updated by
+    (a*x - b*y) / previous pivot, a division that is always exact.
     """
-    rows = [[Fraction(int(x)) for x in row] for row in matrix]
-    cols = matrix.shape[1] if matrix.ndim == 2 else 0
+    rows = [row for row in matrix.tolist() if any(row)]
     rank = 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
+    previous = 1
+    for c in range(matrix.shape[1]):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][c]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c] != 0:
-                f = rows[r][c]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        top = rows[rank]
+        a = top[c]
+        for row in rows[rank + 1:]:
+            # columns before c are already zero below the pivot row
+            b = row[c]
+            row[c:] = [(a * x - b * y) // previous for x, y in zip(row[c:], top[c:])]
+        previous = a
         rank += 1
         if rank == len(rows):
             break

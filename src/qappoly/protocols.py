@@ -36,6 +36,7 @@ from .inequalities import (
     build_qap2,
     build_qap3,
     build_qap4,
+    evaluate,
 )
 from .perms import Permutation, QapVertex, vertex_from_permutation
 
@@ -325,7 +326,7 @@ def _slack_qap1(a: Bits, b: Bits) -> SlackProtocolResult:
     sigma = fixed_ones_permutation(tuple(forced))
     vertex = vertex_from_permutation(sigma)
     return _result("qap1", a, b, mode="protocol",
-                   slack=form.slack_at_vertex(vertex), setup_bits=bits_for(n),
+                   slack=evaluate(form, vertex).slack, setup_bits=bits_for(n),
                    form=form, sigma=sigma, vertex=vertex, params=params,
                    in_family=True)
 
@@ -347,7 +348,7 @@ def _slack_qap2(a: Bits, b: Bits) -> SlackProtocolResult:
     sigma = _halved_block_permutation(b, forced_swaps=frozenset())
     vertex = vertex_from_permutation(sigma)
     return _result("qap2", a, b, mode="protocol",
-                   slack=form.slack_at_vertex(vertex), setup_bits=0,
+                   slack=evaluate(form, vertex).slack, setup_bits=0,
                    form=form, sigma=sigma, vertex=vertex, params=params,
                    in_family=_in_family(params))
 
@@ -365,7 +366,7 @@ def _slack_qap3(a: Bits, b: Bits) -> SlackProtocolResult:
     sigma = _halved_block_permutation(b, forced_swaps=frozenset({p2}))
     vertex = vertex_from_permutation(sigma)
     return _result("qap3", a, b, mode="protocol",
-                   slack=form.slack_at_vertex(vertex), setup_bits=bits_for(n),
+                   slack=evaluate(form, vertex).slack, setup_bits=bits_for(n),
                    form=form, sigma=sigma, vertex=vertex, params=params,
                    in_family=_in_family(params))
 
@@ -388,7 +389,7 @@ def _slack_qap4(a: Bits, b: Bits) -> SlackProtocolResult:
     sigma = fixed_ones_permutation(b)
     vertex = vertex_from_permutation(sigma)
     return _result("qap4", a, b, mode="protocol",
-                   slack=form.slack_at_vertex(vertex), setup_bits=0,
+                   slack=evaluate(form, vertex).slack, setup_bits=0,
                    form=form, sigma=sigma, vertex=vertex, params=params,
                    in_family=True)
 

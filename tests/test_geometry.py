@@ -45,7 +45,8 @@ def test_vertex_shapes_exhaustive_n6_n7():
 
     for n in (6, 7):
         space = vertex_space(n)
-        assert (space.vmatrix.sum(axis=1) == n + n * (n - 1) // 2).all()
+        rows = space.rows(range(len(space.perms)))
+        assert (rows.sum(axis=1) == n + n * (n - 1) // 2).all()
         assert (space.zt.sum(axis=0) == n).all()
 
 
@@ -54,11 +55,12 @@ def test_parallel_rank_workers_agree():
     from qappoly.modrank import ModularSpanBasis, rank_consensus
 
     space = vertex_space(4)
-    serial = rank_consensus(space.vmatrix.astype("int64"), workers=1)
-    threaded = rank_consensus(space.vmatrix.astype("int64"), workers=3)
+    rows = space.rows(range(len(space.perms)))
+    serial = rank_consensus(rows, workers=1)
+    threaded = rank_consensus(rows, workers=3)
     assert serial.consensus_rank == threaded.consensus_rank == 23  # affine 22 + 1
-    basis = ModularSpanBasis(space.vmatrix[:6].astype("int64"), workers=2)
-    member, votes = basis.contains(space.vmatrix[3].astype("int64"))
+    basis = ModularSpanBasis(rows[:6], workers=2)
+    member, votes = basis.contains(rows[3])
     assert member and len(votes) >= 3
 
 
@@ -239,3 +241,61 @@ def test_szeroins_with_a_one_pair_pattern_has_no_s2_generators():
 
     report = verify_szeroins(5, MatchPattern.diagonal(1), samples=3)
     assert report.samples == 3
+
+
+def test_s_k_sets_with_a_non_diagonal_pattern_match_classify_vertex():
+    pattern = MatchPattern(((1, 3), (2, 5), (4, 1), (6, 6)))
+    sets = s_k_sets(6, pattern)
+    expected = {k: [] for k in range(pattern.m + 1)}
+    for p in enumerate_permutations(6):
+        expected[classify_vertex(p, pattern)].append(p)
+    assert sets == expected
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_vertex_rows_follow_the_support_coordinates(n):
+    # diagonal cells in flat order, then off-diagonal pairs with distinct
+    # rows and columns in lexicographic order
+    from qappoly.geometry import vertex_space
+    from qappoly.indexing import pair_from_flat
+
+    cells = range(1, n * n + 1)
+    coords = [(f, f) for f in cells]
+    coords += [(f1, f2) for f1 in cells for f2 in cells
+               if f1 < f2 and all(a != b for a, b in
+                                  zip(pair_from_flat(n, f1), pair_from_flat(n, f2)))]
+    space = vertex_space(n)
+    rows = space.rows(range(len(space.perms)))
+    assert rows.dtype == "int8" and rows.shape == (len(space.perms), len(coords))
+    for v, perm in enumerate(space.perms):
+        entries = vertex_from_permutation(perm).entries
+        assert [key for key, x in zip(coords, rows[v]) if x] == sorted(
+            entries, key=coords.index)
+
+
+def test_szeroins_refuses_a_pattern_without_s0_neighbours():
+    from qappoly.geometry import verify_szeroins
+
+    # S_0 is the two 3-cycles, and every transposition of one fixes a point
+    with pytest.raises(QappolyError, match="neighbour"):
+        verify_szeroins(3, samples=2)
+
+
+def test_certified_facet_reduces_the_full_vertex_set_once(monkeypatch):
+    from qappoly import geometry
+    from qappoly.inequalities import Qap5Params, build_qap5
+    from qappoly.modrank import rank_consensus
+
+    calls = []
+
+    def counting(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return rank_consensus(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "rank_consensus", counting)
+    geometry.polytope_affine_dim.cache_clear()
+    form = build_qap5(Qap5Params(n=5, beta=0, coeffs={(1, 1): 1, (2, 2): -1}))
+    report = geometry.verify_facet(form, 5, certify=True)
+    assert report.polytope_dim == 77
+    assert "certified" in report.polytope_rank.status
+    assert len(calls) == 2  # the full vertex set and the tight set

@@ -3,7 +3,6 @@ import pytest
 from qappoly.errors import DimensionMismatchError
 from qappoly.indexing import (
     canon_entry,
-    entry_from_position,
     flat_index,
     pair_from_flat,
     triangle_dimension,
@@ -47,9 +46,7 @@ def test_triangle_position_round_trip(n):
     positions = []
     for f1 in range(1, n * n + 1):
         for f2 in range(f1, n * n + 1):
-            pos = triangle_position(n, f1, f2)
-            assert entry_from_position(n, pos) == (f1, f2)
-            positions.append(pos)
+            positions.append(triangle_position(n, f1, f2))
     assert positions == list(range(triangle_dimension(n)))
 
 

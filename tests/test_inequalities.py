@@ -66,8 +66,8 @@ def test_qap1_rejections():
 def test_qap1_identity_evaluation():
     form = build_qap1(Qap1Params(n=6, i_set=(1, 2, 3), j_set=(1, 2, 3), k=4, l=4))
     ident = vertex_from_permutation(Permutation.identity(6))
-    assert form.lhs_at_vertex(ident) == -1  # q=3 matches, P(4,4)=1: 3 - 1 - 3
-    assert form.slack_at_vertex(ident) == 1
+    assert evaluate(form, ident).lhs == -1  # q=3 matches, P(4,4)=1: 3 - 1 - 3
+    assert evaluate(form, ident).slack == 1
 
 
 def test_qap2_term_structure():
@@ -134,13 +134,13 @@ def test_qap5_degenerate_examples():
     form = build_qap5(Qap5Params(n=4, beta=2, coeffs={(1, 1): 1}))
     assert list(form.diag.values()) == [-2] and form.rhs == -2
     for sigma in enumerate_permutations(4):
-        lhs = form.lhs_at_vertex(vertex_from_permutation(sigma))
+        lhs = evaluate(form, vertex_from_permutation(sigma)).lhs
         assert lhs in (-2, 0)
     # all-zero coefficients with beta=1: 0 >= 0, tight everywhere
     zero = build_qap5(Qap5Params(n=4, beta=1, coeffs={}))
     assert zero.rhs == 0
     for sigma in enumerate_permutations(4):
-        assert zero.slack_at_vertex(vertex_from_permutation(sigma)) == 0
+        assert evaluate(zero, vertex_from_permutation(sigma)).slack == 0
 
 
 def test_qap5_slack_identity_random():
@@ -154,7 +154,7 @@ def test_qap5_slack_identity_random():
         lookup = params.coeff_map()
         for sigma in perms:
             s = sum(lookup.get((i, sigma(i)), 0) for i in range(1, 6))
-            assert form.slack_at_vertex(vertex_from_permutation(sigma)) \
+            assert evaluate(form, vertex_from_permutation(sigma)).slack \
                 == (s - beta) * (s - beta + 1) \
                 == closed_form_slack("qap5", params, sigma)
 
@@ -176,8 +176,8 @@ def test_qap2_qap3_match_qap5_at_vertices():
     for _ in range(200):
         sigma = Permutation(tuple(rng.sample(range(1, 8), 7)))
         v = vertex_from_permutation(sigma)
-        assert f3.scaled_slack_at_vertex(v) == f5.slack_at_vertex(v)
-        assert f2.scaled_slack_at_vertex(v) == g5.slack_at_vertex(v)
+        assert evaluate(f3, v).slack * f3.scale == evaluate(f5, v).slack
+        assert evaluate(f2, v).slack * f2.scale == evaluate(g5, v).slack
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from qappoly.modrank import (
     PRIME_POOL,
     ModularSpanBasis,
     rank_consensus,
+    rank_exact_rational,
 )
 
 
@@ -28,7 +29,7 @@ def test_rank_disagreement_escalates_to_five_primes(monkeypatch, workers):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_split_membership_vote_escalates_then_raises(monkeypatch, workers):
     space = vertex_space(4)
-    basis = ModularSpanBasis(space.vmatrix[:6].astype(np.int64), workers=workers)
+    basis = ModularSpanBasis(space.rows(range(6)), workers=workers)
     assert basis.primes == PRIME_POOL[:DEFAULT_PRIME_COUNT]
 
     def split_vote(self, vector, p):
@@ -36,7 +37,7 @@ def test_split_membership_vote_escalates_then_raises(monkeypatch, workers):
 
     monkeypatch.setattr(ModularSpanBasis, "contains_mod_p", split_vote)
     with pytest.raises(QappolyError, match="disagreement"):
-        basis.contains(space.vmatrix[3].astype(np.int64))
+        basis.contains(space.rows([3])[0])
     assert basis.primes == PRIME_POOL[:ESCALATED_PRIME_COUNT]
     assert sorted(basis._bases) == sorted(PRIME_POOL[:ESCALATED_PRIME_COUNT])
 
@@ -44,8 +45,37 @@ def test_split_membership_vote_escalates_then_raises(monkeypatch, workers):
 def test_span_basis_stores_only_its_echelon_rows():
     # the 24 vertices at n=4 have rank 23: the reduced matrix has 24 rows,
     # and the stored basis must not be a view that keeps all of them alive
-    generators = vertex_space(4).vmatrix.astype(np.int64)
+    generators = vertex_space(4).rows(range(24))
     basis = ModularSpanBasis(generators)
     for pivots, rows in basis._bases.values():
         assert rows.base is None
         assert rows.shape[0] == len(pivots) == 23
+
+
+def test_span_basis_keeps_the_int8_generators_it_is_given():
+    generators = vertex_space(4).rows(range(24))
+    basis = ModularSpanBasis(generators)
+    assert basis._generators is generators
+    assert basis._generators.dtype == np.int8
+
+
+def test_rank_consensus_reports_the_same_for_int8_and_int64():
+    space = vertex_space(5)
+    rows = space.rows(range(len(space.perms)))
+    diffs = rows - rows[:1]
+    narrow = rank_consensus(diffs)
+    wide = rank_consensus(diffs.astype(np.int64))
+    assert diffs.dtype == np.int8
+    assert narrow == wide
+    assert narrow.consensus_rank == 77
+
+
+def test_bareiss_rank_agrees_with_modular_consensus():
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        rows, cols = rng.integers(1, 10, size=2)
+        matrix = rng.integers(-4, 5, size=(rows, cols))
+        matrix[:, rng.integers(cols)] = 0  # a zero column
+        if rows >= 3:
+            matrix[-1] = 3 * matrix[0] - 2 * matrix[1]  # a dependent row
+        assert rank_exact_rational(matrix) == rank_consensus(matrix).consensus_rank
