@@ -2,9 +2,9 @@
 
 N[k](a,b) = (a.b - k)(a.b - k - 1) and M[k](a,b) = (a.b - k)^2 over bit
 vectors.  A cheap randomized protocol computes N[0] exactly in expectation
-with 2*ceil(log2 n) bits; mixing it with an N[1] source gives M[1]; and in
-the four slack constructions, Alice's inequality evaluated at Bob's vertex
-equals N[1]/2 on the nose, which the parties double on output.
+with 2*ceil(log2 n) bits; mixing it with the closed-form N[1] gives M[1];
+and in the four slack constructions, Alice's inequality evaluated at Bob's
+vertex equals N[1]/2 on the nose, which the parties double on output.
 """
 
 from qappoly import (

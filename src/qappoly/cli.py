@@ -132,10 +132,16 @@ def _require_enumerable(n: int, caps: Caps) -> None:
             f"n={n} exceeds the enumeration cap {caps.enumeration_cap}")
 
 
+def _require_count(flag: str, value: int) -> None:
+    """Refuse a negative count; 0 keeps the meaning each flag documents."""
+    if value < 0:
+        raise QappolyError(f"{flag} must be >= 0, got {value}")
+
+
 def _cmd_verify_facet(args, report: RunReport, caps: Caps):
     _require_enumerable(args.n, caps)
     form = _build_form(args)
-    facet = verify_facet(form, args.n, workers=args.workers, certify=args.certify)
+    facet = verify_facet(form, args.n, certify=args.certify)
     report.add("validity", True, note="no violating vertex found")
     details = {"polytope_dim": facet.polytope_dim, "tight_dim": facet.tight_dim,
                "tight_count": facet.tight_count,
@@ -153,6 +159,7 @@ def _cmd_verify_facet(args, report: RunReport, caps: Caps):
 def _cmd_verify_lemmas(args, report: RunReport, caps: Caps):
     n = args.n
     which = args.which
+    _require_count("--samples", args.samples)
     if n < 5:
         raise QappolyError("lemma checks need n >= 5 (identity chains use "
                            "four or five distinct indices)")
@@ -183,31 +190,29 @@ def _cmd_verify_lemmas(args, report: RunReport, caps: Caps):
                    runs=args.samples, failures=bad)
     if which in ("szeroconn", "all"):
         _require_enumerable(n, caps)
-        res = check_s0_connectivity(n, pattern, cap=caps.enumeration_cap)
+        res = check_s0_connectivity(n, pattern)
         report.add("S0 transposition graph connected", res.connected,
                    size=res.size, components=res.component_count, status=res.status)
     if which in ("skasnxt4", "all"):
         _require_enumerable(n, caps)
-        res = verify_skasnxt4(n, pattern, samples=args.samples, seed=args.seed,
-                              workers=args.workers)
+        res = verify_skasnxt4(n, pattern, samples=args.samples, seed=args.seed)
         report.add("S_k spans (k>=4)", res.all_member, samples=res.samples,
                    members=res.member_count)
     if which in ("s3ss0", "all"):
         _require_enumerable(n, caps)
-        res = verify_s3ss0(n, pattern, samples=args.samples, seed=args.seed,
-                           workers=args.workers)
+        res = verify_s3ss0(n, pattern, samples=args.samples, seed=args.seed)
         report.add("S_3 span membership", res.all_member, samples=res.samples,
                    members=res.member_count)
     if which in ("szeroins", "all"):
         _require_enumerable(n, caps)
-        res = verify_szeroins(n, pattern, samples=args.samples, seed=args.seed,
-                              workers=args.workers)
+        res = verify_szeroins(n, pattern, samples=args.samples, seed=args.seed)
         report.add("S_0 neighbor differences in span(S)", res.all_member,
                    samples=res.samples, members=res.member_count)
 
 
 def _cmd_verify_slack(args, report: RunReport, caps: Caps):
     n = args.n
+    _require_count("--limit", args.limit)
     _require_enumerable(n, caps)
     space = vertex_space(n)
     checked = 0
@@ -265,6 +270,7 @@ def _cmd_clique_oracle(args, report: RunReport, caps: Caps):
 
 
 def _cmd_protocol(args, report: RunReport, caps: Caps):
+    _require_count("--samples", args.samples)
     if args.action == "n0":
         a, b = as_bits(args.a), as_bits(args.b, len(as_bits(args.a)))
         res = protocol_n0(a, b, mode="exact")
@@ -296,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="FILE", help="write the JSON report here")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--workers", type=int, default=1)
     common.add_argument("--certify", action="store_true",
                         help="re-check ranks with exact rational elimination")
     common.add_argument("--config", metavar="FILE", help="key=value caps file")

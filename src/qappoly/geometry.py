@@ -34,7 +34,6 @@ from .modrank import (
     rank_exact_rational,
 )
 from .perms import (
-    DEFAULT_ENUMERATION_CAP,
     Permutation,
     QapVertex,
     apply_transposition,
@@ -72,11 +71,6 @@ class MatchPattern:
 def classify_vertex(sigma: Permutation, pattern: MatchPattern) -> int:
     """Number k of pattern pairs with sigma(i_r) = j_r, i.e. the S_k index."""
     return sum(1 for i, j in pattern.pairs if sigma(i) == j)
-
-
-def _require_pattern_within(pattern: MatchPattern, n: int) -> None:
-    if any(not 1 <= v <= n for pair in pattern.pairs for v in pair):
-        raise QappolyError(f"pattern pairs {pattern.pairs} must lie in [1, {n}]")
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +141,7 @@ def _vertex_rows(vertices, space: VertexSpace) -> tuple[list[Permutation], np.nd
 # affine dimension and facet verification
 
 
-def affine_dim(vertices, workers: int = 1, certify: bool = False) -> RankReport:
+def affine_dim(vertices, certify: bool = False) -> RankReport:
     """Affine dimension of a vertex set, exactly.
 
     Differences are taken against the vertex of the lexicographically
@@ -163,8 +157,7 @@ def affine_dim(vertices, workers: int = 1, certify: bool = False) -> RankReport:
     perms, rows = _vertex_rows(vertices, space)
     base_row = space.row_of(min(perms))
     diffs = space.rows(rows) - space.rows([base_row])
-    report = rank_consensus(diffs, column_dimension=triangle_dimension(n),
-                            workers=workers)
+    report = rank_consensus(diffs, column_dimension=triangle_dimension(n))
     if certify and report.consensus_rank is not None:
         exact = rank_exact_rational(diffs)
         if exact != report.consensus_rank:
@@ -176,11 +169,11 @@ def affine_dim(vertices, workers: int = 1, certify: bool = False) -> RankReport:
 
 
 @lru_cache(maxsize=4)
-def polytope_affine_dim(n: int, workers: int = 1) -> RankReport:
+def polytope_affine_dim(n: int) -> RankReport:
     """Affine dimension of the whole polytope at size n (cached; this is the
     expensive full-vertex-set rank)."""
     space = vertex_space(n)
-    return affine_dim(space.perms, workers=workers)
+    return affine_dim(space.perms)
 
 
 @dataclass
@@ -194,8 +187,7 @@ class FacetReport:
     tight_rank: RankReport | None
 
 
-def verify_facet(form: LinearForm, n: int, workers: int = 1,
-                 certify: bool = False) -> FacetReport:
+def verify_facet(form: LinearForm, n: int, certify: bool = False) -> FacetReport:
     """Decide facet-ness: valid everywhere and the tight vertices span an
     affine subspace of dimension exactly one less than the polytope's."""
     if form.n != n:
@@ -207,15 +199,15 @@ def verify_facet(form: LinearForm, n: int, workers: int = 1,
         sigma = space.perms[int(bad[0])]
         raise QappolyError(
             f"form is not valid: violated by sigma = {sigma.one_line()}")
-    full = (affine_dim(space.perms, workers=workers, certify=True) if certify
-            else polytope_affine_dim(n, workers=workers))
+    full = (affine_dim(space.perms, certify=True) if certify
+            else polytope_affine_dim(n))
     tight_rows = np.nonzero(slack == 0)[0]
     if tight_rows.size == 0:
         return FacetReport(verdict="not facet", n=n, tight_count=0,
                            polytope_dim=int(full.consensus_rank), tight_dim=-1,
                            polytope_rank=full, tight_rank=None)
     tight = [space.perms[int(r)] for r in tight_rows]
-    tight_report = affine_dim(tight, workers=workers, certify=certify)
+    tight_report = affine_dim(tight, certify=certify)
     verdict = ("facet"
                if tight_report.consensus_rank == full.consensus_rank - 1
                else "not facet")
@@ -384,30 +376,31 @@ class S0ConnectivityReport:
     status: str  # "ok" or "vacuous"
 
 
-def _s0_neighbours(sigma: Permutation, pattern: MatchPattern) -> list[Permutation]:
-    """The S_0 permutations one transposition (x, y) away from sigma, in
+def _s0_neighbours(space: VertexSpace, v: int, s0: set[int]) -> list[int]:
+    """The vertices of S_0 one transposition (x, y) away from vertex v, in
     ``combinations`` order of (x, y)."""
+    image = space.perms[v].image
     out = []
-    for x, y in itertools.combinations(range(1, sigma.n + 1), 2):
-        other = apply_transposition(sigma, x, y)
-        if classify_vertex(other, pattern) == 0:
-            out.append(other)
+    for x, y in itertools.combinations(range(space.n), 2):
+        swapped = list(image)
+        swapped[x], swapped[y] = swapped[y], swapped[x]
+        w = space.index[tuple(swapped)]
+        if w in s0:
+            out.append(w)
     return out
 
 
-def check_s0_connectivity(n: int, pattern: MatchPattern,
-                          cap: int = DEFAULT_ENUMERATION_CAP) -> S0ConnectivityReport:
+def check_s0_connectivity(n: int, pattern: MatchPattern) -> S0ConnectivityReport:
     """Connectivity of the graph on S_0 whose edges join permutations one
     transposition apart (with both endpoints avoiding every pattern pair)."""
-    _require_pattern_within(pattern, n)
-    members = [p for p in enumerate_permutations(n, cap=cap)
-               if classify_vertex(p, pattern) == 0]
+    space = vertex_space(n)
+    members = _class_rows(space, pattern)[0].tolist()
     if not members:
         return S0ConnectivityReport(n=n, pattern=pattern, size=0,
                                     component_count=0, connected=False,
                                     status="vacuous")
-    member_index = {p.image: idx for idx, p in enumerate(members)}
-    parent = list(range(len(members)))
+    s0 = set(members)
+    parent = {v: v for v in members}
 
     def find(a):
         while parent[a] != a:
@@ -415,12 +408,12 @@ def check_s0_connectivity(n: int, pattern: MatchPattern,
             a = parent[a]
         return a
 
-    for idx, p in enumerate(members):
-        for other in _s0_neighbours(p, pattern):
-            ra, rb = find(idx), find(member_index[other.image])
+    for v in members:
+        for w in _s0_neighbours(space, v, s0):
+            ra, rb = find(v), find(w)
             if ra != rb:
                 parent[ra] = rb
-    components = len({find(idx) for idx in range(len(members))})
+    components = len({find(v) for v in members})
     return S0ConnectivityReport(n=n, pattern=pattern, size=len(members),
                                 component_count=components,
                                 connected=components == 1, status="ok")
@@ -437,7 +430,7 @@ class SpanReport:
     generator_count: int
 
 
-def check_span_membership(target, generators, workers: int = 1) -> SpanReport:
+def check_span_membership(target, generators) -> SpanReport:
     """Exact linear-span membership by modular consensus.
 
     Equivalent to comparing rank(G) with rank(G + {target}): the target is
@@ -450,7 +443,7 @@ def check_span_membership(target, generators, workers: int = 1) -> SpanReport:
     n = _as_permutation(generators[0]).n
     space = vertex_space(n)
     _, rows = _vertex_rows(generators, space)
-    basis = ModularSpanBasis(space.rows(rows), workers=workers)
+    basis = ModularSpanBasis(space.rows(rows))
     if isinstance(target, np.ndarray):
         vec = target
     else:
@@ -464,7 +457,8 @@ def check_span_membership(target, generators, workers: int = 1) -> SpanReport:
 
 def _class_rows(space: VertexSpace, pattern: MatchPattern) -> dict[int, np.ndarray]:
     """Vertex rows of each S_k, k = 0..m, in enumeration order."""
-    _require_pattern_within(pattern, space.n)
+    if any(not 1 <= v <= space.n for pair in pattern.pairs for v in pair):
+        raise QappolyError(f"pattern pairs {pattern.pairs} must lie in [1, {space.n}]")
     counts = space.match_counts(pattern)
     return {k: np.flatnonzero(counts == k) for k in range(pattern.m + 1)}
 
@@ -488,7 +482,7 @@ class SpanLemmaReport:
 
 
 def verify_skasnxt4(n: int, pattern: MatchPattern | None = None, samples: int = 200,
-                    seed: int = 0, workers: int = 1) -> SpanLemmaReport:
+                    seed: int = 0) -> SpanLemmaReport:
     """Sampled check: every vertex in S_k (k >= 4) lies in the span of
     S_{k-1} .. S_{k-4}."""
     pattern = pattern or MatchPattern.diagonal(n)
@@ -506,7 +500,7 @@ def verify_skasnxt4(n: int, pattern: MatchPattern | None = None, samples: int = 
         k = ks[s % len(ks)]
         if k not in bases:
             gens = np.concatenate([classes[kk] for kk in (k - 1, k - 2, k - 3, k - 4)])
-            bases[k] = ModularSpanBasis(space.rows(gens), workers=workers)
+            bases[k] = ModularSpanBasis(space.rows(gens))
         target = rng.choice(classes[k])
         member, _ = bases[k].contains(space.rows([target])[0])
         member_count += member
@@ -518,7 +512,7 @@ def verify_skasnxt4(n: int, pattern: MatchPattern | None = None, samples: int = 
 
 
 def verify_s3ss0(n: int, pattern: MatchPattern | None = None, samples: int = 200,
-                 seed: int = 0, workers: int = 1) -> SpanLemmaReport:
+                 seed: int = 0) -> SpanLemmaReport:
     """Sampled check: every vertex in S_3 lies in span(S_1, S_2, S_0)."""
     pattern = pattern or MatchPattern.diagonal(n)
     rng = random.Random(seed)
@@ -527,7 +521,7 @@ def verify_s3ss0(n: int, pattern: MatchPattern | None = None, samples: int = 200
     if pattern.m < 3 or not classes[3].size:
         raise QappolyError(f"S_3 is empty for a pattern of {pattern.m} pairs")
     gens = np.concatenate([classes[1], classes[2], classes[0]])
-    basis = ModularSpanBasis(space.rows(gens), workers=workers)
+    basis = ModularSpanBasis(space.rows(gens))
     member_count = 0
     for _ in range(samples):
         target = rng.choice(classes[3])
@@ -539,27 +533,27 @@ def verify_s3ss0(n: int, pattern: MatchPattern | None = None, samples: int = 200
 
 
 def verify_szeroins(n: int, pattern: MatchPattern | None = None, samples: int = 200,
-                    seed: int = 0, workers: int = 1) -> SpanLemmaReport:
+                    seed: int = 0) -> SpanLemmaReport:
     """Sampled check: differences of S_0 neighbors (one transposition apart,
     both in S_0) lie in span(S_1, S_2); the pattern needs m >= 7."""
     pattern = pattern or MatchPattern.diagonal(n)
     rng = random.Random(seed)
     space = vertex_space(n)
     classes = _class_rows(space, pattern)
-    if not any(_s0_neighbours(space.perms[v], pattern) for v in classes[0]):
+    s0 = set(classes[0].tolist())
+    if not any(_s0_neighbours(space, v, s0) for v in s0):
         raise QappolyError(f"no S_0 vertex has an S_0 neighbour at n={n} for a "
                            f"pattern of {pattern.m} pairs")
     gens = np.concatenate([classes[k] for k in (1, 2) if k in classes])
-    basis = ModularSpanBasis(space.rows(gens), workers=workers)
+    basis = ModularSpanBasis(space.rows(gens))
     member_count = 0
     pairs_seen = 0
     while pairs_seen < samples:
-        sigma = space.perms[rng.choice(classes[0])]
-        neighbors = _s0_neighbours(sigma, pattern)
+        v = rng.choice(classes[0])
+        neighbors = _s0_neighbours(space, v, s0)
         if not neighbors:
             continue
-        other = rng.choice(neighbors)
-        pair = space.rows([space.row_of(sigma), space.row_of(other)])
+        pair = space.rows([v, rng.choice(neighbors)])
         member, _ = basis.contains(pair[0] - pair[1])
         member_count += member
         pairs_seen += 1

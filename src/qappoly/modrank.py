@@ -10,13 +10,13 @@ certification runs; it is exact but slower.
 
 Callers hand in signed integer matrices of any width (the vertex layer
 passes int8 rows and differences); each elimination widens its own reduced
-copy to int64 once.  All primes are below 2**31 so products of two residues
-fit in int64.
+copy to int64 once.  The primes are reduced one after another, so at most
+one reduced copy is alive at a time.  All primes are below 2**31 so
+products of two residues fit in int64.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,19 +100,8 @@ def _strip_zero_columns(matrix: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(matrix[:, used])
 
 
-def _per_prime(fn, primes, workers: int) -> list:
-    """[fn(p) for p in primes], on a thread pool when workers > 1.
-
-    Each extra worker holds one more reduced copy of the matrix, so workers
-    trade memory for time."""
-    if workers > 1 and len(primes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, primes))
-    return [fn(p) for p in primes]
-
-
-def rank_consensus(matrix: np.ndarray, column_dimension: int | None = None,
-                   workers: int = 1) -> RankReport:
+def rank_consensus(matrix: np.ndarray,
+                   column_dimension: int | None = None) -> RankReport:
     """Rank of an integer matrix by modular consensus.
 
     Disagreement escalates once to 5 primes; if the escalated set still
@@ -125,15 +114,11 @@ def rank_consensus(matrix: np.ndarray, column_dimension: int | None = None,
         report.consensus_rank = 0
         return report
     work = _strip_zero_columns(matrix)
-
-    def prime_and_rank(p):
-        return p, rank_mod_p(work, p)
-
-    report.ranks = _per_prime(prime_and_rank, PRIME_POOL[:DEFAULT_PRIME_COUNT], workers)
+    report.ranks = [(p, rank_mod_p(work, p)) for p in PRIME_POOL[:DEFAULT_PRIME_COUNT]]
     values = {r for _, r in report.ranks}
     if len(values) > 1:
-        extra = PRIME_POOL[DEFAULT_PRIME_COUNT:ESCALATED_PRIME_COUNT]
-        report.ranks += _per_prime(prime_and_rank, extra, workers)
+        report.ranks += [(p, rank_mod_p(work, p))
+                         for p in PRIME_POOL[DEFAULT_PRIME_COUNT:ESCALATED_PRIME_COUNT]]
         values = {r for _, r in report.ranks}
     if len(values) == 1:
         report.consensus_rank = values.pop()
@@ -146,24 +131,21 @@ class ModularSpanBasis:
     """Echelon bases of a fixed generator span at several primes, reused
     across many membership queries."""
 
-    def __init__(self, generators: np.ndarray, workers: int = 1):
+    def __init__(self, generators: np.ndarray):
         if generators.ndim != 2:
             raise QappolyError("generator matrix must be 2-dimensional")
         self._generators = generators
-        self._workers = workers
         self.columns = generators.shape[1]
         self.primes = PRIME_POOL[:DEFAULT_PRIME_COUNT]
         self._bases: dict[int, tuple[list[int], np.ndarray]] = {}
         self._build(self.primes)
 
     def _build(self, primes):
-        def build(p):
-            _, pivots, rows = _echelonize_mod_p(self._generators, p)
-            # a copy, so the basis does not pin the whole reduced matrix
-            return pivots, rows.copy()
-
-        todo = [p for p in primes if p not in self._bases]
-        self._bases.update(zip(todo, _per_prime(build, todo, self._workers)))
+        for p in primes:
+            if p not in self._bases:
+                _, pivots, rows = _echelonize_mod_p(self._generators, p)
+                # a copy, so the basis does not pin the whole reduced matrix
+                self._bases[p] = (pivots, rows.copy())
 
     def contains_mod_p(self, vector: np.ndarray, p: int) -> bool:
         pivots, rows = self._bases[p]

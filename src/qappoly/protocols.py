@@ -7,8 +7,8 @@ The 2**n x 2**n matrices indexed by bit vectors a (rows) and b (columns):
 
 ``protocol_n0`` simulates the randomized protocol whose output equals
 N[0](a, b) in expectation with at most 2*ceil(log2 n) bits exchanged per
-round; ``protocol_m1_composed`` mixes it with an N[1] source behind one
-extra coin bit to compute M[1].  ``slack_protocol`` runs the four
+round; ``protocol_m1_composed`` mixes it with the closed-form N[1] behind
+one extra coin bit to compute M[1].  ``slack_protocol`` runs the four
 constructions in which Alice holds an inequality, Bob holds a vertex, and
 the inequality's slack at the vertex equals N[1](a, b) / 2 exactly.
 
@@ -38,7 +38,7 @@ from .inequalities import (
     build_qap4,
     evaluate,
 )
-from .perms import Permutation, QapVertex, vertex_from_permutation
+from .perms import Permutation, vertex_from_permutation
 
 Bits = tuple[int, ...]
 
@@ -160,6 +160,8 @@ def protocol_n0(a, b, mode: str = "exact", samples: int = 100_000,
                                  outcomes=outcomes)
     if mode != "sample":
         raise ProtocolInputError(f"mode must be 'exact' or 'sample', got {mode!r}")
+    if samples < 1:
+        raise ProtocolInputError(f"sampling needs samples >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     outs = np.array(outputs, dtype=np.int64)
     bits_arr = np.array(bits_used, dtype=np.int64)
@@ -173,36 +175,26 @@ def protocol_n0(a, b, mode: str = "exact", samples: int = 100_000,
                              std_error=std / samples ** 0.5)
 
 
-@dataclass
-class ClosedFormN1Source:
-    """Default N[1] expectation source: the closed form, zero message bits."""
-    bits: int = 0
-
-    def expectation(self, a: Bits, b: Bits) -> Fraction:
-        return Fraction(n1_value(a, b))
-
-
-def protocol_m1_composed(a, b, n1_source: ClosedFormN1Source | None = None) -> ExpectationReport:
-    """M[1] via a fair coin choosing between the N[0] protocol and an N[1]
-    source, one extra bit to announce the branch."""
+def protocol_m1_composed(a, b) -> ExpectationReport:
+    """M[1] via a fair coin choosing between the N[0] protocol and the
+    closed-form N[1], which sends no message bits; one extra bit announces
+    the branch."""
     a, b = as_bits(a), as_bits(b, len(a))
     n = len(a)
-    source = n1_source or ClosedFormN1Source()
     base = protocol_n0(a, b, mode="exact")
     half = Fraction(1, 2)
     outcomes = [ProtocolOutcome(transcript_bits=1 + o.transcript_bits,
                                 output=o.output,
                                 probability=half * o.probability)
                 for o in base.outcomes]
-    outcomes.append(ProtocolOutcome(transcript_bits=1 + source.bits,
-                                    output=source.expectation(a, b),
+    outcomes.append(ProtocolOutcome(transcript_bits=1,
+                                    output=Fraction(n1_value(a, b)),
                                     probability=half))
     expectation = sum((o.probability * o.output for o in outcomes), Fraction(0))
-    bound = 1 + max(base.bit_bound, source.bits)
     return ExpectationReport(protocol="m1-composed", n=n, mode="exact",
                              expectation=expectation,
                              max_bits=max(o.transcript_bits for o in outcomes),
-                             bit_bound=bound, outcomes=outcomes)
+                             bit_bound=1 + base.bit_bound, outcomes=outcomes)
 
 
 @dataclass
@@ -253,19 +245,18 @@ class SlackProtocolResult:
     reason: str | None = None
     alice_form: LinearForm | None = None
     bob_sigma: Permutation | None = None
-    bob_vertex: QapVertex | None = None
     alice_params: object | None = None
 
 
 def _result(family, a, b, *, mode, slack, setup_bits, reason=None, form=None,
-            sigma=None, vertex=None, params=None, in_family=None) -> SlackProtocolResult:
+            sigma=None, params=None, in_family=None) -> SlackProtocolResult:
     target = Fraction(n1_value(a, b), 2)
     return SlackProtocolResult(family=family, a=a, b=b, mode=mode, slack=slack,
                                target=target, doubled_output=2 * slack,
                                setup_bits=setup_bits, ok=slack == target,
                                in_family=in_family, reason=reason,
                                alice_form=form, bob_sigma=sigma,
-                               bob_vertex=vertex, alice_params=params)
+                               alice_params=params)
 
 
 def _short_circuit(family, a, b, reason, bits) -> SlackProtocolResult:
@@ -327,7 +318,7 @@ def _slack_qap1(a: Bits, b: Bits) -> SlackProtocolResult:
     vertex = vertex_from_permutation(sigma)
     return _result("qap1", a, b, mode="protocol",
                    slack=evaluate(form, vertex).slack, setup_bits=bits_for(n),
-                   form=form, sigma=sigma, vertex=vertex, params=params,
+                   form=form, sigma=sigma, params=params,
                    in_family=True)
 
 
@@ -349,7 +340,7 @@ def _slack_qap2(a: Bits, b: Bits) -> SlackProtocolResult:
     vertex = vertex_from_permutation(sigma)
     return _result("qap2", a, b, mode="protocol",
                    slack=evaluate(form, vertex).slack, setup_bits=0,
-                   form=form, sigma=sigma, vertex=vertex, params=params,
+                   form=form, sigma=sigma, params=params,
                    in_family=_in_family(params))
 
 
@@ -367,7 +358,7 @@ def _slack_qap3(a: Bits, b: Bits) -> SlackProtocolResult:
     vertex = vertex_from_permutation(sigma)
     return _result("qap3", a, b, mode="protocol",
                    slack=evaluate(form, vertex).slack, setup_bits=bits_for(n),
-                   form=form, sigma=sigma, vertex=vertex, params=params,
+                   form=form, sigma=sigma, params=params,
                    in_family=_in_family(params))
 
 
@@ -390,7 +381,7 @@ def _slack_qap4(a: Bits, b: Bits) -> SlackProtocolResult:
     vertex = vertex_from_permutation(sigma)
     return _result("qap4", a, b, mode="protocol",
                    slack=evaluate(form, vertex).slack, setup_bits=0,
-                   form=form, sigma=sigma, vertex=vertex, params=params,
+                   form=form, sigma=sigma, params=params,
                    in_family=True)
 
 

@@ -147,6 +147,32 @@ def test_lemma_patterns_without_the_sampled_class_are_usage_failures(argv, tmp_p
     assert [v["name"] for v in verdicts] == ["usage"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["protocol", "n0", "--a", "1111", "--b", "1111", "--samples", "-5"],
+    ["verify-slack", "--family", "qap1", "--n", "6", "--limit", "-1"],
+    ["verify-lemmas", "--which", "s3ss0", "--n", "5", "--samples", "-3"],
+])
+def test_negative_counts_are_usage_failures(argv, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(argv + ["--json", str(out)]) == 1
+    verdicts = json.loads(out.read_text())["verdicts"]
+    assert [v["name"] for v in verdicts] == ["usage"]
+    assert "must be >= 0" in verdicts[0]["details"]["error"]
+
+
+def test_szeroconn_above_the_vertex_space_limit_is_a_usage_failure(tmp_path):
+    # a raised cap lets n=10 past the CLI, but no vertex space is built above 9
+    cfg = tmp_path / "cap10.cfg"
+    cfg.write_text("enumeration_cap=10\n")
+    out = tmp_path / "report.json"
+    assert main(["verify-lemmas", "--which", "szeroconn", "--n", "10",
+                 "--config", str(cfg), "--acknowledge-caps",
+                 "--json", str(out)]) == 1
+    verdicts = json.loads(out.read_text())["verdicts"]
+    assert [v["name"] for v in verdicts] == ["usage"]
+    assert "exceeds the enumeration cap 9" in verdicts[0]["details"]["error"]
+
+
 def test_verify_slack_reuses_the_cached_vertex_space():
     from qappoly.geometry import vertex_space
 

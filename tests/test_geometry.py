@@ -50,20 +50,6 @@ def test_vertex_shapes_exhaustive_n6_n7():
         assert (space.zt.sum(axis=0) == n).all()
 
 
-def test_parallel_rank_workers_agree():
-    from qappoly.geometry import vertex_space
-    from qappoly.modrank import ModularSpanBasis, rank_consensus
-
-    space = vertex_space(4)
-    rows = space.rows(range(len(space.perms)))
-    serial = rank_consensus(rows, workers=1)
-    threaded = rank_consensus(rows, workers=3)
-    assert serial.consensus_rank == threaded.consensus_rank == 23  # affine 22 + 1
-    basis = ModularSpanBasis(rows[:6], workers=2)
-    member, votes = basis.contains(rows[3])
-    assert member and len(votes) >= 3
-
-
 def test_malformed_pattern_rejected():
     with pytest.raises(QappolyError, match="distinct"):
         MatchPattern(((1, 1), (1, 2)))
@@ -299,3 +285,15 @@ def test_certified_facet_reduces_the_full_vertex_set_once(monkeypatch):
     assert report.polytope_dim == 77
     assert "certified" in report.polytope_rank.status
     assert len(calls) == 2  # the full vertex set and the tight set
+
+
+def test_polytope_rank_is_computed_once_per_n():
+    from qappoly import geometry
+    from qappoly.inequalities import Qap5Params, build_qap5
+
+    geometry.polytope_affine_dim.cache_clear()
+    form = build_qap5(Qap5Params(n=4, beta=0, coeffs={(1, 1): 1, (2, 2): -1}))
+    geometry.verify_facet(form, 4)
+    geometry.verify_facet(form, 4)
+    info = geometry.polytope_affine_dim.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

@@ -14,22 +14,20 @@ from qappoly.modrank import (
 )
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_rank_disagreement_escalates_to_five_primes(monkeypatch, workers):
+def test_rank_disagreement_escalates_to_five_primes(monkeypatch):
     def split_rank(matrix, p):
         return 1 if p == PRIME_POOL[0] else 2
 
     monkeypatch.setattr(modrank, "rank_mod_p", split_rank)
-    report = rank_consensus(np.eye(3, dtype=np.int64), workers=workers)
+    report = rank_consensus(np.eye(3, dtype=np.int64))
     assert report.primes == PRIME_POOL[:ESCALATED_PRIME_COUNT]
     assert report.status == "inconclusive"
     assert report.consensus_rank is None
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_split_membership_vote_escalates_then_raises(monkeypatch, workers):
+def test_split_membership_vote_escalates_then_raises(monkeypatch):
     space = vertex_space(4)
-    basis = ModularSpanBasis(space.rows(range(6)), workers=workers)
+    basis = ModularSpanBasis(space.rows(range(6)))
     assert basis.primes == PRIME_POOL[:DEFAULT_PRIME_COUNT]
 
     def split_vote(self, vector, p):

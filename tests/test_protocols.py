@@ -5,7 +5,6 @@ import pytest
 
 from qappoly.errors import ProtocolInputError
 from qappoly.protocols import (
-    ClosedFormN1Source,
     HardMatrixSpec,
     as_bits,
     bits_for,
@@ -87,6 +86,12 @@ def test_n0_requires_two_indices():
         protocol_n0("1", "1")
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_n0_sampling_needs_a_sample(samples):
+    with pytest.raises(ProtocolInputError, match="samples >= 1"):
+        protocol_n0("1111", "1111", mode="sample", samples=samples)
+
+
 def test_n0_sampling_close_to_exact():
     a, b = "1011010110", "1110011011"
     exact = hard_matrix_entry(HardMatrixSpec("N", 0, 10), as_bits(a), as_bits(b))
@@ -115,11 +120,6 @@ def test_m1_composed_exhaustive():
                 assert report.bit_bound == 1 + 2 * bits_for(n)
                 assert report.max_bits <= report.bit_bound
                 assert report.probability_total() == 1
-
-
-def test_m1_composed_respects_source_cost():
-    report = protocol_m1_composed("1100", "1100", ClosedFormN1Source(bits=9))
-    assert report.bit_bound == 1 + 9
 
 
 # ---------------------------------------------------------------------------
