@@ -40,13 +40,17 @@ q2 = build_qap2(Qap2Params(n=7, p_set=(1, 2, 3), q_set=(1, 2, 3), beta=2))
 print(f"\nqap2 stored denominator-cleared: scale={q2.scale}, rhs={q2.rhs}")
 
 # --- qap4 is the qap5 member with beta=2 and 0/1 coefficients on a
-# partial permutation; the maps agree exactly after the -1/2 rescaling
+# partial permutation; a form is stored as the triangle positions of its
+# entries with one coefficient each, and the two agree exactly after the
+# -1/2 rescaling
 i_set = tuple(range(1, 8))
 q4 = build_qap4(Qap4Params(n=7, i_set=i_set, j_set=i_set))
 q5 = build_qap5(Qap5Params(n=7, beta=2, coeffs={(r, r): 1 for r in i_set}))
-match = (q5.diag == {f: -2 * c for f, c in q4.diag.items()}
-         and q5.offdiag == {k: -2 * c for k, c in q4.offdiag.items()})
-print(f"\nqap4 coefficients == -1/2 x qap5(beta=2, indicator coefficients): {match}")
+match = (dict(zip(q5.positions, q5.coeffs))
+         == {p: -2 * c for p, c in zip(q4.positions, q4.coeffs)})
+print(f"\nqap4: {len(q4.positions)} entries, the first at triangle positions "
+      f"{q4.positions[:3]}")
+print(f"qap4 coefficients == -1/2 x qap5(beta=2, indicator coefficients): {match}")
 
 # --- family enumeration is deterministic and duplicate-free
 for family, n in (("qap1", 6), ("qap2", 7), ("qap3", 7), ("qap4", 7)):

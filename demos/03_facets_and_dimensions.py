@@ -28,7 +28,7 @@ report = verify_facet(form, 5)
 print(f"\ngeneric qap5 form at n=5: verdict '{report.verdict}' "
       f"(tight dim {report.tight_dim} vs polytope dim {report.polytope_dim})")
 
-trivial = LinearForm(n=4, diag={}, offdiag={}, rhs=1, sense="<=")
+trivial = LinearForm(n=4, positions=(), coeffs=(), rhs=1, sense="<=")
 report = verify_facet(trivial, 4)
 print(f"the trivially valid form 0.Y <= 1: verdict '{report.verdict}' "
       f"(empty tight set)")

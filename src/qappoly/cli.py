@@ -108,7 +108,7 @@ def _coeff_map(text: str) -> dict:
 def _build_form(args):
     n = args.n
     if args.family == "qap4":
-        m = args.m or n
+        m = n if args.m is None else args.m
         return build_qap4(Qap4Params(n=n, i_set=tuple(range(1, m + 1)),
                                      j_set=tuple(range(1, m + 1))))
     if args.family == "qap2":
@@ -160,12 +160,14 @@ def _cmd_verify_lemmas(args, report: RunReport, caps: Caps):
     n = args.n
     which = args.which
     _require_count("--samples", args.samples)
+    if args.samples == 0 and which != "szeroconn":
+        raise QappolyError("--samples must be >= 1 for a sampled check")
     if n < 5:
         raise QappolyError("lemma checks need n >= 5 (identity chains use "
                            "four or five distinct indices)")
     rng = random.Random(args.seed)
     report.seeds["lemmas"] = args.seed
-    pattern = MatchPattern.diagonal(args.m or n)
+    pattern = MatchPattern.diagonal(n if args.m is None else args.m)
 
     if which in ("identity1", "all"):
         failures = 0
@@ -244,7 +246,8 @@ def _cmd_verify_slack(args, report: RunReport, caps: Caps):
 def _cmd_reduce(args, report: RunReport, caps: Caps):
     graph = parse_graph(Path(args.graph).read_text())
     if args.family == "qap1":
-        point = build_point_qap1(graph, args.k or 1, args.l or 1, args.t)
+        point = build_point_qap1(graph, 1 if args.k is None else args.k,
+                                 1 if args.l is None else args.l, args.t)
     elif args.family == "qap2":
         point = build_point_qap2(graph, args.t)
     elif args.family == "qap4":

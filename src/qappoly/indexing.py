@@ -13,6 +13,8 @@ triangular coordinate space has dimension (n**4 + n**2) / 2.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import DimensionMismatchError
 
 Pair = tuple[int, int]
@@ -47,3 +49,10 @@ def triangle_position(n: int, f1: int, f2: int) -> int:
     upper-triangular order.  Requires f1 <= f2."""
     nn = n * n
     return (f1 - 1) * nn - (f1 - 1) * f1 // 2 + (f2 - 1)
+
+
+@functools.lru_cache(maxsize=None)
+def triangle_entries(n: int) -> tuple[EntryKey, ...]:
+    """Inverse of triangle_position: the entry (f1, f2) at every position."""
+    nn = n * n
+    return tuple((f1, f2) for f1 in range(1, nn + 1) for f2 in range(f1, nn + 1))

@@ -1,11 +1,11 @@
 """The five families of valid inequalities and their exact evaluation.
 
-Every inequality is stored denominator-cleared: an integer coefficient map
-plus an integer right-hand side and a positive integer ``scale`` so that the
-true inequality is ``(coeffs . Y  <=/>=  rhs) / scale``.  Off-diagonal
-coefficients are keyed by unordered entry pairs (the "i < k" orientation in
-the usual presentation is normalized away; Y is symmetric so orientation is
-irrelevant and deduplication becomes trivial).
+Every inequality is stored once, denominator-cleared, as the 0-based
+``indexing.triangle_position`` of each entry of Y (``positions``), the exact
+integer coefficient of each (``coeffs``), an integer ``rhs`` and a positive
+``scale``: the true inequality is ``(coeffs . Y[positions] <=/>= rhs) / scale``.
+An entry is an unordered pair of flat indices (the "i < k" orientation in the
+usual presentation is normalized away; Y is symmetric).
 
 Family quick reference (true, unscaled versions):
 
@@ -27,6 +27,7 @@ the counts of one vertex or of a whole batch.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import logging
@@ -48,6 +49,7 @@ from .indexing import (
     flat_index,
     pair_from_flat,
     triangle_dimension,
+    triangle_entries,
     triangle_position,
 )
 from .perms import DEFAULT_ENUMERATION_CAP, Permutation, QapVertex
@@ -131,8 +133,8 @@ class LinearForm:
     """One denominator-cleared inequality over symmetric points."""
 
     n: int
-    diag: dict[int, int]            # flat index -> coefficient of Y[f, f]
-    offdiag: dict[EntryKey, int]    # canonical (f1, f2), f1 < f2 -> coefficient
+    positions: tuple[int, ...]      # triangle position of each entry
+    coeffs: tuple[int, ...]         # exact coefficient of each entry
     rhs: int
     sense: str                      # "<=" or ">="
     scale: int = 1
@@ -145,58 +147,48 @@ class LinearForm:
         if self.scale <= 0:
             raise InvalidParameterError("scale must be a positive integer")
 
-    def term_counts(self) -> tuple[int, int]:
-        return len(self.diag), len(self.offdiag)
+    def entries(self) -> list[tuple[int, int, int]]:
+        """(f1, f2, coefficient) of each stored entry; f1 == f2 on the diagonal."""
+        entry_at = triangle_entries(self.n)
+        return [entry_at[p] + (c,) for p, c in zip(self.positions, self.coeffs)]
 
     def lhs_on_match_rows(self, zt: np.ndarray) -> np.ndarray:
         """Scaled lhs on a whole batch of vertices at once.
 
         ``zt`` has one row per flat index and one column per permutation:
-        zt[f-1, v] == 1 iff vertex v matches (i, j) with flat index f.
-        Walks the stored coefficient maps exactly once each.
+        zt[f-1, v] == 1 iff vertex v matches (i, j) with flat index f.  Row by
+        row, with no multiply for a diagonal entry or a +-1 coefficient: on
+        this few rows that is faster than one gather and dot.
         """
         acc = np.zeros(zt.shape[1], dtype=np.int64)
-        for f, c in self.diag.items():
-            row = zt[f - 1]
+        for f1, f2, c in self.entries():
+            hit = zt[f1 - 1] if f1 == f2 else zt[f1 - 1] * zt[f2 - 1]
             if c == 1:
-                acc += row
+                acc += hit
             elif c == -1:
-                acc -= row
+                acc -= hit
             else:
-                acc += c * row.astype(np.int64)
-        for (f1, f2), c in self.offdiag.items():
-            prod = zt[f1 - 1] * zt[f2 - 1]
-            if c == 1:
-                acc += prod
-            elif c == -1:
-                acc -= prod
-            else:
-                acc += c * prod.astype(np.int64)
+                acc += c * hit.astype(np.int64)
         return acc
 
     def scaled_slack_on_match_rows(self, zt: np.ndarray) -> np.ndarray:
         lhs = self.lhs_on_match_rows(zt)
         return self.rhs - lhs if self.sense == "<=" else lhs - self.rhs
 
-    def coefficient_items(self):
-        """All (entry key, coefficient) pairs, diagonal keys as (f, f)."""
-        for f, c in self.diag.items():
-            yield (f, f), c
-        yield from self.offdiag.items()
-
     def key(self) -> tuple:
         """Canonical identity, used for deduplication checks."""
-        return (self.family, self.n, tuple(sorted(self.diag.items())),
-                tuple(sorted(self.offdiag.items())), self.rhs, self.sense, self.scale)
+        return (self.family, self.n, tuple(sorted(zip(self.positions, self.coeffs))),
+                self.rhs, self.sense, self.scale)
 
     def to_json(self) -> str:
         n = self.n
+        entries = sorted(self.entries())
         return json.dumps({
             "family": self.family,
             "params": repr(self.params) if self.params is not None else None,
-            "diag": [[list(pair_from_flat(n, f)), c] for f, c in sorted(self.diag.items())],
+            "diag": [[list(pair_from_flat(n, f1)), c] for f1, f2, c in entries if f1 == f2],
             "offdiag": [[list(pair_from_flat(n, f1)), list(pair_from_flat(n, f2)), c]
-                        for (f1, f2), c in sorted(self.offdiag.items())],
+                        for f1, f2, c in entries if f1 != f2],
             "rhs": self.rhs,
             "sense": self.sense,
             "scale": self.scale,
@@ -221,18 +213,15 @@ class EvaluationResult:
 def evaluate(form: LinearForm, point: "YPoint | QapVertex") -> EvaluationResult:
     """Exact evaluation of a form at an arbitrary point.
 
-    Off-diagonal coefficients apply once per unordered pair against the
-    symmetric value Y[ij, kl] (== Y[kl, ij]).
+    Each coefficient applies once per unordered pair against the symmetric
+    value Y[ij, kl] (== Y[kl, ij]).
     """
     if isinstance(point, QapVertex):
         point = YPoint.from_vertex(point)
     if point.n != form.n:
         raise DimensionMismatchError(f"form n={form.n} vs point n={point.n}")
-    lhs = Fraction(0)
-    for f, c in form.diag.items():
-        lhs += c * point.get_flat(f, f)
-    for (f1, f2), c in form.offdiag.items():
-        lhs += c * point.get_flat(f1, f2)
+    lhs = sum((c * point.get_flat(f1, f2) for f1, f2, c in form.entries()),
+              Fraction(0))
     ok = lhs <= form.rhs if form.sense == "<=" else lhs >= form.rhs
     return EvaluationResult(lhs=lhs, rhs=form.rhs, scale=form.scale,
                             sense=form.sense, satisfied=ok)
@@ -399,33 +388,43 @@ class Qap5Params:
 # builders
 
 
+@functools.lru_cache(maxsize=None)
+def _row_offsets(n: int) -> tuple[int, ...]:
+    """offsets[f1] + f2 == triangle_position(n, f1, f2) for f1 <= f2."""
+    return (0,) + tuple(triangle_position(n, f, f) - f for f in range(1, n * n + 1))
+
+
+def _positions(n: int, pairs) -> tuple[int, ...]:
+    """Triangle positions of flat-index pairs given in either order."""
+    offsets = _row_offsets(n)
+    return tuple(offsets[f1] + f2 if f1 <= f2 else offsets[f2] + f1 for f1, f2 in pairs)
+
+
 def build_qap1(params: Qap1Params, check: bool = True) -> LinearForm:
     if check:
         params.validate()
     n = params.n
     kl = flat_index(n, params.k, params.l)
-    pair_flats = [flat_index(n, i, j) for i, j in zip(params.i_set, params.j_set)]
-    offdiag: dict[EntryKey, int] = {}
-    for f in pair_flats:
-        offdiag[canon_entry(f, kl)] = 1
-    for f1, f2 in itertools.combinations(pair_flats, 2):
-        offdiag[canon_entry(f1, f2)] = -1
-    return LinearForm(n=n, diag={kl: -1}, offdiag=offdiag, rhs=0, sense="<=",
-                      scale=1, family="qap1", params=params)
+    flats = [flat_index(n, i, j) for i, j in zip(params.i_set, params.j_set)]
+    crosses = list(itertools.combinations(flats, 2))
+    pairs = [(kl, kl)] + [(f, kl) for f in flats] + crosses
+    coeffs = (-1,) + (1,) * len(flats) + (-1,) * len(crosses)
+    return LinearForm(n=n, positions=_positions(n, pairs), coeffs=coeffs, rhs=0,
+                      sense="<=", scale=1, family="qap1", params=params)
 
 
 def build_qap2(params: Qap2Params, check: bool = True) -> LinearForm:
     if check:
         params.validate()
     n, b = params.n, params.beta
-    cells = [(i, j) for i in sorted(params.p_set) for j in sorted(params.q_set)]
-    diag = {flat_index(n, i, j): 2 * (b - 1) for i, j in cells}
-    offdiag: dict[EntryKey, int] = {}
-    for (i, j), (k, l) in itertools.combinations(cells, 2):
-        if i != k:  # the i < k orientation, canonicalized
-            offdiag[canon_entry(flat_index(n, i, j), flat_index(n, k, l))] = -2
-    return LinearForm(n=n, diag=diag, offdiag=offdiag, rhs=b * b - b, sense="<=",
-                      scale=2, family="qap2", params=params)
+    cells = [(i, flat_index(n, i, j)) for i in sorted(params.p_set)
+             for j in sorted(params.q_set)]
+    # cell pairs in distinct rows: the i < k orientation, canonicalized
+    crosses = [(f, g) for (i, f), (k, g) in itertools.combinations(cells, 2) if i != k]
+    pairs = [(f, f) for _, f in cells] + crosses
+    coeffs = (2 * (b - 1),) * len(cells) + (-2,) * len(crosses)
+    return LinearForm(n=n, positions=_positions(n, pairs), coeffs=coeffs,
+                      rhs=b * b - b, sense="<=", scale=2, family="qap2", params=params)
 
 
 def build_qap3(params: Qap3Params, check: bool = True) -> LinearForm:
@@ -438,35 +437,30 @@ def build_qap3(params: Qap3Params, check: bool = True) -> LinearForm:
     if check:
         params.validate()
     n, b = params.n, params.beta
-    cells1 = [(i, j) for i in sorted(params.p1_set) for j in sorted(params.q_set)]
-    cells2 = [(i, j) for i in sorted(params.p2_set) for j in sorted(params.q_set)]
-    diag: dict[int, int] = {}
-    for i, j in cells1:
-        diag[flat_index(n, i, j)] = -2 * (b - 1)
-    for i, j in cells2:
-        diag[flat_index(n, i, j)] = 2 * b
-    offdiag: dict[EntryKey, int] = {}
-    for block, sign in ((cells1, 2), (cells2, 2)):
-        for (i, j), (k, l) in itertools.combinations(block, 2):
-            if i != k:
-                offdiag[canon_entry(flat_index(n, i, j), flat_index(n, k, l))] = sign
-    for i, j in cells1:
-        for k, l in cells2:  # P1 and P2 disjoint, so i != k always
-            offdiag[canon_entry(flat_index(n, i, j), flat_index(n, k, l))] = -2
-    return LinearForm(n=n, diag=diag, offdiag=offdiag, rhs=b - b * b, sense=">=",
-                      scale=2, family="qap3", params=params)
+    q = sorted(params.q_set)
+    cells1 = [(i, flat_index(n, i, j)) for i in sorted(params.p1_set) for j in q]
+    cells2 = [(i, flat_index(n, i, j)) for i in sorted(params.p2_set) for j in q]
+    within = [(f, g) for block in (cells1, cells2)
+              for (i, f), (k, g) in itertools.combinations(block, 2) if i != k]
+    # P1 and P2 disjoint, so every cross pair has distinct rows
+    cross = [(f, g) for _, f in cells1 for _, g in cells2]
+    pairs = [(f, f) for _, f in cells1 + cells2] + within + cross
+    coeffs = ((-2 * (b - 1),) * len(cells1) + (2 * b,) * len(cells2)
+              + (2,) * len(within) + (-2,) * len(cross))
+    return LinearForm(n=n, positions=_positions(n, pairs), coeffs=coeffs,
+                      rhs=b - b * b, sense=">=", scale=2, family="qap3", params=params)
 
 
 def build_qap4(params: Qap4Params, check: bool = True) -> LinearForm:
     if check:
         params.validate()
     n = params.n
-    pair_flats = [flat_index(n, i, j) for i, j in zip(params.i_set, params.j_set)]
-    diag = {f: 1 for f in pair_flats}
-    offdiag = {canon_entry(f1, f2): -1
-               for f1, f2 in itertools.combinations(pair_flats, 2)}
-    return LinearForm(n=n, diag=diag, offdiag=offdiag, rhs=1, sense="<=",
-                      scale=1, family="qap4", params=params)
+    flats = [flat_index(n, i, j) for i, j in zip(params.i_set, params.j_set)]
+    crosses = list(itertools.combinations(flats, 2))
+    pairs = [(f, f) for f in flats] + crosses
+    coeffs = (1,) * len(flats) + (-1,) * len(crosses)
+    return LinearForm(n=n, positions=_positions(n, pairs), coeffs=coeffs, rhs=1,
+                      sense="<=", scale=1, family="qap4", params=params)
 
 
 def build_qap5(params: Qap5Params, check: bool = True) -> LinearForm:
@@ -475,15 +469,13 @@ def build_qap5(params: Qap5Params, check: bool = True) -> LinearForm:
     if check:
         params.validate()
     n, b = params.n, params.beta
-    coeffs = params.coeff_map()
-    diag: dict[int, int] = {}
-    for (i, j), v in coeffs.items():
-        diag[flat_index(n, i, j)] = v * v - (2 * b - 1) * v
-    offdiag: dict[EntryKey, int] = {}
-    for ((i, j), v1), ((k, l), v2) in itertools.combinations(sorted(coeffs.items()), 2):
-        offdiag[canon_entry(flat_index(n, i, j), flat_index(n, k, l))] = 2 * v1 * v2
-    return LinearForm(n=n, diag=diag, offdiag=offdiag, rhs=b - b * b, sense=">=",
-                      scale=1, family="qap5", params=params)
+    cells = [(flat_index(n, i, j), v) for (i, j), v in params.coeffs]
+    crosses = list(itertools.combinations(cells, 2))
+    pairs = [(f, f) for f, _ in cells] + [(f, g) for (f, _), (g, _) in crosses]
+    coeffs = (tuple(v * v - (2 * b - 1) * v for _, v in cells)
+              + tuple(2 * v * w for (_, v), (_, w) in crosses))
+    return LinearForm(n=n, positions=_positions(n, pairs), coeffs=coeffs,
+                      rhs=b - b * b, sense=">=", scale=1, family="qap5", params=params)
 
 
 BUILDERS = {

@@ -9,10 +9,10 @@ an independent exact branch-and-bound solver.
 Membership itself is decided by brute force: the point is evaluated against
 every enumerated form of the family with exact integer arithmetic (the
 point is denominator-cleared first).  Each (family, n) is compiled once into
-flat position/coefficient blocks in enumeration order and kept in a
-two-entry LRU cache, so repeated queries are fast and the first violated
-form (lowest form id) is the witness.  A family whose compiled form would
-pass COMPILE_ENTRY_LIMIT entries is refused with CapExceededError.
+blocks of the forms' own positions and coefficients in enumeration order,
+and kept in a two-entry LRU cache, so repeated queries are fast and the
+first violated form (lowest form id) is the witness.  A family whose
+compiled form would pass COMPILE_ENTRY_LIMIT entries is refused.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .graphs import (
     cliques_of_size_at_least,
     max_clique_capped,
 )
-from .indexing import pair_from_flat, triangle_position
+from .indexing import pair_from_flat
 from .inequalities import (
     MEMBERSHIP_FAMILIES,
     LinearForm,
@@ -41,9 +41,6 @@ from .inequalities import (
     family_form_at,
 )
 from .perms import DEFAULT_ENUMERATION_CAP
-
-_SENSE = {"qap1": "<=", "qap2": "<=", "qap3": ">=", "qap4": "<="}
-
 
 # ---------------------------------------------------------------------------
 # reduction points
@@ -149,19 +146,18 @@ def compiled_blocks(family: str, n: int) -> tuple[tuple[np.ndarray, ...], ...]:
     """The family's forms at size n as blocks (coords, coeffs, offsets, rhs)
     of BLOCK_FORMS forms each: per block the int32 triangle positions and
     int16 coefficients of all its forms concatenated, each form's segment
-    start, and each form's scaled right-hand side.
+    start, and each form's scaled right-hand side, all negated for a ">="
+    family: a form is violated exactly when its lhs exceeds its rhs.
 
     Raises CapExceededError once the entries pass COMPILE_ENTRY_LIMIT.  The
     enumeration cap is the caller's to check.
     """
     blocks = []
     entries = 0
-    cells = range(n * n + 1)
-    position = [[triangle_position(n, f1, f2) for f2 in cells] for f1 in cells]
     forms = enumerate_family(n, family, cap=n)
     while True:
-        # typed buffers, not lists of Python ints: with lists, compiling qap4
-        # at n=8 peaked at 167-190 MB instead of 108 MB
+        # typed buffers, which the blocks wrap without a copy: with lists of
+        # Python ints, compiling qap4 at n=8 peaked at 167-190 MB
         coords = array("i")
         coeffs = array("h")
         offsets = array("i")
@@ -169,9 +165,8 @@ def compiled_blocks(family: str, n: int) -> tuple[tuple[np.ndarray, ...], ...]:
         for form in itertools.islice(forms, BLOCK_FORMS):
             offsets.append(len(coords))
             rhs.append(form.rhs)
-            for (f1, f2), c in form.coefficient_items():
-                coords.append(position[f1][f2])
-                coeffs.append(c)
+            coords.extend(form.positions)
+            coeffs.extend(form.coeffs)
         if not rhs:
             return tuple(blocks)
         entries += len(coords)
@@ -179,10 +174,13 @@ def compiled_blocks(family: str, n: int) -> tuple[tuple[np.ndarray, ...], ...]:
             raise CapExceededError(
                 f"{family} at n={n} compiles to more than {COMPILE_ENTRY_LIMIT} "
                 "coefficient entries; its membership sweep is refused")
-        blocks.append((np.array(coords, dtype=np.int32),
-                       np.array(coeffs, dtype=np.int16),
-                       np.array(offsets, dtype=np.int32),
-                       np.array(rhs, dtype=np.int64)))
+        block_coeffs = np.frombuffer(coeffs, dtype=np.int16)
+        block_rhs = np.array(rhs, dtype=np.int64)
+        if form.sense == ">=":
+            block_coeffs *= -1
+            block_rhs *= -1
+        blocks.append((np.frombuffer(coords, dtype=np.int32), block_coeffs,
+                       np.frombuffer(offsets, dtype=np.int32), block_rhs))
 
 
 @dataclass
@@ -214,15 +212,12 @@ def brute_force_membership(point: YPoint, family: str,
     if n > cap:
         raise CapExceededError(f"n={n} exceeds the enumeration cap {cap}")
     yvec, denom = point.to_scaled_vector()
-    sense = _SENSE[family]
     checked = 0
     for coords, coeffs, offsets, rhs in compiled_blocks(family, n):
         start = checked
         checked += rhs.size
         lhs = np.add.reduceat(coeffs * yvec[coords], offsets)  # int16 * int64 -> int64
-        bound = denom * rhs
-        violated = lhs > bound if sense == "<=" else lhs < bound
-        hits = np.flatnonzero(violated)
+        hits = np.flatnonzero(lhs > denom * rhs)
         if hits.size:
             idx = start + int(hits[0])
             witness = family_form_at(n, family, idx, cap=cap)

@@ -139,6 +139,7 @@ def test_identity_lemmas_ignore_the_enumeration_cap(which, cap4):
     ["--which", "s3ss0", "--n", "5", "--m", "2"],     # no S_3
     ["--which", "s3ss0", "--n", "5", "--m", "7"],     # pattern outside [1, 5]
     ["--which", "szeroconn", "--n", "5", "--m", "7"],
+    ["--which", "s3ss0", "--n", "5", "--m", "0"],     # no S_3, not the default m
 ])
 def test_lemma_patterns_without_the_sampled_class_are_usage_failures(argv, tmp_path):
     out = tmp_path / "report.json"
@@ -158,6 +159,29 @@ def test_negative_counts_are_usage_failures(argv, tmp_path):
     verdicts = json.loads(out.read_text())["verdicts"]
     assert [v["name"] for v in verdicts] == ["usage"]
     assert "must be >= 0" in verdicts[0]["details"]["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-lemmas", "--which", "identity1", "--n", "5", "--samples", "0"],
+    ["verify-lemmas", "--which", "identity2", "--n", "5", "--samples", "0"],
+    ["verify-lemmas", "--which", "s3ss0", "--n", "5", "--samples", "0"],
+    ["verify-lemmas", "--which", "all", "--n", "5", "--samples", "0"],
+    # a 0 is refused by validation, not replaced by the default
+    ["verify-facet", "--family", "qap4", "--n", "7", "--m", "0"],
+    ["reduce", "--family", "qap1", "--graph", "TRIANGLE7", "--k", "0", "--l", "0",
+     "--t", "2"],
+])
+def test_zero_counts_and_indices_are_usage_failures(argv, triangle7, tmp_path):
+    out = tmp_path / "report.json"
+    argv = [str(triangle7) if arg == "TRIANGLE7" else arg for arg in argv]
+    assert main(argv + ["--json", str(out)]) == 1
+    verdicts = json.loads(out.read_text())["verdicts"]
+    assert [v["name"] for v in verdicts] == ["usage"]
+
+
+def test_szeroconn_takes_no_samples():
+    assert main(["verify-lemmas", "--which", "szeroconn", "--n", "5",
+                 "--samples", "0"]) == 0
 
 
 def test_szeroconn_above_the_vertex_space_limit_is_a_usage_failure(tmp_path):

@@ -6,6 +6,7 @@ from qappoly.indexing import (
     flat_index,
     pair_from_flat,
     triangle_dimension,
+    triangle_entries,
     triangle_position,
 )
 
@@ -48,6 +49,7 @@ def test_triangle_position_round_trip(n):
         for f2 in range(f1, n * n + 1):
             positions.append(triangle_position(n, f1, f2))
     assert positions == list(range(triangle_dimension(n)))
+    assert [triangle_position(n, *entry) for entry in triangle_entries(n)] == positions
 
 
 def test_triangle_dimension():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -12,6 +13,7 @@ from qappoly.errors import (
     InvalidParameterError,
 )
 from qappoly.geometry import vertex_space
+from qappoly.indexing import flat_index, triangle_position
 from qappoly.inequalities import (
     Qap1Params,
     Qap2Params,
@@ -35,6 +37,14 @@ from qappoly.inequalities import (
 from qappoly.perms import Permutation, enumerate_permutations, vertex_from_permutation
 
 
+def _diag(form) -> dict[int, int]:
+    return {f1: c for f1, f2, c in form.entries() if f1 == f2}
+
+
+def _offdiag(form) -> dict[tuple[int, int], int]:
+    return {(f1, f2): c for f1, f2, c in form.entries() if f1 != f2}
+
+
 def test_binom2_convention():
     assert binom2(7) == 21
     assert binom2(0) == 0
@@ -47,10 +57,10 @@ def test_binom2_convention():
 
 def test_qap1_term_structure():
     form = build_qap1(Qap1Params(n=6, i_set=(1, 2, 3), j_set=(1, 2, 3), k=4, l=4))
-    diag, off = form.term_counts()
+    diag, off = len(_diag(form)), len(_offdiag(form))
     assert (diag, off) == (1, 6)  # one -1 diagonal, 3 positive + 3 negative cross terms
-    assert sum(1 for c in form.offdiag.values() if c == 1) == 3
-    assert sum(1 for c in form.offdiag.values() if c == -1) == 3
+    assert sum(1 for c in _offdiag(form).values() if c == 1) == 3
+    assert sum(1 for c in _offdiag(form).values() if c == -1) == 3
     assert form.rhs == 0 and form.sense == "<=" and form.scale == 1
 
 
@@ -72,10 +82,10 @@ def test_qap1_identity_evaluation():
 
 def test_qap2_term_structure():
     form = build_qap2(Qap2Params(n=7, p_set=(1, 2, 3), q_set=(1, 2, 3), beta=2))
-    assert all(c == 2 for c in form.diag.values()) and len(form.diag) == 9
-    assert all(c == -2 for c in form.offdiag.values())
+    assert all(c == 2 for c in _diag(form).values()) and len(_diag(form)) == 9
+    assert all(c == -2 for c in _offdiag(form).values())
     # off-diagonal runs over cell pairs with distinct rows: C(3,2)*3*3
-    assert len(form.offdiag) == 27
+    assert len(_offdiag(form)) == 27
     assert form.rhs == 2 and form.scale == 2 and form.sense == "<="
 
 
@@ -89,10 +99,8 @@ def test_qap2_rejections():
 def test_qap3_accepts_spec_example():
     params = Qap3Params(n=13, p1_set=(4, 5, 6), p2_set=(7,), q_set=(1, 2, 3), beta=2)
     form = build_qap3(params)
-    from qappoly.indexing import flat_index
-
-    assert form.diag[flat_index(13, 4, 1)] == -2   # -(beta-1), scaled by 2
-    assert form.diag[flat_index(13, 7, 2)] == 4    # +beta, scaled by 2
+    assert _diag(form)[flat_index(13, 4, 1)] == -2   # -(beta-1), scaled by 2
+    assert _diag(form)[flat_index(13, 7, 2)] == 4    # +beta, scaled by 2
     assert form.sense == ">=" and form.scale == 2 and form.rhs == 2 - 4
 
 
@@ -105,8 +113,8 @@ def test_qap3_rejections():
 
 def test_qap4_term_structure():
     form = build_qap4(Qap4Params(n=7, i_set=tuple(range(1, 8)), j_set=tuple(range(1, 8))))
-    assert sorted(form.diag.values()) == [1] * 7
-    assert sorted(form.offdiag.values()) == [-1] * 21
+    assert sorted(_diag(form).values()) == [1] * 7
+    assert sorted(_offdiag(form).values()) == [-1] * 21
     assert form.rhs == 1
 
 
@@ -123,8 +131,8 @@ def test_qap4_is_qap5_special_case():
     i_set = (1, 2, 3, 4, 5, 6, 7)
     q4 = build_qap4(Qap4Params(n=7, i_set=i_set, j_set=i_set))
     q5 = build_qap5(Qap5Params(n=7, beta=2, coeffs={(r, r): 1 for r in i_set}))
-    assert q5.diag == {f: -2 * c for f, c in q4.diag.items()}
-    assert q5.offdiag == {k: -2 * c for k, c in q4.offdiag.items()}
+    assert _diag(q5) == {f: -2 * c for f, c in _diag(q4).items()}
+    assert _offdiag(q5) == {k: -2 * c for k, c in _offdiag(q4).items()}
     assert q5.rhs == -2 * q4.rhs
     assert (q4.sense, q5.sense) == ("<=", ">=")
 
@@ -132,7 +140,7 @@ def test_qap4_is_qap5_special_case():
 def test_qap5_degenerate_examples():
     # single coefficient: diagonal 1 - (2*2-1) = -2, rhs beta - beta^2 = -2
     form = build_qap5(Qap5Params(n=4, beta=2, coeffs={(1, 1): 1}))
-    assert list(form.diag.values()) == [-2] and form.rhs == -2
+    assert list(_diag(form).values()) == [-2] and form.rhs == -2
     for sigma in enumerate_permutations(4):
         lhs = evaluate(form, vertex_from_permutation(sigma)).lhs
         assert lhs in (-2, 0)
@@ -216,10 +224,11 @@ def test_evaluate_matches_dense_dot_product():
     for (f1, f2), val in point.values.items():
         dense[f1 - 1][f2 - 1] = val
         dense[f2 - 1][f1 - 1] = val
+    entry_at = {triangle_position(7, f1, f2): (f1, f2)
+                for f1 in range(1, n2 + 1) for f2 in range(f1, n2 + 1)}
     lhs = Fraction(0)
-    for f, c in form.diag.items():
-        lhs += c * dense[f - 1][f - 1]
-    for (f1, f2), c in form.offdiag.items():
+    for p, c in zip(form.positions, form.coeffs):
+        f1, f2 = entry_at[p]
         lhs += c * dense[f1 - 1][f2 - 1]
     assert evaluate(form, point).lhs == lhs
 
@@ -266,6 +275,7 @@ def test_enumerate_qap1_n6_double_count():
     forms = list(enumerate_family(6, "qap1"))
     keys = {f.key() for f in forms}
     assert len(forms) == len(keys)  # canonicalization leaves no duplicates
+    assert all(len(set(f.positions)) == len(f.positions) for f in forms)
     expected = 36 * sum(math.comb(5, m) ** 2 * math.factorial(m) for m in range(3, 6))
     assert len(forms) == expected == 47520
 
@@ -337,3 +347,26 @@ def test_ypoint_json_uses_fraction_strings():
     assert any("1/3" in str(entry) for entry in blob["entries"])
     flat = json.dumps(blob)
     assert "1/3" in flat and "0.33" not in flat
+
+
+# sha256 of to_json(), computed from the dict-based form layout this one
+# replaced: the JSON must stay byte for byte the same
+FORM_JSON_SHA256 = {
+    "qap1": "7203c1ec29ac32454ac8dc3e868333e95bc63a55460623a5992c24824b8d3df5",
+    "qap2": "ef6e3b00faaa7964293b243915ac5713799cba183e95200567e9ff4bfa721279",
+    "qap3": "269450e935beba2674ea5063a3eb50abc6f49316f1515721881d099f151cd4a0",
+    "qap4": "708276a517096fc30d0bbe56fcba1230eef666bbb19427b32b996c4a00b17692",
+    "qap5": "f93836b596cdb87ee0bc014975aa4f801b2d0d2b7298825f0f39e6c83ad1efe0",
+}
+
+
+@pytest.mark.parametrize("form", [
+    build_qap1(Qap1Params(n=6, i_set=(1, 2, 3), j_set=(1, 2, 3), k=4, l=4)),
+    build_qap2(Qap2Params(n=7, p_set=(1, 2, 3), q_set=(1, 2, 3), beta=2)),
+    build_qap3(Qap3Params(n=13, p1_set=(4, 5, 6), p2_set=(7,), q_set=(1, 2, 3), beta=2)),
+    build_qap4(Qap4Params(n=7, i_set=tuple(range(1, 8)), j_set=tuple(range(1, 8)))),
+    build_qap5(Qap5Params(n=5, beta=0, coeffs={(1, 1): 1, (2, 2): -1})),
+], ids=lambda form: form.family)
+def test_form_json_is_pinned(form):
+    text = form.to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == FORM_JSON_SHA256[form.family], text

@@ -6,7 +6,8 @@ import pytest
 from qappoly import reductions
 from qappoly.errors import CapExceededError, InvalidParameterError
 from qappoly.graphs import Graph, max_clique_bruteforce
-from qappoly.inequalities import YPoint, evaluate
+from qappoly.indexing import canon_entry, flat_index
+from qappoly.inequalities import YPoint, enumerate_family, evaluate
 from qappoly.perms import Permutation, vertex_from_permutation
 from qappoly.reductions import (
     brute_force_membership,
@@ -104,6 +105,42 @@ def test_qap1_witness_confirmed_by_evaluator():
     assert verdict.witness is not None
     res = evaluate(verdict.witness, build_point_qap1(triangle6, 6, 6, 2))
     assert not res.satisfied
+
+
+def _qap3_cross_point() -> YPoint:
+    # Y[(6,4), (7,5)] = 100 breaks exactly the qap3 forms that weigh it -2,
+    # i.e. those with 4, 5 in Q and rows 6 and 7 split between P1 and P2
+    entry = canon_entry(flat_index(7, 6, 4), flat_index(7, 7, 5))
+    return YPoint(n=7, values={entry: Fraction(100)})
+
+
+def _qap4_antidiagonal_point() -> YPoint:
+    # diagonal 1/3 on the anti-diagonal cells: a qap4 form is broken exactly
+    # when its permutation meets at least 4 of them
+    values = {}
+    for r in range(1, 8):
+        f = flat_index(7, r, 8 - r)
+        values[(f, f)] = Fraction(1, 3)
+    return YPoint(n=7, values=values)
+
+
+@pytest.mark.parametrize("family,point", [
+    ("qap1", build_point_qap1(Graph.from_edges(6, [(1, 2), (2, 3), (1, 3)]), 6, 6, 2)),
+    ("qap2", build_point_qap2(Graph.from_edges(7, [(5, 6), (6, 7), (5, 7)]), 2)),
+    ("qap3", _qap3_cross_point()),
+    ("qap4", _qap4_antidiagonal_point()),
+], ids=["qap1", "qap2", "qap3", "qap4"])
+def test_witness_is_the_first_violated_form(family, point, monkeypatch):
+    expected = next(index for index, form in enumerate(enumerate_family(point.n, family))
+                    if not evaluate(form, point).satisfied)
+    # small blocks, so the witness id also counts the forms of earlier blocks
+    monkeypatch.setattr(reductions, "BLOCK_FORMS", 1000)
+    compiled_blocks.cache_clear()
+    try:
+        verdict = brute_force_membership(point, family)
+    finally:
+        compiled_blocks.cache_clear()
+    assert not verdict.member and verdict.witness_index == expected
 
 
 def test_cap_checked_on_a_warm_cache():
