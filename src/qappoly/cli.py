@@ -125,6 +125,28 @@ def _build_form(args):
     raise QappolyError(f"unsupported family {args.family!r}")
 
 
+# The options each family reads in verify-facet and in reduce.
+FACET_OPTIONS = {
+    "qap1": ("i_set", "j_set", "k", "l"),
+    "qap2": ("P", "Q", "beta"),
+    "qap3": ("P1", "P2", "Q", "beta"),
+    "qap4": ("m",),
+    "qap5": ("beta", "coeffs"),
+}
+REDUCE_OPTIONS = {"qap1": ("k", "l"), "qap2": (), "qap4": ()}
+
+
+def _refuse_unread(args, options: dict) -> None:
+    """Refuse a family option that the chosen family does not read, rather
+    than ignore it and record it in the report."""
+    unread = sorted({name for names in options.values() for name in names}
+                    - set(options[args.family]))
+    given = ["--" + name.replace("_", "-") for name in unread
+             if getattr(args, name) is not None]
+    if given:
+        raise QappolyError(f"{args.family} does not read {', '.join(given)}")
+
+
 def _require_enumerable(n: int, caps: Caps) -> None:
     """Refuse a size whose permutations the enumeration cap does not allow."""
     if n > caps.enumeration_cap:
@@ -139,6 +161,7 @@ def _require_count(flag: str, value: int) -> None:
 
 
 def _cmd_verify_facet(args, report: RunReport, caps: Caps):
+    _refuse_unread(args, FACET_OPTIONS)
     _require_enumerable(args.n, caps)
     form = _build_form(args)
     facet = verify_facet(form, args.n, certify=args.certify)
@@ -244,6 +267,7 @@ def _cmd_verify_slack(args, report: RunReport, caps: Caps):
 
 
 def _cmd_reduce(args, report: RunReport, caps: Caps):
+    _refuse_unread(args, REDUCE_OPTIONS)
     graph = parse_graph(Path(args.graph).read_text())
     if args.family == "qap1":
         point = build_point_qap1(graph, 1 if args.k is None else args.k,

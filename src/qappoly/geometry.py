@@ -49,6 +49,9 @@ class MatchPattern:
     pairs: tuple[Pair, ...]
 
     def __post_init__(self):
+        if not self.pairs:
+            # an empty pattern puts every vertex in S_0 and proves nothing
+            raise QappolyError("a match pattern needs at least one pair")
         i_vals = [i for i, _ in self.pairs]
         j_vals = [j for _, j in self.pairs]
         if len(set(i_vals)) != len(i_vals) or len(set(j_vals)) != len(j_vals):

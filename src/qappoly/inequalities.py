@@ -23,15 +23,22 @@ The closed-form slack of each family at a vertex is a polynomial in the
 number of matched index pairs; ``slack_from_counts`` holds those formulas,
 with the convention binom2(x) = x(x-1)/2 for any integer x, and runs them on
 the counts of one vertex or of a whole batch.
+
+The enumeration order of qap1-qap4 is written once, by ``family_segments``,
+as runs of forms whose index sets have fixed sizes (see ``Segment``).
+Enumeration, ``family_form_at`` and the compiled membership sweeps in
+``reductions`` all read those runs.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -587,65 +594,295 @@ class Qap5Bounds:
     beta_max: int
 
 
-def _qap1_param_stream(n: int):
-    universe = range(1, n + 1)
-    for k in universe:
-        for l in universe:
-            rows = [i for i in universe if i != k]
-            cols = [j for j in universe if j != l]
+# Forms decoded per vectorised step: about a thousand keep each step's
+# temporaries near 1 MB (with 4096, compiling qap4 at n=8 peaked 7 MB
+# higher).
+CHUNK_FORMS = 1024
+
+
+@functools.lru_cache(maxsize=None)
+def _index_table(size: int, r: int, ordered: bool) -> np.ndarray:
+    """The r-combinations of range(size), or its r-permutations when
+    ``ordered``, one per row of an int8 table, in itertools order."""
+    pick = itertools.permutations if ordered else itertools.combinations
+    rows = math.perm(size, r) if ordered else math.comb(size, r)
+    flat = itertools.chain.from_iterable(pick(range(size), r))
+    return np.fromiter(flat, dtype=np.int8, count=rows * r).reshape(rows, r)
+
+
+def _grid(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Flat indices of the cells rows x cols of each form, row-major:
+    ``rows`` is (forms, p), ``cols`` is (forms, q) or (1, q)."""
+    cells = n * (rows[:, :, None] - 1) + cols[:, None, :]
+    return cells.reshape(len(rows), -1)
+
+
+def _cross_row_pairs(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slot pairs s < t of a row-major rows x cols grid that lie in distinct
+    rows, in itertools.combinations order."""
+    a, b = np.triu_indices(rows * cols, 1)
+    keep = a // cols != b // cols
+    return a[keep], b[keep]
+
+
+def _concat(*parts) -> np.ndarray:
+    return np.concatenate([np.asarray(part, dtype=np.int64) for part in parts])
+
+
+class Segment:
+    """A run of consecutive forms of one family whose index sets have fixed
+    sizes (and, for qap2, a fixed beta).
+
+    Form ``start + r`` is row r of the product of ``factors``, each one the
+    index table ``_index_table(*factor)``, the last one varying fastest, as
+    itertools.product orders them.  A form's entries join its cells at the
+    slot pairs ``pairs``, in the builder's entry order; ``coeffs`` and
+    ``rhs`` are the builder's, per form (qap3: per beta).
+    """
+
+    sense = "<="
+
+    def __init__(self, n: int, factors: tuple, layout: tuple):
+        self.n = n
+        self.start = 0  # set by family_segments
+        self.factors = factors
+        self.shape = tuple(math.perm(s, r) if ordered else math.comb(s, r)
+                           for s, r, ordered in factors)
+        self.count = math.prod(self.shape)
+        self.pairs, self.coeffs, self.rhs = layout
+        self.entries = len(self.pairs[0])
+
+    def _picks(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+        """Each factor's table rows for forms lo..hi-1 of the run, as int64."""
+        digits = np.unravel_index(np.arange(lo, hi), self.shape)
+        return tuple(_index_table(*factor)[digit].astype(np.int64)
+                     for factor, digit in zip(self.factors, digits))
+
+    def _sets(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+        """The 1-based index sets of forms lo..hi-1 of the run."""
+        return tuple(pick + 1 for pick in self._picks(lo, hi))
+
+    def params(self, lo: int, hi: int) -> list:
+        """Parameters of forms lo..hi-1 of the run."""
+        raise NotImplementedError
+
+    def arrays(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(positions, coeffs, rhs) of forms lo..hi-1 of the run, exactly as
+        the builders emit them: positions is (forms, entries); coeffs and
+        rhs broadcast against it."""
+        sets = self._sets(lo, hi)
+        cells = self._cells(sets)
+        f1, f2 = cells[:, self.pairs[0]], cells[:, self.pairs[1]]
+        low, high = np.minimum(f1, f2), np.maximum(f1, f2)
+        positions = (low - 1) * self.n ** 2 - (low - 1) * low // 2 + high - 1
+        return (positions,) + self._coefficients(sets)
+
+    def _cells(self, sets) -> np.ndarray:
+        """Flat indices of each form's cells, one form per row."""
+        raise NotImplementedError
+
+    def _coefficients(self, sets) -> tuple:
+        return self.coeffs, np.full(len(sets[0]), self.rhs)
+
+
+@functools.lru_cache(maxsize=None)
+def _qap1_layout(m: int) -> tuple:
+    # slot 0 is the cell (k, l), slots 1..m the cells (i_r, j_r)
+    a, b = np.triu_indices(m, 1)
+    slots = np.arange(1, m + 1)
+    return ((_concat([0], slots, a + 1), _concat([0] * (m + 1), b + 1)),
+            _concat([-1], [1] * m, [-1] * a.size), 0)
+
+
+class _Qap1Run(Segment):
+    """qap1 forms with one (k, l) and one m: i-sets by j-assignments, over
+    the rows other than k and the columns other than l."""
+
+    def __init__(self, n: int, k: int, l: int, m: int):
+        super().__init__(n, ((n - 1, m, False), (n - 1, m, True)), _qap1_layout(m))
+        self.k, self.l = k, l
+        universe = np.arange(1, n + 1)
+        self.rows, self.cols = universe[universe != k], universe[universe != l]
+
+    def _sets(self, lo, hi):
+        i_picks, j_picks = self._picks(lo, hi)
+        return self.rows[i_picks], self.cols[j_picks]
+
+    def params(self, lo, hi):
+        i_sets, j_sets = (s.tolist() for s in self._sets(lo, hi))
+        return [Qap1Params(n=self.n, i_set=tuple(i), j_set=tuple(j), k=self.k, l=self.l)
+                for i, j in zip(i_sets, j_sets)]
+
+    def _cells(self, sets):
+        i_sets, j_sets = sets
+        kl = np.full((len(i_sets), 1), flat_index(self.n, self.k, self.l))
+        return np.hstack((kl, self.n * (i_sets - 1) + j_sets))
+
+
+@functools.lru_cache(maxsize=None)
+def _qap4_layout(m: int) -> tuple:
+    a, b = np.triu_indices(m, 1)
+    slots = np.arange(m)
+    return (_concat(slots, a), _concat(slots, b)), _concat([1] * m, [-1] * a.size), 1
+
+
+class _Qap4Run(Segment):
+    """qap4 forms with one m: i-sets by j-assignments."""
+
+    def __init__(self, n: int, m: int):
+        super().__init__(n, ((n, m, False), (n, m, True)), _qap4_layout(m))
+
+    def params(self, lo, hi):
+        i_sets, j_sets = (s.tolist() for s in self._sets(lo, hi))
+        return [Qap4Params(n=self.n, i_set=tuple(i), j_set=tuple(j))
+                for i, j in zip(i_sets, j_sets)]
+
+    def _cells(self, sets):
+        i_sets, j_sets = sets
+        return self.n * (i_sets - 1) + j_sets
+
+
+@functools.lru_cache(maxsize=None)
+def _qap2_layout(beta: int, p: int, q: int) -> tuple:
+    a, b = _cross_row_pairs(p, q)
+    slots = np.arange(p * q)
+    return ((_concat(slots, a), _concat(slots, b)),
+            _concat([2 * (beta - 1)] * (p * q), [-2] * a.size), beta * beta - beta)
+
+
+class _Qap2Run(Segment):
+    """qap2 forms with one beta, |P| and |Q|: P-sets by Q-sets."""
+
+    def __init__(self, n: int, beta: int, p: int, q: int):
+        super().__init__(n, ((n, p, False), (n, q, False)), _qap2_layout(beta, p, q))
+        self.beta = beta
+
+    def params(self, lo, hi):
+        p_sets, q_sets = (s.tolist() for s in self._sets(lo, hi))
+        return [Qap2Params(n=self.n, p_set=p, q_set=q, beta=self.beta)
+                for p, q in zip(p_sets, q_sets)]
+
+    def _cells(self, sets):
+        return _grid(self.n, *sets)
+
+
+@functools.lru_cache(maxsize=None)
+def _qap3_layout(q: int, p1: int, p2: int, betas: tuple[int, ...]) -> tuple:
+    # slots 0..c1-1 are the P1 x Q cells, the next c2 the P2 x Q cells
+    c1, c2 = p1 * q, p2 * q
+    w1, w2 = _cross_row_pairs(p1, q), _cross_row_pairs(p2, q)
+    x1, x2 = np.divmod(np.arange(c1 * c2), c2)  # every P1 cell with every P2 cell
+    slots = np.arange(c1 + c2)
+    pairs = (_concat(slots, w1[0], w2[0] + c1, x1),
+             _concat(slots, w1[1], w2[1] + c1, x2 + c1))
+    coeffs = np.array([[-2 * (b - 1)] * c1 + [2 * b] * c2
+                       + [2] * (w1[0].size + w2[0].size) + [-2] * x1.size
+                       for b in betas])
+    return pairs, coeffs, np.array([b - b * b for b in betas])
+
+
+class _Qap3Run(Segment):
+    """qap3 forms with one Q and one |P1|, |P2|: P1-sets by P2-sets (picked
+    from the rows outside P1) by the admissible betas."""
+
+    sense = ">="
+
+    def __init__(self, n: int, q_set: tuple[int, ...], p1: int, p2: int,
+                 betas: tuple[int, ...]):
+        super().__init__(n, ((n, p1, False), (n - p1, p2, False), (len(betas), 1, False)),
+                         _qap3_layout(len(q_set), p1, p2, betas))
+        self.q_set, self.betas = q_set, betas
+
+    def _sets(self, lo, hi):
+        """P1 and P2 (1-based) and each form's index into ``betas``."""
+        p1_picks, rest_picks, beta_picks = self._picks(lo, hi)
+        free = np.ones((len(p1_picks), self.n), dtype=bool)
+        np.put_along_axis(free, p1_picks, False, axis=1)
+        rest = np.nonzero(free)[1].reshape(len(p1_picks), -1)
+        p2_picks = np.take_along_axis(rest, rest_picks, axis=1)
+        return p1_picks + 1, p2_picks + 1, beta_picks[:, 0]
+
+    def params(self, lo, hi):
+        p1_sets, p2_sets, beta_picks = (s.tolist() for s in self._sets(lo, hi))
+        return [Qap3Params(n=self.n, p1_set=p1, p2_set=p2, q_set=self.q_set,
+                           beta=self.betas[pick])
+                for p1, p2, pick in zip(p1_sets, p2_sets, beta_picks)]
+
+    def _cells(self, sets):
+        q = np.array([self.q_set])
+        return np.hstack((_grid(self.n, sets[0], q), _grid(self.n, sets[1], q)))
+
+    def _coefficients(self, sets):
+        return self.coeffs[sets[2]], self.rhs[sets[2]]
+
+
+def _qap1_runs(n: int):
+    for k in range(1, n + 1):
+        for l in range(1, n + 1):
             for m in range(3, n):
-                for i_set in itertools.combinations(rows, m):
-                    for j_set in itertools.permutations(cols, m):
-                        yield Qap1Params(n=n, i_set=i_set, j_set=j_set, k=k, l=l)
+                yield _Qap1Run(n, k, l, m)
 
 
-def _qap2_param_stream(n: int):
+def _qap2_runs(n: int):
     if n <= 6:
         # |P|,|Q| >= beta+1 >= 3 forces |P|+|Q| >= 6 > n-3+beta for beta <= n-4
         log.info("qap2 has no parameter-valid forms at n=%d "
                  "(size conditions are jointly unsatisfiable)", n)
-        return
-    universe = range(1, n + 1)
     for beta in range(2, n - 3):  # beta <= |P|-1 <= n-4
-        for p_size in range(beta + 1, n - 2):
-            for q_size in range(beta + 1, n - 2):
-                if p_size + q_size > n - 3 + beta:
-                    continue
-                for p_set in itertools.combinations(universe, p_size):
-                    for q_set in itertools.combinations(universe, q_size):
-                        yield Qap2Params(n=n, p_set=p_set, q_set=q_set, beta=beta)
+        for p in range(beta + 1, n - 2):
+            for q in range(beta + 1, n - 2):
+                if p + q <= n - 3 + beta:
+                    yield _Qap2Run(n, beta, p, q)
 
 
-def _qap3_param_stream(n: int):
+def _qap3_betas(n: int, q: int, p1: int, p2: int) -> tuple[int, ...]:
+    """The betas that qap3 admits with these sizes.  Validity depends on the
+    sizes alone, so one representative parameter set decides it."""
+    span = n - q - 4
+    betas = []
+    for beta in range(p1 - p2 - span, p1 - p2 + span + 1):
+        try:
+            Qap3Params(n=n, p1_set=range(1, p1 + 1), p2_set=range(p1 + 1, p1 + p2 + 1),
+                       q_set=range(1, q + 1), beta=beta).validate()
+        except InvalidParameterError:
+            continue
+        betas.append(beta)
+    return tuple(betas)
+
+
+def _qap3_runs(n: int):
     universe = range(1, n + 1)
-    for q_size in range(3, n - 2):
-        for q_set in itertools.combinations(universe, q_size):
-            for p1_size in range(1, n - 3):
-                for p2_size in range(1, n - 3 - p1_size + 1):
-                    for p1_set in itertools.combinations(universe, p1_size):
-                        rest = [v for v in universe if v not in p1_set]
-                        for p2_set in itertools.combinations(rest, p2_size):
-                            span = n - q_size - 4
-                            if span < 0:
-                                continue
-                            base = p1_size - p2_size
-                            for beta in range(base - span, base + span + 1):
-                                params = Qap3Params(n=n, p1_set=p1_set,
-                                                    p2_set=p2_set, q_set=q_set,
-                                                    beta=beta)
-                                try:
-                                    params.validate()
-                                except InvalidParameterError:
-                                    continue
-                                yield params
+    for q in range(3, n - 3):  # |Q| <= n-4, or no beta is admissible
+        sizes = [(p1, p2) for p1 in range(1, n - 3) for p2 in range(1, n - 2 - p1)]
+        betas = {size: _qap3_betas(n, q, *size) for size in sizes}
+        for q_set in itertools.combinations(universe, q):
+            for p1, p2 in sizes:
+                if betas[p1, p2]:
+                    yield _Qap3Run(n, q_set, p1, p2, betas[p1, p2])
 
 
-def _qap4_param_stream(n: int):
-    universe = range(1, n + 1)
+def _qap4_runs(n: int):
     for m in range(7, n + 1):
-        for i_set in itertools.combinations(universe, m):
-            for j_set in itertools.permutations(universe, m):
-                yield Qap4Params(n=n, i_set=i_set, j_set=j_set)
+        yield _Qap4Run(n, m)
+
+
+_RUNS = {"qap1": _qap1_runs, "qap2": _qap2_runs, "qap3": _qap3_runs, "qap4": _qap4_runs}
+
+
+@functools.lru_cache(maxsize=None)
+def family_segments(n: int, family: str) -> tuple[Segment, ...]:
+    """The runs of a qap1-qap4 family at size n, in enumeration order: the
+    one definition of that order.  The enumeration cap is the caller's to
+    check."""
+    if family not in _RUNS:
+        raise InvalidParameterError(
+            f"enumeration runs exist for {MEMBERSHIP_FAMILIES}, got {family!r}")
+    runs = tuple(_RUNS[family](n))
+    start = 0
+    for run in runs:
+        run.start = start
+        start += run.count
+    return runs
 
 
 def _qap5_param_stream(n: int, bounds: Qap5Bounds):
@@ -656,24 +893,22 @@ def _qap5_param_stream(n: int, bounds: Qap5Bounds):
             yield Qap5Params(n=n, beta=beta, coeffs=coeffs)
 
 
-def _param_stream(n: int, family: str, bounds: Qap5Bounds | None, cap: int):
-    """The family's parameter sets at size n, in enumeration order."""
+def _require_cap(n: int, cap: int) -> None:
     if n > cap:
         raise CapExceededError(f"n={n} exceeds the enumeration cap {cap}")
-    if family == "qap1":
-        return _qap1_param_stream(n)
-    if family == "qap2":
-        return _qap2_param_stream(n)
-    if family == "qap3":
-        return _qap3_param_stream(n)
-    if family == "qap4":
-        return _qap4_param_stream(n)
+
+
+def _param_stream(n: int, family: str, bounds: Qap5Bounds | None, cap: int):
+    """The family's parameter sets at size n, in enumeration order."""
+    _require_cap(n, cap)
     if family == "qap5":
         if bounds is None:
             raise InvalidParameterError(
                 "qap5 is an infinite family: enumeration bounds are required")
         return _qap5_param_stream(n, bounds)
-    raise InvalidParameterError(f"unknown family {family!r}")
+    return (params for run in family_segments(n, family)
+            for lo in range(0, run.count, CHUNK_FORMS)
+            for params in run.params(lo, min(lo + CHUNK_FORMS, run.count)))
 
 
 def enumerate_family(n: int, family: str, bounds: Qap5Bounds | None = None,
@@ -682,9 +917,9 @@ def enumerate_family(n: int, family: str, bounds: Qap5Bounds | None = None,
     deterministic order (parameters canonicalized: index sets sorted, the
     j-assignment enumerated lexicographically).
 
-    qap1-qap4 are finite at fixed n; qap5 is infinite and requires explicit
-    bounds.  Validation is skipped because the streams only produce valid
-    parameter sets (qap3 filters internally).
+    qap1-qap4 are finite at fixed n and follow ``family_segments``; qap5 is
+    infinite and requires explicit bounds.  Validation is skipped because
+    the runs and the qap5 stream only produce valid parameter sets.
     """
     stream = _param_stream(n, family, bounds, cap)
     builder = BUILDERS[family]
@@ -707,10 +942,14 @@ def slack_table_csv(family: str, forms, perms) -> str:
 def family_form_at(n: int, family: str, index: int,
                    cap: int = DEFAULT_ENUMERATION_CAP) -> LinearForm:
     """The index-th form of the deterministic qap1-qap4 enumeration (form ids
-    are stable, so this reconstructs membership witnesses).  Only the
-    parameter stream is walked; one form is built."""
-    params = next(itertools.islice(_param_stream(n, family, None, cap),
-                                   index, None), None)
-    if params is None:
+    are stable, so this reconstructs membership witnesses).  A bisect over
+    the run starts finds the form's run, a divmod its rows in the run's
+    index tables; one form is built."""
+    _require_cap(n, cap)
+    runs = family_segments(n, family)
+    at = bisect.bisect_right(runs, index, key=operator.attrgetter("start")) - 1
+    if at < 0 or index >= runs[at].start + runs[at].count:
         raise InvalidParameterError(f"{family} at n={n} has no form #{index}")
+    row = index - runs[at].start
+    params, = runs[at].params(row, row + 1)
     return BUILDERS[family](params, check=False)

@@ -8,18 +8,22 @@ an independent exact branch-and-bound solver.
 
 Membership itself is decided by brute force: the point is evaluated against
 every enumerated form of the family with exact integer arithmetic (the
-point is denominator-cleared first).  Each (family, n) is compiled once into
-blocks of the forms' own positions and coefficients in enumeration order,
-and kept in a two-entry LRU cache, so repeated queries are fast and the
-first violated form (lowest form id) is the witness.  A family whose
-compiled form would pass COMPILE_ENTRY_LIMIT entries is refused.
+point is denominator-cleared first).  Each (family, n) is compiled once, in
+numpy, into blocks of the forms' triangle positions and coefficients in
+enumeration order, and kept in a two-entry LRU cache, so repeated queries
+are fast and the first violated form (lowest form id) is the witness.
+
+The compile reads the family's segments (``inequalities.family_segments``):
+runs of forms with fixed index-set sizes, each the product of a few index
+tables.  Every form of a run has the same number of entries, so the
+family's entry count is known before anything is built, and a family past
+COMPILE_ENTRY_LIMIT entries is refused up front.  A witness is decoded from
+its form id through the same segments and built alone.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,12 +37,13 @@ from .graphs import (
 )
 from .indexing import pair_from_flat
 from .inequalities import (
+    CHUNK_FORMS,
     MEMBERSHIP_FAMILIES,
     LinearForm,
     YPoint,
-    enumerate_family,
     evaluate,
     family_form_at,
+    family_segments,
 )
 from .perms import DEFAULT_ENUMERATION_CAP
 
@@ -134,10 +139,11 @@ def build_point_qap4(graph: Graph, t: int) -> YPoint:
 # form's id is the number of forms in earlier blocks plus its row.
 BLOCK_FORMS = 50_000
 
-# Most coefficient entries one compiled family may hold.  Every family at
-# n <= 8 fits: the largest is qap1 at n = 8 with 137,208,960 entries (about
-# 0.8 GB as int32 positions plus int16 coefficients), then qap3 at n = 8 with
-# 72,984,128.  qap1, qap3 and qap4 at n = 9 do not fit and are refused.
+# Most coefficient entries one compiled family may hold, counted from the
+# run sizes before anything is built.  Every family at n <= 8 fits: the
+# largest is qap1 at n = 8 with 137,208,960 entries (about 0.8 GB as int32
+# positions plus int16 coefficients), then qap3 at n = 8 with 72,984,128.
+# qap1, qap3 and qap4 at n = 9 do not fit and are refused up front.
 COMPILE_ENTRY_LIMIT = 140_000_000
 
 
@@ -149,38 +155,45 @@ def compiled_blocks(family: str, n: int) -> tuple[tuple[np.ndarray, ...], ...]:
     start, and each form's scaled right-hand side, all negated for a ">="
     family: a form is violated exactly when its lhs exceeds its rhs.
 
-    Raises CapExceededError once the entries pass COMPILE_ENTRY_LIMIT.  The
-    enumeration cap is the caller's to check.
+    The forms come straight from the family's runs (``family_segments``):
+    each block is allocated once and filled in place, CHUNK_FORMS forms at
+    a time.  Raises CapExceededError, before anything is allocated, when
+    the entries pass COMPILE_ENTRY_LIMIT.  The enumeration cap is the
+    caller's to check.
     """
+    runs = family_segments(n, family)
+    entries = sum(run.count * run.entries for run in runs)
+    if entries > COMPILE_ENTRY_LIMIT:
+        raise CapExceededError(
+            f"{family} at n={n} compiles to {entries} coefficient entries, more "
+            f"than {COMPILE_ENTRY_LIMIT}; its membership sweep is refused")
+    total = sum(run.count for run in runs)
     blocks = []
-    entries = 0
-    forms = enumerate_family(n, family, cap=n)
-    while True:
-        # typed buffers, which the blocks wrap without a copy: with lists of
-        # Python ints, compiling qap4 at n=8 peaked at 167-190 MB
-        coords = array("i")
-        coeffs = array("h")
-        offsets = array("i")
-        rhs: list[int] = []
-        for form in itertools.islice(forms, BLOCK_FORMS):
-            offsets.append(len(coords))
-            rhs.append(form.rhs)
-            coords.extend(form.positions)
-            coeffs.extend(form.coeffs)
-        if not rhs:
-            return tuple(blocks)
-        entries += len(coords)
-        if entries > COMPILE_ENTRY_LIMIT:
-            raise CapExceededError(
-                f"{family} at n={n} compiles to more than {COMPILE_ENTRY_LIMIT} "
-                "coefficient entries; its membership sweep is refused")
-        block_coeffs = np.frombuffer(coeffs, dtype=np.int16)
-        block_rhs = np.array(rhs, dtype=np.int64)
-        if form.sense == ">=":
-            block_coeffs *= -1
-            block_rhs *= -1
-        blocks.append((np.frombuffer(coords, dtype=np.int32), block_coeffs,
-                       np.frombuffer(offsets, dtype=np.int32), block_rhs))
+    for first in range(0, total, BLOCK_FORMS):
+        last = min(first + BLOCK_FORMS, total)
+        pieces = [(run, max(first - run.start, 0), min(last - run.start, run.count))
+                  for run in runs if run.start < last and run.start + run.count > first]
+        size = sum((hi - lo) * run.entries for run, lo, hi in pieces)
+        coords = np.empty(size, dtype=np.int32)
+        coeffs = np.empty(size, dtype=np.int16)
+        offsets = np.empty(last - first, dtype=np.int32)
+        rhs = np.empty(last - first, dtype=np.int64)
+        form = entry = 0
+        for run, lo, hi in pieces:
+            for chunk in range(lo, hi, CHUNK_FORMS):
+                count = min(chunk + CHUNK_FORMS, hi) - chunk
+                stop = entry + count * run.entries
+                positions, form_coeffs, form_rhs = run.arrays(chunk, chunk + count)
+                coords[entry:stop].reshape(count, run.entries)[:] = positions
+                coeffs[entry:stop].reshape(count, run.entries)[:] = form_coeffs
+                offsets[form:form + count] = np.arange(entry, stop, run.entries)
+                rhs[form:form + count] = form_rhs
+                form, entry = form + count, stop
+        if runs[0].sense == ">=":
+            np.negative(coeffs, out=coeffs)
+            np.negative(rhs, out=rhs)
+        blocks.append((coords, coeffs, offsets, rhs))
+    return tuple(blocks)
 
 
 @dataclass

@@ -1,0 +1,71 @@
+"""The qap1-qap4 enumeration order written as plain nested loops.
+
+The program defines that order once, as runs of index tables
+(``inequalities.family_segments``); these generators are the independent
+statement of it that the tests compare against, form id by form id.
+"""
+
+import itertools
+
+from qappoly.errors import InvalidParameterError
+from qappoly.inequalities import Qap1Params, Qap2Params, Qap3Params, Qap4Params
+
+
+def qap1_params(n: int):
+    universe = range(1, n + 1)
+    for k in universe:
+        for l in universe:
+            rows = [i for i in universe if i != k]
+            cols = [j for j in universe if j != l]
+            for m in range(3, n):
+                for i_set in itertools.combinations(rows, m):
+                    for j_set in itertools.permutations(cols, m):
+                        yield Qap1Params(n=n, i_set=i_set, j_set=j_set, k=k, l=l)
+
+
+def qap2_params(n: int):
+    universe = range(1, n + 1)
+    for beta in range(2, n - 3):
+        for p_size in range(beta + 1, n - 2):
+            for q_size in range(beta + 1, n - 2):
+                if p_size + q_size > n - 3 + beta:
+                    continue
+                for p_set in itertools.combinations(universe, p_size):
+                    for q_set in itertools.combinations(universe, q_size):
+                        yield Qap2Params(n=n, p_set=p_set, q_set=q_set, beta=beta)
+
+
+def qap3_params(n: int):
+    universe = range(1, n + 1)
+    for q_size in range(3, n - 2):
+        for q_set in itertools.combinations(universe, q_size):
+            for p1_size in range(1, n - 3):
+                for p2_size in range(1, n - 3 - p1_size + 1):
+                    for p1_set in itertools.combinations(universe, p1_size):
+                        rest = [v for v in universe if v not in p1_set]
+                        for p2_set in itertools.combinations(rest, p2_size):
+                            span = n - q_size - 4
+                            if span < 0:
+                                continue
+                            base = p1_size - p2_size
+                            for beta in range(base - span, base + span + 1):
+                                params = Qap3Params(n=n, p1_set=p1_set,
+                                                    p2_set=p2_set, q_set=q_set,
+                                                    beta=beta)
+                                try:
+                                    params.validate()
+                                except InvalidParameterError:
+                                    continue
+                                yield params
+
+
+def qap4_params(n: int):
+    universe = range(1, n + 1)
+    for m in range(7, n + 1):
+        for i_set in itertools.combinations(universe, m):
+            for j_set in itertools.permutations(universe, m):
+                yield Qap4Params(n=n, i_set=i_set, j_set=j_set)
+
+
+ORACLE = {"qap1": qap1_params, "qap2": qap2_params, "qap3": qap3_params,
+          "qap4": qap4_params}

@@ -179,6 +179,34 @@ def test_zero_counts_and_indices_are_usage_failures(argv, triangle7, tmp_path):
     assert [v["name"] for v in verdicts] == ["usage"]
 
 
+@pytest.mark.parametrize("argv,unread", [
+    (["reduce", "--family", "qap2", "--graph", "TRIANGLE7", "--t", "3", "--k", "0",
+      "--l", "0"], "--k, --l"),
+    (["verify-facet", "--family", "qap5", "--n", "5", "--beta", "0",
+      "--coeffs", "1,1:1;2,2:-1", "--expect", "valid-only", "--m", "3"], "--m"),
+    (["verify-facet", "--family", "qap4", "--n", "7", "--k", "1"], "--k"),
+])
+def test_options_the_family_does_not_read_are_usage_failures(argv, unread, triangle7,
+                                                             tmp_path):
+    out = tmp_path / "report.json"
+    argv = [str(triangle7) if arg == "TRIANGLE7" else arg for arg in argv]
+    assert main(argv + ["--json", str(out)]) == 1
+    verdicts = json.loads(out.read_text())["verdicts"]
+    assert [v["name"] for v in verdicts] == ["usage"]
+    assert verdicts[0]["details"]["error"].endswith("does not read " + unread)
+
+
+@pytest.mark.parametrize("which", ["szeroconn", "skasnxt4", "s3ss0", "szeroins"])
+def test_an_empty_match_pattern_is_a_usage_failure(which, tmp_path):
+    # --m 0 would put every vertex in S_0, so the check would say nothing
+    out = tmp_path / "report.json"
+    assert main(["verify-lemmas", "--which", which, "--n", "5", "--m", "0",
+                 "--samples", "5", "--json", str(out)]) == 1
+    verdicts = json.loads(out.read_text())["verdicts"]
+    assert [v["name"] for v in verdicts] == ["usage"]
+    assert "at least one pair" in verdicts[0]["details"]["error"]
+
+
 def test_szeroconn_takes_no_samples():
     assert main(["verify-lemmas", "--which", "szeroconn", "--n", "5",
                  "--samples", "0"]) == 0

@@ -53,6 +53,8 @@ def test_vertex_shapes_exhaustive_n6_n7():
 def test_malformed_pattern_rejected():
     with pytest.raises(QappolyError, match="distinct"):
         MatchPattern(((1, 1), (1, 2)))
+    with pytest.raises(QappolyError, match="at least one pair"):
+        MatchPattern.diagonal(0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracle_streams import ORACLE
 
 from qappoly.errors import (
     CapExceededError,
@@ -309,6 +310,13 @@ def test_enumerate_qap5_requires_bounds():
                         beta_min=1, beta_max=2)
     forms = list(enumerate_family(4, "qap5", bounds=bounds))
     assert len(forms) == 8  # 2 beta values x 4 assignments
+
+
+@pytest.mark.parametrize("family,n", [("qap1", 6), ("qap2", 8), ("qap3", 7), ("qap4", 8)])
+def test_enumeration_follows_the_oracle_order(family, n):
+    pairs = itertools.zip_longest(enumerate_family(n, family), ORACLE[family](n))
+    for form, params in pairs:
+        assert form is not None and form.params == params
 
 
 @pytest.mark.parametrize("family,n", [("qap1", 6), ("qap2", 7), ("qap3", 7), ("qap4", 7)])

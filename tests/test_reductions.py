@@ -1,13 +1,23 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from oracle_streams import ORACLE
 
-from qappoly import reductions
+from qappoly import inequalities, reductions
 from qappoly.errors import CapExceededError, InvalidParameterError
 from qappoly.graphs import Graph, max_clique_bruteforce
 from qappoly.indexing import canon_entry, flat_index
-from qappoly.inequalities import YPoint, enumerate_family, evaluate
+from qappoly.inequalities import (
+    BUILDERS,
+    YPoint,
+    enumerate_family,
+    evaluate,
+    family_form_at,
+)
 from qappoly.perms import Permutation, vertex_from_permutation
 from qappoly.reductions import (
     brute_force_membership,
@@ -164,6 +174,51 @@ def test_compile_refuses_families_over_the_entry_limit(monkeypatch):
     monkeypatch.setattr(reductions, "COMPILE_ENTRY_LIMIT", 1000)
     with pytest.raises(CapExceededError, match="more than 1000"):
         compiled_blocks("qap1", 6)
+    assert compiled_blocks.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("family,n", [("qap1", 6), ("qap2", 7), ("qap3", 7), ("qap4", 7)])
+def test_compile_and_unranking_follow_the_oracle_order(family, n, monkeypatch):
+    oracle = list(ORACLE[family](n))
+    forms = [BUILDERS[family](params) for params in oracle]
+    # small blocks, so that runs straddle blocks
+    monkeypatch.setattr(reductions, "BLOCK_FORMS", 1000)
+    compiled_blocks.cache_clear()
+    try:
+        blocks = compiled_blocks(family, n)
+    finally:
+        compiled_blocks.cache_clear()
+    sign = -1 if forms[0].sense == ">=" else 1
+    assert len(blocks) == math.ceil(len(forms) / 1000)
+    for number, (coords, coeffs, offsets, rhs) in enumerate(blocks):
+        chunk = forms[1000 * number:1000 * (number + 1)]
+        sizes = [len(form.positions) for form in chunk]
+        assert coords.tolist() == [p for form in chunk for p in form.positions]
+        assert coeffs.tolist() == [sign * c for form in chunk for c in form.coeffs]
+        assert offsets.tolist() == [0] + list(itertools.accumulate(sizes))[:-1]
+        assert rhs.tolist() == [sign * form.rhs for form in chunk]
+    for index, params in enumerate(oracle):
+        assert family_form_at(n, family, index).params == params
+    with pytest.raises(InvalidParameterError, match="no form"):
+        family_form_at(n, family, len(oracle))
+
+
+def test_entry_limit_is_checked_before_any_form_is_built(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a form was built")
+
+    monkeypatch.setattr(inequalities.Segment, "arrays", refuse)
+    compiled_blocks.cache_clear()
+    with pytest.raises(CapExceededError, match="more than 140000000"):
+        compiled_blocks("qap1", 9)
+    # the last qap1 form at n=9 is decoded without compiling anything
+    forms = 81 * sum(math.comb(8, m) ** 2 * math.factorial(m) for m in range(3, 9))
+    params = family_form_at(9, "qap1", forms - 1).params
+    assert (params.k, params.l) == (9, 9)
+    assert params.i_set == tuple(range(1, 9))
+    assert params.j_set == tuple(range(8, 0, -1))
+    with pytest.raises(InvalidParameterError, match="no form"):
+        family_form_at(9, "qap1", forms)
     assert compiled_blocks.cache_info().currsize == 0
 
 
