@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import Caps, caps_from_config, parse_config
-from .errors import CapExceededError, QappolyError
+from .errors import QappolyError
 from .geometry import (
     MatchPattern,
     check_equality_set,
@@ -53,7 +53,7 @@ from .inequalities import (
     slack_table_csv,
 )
 from .modrank import DEFAULT_PRIME_COUNT, PRIME_POOL
-from .perms import Permutation
+from .perms import Permutation, require_enumerable
 from .protocols import as_bits, hard_matrix_entry, HardMatrixSpec, protocol_n0, slack_protocol
 from .reductions import (
     brute_force_membership,
@@ -125,7 +125,7 @@ def _build_form(args):
     raise QappolyError(f"unsupported family {args.family!r}")
 
 
-# The options each family reads in verify-facet and in reduce.
+# The options each family, lemma or protocol action reads.
 FACET_OPTIONS = {
     "qap1": ("i_set", "j_set", "k", "l"),
     "qap2": ("P", "Q", "beta"),
@@ -134,24 +134,26 @@ FACET_OPTIONS = {
     "qap5": ("beta", "coeffs"),
 }
 REDUCE_OPTIONS = {"qap1": ("k", "l"), "qap2": (), "qap4": ()}
+LEMMA_OPTIONS = {"identity1": (), "identity2": (), "szeroconn": ("m",),
+                 "skasnxt4": ("m",), "s3ss0": ("m",), "szeroins": ("m",),
+                 "all": ("m",)}
+PROTOCOL_OPTIONS = {"n0": ("samples",), "slack": ("family",)}
 
 
-def _refuse_unread(args, options: dict) -> None:
-    """Refuse a family option that the chosen family does not read, rather
-    than ignore it and record it in the report."""
+def _refuse_unread(args, options: dict, variant: str) -> None:
+    """Refuse an option that the chosen variant does not read, rather than
+    ignore it and record it in the report."""
     unread = sorted({name for names in options.values() for name in names}
-                    - set(options[args.family]))
+                    - set(options[variant]))
     given = ["--" + name.replace("_", "-") for name in unread
              if getattr(args, name) is not None]
     if given:
-        raise QappolyError(f"{args.family} does not read {', '.join(given)}")
+        raise QappolyError(f"{variant} does not read {', '.join(given)}")
 
 
 def _require_enumerable(n: int, caps: Caps) -> None:
-    """Refuse a size whose permutations the enumeration cap does not allow."""
-    if n > caps.enumeration_cap:
-        raise CapExceededError(
-            f"n={n} exceeds the enumeration cap {caps.enumeration_cap}")
+    """``perms.require_enumerable`` at the configured enumeration cap."""
+    require_enumerable(n, caps.enumeration_cap)
 
 
 def _require_count(flag: str, value: int) -> None:
@@ -161,7 +163,7 @@ def _require_count(flag: str, value: int) -> None:
 
 
 def _cmd_verify_facet(args, report: RunReport, caps: Caps):
-    _refuse_unread(args, FACET_OPTIONS)
+    _refuse_unread(args, FACET_OPTIONS, args.family)
     _require_enumerable(args.n, caps)
     form = _build_form(args)
     facet = verify_facet(form, args.n, certify=args.certify)
@@ -182,6 +184,7 @@ def _cmd_verify_facet(args, report: RunReport, caps: Caps):
 def _cmd_verify_lemmas(args, report: RunReport, caps: Caps):
     n = args.n
     which = args.which
+    _refuse_unread(args, LEMMA_OPTIONS, which)
     _require_count("--samples", args.samples)
     if args.samples == 0 and which != "szeroconn":
         raise QappolyError("--samples must be >= 1 for a sampled check")
@@ -218,21 +221,15 @@ def _cmd_verify_lemmas(args, report: RunReport, caps: Caps):
         res = check_s0_connectivity(n, pattern)
         report.add("S0 transposition graph connected", res.connected,
                    size=res.size, components=res.component_count, status=res.status)
-    if which in ("skasnxt4", "all"):
-        _require_enumerable(n, caps)
-        res = verify_skasnxt4(n, pattern, samples=args.samples, seed=args.seed)
-        report.add("S_k spans (k>=4)", res.all_member, samples=res.samples,
-                   members=res.member_count)
-    if which in ("s3ss0", "all"):
-        _require_enumerable(n, caps)
-        res = verify_s3ss0(n, pattern, samples=args.samples, seed=args.seed)
-        report.add("S_3 span membership", res.all_member, samples=res.samples,
-                   members=res.member_count)
-    if which in ("szeroins", "all"):
-        _require_enumerable(n, caps)
-        res = verify_szeroins(n, pattern, samples=args.samples, seed=args.seed)
-        report.add("S_0 neighbor differences in span(S)", res.all_member,
-                   samples=res.samples, members=res.member_count)
+    for lemma, verify, name in (
+            ("skasnxt4", verify_skasnxt4, "S_k spans (k>=4)"),
+            ("s3ss0", verify_s3ss0, "S_3 span membership"),
+            ("szeroins", verify_szeroins, "S_0 neighbor differences in span(S)")):
+        if which in (lemma, "all"):
+            _require_enumerable(n, caps)
+            res = verify(n, pattern, samples=args.samples, seed=args.seed)
+            report.add(name, res.all_member, samples=res.samples,
+                       members=res.member_count)
 
 
 def _cmd_verify_slack(args, report: RunReport, caps: Caps):
@@ -267,7 +264,7 @@ def _cmd_verify_slack(args, report: RunReport, caps: Caps):
 
 
 def _cmd_reduce(args, report: RunReport, caps: Caps):
-    _refuse_unread(args, REDUCE_OPTIONS)
+    _refuse_unread(args, REDUCE_OPTIONS, args.family)
     graph = parse_graph(Path(args.graph).read_text())
     if args.family == "qap1":
         point = build_point_qap1(graph, 1 if args.k is None else args.k,
@@ -297,7 +294,8 @@ def _cmd_clique_oracle(args, report: RunReport, caps: Caps):
 
 
 def _cmd_protocol(args, report: RunReport, caps: Caps):
-    _require_count("--samples", args.samples)
+    _refuse_unread(args, PROTOCOL_OPTIONS, args.action)
+    _require_count("--samples", args.samples or 0)
     if args.action == "n0":
         a, b = as_bits(args.a), as_bits(args.b, len(as_bits(args.a)))
         res = protocol_n0(a, b, mode="exact")
@@ -329,8 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="FILE", help="write the JSON report here")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--certify", action="store_true",
-                        help="re-check ranks with exact rational elimination")
     common.add_argument("--config", metavar="FILE", help="key=value caps file")
     common.add_argument("--acknowledge-caps", action="store_true",
                         help="required to raise caps above their defaults")
@@ -360,6 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     facet.add_argument("--l", type=int)
     facet.add_argument("--coeffs", help="qap5 sparse coefficients 'i,j:v;i,j:v'")
     facet.add_argument("--expect", choices=["facet", "valid-only"], default="facet")
+    facet.add_argument("--certify", action="store_true",
+                       help="re-check ranks with exact rational elimination")
     facet.set_defaults(func=_cmd_verify_facet)
 
     lemmas = add("verify-lemmas", help="run the lemma checkers")
@@ -400,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     proto.add_argument("--a", required=True)
     proto.add_argument("--b", required=True)
     proto.add_argument("--family", choices=["qap1", "qap2", "qap3", "qap4"])
-    proto.add_argument("--samples", type=int, default=0)
+    proto.add_argument("--samples", type=int)
     proto.set_defaults(func=_cmd_protocol)
 
     return parser

@@ -484,55 +484,61 @@ class SpanLemmaReport:
     details: dict = field(default_factory=dict)
 
 
+def _sample_span_lemma(lemma: str, space: VertexSpace, generators, draw,
+                       samples: int, seed: int) -> SpanLemmaReport:
+    """Count the sampled targets that lie in their generators' span.
+
+    ``generators`` holds the vertex rows spanning the targets, or a dict of
+    them per class k, cycled through sample by sample and reported as
+    samples per k.  ``draw(rng, k)`` returns a target vector.
+    """
+    per_k = isinstance(generators, dict)
+    bases = {k: ModularSpanBasis(space.rows(rows))
+             for k, rows in (generators if per_k else {None: generators}).items()}
+    keys = list(bases)
+    counts = dict.fromkeys(keys, 0)
+    rng = random.Random(seed)
+    member_count = 0
+    for s in range(samples):
+        key = keys[s % len(keys)]
+        member_count += bases[key].contains(draw(rng, key))[0]
+        counts[key] += 1
+    return SpanLemmaReport(lemma=lemma, n=space.n, samples=samples,
+                           member_count=member_count,
+                           all_member=member_count == samples, seed=seed,
+                           details={"samples_per_k": counts} if per_k else {})
+
+
 def verify_skasnxt4(n: int, pattern: MatchPattern | None = None, samples: int = 200,
                     seed: int = 0) -> SpanLemmaReport:
     """Sampled check: every vertex in S_k (k >= 4) lies in the span of
     S_{k-1} .. S_{k-4}."""
     pattern = pattern or MatchPattern.diagonal(n)
-    rng = random.Random(seed)
     space = vertex_space(n)
     classes = _class_rows(space, pattern)
     ks = [k for k in range(4, pattern.m + 1) if classes[k].size]
     if not ks:
         raise QappolyError(f"no vertex lies in any S_k with k >= 4 for a "
                            f"pattern of {pattern.m} pairs")
-    bases = {}
-    member_count = 0
-    per_k: dict[int, int] = {k: 0 for k in ks}
-    for s in range(samples):
-        k = ks[s % len(ks)]
-        if k not in bases:
-            gens = np.concatenate([classes[kk] for kk in (k - 1, k - 2, k - 3, k - 4)])
-            bases[k] = ModularSpanBasis(space.rows(gens))
-        target = rng.choice(classes[k])
-        member, _ = bases[k].contains(space.rows([target])[0])
-        member_count += member
-        per_k[k] += 1
-    return SpanLemmaReport(lemma="s_k in span of the four sets below", n=n,
-                           samples=samples, member_count=member_count,
-                           all_member=member_count == samples, seed=seed,
-                           details={"samples_per_k": per_k})
+    generators = {k: np.concatenate([classes[k - d] for d in (1, 2, 3, 4)])
+                  for k in ks}
+    return _sample_span_lemma(
+        "s_k in span of the four sets below", space, generators,
+        lambda rng, k: space.rows([rng.choice(classes[k])])[0], samples, seed)
 
 
 def verify_s3ss0(n: int, pattern: MatchPattern | None = None, samples: int = 200,
                  seed: int = 0) -> SpanLemmaReport:
     """Sampled check: every vertex in S_3 lies in span(S_1, S_2, S_0)."""
     pattern = pattern or MatchPattern.diagonal(n)
-    rng = random.Random(seed)
     space = vertex_space(n)
     classes = _class_rows(space, pattern)
     if pattern.m < 3 or not classes[3].size:
         raise QappolyError(f"S_3 is empty for a pattern of {pattern.m} pairs")
-    gens = np.concatenate([classes[1], classes[2], classes[0]])
-    basis = ModularSpanBasis(space.rows(gens))
-    member_count = 0
-    for _ in range(samples):
-        target = rng.choice(classes[3])
-        member, _ = basis.contains(space.rows([target])[0])
-        member_count += member
-    return SpanLemmaReport(lemma="s_3 in span of S, S_0", n=n, samples=samples,
-                           member_count=member_count,
-                           all_member=member_count == samples, seed=seed)
+    return _sample_span_lemma(
+        "s_3 in span of S, S_0", space,
+        np.concatenate([classes[1], classes[2], classes[0]]),
+        lambda rng, _: space.rows([rng.choice(classes[3])])[0], samples, seed)
 
 
 def verify_szeroins(n: int, pattern: MatchPattern | None = None, samples: int = 200,
@@ -540,26 +546,22 @@ def verify_szeroins(n: int, pattern: MatchPattern | None = None, samples: int = 
     """Sampled check: differences of S_0 neighbors (one transposition apart,
     both in S_0) lie in span(S_1, S_2); the pattern needs m >= 7."""
     pattern = pattern or MatchPattern.diagonal(n)
-    rng = random.Random(seed)
     space = vertex_space(n)
     classes = _class_rows(space, pattern)
     s0 = set(classes[0].tolist())
     if not any(_s0_neighbours(space, v, s0) for v in s0):
         raise QappolyError(f"no S_0 vertex has an S_0 neighbour at n={n} for a "
                            f"pattern of {pattern.m} pairs")
-    gens = np.concatenate([classes[k] for k in (1, 2) if k in classes])
-    basis = ModularSpanBasis(space.rows(gens))
-    member_count = 0
-    pairs_seen = 0
-    while pairs_seen < samples:
-        v = rng.choice(classes[0])
-        neighbors = _s0_neighbours(space, v, s0)
-        if not neighbors:
-            continue
-        pair = space.rows([v, rng.choice(neighbors)])
-        member, _ = basis.contains(pair[0] - pair[1])
-        member_count += member
-        pairs_seen += 1
-    return SpanLemmaReport(lemma="S_0 neighbor differences in span(S)", n=n,
-                           samples=samples, member_count=member_count,
-                           all_member=member_count == samples, seed=seed)
+
+    def draw(rng, _):
+        while True:  # redraw an S_0 vertex without an S_0 neighbour
+            v = rng.choice(classes[0])
+            neighbours = _s0_neighbours(space, v, s0)
+            if neighbours:
+                pair = space.rows([v, rng.choice(neighbours)])
+                return pair[0] - pair[1]
+
+    return _sample_span_lemma(
+        "S_0 neighbor differences in span(S)", space,
+        np.concatenate([classes[k] for k in (1, 2) if k in classes]),
+        draw, samples, seed)

@@ -46,7 +46,7 @@ def triangle_dimension(n: int) -> int:
 
 def triangle_position(n: int, f1: int, f2: int) -> int:
     """0-based position of the canonical entry (f1, f2) in row-major
-    upper-triangular order.  Requires f1 <= f2."""
+    upper-triangular order, elementwise on integer arrays too.  Requires f1 <= f2."""
     nn = n * n
     return (f1 - 1) * nn - (f1 - 1) * f1 // 2 + (f2 - 1)
 

@@ -44,11 +44,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    CapExceededError,
-    DimensionMismatchError,
-    InvalidParameterError,
-)
+from .errors import DimensionMismatchError, InvalidParameterError
 from .indexing import (
     EntryKey,
     Pair,
@@ -59,7 +55,7 @@ from .indexing import (
     triangle_entries,
     triangle_position,
 )
-from .perms import DEFAULT_ENUMERATION_CAP, Permutation, QapVertex
+from .perms import DEFAULT_ENUMERATION_CAP, Permutation, QapVertex, require_enumerable
 
 log = logging.getLogger(__name__)
 
@@ -673,8 +669,7 @@ class Segment:
         sets = self._sets(lo, hi)
         cells = self._cells(sets)
         f1, f2 = cells[:, self.pairs[0]], cells[:, self.pairs[1]]
-        low, high = np.minimum(f1, f2), np.maximum(f1, f2)
-        positions = (low - 1) * self.n ** 2 - (low - 1) * low // 2 + high - 1
+        positions = triangle_position(self.n, np.minimum(f1, f2), np.maximum(f1, f2))
         return (positions,) + self._coefficients(sets)
 
     def _cells(self, sets) -> np.ndarray:
@@ -893,14 +888,9 @@ def _qap5_param_stream(n: int, bounds: Qap5Bounds):
             yield Qap5Params(n=n, beta=beta, coeffs=coeffs)
 
 
-def _require_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise CapExceededError(f"n={n} exceeds the enumeration cap {cap}")
-
-
 def _param_stream(n: int, family: str, bounds: Qap5Bounds | None, cap: int):
     """The family's parameter sets at size n, in enumeration order."""
-    _require_cap(n, cap)
+    require_enumerable(n, cap)
     if family == "qap5":
         if bounds is None:
             raise InvalidParameterError(
@@ -945,7 +935,7 @@ def family_form_at(n: int, family: str, index: int,
     are stable, so this reconstructs membership witnesses).  A bisect over
     the run starts finds the form's run, a divmod its rows in the run's
     index tables; one form is built."""
-    _require_cap(n, cap)
+    require_enumerable(n, cap)
     runs = family_segments(n, family)
     at = bisect.bisect_right(runs, index, key=operator.attrgetter("start")) - 1
     if at < 0 or index >= runs[at].start + runs[at].count:

@@ -100,6 +100,17 @@ def _strip_zero_columns(matrix: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(matrix[:, used])
 
 
+def _prime_vote(at) -> tuple[dict[int, object], object]:
+    """Evaluate ``at(p)`` at the default primes, and at the escalated ones
+    as well when those split.  Returns the value per prime and the
+    unanimous value, or None when the primes disagree."""
+    votes = {p: at(p) for p in PRIME_POOL[:DEFAULT_PRIME_COUNT]}
+    if len(set(votes.values())) > 1:
+        votes |= {p: at(p) for p in PRIME_POOL[DEFAULT_PRIME_COUNT:ESCALATED_PRIME_COUNT]}
+    values = set(votes.values())
+    return votes, values.pop() if len(values) == 1 else None
+
+
 def rank_consensus(matrix: np.ndarray,
                    column_dimension: int | None = None) -> RankReport:
     """Rank of an integer matrix by modular consensus.
@@ -114,15 +125,9 @@ def rank_consensus(matrix: np.ndarray,
         report.consensus_rank = 0
         return report
     work = _strip_zero_columns(matrix)
-    report.ranks = [(p, rank_mod_p(work, p)) for p in PRIME_POOL[:DEFAULT_PRIME_COUNT]]
-    values = {r for _, r in report.ranks}
-    if len(values) > 1:
-        report.ranks += [(p, rank_mod_p(work, p))
-                         for p in PRIME_POOL[DEFAULT_PRIME_COUNT:ESCALATED_PRIME_COUNT]]
-        values = {r for _, r in report.ranks}
-    if len(values) == 1:
-        report.consensus_rank = values.pop()
-    else:
+    votes, report.consensus_rank = _prime_vote(lambda p: rank_mod_p(work, p))
+    report.ranks = list(votes.items())
+    if report.consensus_rank is None:
         report.status = "inconclusive"
     return report
 
@@ -135,17 +140,20 @@ class ModularSpanBasis:
         if generators.ndim != 2:
             raise QappolyError("generator matrix must be 2-dimensional")
         self._generators = generators
-        self.columns = generators.shape[1]
-        self.primes = PRIME_POOL[:DEFAULT_PRIME_COUNT]
         self._bases: dict[int, tuple[list[int], np.ndarray]] = {}
-        self._build(self.primes)
+        for p in PRIME_POOL[:DEFAULT_PRIME_COUNT]:
+            self._build(p)
 
-    def _build(self, primes):
-        for p in primes:
-            if p not in self._bases:
-                _, pivots, rows = _echelonize_mod_p(self._generators, p)
-                # a copy, so the basis does not pin the whole reduced matrix
-                self._bases[p] = (pivots, rows.copy())
+    @property
+    def primes(self) -> tuple[int, ...]:
+        """The primes whose echelon basis is built, in the order built."""
+        return tuple(self._bases)
+
+    def _build(self, p: int) -> None:
+        if p not in self._bases:
+            _, pivots, rows = _echelonize_mod_p(self._generators, p)
+            # a copy, so the basis does not pin the whole reduced matrix
+            self._bases[p] = (pivots, rows.copy())
 
     def contains_mod_p(self, vector: np.ndarray, p: int) -> bool:
         pivots, rows = self._bases[p]
@@ -158,20 +166,17 @@ class ModularSpanBasis:
         return not v.any()
 
     def contains(self, vector: np.ndarray) -> tuple[bool, dict[int, bool]]:
-        """Consensus membership verdict plus the per-prime verdicts.
+        """Consensus membership verdict plus the per-prime verdicts; raises
+        when the primes disagree."""
+        def at(p: int) -> bool:
+            self._build(p)
+            return self.contains_mod_p(vector, p)
 
-        A split vote escalates once to 5 primes before giving up.
-        """
-        votes = {p: self.contains_mod_p(vector, p) for p in self.primes}
-        if len(set(votes.values())) > 1:
-            self.primes = PRIME_POOL[:ESCALATED_PRIME_COUNT]
-            self._build(self.primes)
-            votes = {p: self.contains_mod_p(vector, p) for p in self.primes}
-        verdicts = set(votes.values())
-        if len(verdicts) == 1:
-            return verdicts.pop(), votes
-        raise QappolyError(
-            f"span membership disagreement across primes: {votes}")
+        votes, member = _prime_vote(at)
+        if member is None:
+            raise QappolyError(
+                f"span membership disagreement across primes: {votes}")
+        return member, votes
 
 
 def rank_exact_rational(matrix: np.ndarray) -> int:

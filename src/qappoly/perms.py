@@ -86,6 +86,12 @@ def apply_transposition(sigma: Permutation, x: int, y: int) -> Permutation:
     return Permutation(tuple(img))
 
 
+def require_enumerable(n: int, cap: int) -> None:
+    """Refuse a size whose permutations the enumeration cap does not allow."""
+    if n > cap:
+        raise CapExceededError(f"n={n} exceeds the enumeration cap {cap}")
+
+
 def enumerate_permutations(n: int, cap: int = DEFAULT_ENUMERATION_CAP):
     """Yield all n! permutations of [n] in lexicographic order.
 
@@ -94,8 +100,7 @@ def enumerate_permutations(n: int, cap: int = DEFAULT_ENUMERATION_CAP):
     """
     if n < 1:
         raise InvalidPermutationError(f"n must be positive, got {n}")
-    if n > cap:
-        raise CapExceededError(f"n={n} exceeds the enumeration cap {cap}")
+    require_enumerable(n, cap)
     for img in itertools.permutations(range(1, n + 1)):
         yield Permutation(img)
 

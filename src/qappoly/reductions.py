@@ -45,7 +45,7 @@ from .inequalities import (
     family_form_at,
     family_segments,
 )
-from .perms import DEFAULT_ENUMERATION_CAP
+from .perms import DEFAULT_ENUMERATION_CAP, require_enumerable
 
 # ---------------------------------------------------------------------------
 # reduction points
@@ -222,8 +222,7 @@ def brute_force_membership(point: YPoint, family: str,
         raise InvalidParameterError(
             f"membership supports {MEMBERSHIP_FAMILIES}, got {family!r}")
     n = point.n
-    if n > cap:
-        raise CapExceededError(f"n={n} exceeds the enumeration cap {cap}")
+    require_enumerable(n, cap)
     yvec, denom = point.to_scaled_vector()
     checked = 0
     for coords, coeffs, offsets, rhs in compiled_blocks(family, n):

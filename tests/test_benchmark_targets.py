@@ -6,15 +6,24 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
+from qappoly import cli
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_every_traced_target_resolves(monkeypatch):
+@pytest.fixture
+def tracing(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # write nothing in perfbench/
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
-    spec.loader.exec_module(tracing)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_resolves(tracing):
     assert tracing.TARGETS
     missing = []
     for module_name, attribute, *_ in tracing.TARGETS:
@@ -24,3 +33,22 @@ def test_every_traced_target_resolves(monkeypatch):
         if name not in vars(owner):
             missing.append(f"{module_name}.{attribute}")
     assert not missing, missing
+
+
+def test_a_traced_lemma_run_reaches_the_span_basis(tracing):
+    # a name can still resolve yet have left the call path; a real run shows it
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        # below m = 7 the lemma's verdict is FAIL; only the call path matters
+        cli.main(["verify-lemmas", "--which", "szeroins", "--n", "5",
+                  "--samples", "2"])
+    finally:
+        restore()
+    names = {span.name for span in tracer.spans}
+    assert {"cli.main", "geometry.verify_szeroins",
+            "modrank.span_basis.build"} <= names
+    contains = sum(calls for (_, name), (calls, _) in tracer.leaves.items()
+                   if name == "modrank.span_basis.contains")
+    assert contains == 2
+    assert not hasattr(cli.main, "__wrapped__")  # restored

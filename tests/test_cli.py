@@ -185,6 +185,11 @@ def test_zero_counts_and_indices_are_usage_failures(argv, triangle7, tmp_path):
     (["verify-facet", "--family", "qap5", "--n", "5", "--beta", "0",
       "--coeffs", "1,1:1;2,2:-1", "--expect", "valid-only", "--m", "3"], "--m"),
     (["verify-facet", "--family", "qap4", "--n", "7", "--k", "1"], "--k"),
+    (["verify-lemmas", "--which", "identity1", "--n", "5", "--m", "3",
+      "--samples", "5"], "--m"),
+    (["protocol", "n0", "--a", "1111", "--b", "1111", "--family", "qap2"], "--family"),
+    (["protocol", "slack", "--family", "qap2", "--a", "1100", "--b", "1010",
+      "--samples", "7"], "--samples"),
 ])
 def test_options_the_family_does_not_read_are_usage_failures(argv, unread, triangle7,
                                                              tmp_path):
@@ -194,6 +199,27 @@ def test_options_the_family_does_not_read_are_usage_failures(argv, unread, trian
     verdicts = json.loads(out.read_text())["verdicts"]
     assert [v["name"] for v in verdicts] == ["usage"]
     assert verdicts[0]["details"]["error"].endswith("does not read " + unread)
+
+
+def test_verify_facet_takes_certify(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify-facet", "--family", "qap5", "--n", "5", "--beta", "0",
+                 "--coeffs", "1,1:1;2,2:-1", "--expect", "valid-only", "--certify",
+                 "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["parameters"]["certify"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--family", "qap2", "--graph", "TRIANGLE7", "--t", "2"],
+    ["verify-lemmas", "--which", "identity1", "--n", "5", "--samples", "5"],
+])
+def test_other_commands_reject_certify(argv, triangle7, capsys):
+    argv = [str(triangle7) if arg == "TRIANGLE7" else arg for arg in argv]
+    assert main(argv) == 0
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--certify"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --certify" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("which", ["szeroconn", "skasnxt4", "s3ss0", "szeroins"])
