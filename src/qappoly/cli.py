@@ -134,9 +134,11 @@ FACET_OPTIONS = {
     "qap5": ("beta", "coeffs"),
 }
 REDUCE_OPTIONS = {"qap1": ("k", "l"), "qap2": (), "qap4": ()}
-LEMMA_OPTIONS = {"identity1": (), "identity2": (), "szeroconn": ("m",),
-                 "skasnxt4": ("m",), "s3ss0": ("m",), "szeroins": ("m",),
-                 "all": ("m",)}
+LEMMA_OPTIONS = {"identity1": ("samples",), "identity2": ("samples",),
+                 "szeroconn": ("m",), "skasnxt4": ("m", "samples"),
+                 "s3ss0": ("m", "samples"), "szeroins": ("m", "samples"),
+                 "all": ("m", "samples")}
+DEFAULT_LEMMA_SAMPLES = 200
 PROTOCOL_OPTIONS = {"n0": ("samples",), "slack": ("family",)}
 
 
@@ -170,7 +172,11 @@ def _cmd_verify_facet(args, report: RunReport, caps: Caps):
     report.add("validity", True, note="no violating vertex found")
     details = {"polytope_dim": facet.polytope_dim, "tight_dim": facet.tight_dim,
                "tight_count": facet.tight_count,
-               "ranks": facet.polytope_rank.ranks}
+               "ranks": facet.polytope_rank.ranks,
+               # None where a rank was only voted, or the tight set is empty
+               "certificate": {
+                   "polytope": facet.polytope_rank.certificate,
+                   "tight": facet.tight_rank and facet.tight_rank.certificate}}
     if args.expect == "valid-only":
         report.add("facet-analysis", True, verdict=facet.verdict, **details)
     else:
@@ -185,9 +191,12 @@ def _cmd_verify_lemmas(args, report: RunReport, caps: Caps):
     n = args.n
     which = args.which
     _refuse_unread(args, LEMMA_OPTIONS, which)
-    _require_count("--samples", args.samples)
-    if args.samples == 0 and which != "szeroconn":
-        raise QappolyError("--samples must be >= 1 for a sampled check")
+    if which != "szeroconn":
+        if args.samples is None:
+            args.samples = report.parameters["samples"] = DEFAULT_LEMMA_SAMPLES
+        _require_count("--samples", args.samples)
+        if args.samples == 0:
+            raise QappolyError("--samples must be >= 1 for a sampled check")
     if n < 5:
         raise QappolyError("lemma checks need n >= 5 (identity chains use "
                            "four or five distinct indices)")
@@ -366,7 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  "skasnxt4", "s3ss0", "szeroins", "all"])
     lemmas.add_argument("--n", type=int, required=True)
     lemmas.add_argument("--m", type=int)
-    lemmas.add_argument("--samples", type=int, default=200)
+    lemmas.add_argument("--samples", type=int,
+                        help=f"samples per sampled check (default "
+                             f"{DEFAULT_LEMMA_SAMPLES}); szeroconn takes none")
     lemmas.set_defaults(func=_cmd_verify_lemmas)
 
     slack = add("verify-slack", help="closed-form slack agreement sweep")

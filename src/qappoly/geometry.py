@@ -5,6 +5,15 @@ space, but only coordinates that some vertex can make nonzero (all diagonal
 cells, plus off-diagonal cells with distinct rows and distinct columns) are
 carried in the matrices; identically-zero coordinates never affect a rank.
 
+Dimensions are proven, not only voted.  ``affine_hull_equations`` gives
+integer equations that vanish on every vertex (checked exactly), which bound
+the polytope's dimension from above; the modular rank of a seeded vertex
+subset that reaches that bound proves it (``modrank.RankCertificate``).  A
+valid form with a vertex of positive slack bounds its tight set one lower,
+so a tight subset that reaches dim(P) - 1 proves a facet.  Where no subset
+reaches its bound, the report falls back to the full-set vote, without a
+certificate.
+
 The vertex classification S_k, the signed-sum identities, S_0 connectivity,
 and the span lemmas are all driven by a per-n ``VertexSpace`` cache.  It
 stores each vertex once, as a column of the 0/1 match matrix ``zt`` that
@@ -19,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -28,10 +37,13 @@ from .errors import DimensionMismatchError, QappolyError
 from .indexing import EntryKey, Pair, flat_index, pair_from_flat, triangle_dimension
 from .inequalities import LinearForm, Qap4Params
 from .modrank import (
+    PRIME_POOL,
     ModularSpanBasis,
+    RankCertificate,
     RankReport,
     rank_consensus,
     rank_exact_rational,
+    rank_mod_p,
 )
 from .perms import (
     Permutation,
@@ -171,12 +183,121 @@ def affine_dim(vertices, certify: bool = False) -> RankReport:
     return report
 
 
+# Vertices drawn beyond a rank bound when a seeded subset is to reach it,
+# and the seed of that draw.
+SUBSET_MARGIN = 32
+SUBSET_SEED = 0
+# Vertex rows per block when checking equations; float64 products are exact
+# here, since every partial sum is an integer far below 2**53.
+EQUATION_CHECK_ROWS = 1024
+
+
+@lru_cache(maxsize=4)
+def affine_hull_equations(n: int) -> np.ndarray:
+    """Integer equations that every vertex satisfies, as int8 rows over the
+    support coordinates of ``VertexSpace.rows``.
+
+    They are the affine-hull equations of the symmetric QAP polytope (Jünger
+    and Kaibel, SIAM J. Optim. 2000), made homogeneous with the diagonal
+    sum, which is n on every vertex:
+
+    * n times each row sum, and each column sum, of the diagonal cells
+      equals the diagonal sum;
+    * for each cell (i,j) and each row k != i, Y[ij,kl] summed over l equals
+      Y[ij,ij]; likewise for each column l != j, summed over k.
+    """
+    cells = n * n
+    f1, f2 = _off_diagonal_support(n)
+    columns = cells + f1.size
+    pair_column = np.full((cells, cells), -1)
+    pair_column[f1, f2] = pair_column[f2, f1] = cells + np.arange(f1.size)
+    blocks = []
+    for line_of in np.divmod(np.arange(cells), n):   # each cell's row, column
+        sums = np.zeros((n, columns), dtype=np.int8)
+        sums[:, :cells] = n * (line_of == np.arange(n)[:, None]) - 1
+        members = np.argsort(line_of, kind="stable").reshape(n, n)
+        cell, line = np.divmod(np.arange(cells * n), n)
+        keep = line != line_of[cell]
+        cell, line = cell[keep], line[keep]
+        sums_over = np.zeros((cell.size, columns), dtype=np.int8)
+        partner = pair_column[cell[:, None], members[line]]
+        equation = np.broadcast_to(np.arange(cell.size)[:, None], partner.shape)
+        in_support = partner >= 0   # a partner sharing the other line is off it
+        sums_over[equation[in_support], partner[in_support]] = 1
+        sums_over[np.arange(cell.size), cell] = -1
+        blocks += [sums, sums_over]
+    equations = np.concatenate(blocks)
+    equations.flags.writeable = False   # cached: shared by every caller
+    return equations
+
+
+def _require_vanishing(space: VertexSpace, equations: np.ndarray) -> None:
+    """Raise unless every equation vanishes on every vertex, exactly."""
+    transposed = equations.T.astype(np.float64)
+    count = len(space.perms)
+    for start in range(0, count, EQUATION_CHECK_ROWS):
+        block = space.rows(np.arange(start, min(count, start + EQUATION_CHECK_ROWS)))
+        failing = np.flatnonzero((block.astype(np.float64) @ transposed).any(axis=1))
+        if failing.size:
+            sigma = space.perms[start + int(failing[0])]
+            raise QappolyError(
+                f"an equation does not vanish on sigma = {sigma.one_line()}")
+
+
+def _proven_affine_dim(space: VertexSpace, idx: np.ndarray,
+                       claim: RankCertificate, grow: bool) -> RankReport:
+    """Affine dimension of the vertices ``idx``, which ``claim``'s equations
+    bound from above, with a certificate when it reaches that bound.
+
+    A seeded subset of ``claim.bound + SUBSET_MARGIN + 1`` vertices goes
+    first, and one prime decides whether it reaches the bound before the
+    other primes are spent.  With ``grow`` each miss doubles the subset;
+    without, one miss ends the search.  The last resort is the full-set
+    vote of ``affine_dim``, certified only if it reaches the bound.
+    """
+    bound = claim.bound
+    rng = np.random.default_rng(SUBSET_SEED)
+    size = bound + SUBSET_MARGIN + 1
+    report = None
+    while report is None and size < idx.size:
+        rows = space.rows(np.sort(rng.choice(idx, size, replace=False)))
+        trial = rank_consensus(rows[1:] - rows[0], reach=bound,
+                               column_dimension=triangle_dimension(space.n))
+        if trial.consensus_rank is not None and trial.consensus_rank >= bound:
+            report, used = trial, size
+        size = size * 2 if grow else idx.size
+    if report is None:
+        report, used = affine_dim([space.perms[int(v)] for v in idx]), idx.size
+    if report.consensus_rank is not None and report.consensus_rank > bound:
+        raise QappolyError(f"affine rank {report.consensus_rank} exceeds the "
+                           f"bound {bound} of the {claim.kind}")
+    if report.consensus_rank == bound:
+        report.certificate = replace(claim, subset_rows=used)
+    return report
+
+
+def proven_polytope_dim(space: VertexSpace, equations: np.ndarray) -> RankReport:
+    """Affine dimension of all vertices, proven from ``equations`` (integer
+    rows over the support coordinates) when a vertex subset reaches the
+    bound they give; ``affine_dim``'s vote, uncertified, when none does.
+
+    The equations are checked exactly on every vertex first.
+    """
+    _require_vanishing(space, equations)
+    prime = PRIME_POOL[0]
+    claim = RankCertificate(kind="affine-hull equations",
+                            columns=equations.shape[1],
+                            equation_rows=equations.shape[0],
+                            equation_rank=rank_mod_p(equations, prime),
+                            prime=prime, subset_rows=0)
+    return _proven_affine_dim(space, np.arange(len(space.perms)), claim, grow=True)
+
+
 @lru_cache(maxsize=4)
 def polytope_affine_dim(n: int) -> RankReport:
-    """Affine dimension of the whole polytope at size n (cached; this is the
-    expensive full-vertex-set rank)."""
-    space = vertex_space(n)
-    return affine_dim(space.perms)
+    """Affine dimension of the whole polytope at size n, proven by
+    ``affine_hull_equations(n)`` and a vertex subset (cached per n)."""
+    return proven_polytope_dim(vertex_space(n), affine_hull_equations(n))
 
 
 @dataclass
@@ -192,7 +313,12 @@ class FacetReport:
 
 def verify_facet(form: LinearForm, n: int, certify: bool = False) -> FacetReport:
     """Decide facet-ness: valid everywhere and the tight vertices span an
-    affine subspace of dimension exactly one less than the polytope's."""
+    affine subspace of dimension exactly one less than the polytope's.
+
+    Both dimensions carry a certificate where a vertex subset proves them.
+    With ``certify`` both are full-set votes that fraction-free elimination
+    must confirm instead.
+    """
     if form.n != n:
         raise DimensionMismatchError(f"form has n={form.n}, expected {n}")
     space = vertex_space(n)
@@ -209,12 +335,20 @@ def verify_facet(form: LinearForm, n: int, certify: bool = False) -> FacetReport
         return FacetReport(verdict="not facet", n=n, tight_count=0,
                            polytope_dim=int(full.consensus_rank), tight_dim=-1,
                            polytope_rank=full, tight_rank=None)
-    tight = [space.perms[int(r)] for r in tight_rows]
-    tight_report = affine_dim(tight, certify=certify)
+    if full.certificate is not None and slack.any():
+        # a vertex of positive slack: the form's equation, homogenised like
+        # the hull equations, is independent of them, so dim <= dim(P) - 1
+        claim = replace(full.certificate, kind="proper face",
+                        equation_rows=full.certificate.equation_rows + 1,
+                        equation_rank=full.certificate.equation_rank + 1)
+        tight_report = _proven_affine_dim(space, tight_rows, claim, grow=False)
+    else:
+        tight_report = affine_dim([space.perms[int(r)] for r in tight_rows],
+                                  certify=certify)
     verdict = ("facet"
                if tight_report.consensus_rank == full.consensus_rank - 1
                else "not facet")
-    return FacetReport(verdict=verdict, n=n, tight_count=len(tight),
+    return FacetReport(verdict=verdict, n=n, tight_count=int(tight_rows.size),
                        polytope_dim=int(full.consensus_rank),
                        tight_dim=int(tight_report.consensus_rank),
                        polytope_rank=full, tight_rank=tight_report)

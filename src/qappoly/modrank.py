@@ -1,12 +1,15 @@
 """Exact rank computation via modular arithmetic at several large primes.
 
-Ranks over Q are established by row reduction modulo independent 31-bit
-primes: the rank mod p never exceeds the rational rank and equals it for
-all but finitely many primes, so agreement across >= 3 primes from the
-vetted pool is taken as the exact answer (escalating to 5 primes on any
-disagreement, which has never been observed for these 0/+-1 matrices).
-A fraction-free (Bareiss) integer elimination is available for
-certification runs; it is exact but slower.
+A rank mod p never exceeds the rank over Q and equals it for all but
+finitely many primes.  ``rank_consensus`` reduces a matrix modulo >= 3
+independent 31-bit primes from a vetted pool and reports their agreed rank
+(escalating to 5 primes on any disagreement, which has never been observed
+for these 0/+-1 matrices).  A vote is strong evidence, not a proof; a proof
+comes from a matching upper bound, which the geometry layer supplies from
+integer equations and records as a ``RankCertificate``.  With ``reach``, the
+first prime alone decides whether a matrix reaches such a bound before the
+other primes are spent.  A fraction-free (Bareiss) integer elimination is
+available for certification runs; it is exact but slower.
 
 Callers hand in signed integer matrices of any width (the vertex layer
 passes int8 rows and differences); each elimination widens its own reduced
@@ -17,6 +20,7 @@ products of two residues fit in int64.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,12 +36,38 @@ DEFAULT_PRIME_COUNT = 3
 ESCALATED_PRIME_COUNT = 5
 
 
+@dataclass(frozen=True)
+class RankCertificate:
+    """Why an affine rank over Q is exact: an upper and a lower bound meet.
+
+    From above: ``equation_rows`` homogeneous integer equations on
+    ``columns`` coordinates vanish on every point of the set, and
+    ``equation_rank`` is at most their rank over Q, so the points span at
+    most columns - equation_rank dimensions linearly, and one less affinely
+    (they lie on a hyperplane off the origin).  From below: the affine rank
+    of ``subset_rows`` of the points, reduced mod ``prime``, reaches that
+    ``bound``.  ``kind`` names where the equations come from.
+    """
+
+    kind: str
+    columns: int
+    equation_rows: int
+    equation_rank: int
+    prime: int
+    subset_rows: int
+
+    @property
+    def bound(self) -> int:
+        return self.columns - self.equation_rank - 1
+
+
 @dataclass
 class RankReport:
     """Outcome of a multi-prime rank computation.
 
     ``consensus_rank`` is set only when every prime agrees; otherwise the
-    status is "inconclusive".
+    status is "inconclusive", or "short" when a ``reach`` was missed.
+    ``certificate`` is set when the rank is proven, not only voted.
     """
 
     row_count: int
@@ -45,6 +75,7 @@ class RankReport:
     ranks: list[tuple[int, int]] = field(default_factory=list)  # (prime, rank)
     consensus_rank: int | None = None
     status: str = "ok"
+    certificate: RankCertificate | None = None
 
     @property
     def primes(self) -> tuple[int, ...]:
@@ -111,12 +142,14 @@ def _prime_vote(at) -> tuple[dict[int, object], object]:
     return votes, values.pop() if len(values) == 1 else None
 
 
-def rank_consensus(matrix: np.ndarray,
-                   column_dimension: int | None = None) -> RankReport:
+def rank_consensus(matrix: np.ndarray, column_dimension: int | None = None,
+                   reach: int | None = None) -> RankReport:
     """Rank of an integer matrix by modular consensus.
 
     Disagreement escalates once to 5 primes; if the escalated set still
-    disagrees the report is marked inconclusive.
+    disagrees the report is marked inconclusive.  With ``reach``, a first
+    prime whose rank falls short of it ends the vote: the report holds that
+    one rank, no consensus and the status "short".
     """
     rows, cols = matrix.shape
     report = RankReport(row_count=rows,
@@ -125,7 +158,13 @@ def rank_consensus(matrix: np.ndarray,
         report.consensus_rank = 0
         return report
     work = _strip_zero_columns(matrix)
-    votes, report.consensus_rank = _prime_vote(lambda p: rank_mod_p(work, p))
+    rank_at = functools.cache(lambda p: rank_mod_p(work, p))
+    first = PRIME_POOL[0]
+    if reach is not None and rank_at(first) < reach:
+        report.ranks = [(first, rank_at(first))]
+        report.status = "short"
+        return report
+    votes, report.consensus_rank = _prime_vote(rank_at)
     report.ranks = list(votes.items())
     if report.consensus_rank is None:
         report.status = "inconclusive"

@@ -143,9 +143,11 @@ def test_identity_lemmas_ignore_the_enumeration_cap(which, cap4):
 ])
 def test_lemma_patterns_without_the_sampled_class_are_usage_failures(argv, tmp_path):
     out = tmp_path / "report.json"
-    assert main(["verify-lemmas", "--samples", "5", "--json", str(out)] + argv) == 1
+    samples = [] if "szeroconn" in argv else ["--samples", "5"]
+    assert main(["verify-lemmas", "--json", str(out)] + samples + argv) == 1
     verdicts = json.loads(out.read_text())["verdicts"]
     assert [v["name"] for v in verdicts] == ["usage"]
+    assert "does not read" not in verdicts[0]["details"]["error"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -190,6 +192,8 @@ def test_zero_counts_and_indices_are_usage_failures(argv, triangle7, tmp_path):
     (["protocol", "n0", "--a", "1111", "--b", "1111", "--family", "qap2"], "--family"),
     (["protocol", "slack", "--family", "qap2", "--a", "1100", "--b", "1010",
       "--samples", "7"], "--samples"),
+    (["verify-lemmas", "--which", "szeroconn", "--n", "5", "--samples", "7"],
+     "--samples"),
 ])
 def test_options_the_family_does_not_read_are_usage_failures(argv, unread, triangle7,
                                                              tmp_path):
@@ -226,16 +230,30 @@ def test_other_commands_reject_certify(argv, triangle7, capsys):
 def test_an_empty_match_pattern_is_a_usage_failure(which, tmp_path):
     # --m 0 would put every vertex in S_0, so the check would say nothing
     out = tmp_path / "report.json"
+    samples = [] if which == "szeroconn" else ["--samples", "5"]
     assert main(["verify-lemmas", "--which", which, "--n", "5", "--m", "0",
-                 "--samples", "5", "--json", str(out)]) == 1
+                 "--json", str(out)] + samples) == 1
     verdicts = json.loads(out.read_text())["verdicts"]
     assert [v["name"] for v in verdicts] == ["usage"]
     assert "at least one pair" in verdicts[0]["details"]["error"]
 
 
-def test_szeroconn_takes_no_samples():
+def test_szeroconn_takes_no_samples(tmp_path):
+    out = tmp_path / "report.json"
     assert main(["verify-lemmas", "--which", "szeroconn", "--n", "5",
-                 "--samples", "0"]) == 0
+                 "--json", str(out)]) == 0
+    assert "samples" not in json.loads(out.read_text())["parameters"]
+    assert main(["verify-lemmas", "--which", "szeroconn", "--n", "5",
+                 "--samples", "0"]) == 1
+
+
+def test_sampled_lemmas_record_the_default_sample_count(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify-lemmas", "--which", "s3ss0", "--n", "5",
+                 "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["parameters"]["samples"] == 200
+    assert report["verdicts"][0]["details"]["samples"] == 200
 
 
 def test_szeroconn_above_the_vertex_space_limit_is_a_usage_failure(tmp_path):

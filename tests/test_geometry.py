@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from qappoly.errors import QappolyError
@@ -16,6 +17,7 @@ from qappoly.geometry import (
     s_k_sets,
 )
 from qappoly.inequalities import Qap2Params, build_qap2
+from qappoly.modrank import PRIME_POOL, rank_consensus, rank_mod_p
 from qappoly.perms import Permutation, enumerate_permutations, vertex_from_permutation
 
 
@@ -299,3 +301,124 @@ def test_polytope_rank_is_computed_once_per_n():
     geometry.verify_facet(form, 4)
     info = geometry.polytope_affine_dim.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# proven dimensions: hull equations from above, a vertex subset from below
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_hull_equations_vanish_on_every_vertex(n):
+    from qappoly.geometry import affine_hull_equations, vertex_space
+
+    space = vertex_space(n)
+    rows = space.rows(range(len(space.perms)))
+    for equation in affine_hull_equations(n).astype(np.int64):
+        support = np.flatnonzero(equation)
+        assert not (rows[:, support] @ equation[support]).any()
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_hull_equations_leave_the_closed_form_linear_dimension(n):
+    from qappoly.geometry import affine_hull_equations
+
+    equations = affine_hull_equations(n)
+    rank = rank_mod_p(equations, PRIME_POOL[0])
+    assert equations.shape[1] - rank == (n - 1) ** 2 * (n - 2) ** 2 // 2 + n + 1
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_proven_polytope_dim_matches_the_full_vertex_vote(n):
+    from qappoly.geometry import polytope_affine_dim, vertex_space
+
+    report = polytope_affine_dim(n)
+    assert report.consensus_rank == affine_dim(vertex_space(n).perms).consensus_rank
+    assert report.certificate is not None
+    assert report.certificate.bound == report.consensus_rank
+    assert report.certificate.prime in report.primes or report.row_count == 0
+
+
+def test_a_loose_equation_bound_leaves_the_full_vertex_vote_uncertified():
+    from qappoly.geometry import affine_hull_equations, proven_polytope_dim, vertex_space
+
+    equations = affine_hull_equations(5)
+    loose = equations[: len(equations) // 2]
+    assert rank_mod_p(loose, PRIME_POOL[0]) < rank_mod_p(equations, PRIME_POOL[0])
+    report = proven_polytope_dim(vertex_space(5), loose)
+    assert report.certificate is None
+    assert report.consensus_rank == 77
+    assert report.row_count == 120  # the full vertex set
+
+
+def test_equations_that_fail_on_a_vertex_are_refused():
+    from qappoly.geometry import affine_hull_equations, proven_polytope_dim, vertex_space
+
+    wrong = affine_hull_equations(4).copy()
+    wrong[0, 0] += 1
+    with pytest.raises(QappolyError, match="does not vanish"):
+        proven_polytope_dim(vertex_space(4), wrong)
+
+
+def test_a_short_first_prime_ends_the_vote():
+    report = rank_consensus(np.eye(4, dtype=np.int64), reach=5)
+    assert report.status == "short"
+    assert report.consensus_rank is None
+    assert report.primes == PRIME_POOL[:1]
+    assert rank_consensus(np.eye(4, dtype=np.int64), reach=4).consensus_rank == 4
+
+
+# ---------------------------------------------------------------------------
+# facet verdicts at the edges
+
+
+def test_an_empty_tight_set_is_not_a_facet():
+    from qappoly.geometry import verify_facet
+    from qappoly.inequalities import LinearForm
+
+    report = verify_facet(LinearForm(n=4, positions=(), coeffs=(), rhs=1, sense="<="), 4)
+    assert (report.verdict, report.tight_count, report.tight_dim) == ("not facet", 0, -1)
+    assert report.tight_rank is None
+
+
+def test_a_form_tight_everywhere_is_not_a_facet():
+    from qappoly.geometry import verify_facet
+    from qappoly.inequalities import LinearForm
+
+    report = verify_facet(LinearForm(n=5, positions=(), coeffs=(), rhs=0, sense="<="), 5)
+    assert report.verdict == "not facet"
+    assert report.tight_count == 120
+    assert report.tight_dim == report.polytope_dim == 77
+    assert report.tight_rank.certificate is None
+
+
+def test_a_valid_only_qap5_form_keeps_its_tight_dim():
+    from qappoly.geometry import verify_facet
+    from qappoly.inequalities import Qap5Params, build_qap5
+
+    form = build_qap5(Qap5Params(n=5, beta=0, coeffs={(1, 1): 1, (2, 2): -1}))
+    report = verify_facet(form, 5)
+    assert (report.verdict, report.tight_count, report.tight_dim) == ("not facet", 102, 72)
+    assert report.tight_rank.certificate is None
+
+
+def test_the_n7_facet_is_proven_without_a_full_vertex_elimination(monkeypatch):
+    from qappoly import geometry, modrank
+    from qappoly.inequalities import Qap4Params, build_qap4
+
+    shapes = []
+    original = modrank.rank_mod_p
+
+    def recording(matrix, p):
+        shapes.append(matrix.shape)
+        return original(matrix, p)
+
+    for module in (modrank, geometry):
+        monkeypatch.setattr(module, "rank_mod_p", recording)
+    geometry.polytope_affine_dim.cache_clear()
+    form = build_qap4(Qap4Params(n=7, i_set=tuple(range(1, 8)), j_set=tuple(range(1, 8))))
+    report = geometry.verify_facet(form, 7)
+    assert (report.verdict, report.polytope_dim, report.tight_dim) == ("facet", 457, 456)
+    assert report.polytope_rank.certificate.kind == "affine-hull equations"
+    assert report.tight_rank.certificate.kind == "proper face"
+    assert len(report.tight_rank.ranks) >= 3
+    assert shapes and max(rows for rows, _ in shapes) <= 1100
