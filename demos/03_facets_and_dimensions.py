@@ -8,7 +8,9 @@ a rank mod p never exceeds the rank over Q.  Ranks are still reported at
 three 31-bit primes, and a fraction-free (Bareiss) integer elimination can
 re-check the small cases.  A valid inequality is facet-defining when its
 tight vertices span an affine subspace of dimension exactly one less than
-the polytope's.
+the polytope's.  "Not facet" is proven too: the kernel of a tight subset
+mod a prime, lifted to integer equations and checked on every tight vertex,
+bounds the tight dimension from above where the subset reaches it.
 
 This demo works at n<=5 and prints the commands for the big ones; the n=7
 facet check takes a few seconds.
@@ -34,8 +36,13 @@ print(f"\nn=4 dimension re-checked by rational elimination: "
 # set is too small
 form = build_qap5(Qap5Params(n=5, beta=0, coeffs={(1, 1): 1, (2, 2): -1}))
 report = verify_facet(form, 5)
+cert = report.tight_rank.certificate
 print(f"\ngeneric qap5 form at n=5: verdict '{report.verdict}' "
       f"(tight dim {report.tight_dim} vs polytope dim {report.polytope_dim})")
+print(f"  proof ({cert.kind}): {cert.equation_rows} equations lifted from the "
+      f"kernel of {cert.subset_rows} tight vertices mod {cert.prime}")
+print(f"  vanish on all {report.tight_count} tight vertices, so the tight "
+      f"dimension is at most {cert.bound}, which those vertices reach")
 
 trivial = LinearForm(n=4, positions=(), coeffs=(), rhs=1, sense="<=")
 report = verify_facet(trivial, 4)

@@ -237,8 +237,9 @@ def _cmd_verify_lemmas(args, report: RunReport, caps: Caps):
         if which in (lemma, "all"):
             _require_enumerable(n, caps)
             res = verify(n, pattern, samples=args.samples, seed=args.seed)
+            # one per generator set; None where membership was only voted
             report.add(name, res.all_member, samples=res.samples,
-                       members=res.member_count)
+                       members=res.member_count, certificates=res.certificates)
 
 
 def _cmd_verify_slack(args, report: RunReport, caps: Caps):

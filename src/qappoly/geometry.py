@@ -5,14 +5,17 @@ space, but only coordinates that some vertex can make nonzero (all diagonal
 cells, plus off-diagonal cells with distinct rows and distinct columns) are
 carried in the matrices; identically-zero coordinates never affect a rank.
 
-Dimensions are proven, not only voted.  ``affine_hull_equations`` gives
-integer equations that vanish on every vertex (checked exactly), which bound
-the polytope's dimension from above; the modular rank of a seeded vertex
-subset that reaches that bound proves it (``modrank.RankCertificate``).  A
-valid form with a vertex of positive slack bounds its tight set one lower,
-so a tight subset that reaches dim(P) - 1 proves a facet.  Where no subset
-reaches its bound, the report falls back to the full-set vote, without a
-certificate.
+Dimensions and spans are proven, not only voted.  ``affine_hull_equations``
+gives integer equations that vanish on every vertex (checked exactly), which
+bound the polytope's dimension from above; the modular rank of a seeded
+vertex subset that reaches that bound proves it (``modrank.RankCertificate``).
+A valid form with a vertex of positive slack bounds its tight set one lower,
+so a tight subset that reaches dim(P) - 1 proves a facet.  Where that subset
+misses (a "not facet" verdict, or a form tight everywhere), the tight set's
+``modrank.lifted_kernel`` proves its dimension at one prime, and the span
+lemmas decide membership against the generators' lifted kernel the same way.
+Only where no lift passes does a report fall back to the vote at three
+primes, without a certificate.
 
 The vertex classification S_k, the signed-sum identities, S_0 connectivity,
 and the span lemmas are all driven by a per-n ``VertexSpace`` cache.  It
@@ -41,6 +44,8 @@ from .modrank import (
     ModularSpanBasis,
     RankCertificate,
     RankReport,
+    lifted_kernel,
+    nonvanishing_rows,
     rank_consensus,
     rank_exact_rational,
     rank_mod_p,
@@ -187,9 +192,6 @@ def affine_dim(vertices, certify: bool = False) -> RankReport:
 # and the seed of that draw.
 SUBSET_MARGIN = 32
 SUBSET_SEED = 0
-# Vertex rows per block when checking equations; float64 products are exact
-# here, since every partial sum is an integer far below 2**53.
-EQUATION_CHECK_ROWS = 1024
 
 
 @lru_cache(maxsize=4)
@@ -233,47 +235,66 @@ def affine_hull_equations(n: int) -> np.ndarray:
 
 def _require_vanishing(space: VertexSpace, equations: np.ndarray) -> None:
     """Raise unless every equation vanishes on every vertex, exactly."""
-    transposed = equations.T.astype(np.float64)
-    count = len(space.perms)
-    for start in range(0, count, EQUATION_CHECK_ROWS):
-        block = space.rows(np.arange(start, min(count, start + EQUATION_CHECK_ROWS)))
-        failing = np.flatnonzero((block.astype(np.float64) @ transposed).any(axis=1))
-        if failing.size:
-            sigma = space.perms[start + int(failing[0])]
-            raise QappolyError(
-                f"an equation does not vanish on sigma = {sigma.one_line()}")
+    failing = nonvanishing_rows(equations, len(space.perms), space.rows)
+    if failing.size:
+        sigma = space.perms[int(failing[0])]
+        raise QappolyError(f"an equation does not vanish on sigma = {sigma.one_line()}")
 
 
-def _proven_affine_dim(space: VertexSpace, idx: np.ndarray,
-                       claim: RankCertificate, grow: bool) -> RankReport:
-    """Affine dimension of the vertices ``idx``, which ``claim``'s equations
-    bound from above, with a certificate when it reaches that bound.
+def _subset_reaching(space: VertexSpace, idx: np.ndarray,
+                     claim: RankCertificate, grow: bool) -> RankReport | None:
+    """Affine rank of a seeded subset of the vertices ``idx`` that reaches
+    ``claim``'s bound, with the claim as its certificate; None when none does.
 
-    A seeded subset of ``claim.bound + SUBSET_MARGIN + 1`` vertices goes
-    first, and one prime decides whether it reaches the bound before the
-    other primes are spent.  With ``grow`` each miss doubles the subset;
-    without, one miss ends the search.  The last resort is the full-set
-    vote of ``affine_dim``, certified only if it reaches the bound.
+    A subset of ``claim.bound + SUBSET_MARGIN + 1`` vertices goes first, and
+    one prime decides whether it reaches the bound before the other primes
+    are spent.  With ``grow`` each miss doubles the subset (up to the whole
+    set, exclusive); without, one miss ends the search.
     """
     bound = claim.bound
     rng = np.random.default_rng(SUBSET_SEED)
     size = bound + SUBSET_MARGIN + 1
-    report = None
-    while report is None and size < idx.size:
+    while size < idx.size:
         rows = space.rows(np.sort(rng.choice(idx, size, replace=False)))
         trial = rank_consensus(rows[1:] - rows[0], reach=bound,
                                column_dimension=triangle_dimension(space.n))
         if trial.consensus_rank is not None and trial.consensus_rank >= bound:
-            report, used = trial, size
-        size = size * 2 if grow else idx.size
-    if report is None:
-        report, used = affine_dim([space.perms[int(v)] for v in idx]), idx.size
-    if report.consensus_rank is not None and report.consensus_rank > bound:
+            return _within_claim(trial, claim, size)
+        if not grow:
+            return None
+        size *= 2
+    return None
+
+
+def _within_claim(report: RankReport, claim: RankCertificate,
+                  used: int) -> RankReport:
+    """Raise if a rank exceeds ``claim``'s bound; one that reaches it, from
+    ``used`` vertices and with no certificate yet, is proven by the claim."""
+    if report.consensus_rank is not None and report.consensus_rank > claim.bound:
         raise QappolyError(f"affine rank {report.consensus_rank} exceeds the "
-                           f"bound {bound} of the {claim.kind}")
-    if report.consensus_rank == bound:
+                           f"bound {claim.bound} of the {claim.kind}")
+    if report.consensus_rank == claim.bound and report.certificate is None:
         report.certificate = replace(claim, subset_rows=used)
     return report
+
+
+def _kernel_affine_dim(space: VertexSpace, idx: np.ndarray) -> RankReport | None:
+    """Affine dimension of the vertices ``idx`` proven by their lifted
+    kernel W at one prime, or None when no lift passes.
+
+    The vertices lie on the hyperplane where the diagonal sum is n, so
+    their affine dimension is one less than their linear rank,
+    columns - rows(W), which a seeded subset reaches mod the prime.
+    """
+    prime = PRIME_POOL[0]
+    kernel = lifted_kernel(space.rows(idx), prime)
+    if kernel is None:
+        return None
+    certificate = kernel.certificate()
+    return RankReport(row_count=certificate.subset_rows,
+                      column_dimension=triangle_dimension(space.n),
+                      ranks=[(prime, certificate.bound)],
+                      consensus_rank=certificate.bound, certificate=certificate)
 
 
 def proven_polytope_dim(space: VertexSpace, equations: np.ndarray) -> RankReport:
@@ -290,7 +311,11 @@ def proven_polytope_dim(space: VertexSpace, equations: np.ndarray) -> RankReport
                             equation_rows=equations.shape[0],
                             equation_rank=rank_mod_p(equations, prime),
                             prime=prime, subset_rows=0)
-    return _proven_affine_dim(space, np.arange(len(space.perms)), claim, grow=True)
+    report = _subset_reaching(space, np.arange(len(space.perms)), claim, grow=True)
+    if report is None:
+        # a full-set rank that reaches the bound proves it all the same
+        report = _within_claim(affine_dim(space.perms), claim, len(space.perms))
+    return report
 
 
 @lru_cache(maxsize=4)
@@ -315,7 +340,12 @@ def verify_facet(form: LinearForm, n: int, certify: bool = False) -> FacetReport
     """Decide facet-ness: valid everywhere and the tight vertices span an
     affine subspace of dimension exactly one less than the polytope's.
 
-    Both dimensions carry a certificate where a vertex subset proves them.
+    Both dimensions are proven where a certificate stands.  A valid form
+    with a vertex of positive slack bounds its tight set by dim(P) - 1, so a
+    tight subset that reaches that bound proves "facet" ("proper face").
+    Where it misses, or no vertex has positive slack, the tight set's lifted
+    kernel proves its dimension, "not facet" included ("lifted kernel");
+    only when no lift passes is the full tight set voted, uncertified.
     With ``certify`` both are full-set votes that fraction-free elimination
     must confirm instead.
     """
@@ -335,16 +365,22 @@ def verify_facet(form: LinearForm, n: int, certify: bool = False) -> FacetReport
         return FacetReport(verdict="not facet", n=n, tight_count=0,
                            polytope_dim=int(full.consensus_rank), tight_dim=-1,
                            polytope_rank=full, tight_rank=None)
-    if full.certificate is not None and slack.any():
+    tight_report = claim = None
+    if certify:
+        tight_report = affine_dim([space.perms[int(r)] for r in tight_rows],
+                                  certify=True)
+    elif full.certificate is not None and slack.any():
         # a vertex of positive slack: the form's equation, homogenised like
         # the hull equations, is independent of them, so dim <= dim(P) - 1
         claim = replace(full.certificate, kind="proper face",
                         equation_rows=full.certificate.equation_rows + 1,
                         equation_rank=full.certificate.equation_rank + 1)
-        tight_report = _proven_affine_dim(space, tight_rows, claim, grow=False)
-    else:
-        tight_report = affine_dim([space.perms[int(r)] for r in tight_rows],
-                                  certify=certify)
+        tight_report = _subset_reaching(space, tight_rows, claim, grow=False)
+    if tight_report is None:
+        tight_report = (_kernel_affine_dim(space, tight_rows)
+                        or affine_dim([space.perms[int(r)] for r in tight_rows]))
+        if claim is not None:
+            _within_claim(tight_report, claim, tight_rows.size)
     verdict = ("facet"
                if tight_report.consensus_rank == full.consensus_rank - 1
                else "not facet")
@@ -563,15 +599,18 @@ def check_s0_connectivity(n: int, pattern: MatchPattern) -> S0ConnectivityReport
 @dataclass
 class SpanReport:
     member: bool
-    votes: dict[int, bool]
+    votes: dict[int, bool]          # empty when the certificate decides
     generator_count: int
+    certificate: RankCertificate | None = None
 
 
 def check_span_membership(target, generators) -> SpanReport:
-    """Exact linear-span membership by modular consensus.
+    """Exact linear-span membership.
 
-    Equivalent to comparing rank(G) with rank(G + {target}): the target is
-    reduced against an echelon basis of the generators at each prime and
+    The generators' lifted kernel W cuts out their span over Q, so the
+    target is a member exactly when W·target = 0; the report carries W's
+    certificate.  When no lift passes, the target is reduced against an
+    echelon basis of the generators at each default prime instead, and
     membership requires a unanimous vote.
     """
     generators = list(generators)
@@ -589,7 +628,8 @@ def check_span_membership(target, generators) -> SpanReport:
             raise DimensionMismatchError("target and generators have mixed sizes")
         vec = space.rows([space.row_of(tp)])[0]
     member, votes = basis.contains(vec)
-    return SpanReport(member=member, votes=votes, generator_count=len(generators))
+    return SpanReport(member=member, votes=votes, generator_count=len(generators),
+                      certificate=basis.certificate)
 
 
 def _class_rows(space: VertexSpace, pattern: MatchPattern) -> dict[int, np.ndarray]:
@@ -616,6 +656,9 @@ class SpanLemmaReport:
     all_member: bool
     seed: int
     details: dict = field(default_factory=dict)
+    # one per generator set (per k in ascending order where there are
+    # several); None where membership was voted, not proven
+    certificates: list[RankCertificate | None] = field(default_factory=list)
 
 
 def _sample_span_lemma(lemma: str, space: VertexSpace, generators, draw,
@@ -624,7 +667,9 @@ def _sample_span_lemma(lemma: str, space: VertexSpace, generators, draw,
 
     ``generators`` holds the vertex rows spanning the targets, or a dict of
     them per class k, cycled through sample by sample and reported as
-    samples per k.  ``draw(rng, k)`` returns a target vector.
+    samples per k.  ``draw(rng, k)`` returns a target vector.  Each
+    generator set's certificate, where its lifted kernel stands, makes every
+    verdict against it exact.
     """
     per_k = isinstance(generators, dict)
     bases = {k: ModularSpanBasis(space.rows(rows))
@@ -640,7 +685,8 @@ def _sample_span_lemma(lemma: str, space: VertexSpace, generators, draw,
     return SpanLemmaReport(lemma=lemma, n=space.n, samples=samples,
                            member_count=member_count,
                            all_member=member_count == samples, seed=seed,
-                           details={"samples_per_k": counts} if per_k else {})
+                           details={"samples_per_k": counts} if per_k else {},
+                           certificates=[basis.certificate for basis in bases.values()])
 
 
 def verify_skasnxt4(n: int, pattern: MatchPattern | None = None, samples: int = 200,

@@ -1,15 +1,24 @@
-"""Exact rank computation via modular arithmetic at several large primes.
+"""Exact ranks and spans over Q from modular arithmetic at large primes.
 
 A rank mod p never exceeds the rank over Q and equals it for all but
-finitely many primes.  ``rank_consensus`` reduces a matrix modulo >= 3
-independent 31-bit primes from a vetted pool and reports their agreed rank
-(escalating to 5 primes on any disagreement, which has never been observed
-for these 0/+-1 matrices).  A vote is strong evidence, not a proof; a proof
-comes from a matching upper bound, which the geometry layer supplies from
-integer equations and records as a ``RankCertificate``.  With ``reach``, the
-first prime alone decides whether a matrix reaches such a bound before the
-other primes are spent.  A fraction-free (Bareiss) integer elimination is
-available for certification runs; it is exact but slower.
+finitely many primes.  Two routes turn that into a proof:
+
+* a matching upper bound from integer equations that vanish on every point
+  (the geometry layer's affine-hull equations, recorded as a
+  ``RankCertificate``);
+* ``lifted_kernel``: reduce a seeded subset of the points mod one prime to
+  reduced row-echelon form, read off its kernel, lift it to integers
+  (rational reconstruction where a lift is not small), and check the
+  integer kernel exactly on every point.  It then cuts out the points' span
+  over Q, so it proves their rank and decides span membership exactly.
+
+A failed lift or check gives no certificate, never a false one; callers
+then fall back to ``rank_consensus``, a vote at three 31-bit primes from a
+vetted pool ("inconclusive" when they split), which is strong evidence but
+not a proof.  With ``reach``, the first prime alone decides whether a matrix
+reaches a bound before the other primes are spent.  A fraction-free
+(Bareiss) integer elimination is available for certification runs; it is
+exact but slower.
 
 Callers hand in signed integer matrices of any width (the vertex layer
 passes int8 rows and differences); each elimination widens its own reduced
@@ -21,6 +30,7 @@ products of two residues fit in int64.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +43,16 @@ PRIME_POOL = (
     2147483549, 2147483543, 2147483497, 2147483489, 2147483477,
 )
 DEFAULT_PRIME_COUNT = 3
-ESCALATED_PRIME_COUNT = 5
+# Point rows per block when checking integer equations; float64 products
+# are exact while every partial sum is an integer below 2**53.
+EQUATION_CHECK_ROWS = 1024
+FLOAT_EXACT = 2 ** 53
+# A kernel subset stops growing once its last chunk of seeded rows held this
+# many rows dependent on the earlier ones; the seed of that draw; and the
+# rounds in which points the lifted kernel misses join the subset.
+KERNEL_MARGIN = 32
+KERNEL_SEED = 0
+KERNEL_ROUNDS = 4
 
 
 @dataclass(frozen=True)
@@ -46,7 +65,8 @@ class RankCertificate:
     most columns - equation_rank dimensions linearly, and one less affinely
     (they lie on a hyperplane off the origin).  From below: the affine rank
     of ``subset_rows`` of the points, reduced mod ``prime``, reaches that
-    ``bound``.  ``kind`` names where the equations come from.
+    ``bound``.  ``kind`` names where the equations come from:
+    "affine-hull equations", "proper face" or "lifted kernel".
     """
 
     kind: str
@@ -63,7 +83,7 @@ class RankCertificate:
 
 @dataclass
 class RankReport:
-    """Outcome of a multi-prime rank computation.
+    """Outcome of a rank computation.
 
     ``consensus_rank`` is set only when every prime agrees; otherwise the
     status is "inconclusive", or "short" when a ``reach`` was missed.
@@ -132,12 +152,10 @@ def _strip_zero_columns(matrix: np.ndarray) -> np.ndarray:
 
 
 def _prime_vote(at) -> tuple[dict[int, object], object]:
-    """Evaluate ``at(p)`` at the default primes, and at the escalated ones
-    as well when those split.  Returns the value per prime and the
-    unanimous value, or None when the primes disagree."""
+    """Evaluate ``at(p)`` at the default primes.  Returns the value per
+    prime and the unanimous value, or None when the primes disagree (the
+    values are deterministic, so more primes could not settle a split)."""
     votes = {p: at(p) for p in PRIME_POOL[:DEFAULT_PRIME_COUNT]}
-    if len(set(votes.values())) > 1:
-        votes |= {p: at(p) for p in PRIME_POOL[DEFAULT_PRIME_COUNT:ESCALATED_PRIME_COUNT]}
     values = set(votes.values())
     return votes, values.pop() if len(values) == 1 else None
 
@@ -146,10 +164,9 @@ def rank_consensus(matrix: np.ndarray, column_dimension: int | None = None,
                    reach: int | None = None) -> RankReport:
     """Rank of an integer matrix by modular consensus.
 
-    Disagreement escalates once to 5 primes; if the escalated set still
-    disagrees the report is marked inconclusive.  With ``reach``, a first
-    prime whose rank falls short of it ends the vote: the report holds that
-    one rank, no consensus and the status "short".
+    If the default primes disagree the report is marked inconclusive.  With
+    ``reach``, a first prime whose rank falls short of it ends the vote: the
+    report holds that one rank, no consensus and the status "short".
     """
     rows, cols = matrix.shape
     report = RankReport(row_count=rows,
@@ -171,17 +188,222 @@ def rank_consensus(matrix: np.ndarray, column_dimension: int | None = None,
     return report
 
 
+# ---------------------------------------------------------------------------
+# lifted kernels
+
+
+@dataclass(frozen=True)
+class LiftedKernel:
+    """Integer equations W that vanish exactly on every point of a set.
+
+    W has one row per free column of a seeded subset's echelon form mod
+    ``prime``; on the free columns it is diagonal with nonzero entries, so
+    its rank over Q is its row count.  The points therefore span at most
+    columns - rows(W) dimensions over Q, and the subset's rank mod
+    ``prime`` is exactly that number: span_Q(points) = ker_Q(W).
+    """
+
+    equations: np.ndarray   # int64, |entries| * columns below 2**53
+    prime: int
+    subset_rows: int
+
+    @property
+    def rank(self) -> int:
+        """The points' linear rank over Q."""
+        rows, columns = self.equations.shape
+        return columns - rows
+
+    def certificate(self) -> RankCertificate:
+        rows, columns = self.equations.shape
+        return RankCertificate(kind="lifted kernel", columns=columns,
+                               equation_rows=rows, equation_rank=rows,
+                               prime=self.prime, subset_rows=self.subset_rows)
+
+    def annihilates(self, vector: np.ndarray) -> bool:
+        """Whether W·vector = 0 exactly, i.e. whether the vector lies in the
+        points' span over Q."""
+        vector = np.asarray(vector)
+        if vector.shape != (self.equations.shape[1],):
+            raise QappolyError(f"vector has shape {vector.shape}, expected "
+                               f"({self.equations.shape[1]},)")
+        if not self.equations.size:
+            return True
+        largest = _magnitude(self.equations) * _magnitude(vector)
+        if largest * vector.size < 2 ** 63:
+            return not (self.equations @ vector.astype(np.int64)).any()
+        return not (self.equations.astype(object) @ vector.astype(object)).any()
+
+
+def _magnitude(matrix: np.ndarray) -> int:
+    """Largest absolute entry, as a Python int (no int8 wrap-around)."""
+    return max(int(matrix.max(initial=0)), -int(matrix.min(initial=0)))
+
+
+def _extend_echelon(echelon: np.ndarray, rows: np.ndarray, p: int):
+    """Echelon form mod p of the echelon rows plus new integer rows; rows
+    already in echelon form cost one pass over their pivots."""
+    rank, pivots, reduced = _echelonize_mod_p(np.vstack([echelon, rows]), p)
+    return rank, pivots, reduced.copy()
+
+
+def _kernel_mod_p(pivots: list[int], echelon: np.ndarray, p: int):
+    """Kernel basis mod p of the echelon rows' span, one vector per free
+    column: 1 there, 0 at the other free columns.  Returns the basis and
+    the free columns.
+
+    Back-substitution brings the free part of the rows to reduced
+    row-echelon form.  The pivot part is unit upper triangular, and
+    clearing pivot column i from the rows above leaves its columns j < i
+    as they are, so they are read from the echelon rows throughout.
+    """
+    cols = echelon.shape[1]
+    free = np.setdiff1d(np.arange(cols), pivots)
+    upper = echelon[:, pivots]
+    solved = echelon[:, free].copy()
+    # row i is zero at the free columns before its pivot
+    starts = np.searchsorted(free, pivots)
+    for i in range(len(pivots) - 1, 0, -1):
+        above = np.flatnonzero(upper[:i, i])
+        if above.size:
+            s = starts[i]
+            block = solved[above, s:]
+            block -= upper[above, i, None] * solved[i, s:]
+            block %= p
+            solved[above, s:] = block
+    kernel = np.zeros((free.size, cols), dtype=np.int64)
+    kernel[np.arange(free.size), free] = 1
+    kernel[:, pivots] = (p - solved.T) % p
+    return kernel, free
+
+
+def _rational_reconstruction(residues: np.ndarray, p: int):
+    """The fractions n/d with |n|, d <= sqrt(p/2) and n = residue·d mod p,
+    one per residue (Wang, SYMSAC 1981; von zur Gathen and Gerhard, Modern
+    Computer Algebra, §5.10), as (numerators, denominators); None when
+    some residue has none.  The extended Euclidean remainder sequence of
+    (p, residue) runs for all residues at once."""
+    bound = math.isqrt(p // 2)
+    r0, r1 = np.full_like(residues, p), residues.copy()
+    t0, t1 = np.zeros_like(residues), np.ones_like(residues)
+    active = np.flatnonzero(r1 > bound)
+    while active.size:
+        q = r0[active] // r1[active]
+        r0[active], r1[active] = r1[active], r0[active] - q * r1[active]
+        t0[active], t1[active] = t1[active], t0[active] - q * t1[active]
+        active = active[r1[active] > bound]
+    if (np.abs(t1) > bound).any():
+        return None
+    sign = np.sign(t1)
+    return r1 * sign, t1 * sign
+
+
+def _lift(kernel: np.ndarray, p: int, limit: int) -> np.ndarray | None:
+    """Integer rows, each a multiple of its kernel row mod p, with every
+    entry below ``limit`` in magnitude; None when no such lift is found.
+
+    Each residue is lifted to (-p/2, p/2]; where that is not small a
+    fraction is reconstructed, and each row is scaled by the lcm of its
+    denominators."""
+    lifted = np.where(kernel > p // 2, kernel - p, kernel)
+    large = np.abs(lifted) > math.isqrt(p // 2)
+    if not large.any():
+        return lifted if np.abs(lifted).max(initial=0) < limit else None
+    fractions = _rational_reconstruction(kernel[large], p)
+    if fractions is None:
+        return None
+    numerators, denominators = lifted.copy(), np.ones_like(lifted)
+    numerators[large], denominators[large] = fractions
+    for r in np.flatnonzero((denominators > 1).any(axis=1)):
+        lcm = math.lcm(*np.unique(denominators[r]).tolist())
+        if lcm >= limit:
+            return None
+        scale = lcm // denominators[r]
+        if (np.abs(numerators[r]) * scale.astype(np.float64)).max() >= limit:
+            return None
+        numerators[r] *= scale
+    return numerators if np.abs(numerators).max(initial=0) < limit else None
+
+
+def nonvanishing_rows(equations: np.ndarray, count: int, rows) -> np.ndarray:
+    """Indices below ``count`` of the points on which some equation is
+    nonzero, exactly.  ``rows(idx)`` gives the integer points at the indices
+    ``idx``; they are checked in float64 blocks of ``EQUATION_CHECK_ROWS``,
+    whose partial sums stay integers below 2**53."""
+    transposed = equations.T.astype(np.float64)
+    failing = [start + np.flatnonzero(
+        (rows(np.arange(start, min(count, start + EQUATION_CHECK_ROWS)))
+         .astype(np.float64) @ transposed).any(axis=1))
+        for start in range(0, count, EQUATION_CHECK_ROWS)]
+    return np.concatenate(failing) if failing else np.zeros(0, dtype=np.int64)
+
+
+def lifted_kernel(points: np.ndarray, p: int) -> LiftedKernel | None:
+    """Integer equations cutting out the span of ``points`` over Q, checked
+    exactly on every point, or None when no lift passes.
+
+    Seeded rows of ``points`` join a subset chunk by chunk (doubling while
+    every row is independent) until a chunk holds ``KERNEL_MARGIN`` rows
+    dependent on the rest.  The subset's kernel mod p is lifted to integers
+    and checked on every point; for up to ``KERNEL_ROUNDS`` rounds the
+    points it misses join the subset and the kernel is lifted again.
+    """
+    if points.ndim != 2:
+        raise QappolyError("point matrix must be 2-dimensional")
+    count, cols = points.shape
+    limit = FLOAT_EXACT // (max(cols, 1) * max(_magnitude(points), 1))
+    order = np.random.default_rng(KERNEL_SEED).permutation(count)
+    echelon = np.zeros((0, cols), dtype=np.int64)
+    pivots: list[int] = []
+    taken, chunk = 0, 2 * KERNEL_MARGIN
+    while taken < count:
+        new = order[taken:taken + chunk]
+        before = len(pivots)
+        rank, pivots, echelon = _extend_echelon(echelon, points[new], p)
+        taken += new.size
+        if new.size - (rank - before) >= KERNEL_MARGIN:
+            break
+        chunk = taken if rank - before == new.size else 2 * KERNEL_MARGIN
+    for _ in range(KERNEL_ROUNDS):
+        kernel, free = _kernel_mod_p(pivots, echelon, p)
+        equations = _lift(kernel, p, limit)
+        # on the free columns W must be diagonal with nonzero entries: that
+        # is what makes its rank over Q its row count
+        if equations is None or not np.array_equal(
+                equations[:, free] != 0, np.eye(free.size, dtype=bool)):
+            return None
+        missed = nonvanishing_rows(equations, len(points), points.__getitem__)
+        if not missed.size:
+            return LiftedKernel(equations=equations, prime=p, subset_rows=taken)
+        # a missed point lies outside the subset's span, so it adds rank
+        missed = missed[:2 * KERNEL_MARGIN]
+        _, pivots, echelon = _extend_echelon(echelon, points[missed], p)
+        taken += missed.size
+    return None
+
+
 class ModularSpanBasis:
-    """Echelon bases of a fixed generator span at several primes, reused
-    across many membership queries."""
+    """Membership in the span of fixed generators, decided for many vectors.
+
+    ``__init__`` builds ``lifted_kernel(generators)``; its equations cut out
+    the generators' span over Q, so ``contains`` decides membership exactly
+    by checking them on the vector, and ``certificate`` records the proof.
+    When no lift passes, echelon bases are built at the default primes and
+    ``contains`` falls back to their vote, without a certificate.
+    """
 
     def __init__(self, generators: np.ndarray):
         if generators.ndim != 2:
             raise QappolyError("generator matrix must be 2-dimensional")
         self._generators = generators
         self._bases: dict[int, tuple[list[int], np.ndarray]] = {}
-        for p in PRIME_POOL[:DEFAULT_PRIME_COUNT]:
-            self._build(p)
+        self.kernel = lifted_kernel(generators, PRIME_POOL[0])
+        if self.kernel is None:
+            for p in PRIME_POOL[:DEFAULT_PRIME_COUNT]:
+                self._build(p)
+
+    @property
+    def certificate(self) -> RankCertificate | None:
+        return self.kernel and self.kernel.certificate()
 
     @property
     def primes(self) -> tuple[int, ...]:
@@ -204,9 +426,9 @@ class ModularSpanBasis:
                 v %= p
         return not v.any()
 
-    def contains(self, vector: np.ndarray) -> tuple[bool, dict[int, bool]]:
-        """Consensus membership verdict plus the per-prime verdicts; raises
-        when the primes disagree."""
+    def vote(self, vector: np.ndarray) -> tuple[bool, dict[int, bool]]:
+        """Consensus membership verdict at the default primes plus the
+        per-prime verdicts; raises when the primes disagree."""
         def at(p: int) -> bool:
             self._build(p)
             return self.contains_mod_p(vector, p)
@@ -216,6 +438,13 @@ class ModularSpanBasis:
             raise QappolyError(
                 f"span membership disagreement across primes: {votes}")
         return member, votes
+
+    def contains(self, vector: np.ndarray) -> tuple[bool, dict[int, bool]]:
+        """Membership verdict plus the per-prime votes behind it: exact, with
+        no votes, when the lifted kernel stands; else ``vote``."""
+        if self.kernel is not None:
+            return self.kernel.annihilates(vector), {}
+        return self.vote(vector)
 
 
 def rank_exact_rational(matrix: np.ndarray) -> int:

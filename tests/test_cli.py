@@ -276,3 +276,17 @@ def test_verify_slack_reuses_the_cached_vertex_space():
     misses = vertex_space.cache_info().misses
     assert main(["verify-slack", "--family", "qap1", "--n", "6", "--limit", "1"]) == 0
     assert vertex_space.cache_info().misses == misses
+
+
+def test_verify_slack_counts_a_per_vertex_formula_off_by_one(monkeypatch, tmp_path):
+    from qappoly import cli
+
+    scalar = cli.closed_form_slack
+    monkeypatch.setattr(cli, "closed_form_slack",
+                        lambda *args, **kwargs: scalar(*args, **kwargs) + 1)
+    out = tmp_path / "slack.json"
+    code = main(["verify-slack", "--family", "qap1", "--n", "5", "--limit", "6",
+                 "--json", str(out)])
+    details = json.loads(out.read_text())["verdicts"][0]["details"]
+    assert code == 1
+    assert (details["forms"], details["mismatches"]) == (6, 6 * 120)

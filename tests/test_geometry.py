@@ -204,11 +204,20 @@ def test_s0_vacuous():
 # span membership
 
 
-def test_span_membership_of_generator():
+def test_span_membership_of_generator(monkeypatch):
+    from qappoly import modrank
+
     gens = [Permutation.identity(5), Permutation((2, 1, 3, 4, 5)),
             Permutation((1, 3, 2, 4, 5))]
     report = check_span_membership(gens[1], gens)
     assert report.member
+    assert report.certificate.kind == "lifted kernel"
+    assert report.certificate.equation_rows == report.certificate.columns - 3
+    assert report.votes == {}
+    # with no lift, the verdict is a vote
+    monkeypatch.setattr(modrank, "lifted_kernel", lambda points, p: None)
+    report = check_span_membership(gens[1], gens)
+    assert report.member and report.certificate is None
     assert len(report.votes) >= 3 and all(report.votes.values())
 
 
@@ -380,6 +389,14 @@ def test_an_empty_tight_set_is_not_a_facet():
     assert report.tight_rank is None
 
 
+@pytest.fixture
+def no_lift(monkeypatch):
+    """Make every lifted kernel fail, so tight dimensions are voted."""
+    from qappoly import geometry
+
+    monkeypatch.setattr(geometry, "lifted_kernel", lambda points, p: None)
+
+
 def test_a_form_tight_everywhere_is_not_a_facet():
     from qappoly.geometry import verify_facet
     from qappoly.inequalities import LinearForm
@@ -388,7 +405,18 @@ def test_a_form_tight_everywhere_is_not_a_facet():
     assert report.verdict == "not facet"
     assert report.tight_count == 120
     assert report.tight_dim == report.polytope_dim == 77
+    certificate = report.tight_rank.certificate
+    assert certificate.kind == "lifted kernel" and certificate.bound == 77
+
+
+def test_a_form_tight_everywhere_is_voted_without_a_lift(no_lift):
+    from qappoly.geometry import verify_facet
+    from qappoly.inequalities import LinearForm
+
+    report = verify_facet(LinearForm(n=5, positions=(), coeffs=(), rhs=0, sense="<="), 5)
+    assert report.tight_dim == report.polytope_dim == 77
     assert report.tight_rank.certificate is None
+    assert len(report.tight_rank.ranks) == 3
 
 
 def test_a_valid_only_qap5_form_keeps_its_tight_dim():
@@ -398,7 +426,39 @@ def test_a_valid_only_qap5_form_keeps_its_tight_dim():
     form = build_qap5(Qap5Params(n=5, beta=0, coeffs={(1, 1): 1, (2, 2): -1}))
     report = verify_facet(form, 5)
     assert (report.verdict, report.tight_count, report.tight_dim) == ("not facet", 102, 72)
+    certificate = report.tight_rank.certificate
+    assert certificate.kind == "lifted kernel" and certificate.bound == 72
+    assert certificate.subset_rows <= 102
+
+
+def test_a_valid_only_qap5_form_is_voted_without_a_lift(no_lift):
+    from qappoly.geometry import verify_facet
+    from qappoly.inequalities import Qap5Params, build_qap5
+
+    form = build_qap5(Qap5Params(n=5, beta=0, coeffs={(1, 1): 1, (2, 2): -1}))
+    report = verify_facet(form, 5)
+    assert (report.verdict, report.tight_count, report.tight_dim) == ("not facet", 102, 72)
     assert report.tight_rank.certificate is None
+
+
+def test_a_flipped_lift_entry_falls_back_to_the_tight_vote(monkeypatch):
+    from qappoly import modrank
+    from qappoly.geometry import verify_facet
+    from qappoly.inequalities import Qap5Params, build_qap5
+
+    lift = modrank._lift
+
+    def flipped(kernel, p, limit):
+        equations = lift(kernel, p, limit)
+        equations[0, 0] += 1   # column 0 is the cell (1,1), set on some vertex
+        return equations
+
+    monkeypatch.setattr(modrank, "_lift", flipped)
+    form = build_qap5(Qap5Params(n=5, beta=0, coeffs={(1, 1): 1, (2, 2): -1}))
+    report = verify_facet(form, 5)
+    assert report.tight_dim == 72
+    assert report.tight_rank.certificate is None
+    assert len(report.tight_rank.ranks) == 3
 
 
 def test_the_n7_facet_is_proven_without_a_full_vertex_elimination(monkeypatch):
@@ -422,3 +482,51 @@ def test_the_n7_facet_is_proven_without_a_full_vertex_elimination(monkeypatch):
     assert report.tight_rank.certificate.kind == "proper face"
     assert len(report.tight_rank.ranks) >= 3
     assert shapes and max(rows for rows, _ in shapes) <= 1100
+
+
+def test_the_n7_not_facet_is_proven_by_a_lifted_kernel(monkeypatch):
+    from qappoly import geometry, modrank
+    from qappoly.inequalities import Qap3Params, build_qap3
+
+    shapes = []
+    original = modrank._echelonize_mod_p
+
+    def recording(matrix, p):
+        shapes.append(matrix.shape)
+        return original(matrix, p)
+
+    monkeypatch.setattr(modrank, "_echelonize_mod_p", recording)
+    geometry.polytope_affine_dim.cache_clear()
+    form = build_qap3(Qap3Params(n=7, p1_set=(1, 2), p2_set=(3,), q_set=(1, 2, 3), beta=1))
+    report = geometry.verify_facet(form, 7)
+    assert (report.verdict, report.polytope_dim, report.tight_dim,
+            report.tight_count) == ("not facet", 457, 454, 3600)
+    certificate = report.tight_rank.certificate
+    assert certificate.kind == "lifted kernel" and certificate.bound == 454
+    assert shapes and max(rows for rows, _ in shapes) <= 1100
+
+
+def test_certified_span_verdicts_match_the_vote_at_n6(monkeypatch):
+    # every sampled target of criterion 07, at n=6, is a member; the same
+    # target with one coordinate raised is (almost always) not
+    from qappoly.geometry import verify_s3ss0, verify_skasnxt4, verify_szeroins
+    from qappoly.modrank import ModularSpanBasis
+
+    verdicts = []
+    contains = ModularSpanBasis.contains
+
+    def both(self, vector):
+        assert self.certificate is not None
+        raised = vector.astype(np.int64)
+        raised[len(verdicts) % vector.size] += 1
+        for target in (vector, raised):
+            verdicts.append((contains(self, target)[0], self.vote(target)[0]))
+        return contains(self, vector)
+
+    monkeypatch.setattr(ModularSpanBasis, "contains", both)
+    for verify, seed in ((verify_skasnxt4, 1), (verify_s3ss0, 2), (verify_szeroins, 3)):
+        assert verify(6, samples=200, seed=seed).all_member
+    assert len(verdicts) == 2 * 600
+    assert all(certified == voted for certified, voted in verdicts)
+    members = sum(certified for certified, _ in verdicts)
+    assert 600 <= members < len(verdicts)
