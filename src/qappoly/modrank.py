@@ -25,6 +25,18 @@ passes int8 rows and differences); each elimination widens its own reduced
 copy to int64 once.  The primes are reduced one after another, so at most
 one reduced copy is alive at a time.  All primes are below 2**31 so
 products of two residues fit in int64.
+
+The elimination is blocked (Dumas, Giorgi and Pernet, ACM TOMS 2008).  It
+factors ``PANEL`` = 64 columns at a time with one rank-1 update per pivot,
+confined to the panel, then clears the panel from the rows below with one
+matrix product mod p.  That product splits each multiplier into its high
+15 and low 16 bits, so both halves are float64 matmuls whose sums of 64
+products stay integers below 2**53: exact in any summation order.  Only
+rows with a nonzero multiplier are updated, ``EQUATION_CHECK_ROWS`` at a
+time, so beyond the reduced copy the temporaries stay a few blocks of that
+many rows.  The pivots and echelon rows are those of the unblocked loop:
+echelon pivots are the column rank profile, whatever the order of updates
+(Jeannerod, Pernet and Storjohann, JSC 2013).
 """
 
 from __future__ import annotations
@@ -47,6 +59,12 @@ DEFAULT_PRIME_COUNT = 3
 # are exact while every partial sum is an integer below 2**53.
 EQUATION_CHECK_ROWS = 1024
 FLOAT_EXACT = 2 ** 53
+# Columns per panel of the blocked elimination, and so the inner dimension
+# of every ``_matmul_mod_p``.  That helper multiplies the low 16 bits of one
+# residue by another residue: each product is below 2**16 * p and a sum of
+# PANEL of them stays below 2**53, so float64 matmul is exact in any order.
+PANEL = 64
+assert PANEL * (2 ** 16 - 1) * (max(PRIME_POOL) - 1) < FLOAT_EXACT
 # A kernel subset stops growing once its last chunk of seeded rows held this
 # many rows dependent on the earlier ones; the seed of that draw; and the
 # rounds in which points the lifted kernel misses join the subset.
@@ -102,39 +120,140 @@ class RankReport:
         return tuple(p for p, _ in self.ranks)
 
 
+def _reduce(x: np.ndarray, p: int) -> None:
+    """x mod p, in place.  numpy divides int64 by a scalar several times
+    faster than it takes the remainder, so the remainder is x - (x // p)·p."""
+    q = x // p
+    q *= p
+    x -= q
+
+
+def _rank_one_update(target: np.ndarray, multipliers: np.ndarray,
+                     row: np.ndarray, p: int) -> None:
+    """target -= multipliers ⊗ row mod p, in place, on the rows with a
+    nonzero multiplier: one pivot of the unblocked elimination."""
+    tgt = np.nonzero(multipliers)[0]
+    if tgt.size:
+        block = target[tgt]
+        block -= multipliers[tgt, None] * row
+        _reduce(block, p)
+        target[tgt] = block
+
+
+def _matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for residues in [0, p) and at most ``PANEL`` columns of a.
+
+    a = 2**16·a_hi + a_lo with a_hi < 2**15 and a_lo < 2**16; each half
+    times b is one float64 matmul, exact by the bound stated at ``PANEL``.
+    The halves meet in int64 as ((a_hi @ b mod p)·2**16 + a_lo @ b) mod p,
+    whose sum stays below 2**54.
+    """
+    assert a.shape[1] <= PANEL
+    b = b.astype(np.float64)
+    out = ((a >> 16).astype(np.float64) @ b).astype(np.int64)
+    _reduce(out, p)
+    out <<= 16
+    out += ((a & 0xFFFF).astype(np.float64) @ b).astype(np.int64)
+    _reduce(out, p)
+    return out
+
+
+def _subtract_product(target: np.ndarray, multipliers: np.ndarray,
+                      rows: np.ndarray, p: int) -> None:
+    """target -= multipliers @ rows mod p, in place, for residues in [0, p).
+
+    Only the target rows with a nonzero multiplier and the columns where
+    some row is nonzero are touched, ``EQUATION_CHECK_ROWS`` rows at a time,
+    so the temporaries stay within a few blocks of that many rows.
+    """
+    active = np.flatnonzero(multipliers.any(axis=1))
+    used = np.flatnonzero(rows.any(axis=0))
+    rows = rows[:, used]
+    for start in range(0, active.size, EQUATION_CHECK_ROWS):
+        some = active[start:start + EQUATION_CHECK_ROWS]
+        idx = np.ix_(some, used)
+        block = target[idx]
+        block -= _matmul_mod_p(multipliers[some], rows, p)
+        _reduce(block, p)
+        target[idx] = block
+
+
+def _factor_panel(panel: np.ndarray, p: int):
+    """Unblocked elimination mod p of a panel of columns, in place.
+
+    Rows are swapped when a pivot needs it, each pivot row is scaled to a
+    leading 1, and the rows below it are cleared right of the pivot.  As in
+    LAPACK's getrf, the pivot column below each pivot keeps the multipliers
+    it cleared with (the L factor).  Returns the panel's rows in their new
+    order, the pivot columns and the pivots' inverses.
+    """
+    height, width = panel.shape
+    order = np.arange(height)
+    local: list[int] = []
+    inverses: list[int] = []
+    r = 0
+    for c in range(width):
+        if r == height:
+            break
+        nz = np.nonzero(panel[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            panel[[r, pr]] = panel[[pr, r]]
+            order[[r, pr]] = order[[pr, r]]
+        inv = pow(int(panel[r, c]), p - 2, p)
+        panel[r, c:] = (panel[r, c:] * inv) % p
+        _rank_one_update(panel[r + 1:, c + 1:], panel[r + 1:, c], panel[r, c + 1:], p)
+        local.append(c)
+        inverses.append(inv)
+        r += 1
+    return order, local, inverses
+
+
 def _echelonize_mod_p(matrix: np.ndarray, p: int):
     """Row-reduce an integer matrix mod p, on a reduced int64 copy.
 
     Returns (rank, pivot columns, echelon rows): each echelon row has a
     leading 1 at its pivot column and zeros in earlier columns, which is
     all that membership reduction needs.
+
+    The elimination is right-looking and blocked, ``PANEL`` columns at a
+    time.  ``_factor_panel`` picks the panel's pivots on a copy of its
+    remaining rows, and the whole matrix takes the panel's row order once.
+    Forward substitution carries the k <= PANEL pivots to the new pivot
+    rows' trailing columns, and one ``_subtract_product`` clears the panel
+    from the rows below.  The pivots, rows and row swaps are those of the
+    unblocked loop, column by column; only when each update lands differs.
     """
     # an np.int64 modulus: numpy 2 rejects a Python int above the input dtype
     m = np.ascontiguousarray(np.mod(matrix, np.int64(p)))
     rows, cols = m.shape
     r = 0
     pivots: list[int] = []
-    for c in range(cols):
+    for c0 in range(0, cols, PANEL):
         if r == rows:
             break
-        col = m[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
+        c1 = min(c0 + PANEL, cols)
+        panel = m[r:, c0:c1].copy()
+        order, local, inverses = _factor_panel(panel, p)
+        k = len(local)
+        if k == 0:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r, c:] = (m[r, c:] * inv) % p
-        below = m[r + 1:, c]
-        tgt = np.nonzero(below)[0]
-        if tgt.size:
-            block = m[r + 1 + tgt, c:]
-            block -= below[tgt, None] * m[r, c:]
-            block %= p
-            m[r + 1 + tgt, c:] = block
-        pivots.append(c)
-        r += 1
+        moved = np.flatnonzero(order != np.arange(order.size))
+        m[r + moved] = m[r + order[moved]]
+        upper = m[r:r + k, c1:]
+        for j, (c, inv) in enumerate(zip(local, inverses)):
+            upper[j] = (upper[j] * inv) % p
+            _rank_one_update(upper[j + 1:], panel[j + 1:k, c], upper[j], p)
+        _subtract_product(m[r + k:, c1:], panel[k:, local], upper, p)
+        # the pivot rows: zeros before each pivot, the multipliers dropped
+        head = panel[:k]
+        head[np.arange(c1 - c0) < np.array(local)[:, None]] = 0
+        m[r:r + k, :c0] = 0
+        m[r:r + k, c0:c1] = head
+        pivots += [c0 + c for c in local]
+        r += k
     return r, pivots, m[:r]
 
 
@@ -252,9 +371,13 @@ def _kernel_mod_p(pivots: list[int], echelon: np.ndarray, p: int):
     the free columns.
 
     Back-substitution brings the free part of the rows to reduced
-    row-echelon form.  The pivot part is unit upper triangular, and
-    clearing pivot column i from the rows above leaves its columns j < i
-    as they are, so they are read from the echelon rows throughout.
+    row-echelon form: it solves U·X = F, where U, the pivot part, is unit
+    upper triangular and F is the free part.  It runs ``PANEL`` pivots at a
+    time from the last: the block's rows are solved among themselves, one
+    pivot at a time, and one ``_subtract_product`` clears the block's pivot
+    columns from every row above it.  Clearing pivot column i leaves the
+    columns j < i of the rows above as they are, so U is read from the
+    echelon rows throughout.
     """
     cols = echelon.shape[1]
     free = np.setdiff1d(np.arange(cols), pivots)
@@ -262,14 +385,13 @@ def _kernel_mod_p(pivots: list[int], echelon: np.ndarray, p: int):
     solved = echelon[:, free].copy()
     # row i is zero at the free columns before its pivot
     starts = np.searchsorted(free, pivots)
-    for i in range(len(pivots) - 1, 0, -1):
-        above = np.flatnonzero(upper[:i, i])
-        if above.size:
+    for b0 in range((len(pivots) - 1) // PANEL * PANEL, -1, -PANEL):
+        b1 = min(b0 + PANEL, len(pivots))
+        for i in range(b1 - 1, b0, -1):
             s = starts[i]
-            block = solved[above, s:]
-            block -= upper[above, i, None] * solved[i, s:]
-            block %= p
-            solved[above, s:] = block
+            _rank_one_update(solved[b0:i, s:], upper[b0:i, i], solved[i, s:], p)
+        s = starts[b0]
+        _subtract_product(solved[:b0, s:], upper[:b0, b0:b1], solved[b0:b1, s:], p)
     kernel = np.zeros((free.size, cols), dtype=np.int64)
     kernel[np.arange(free.size), free] = 1
     kernel[:, pivots] = (p - solved.T) % p

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -170,3 +172,189 @@ def test_a_lift_short_of_full_row_rank_is_no_proof(monkeypatch):
     points = vertex_space(4).rows(range(24))
     monkeypatch.setattr(modrank, "_lift", repeated)
     assert lifted_kernel(points, PRIME_POOL[0]) is None
+
+
+# ---------------------------------------------------------------------------
+# blocked elimination
+
+
+def unblocked_echelon(matrix, p):
+    """Reference oracle: the elimination before it was blocked, one gathered
+    rank-1 update of the rows below per pivot, over all remaining columns."""
+    m = np.ascontiguousarray(np.mod(matrix, np.int64(p)))
+    rows, cols = m.shape
+    r = 0
+    pivots = []
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+        inv = pow(int(m[r, c]), p - 2, p)
+        m[r, c:] = (m[r, c:] * inv) % p
+        below = m[r + 1:, c]
+        tgt = np.nonzero(below)[0]
+        if tgt.size:
+            block = m[r + 1 + tgt, c:]
+            block -= below[tgt, None] * m[r, c:]
+            block %= p
+            m[r + 1 + tgt, c:] = block
+        pivots.append(c)
+        r += 1
+    return r, pivots, m[:r]
+
+
+def unblocked_kernel(pivots, echelon, p):
+    """Reference oracle: back-substitution one pivot column at a time."""
+    cols = echelon.shape[1]
+    free = np.setdiff1d(np.arange(cols), pivots)
+    upper = echelon[:, pivots]
+    solved = echelon[:, free].copy()
+    starts = np.searchsorted(free, pivots)
+    for i in range(len(pivots) - 1, 0, -1):
+        above = np.flatnonzero(upper[:i, i])
+        if above.size:
+            s = starts[i]
+            block = solved[above, s:]
+            block -= upper[above, i, None] * solved[i, s:]
+            block %= p
+            solved[above, s:] = block
+    kernel = np.zeros((free.size, cols), dtype=np.int64)
+    kernel[np.arange(free.size), free] = 1
+    kernel[:, pivots] = (p - solved.T) % p
+    return kernel, free
+
+
+def _object_matmul_mod_p(a, b, p):
+    return (a.astype(object) @ b.astype(object)) % p
+
+
+def _dense(rng, rows, cols):
+    return rng.integers(-2 ** 40, 2 ** 40, size=(rows, cols))
+
+
+def _zero_columns_and_duplicate_rows(rng):
+    matrix = rng.integers(-5, 6, size=(100, 140))
+    matrix[:, 64:128] = 0           # a panel with no pivot
+    matrix[:, [0, 3, 130]] = 0
+    matrix[50:60] = matrix[10:20]   # duplicate rows
+    matrix[:30, :5] = 0             # the first pivots need row swaps
+    return matrix
+
+
+def _sparse_int8(rng):
+    matrix = rng.integers(-3, 4, size=(200, 150), dtype=np.int8)
+    matrix[rng.random(matrix.shape) > 0.05] = 0
+    return matrix
+
+
+ELIMINATION_CASES = {
+    "1 column": (lambda rng: rng.integers(-3, 4, size=(7, 1)), True),
+    "63 columns": (lambda rng: _dense(rng, 40, 63), False),
+    "64 columns": (lambda rng: _dense(rng, 70, 64), False),
+    "65 columns": (lambda rng: _dense(rng, 30, 65), False),
+    "129 columns": (lambda rng: _dense(rng, 100, 129), False),
+    "0 rows": (lambda rng: np.zeros((0, 70), dtype=np.int64), True),
+    "1 row": (lambda rng: rng.integers(-3, 4, size=(1, 130)), True),
+    "more rows than columns": (lambda rng: _dense(rng, 150, 65), False),
+    "zero columns, duplicate rows": (_zero_columns_and_duplicate_rows, False),
+    "sparse int8": (_sparse_int8, False),
+    "low rank": (lambda rng: rng.integers(-3, 4, size=(120, 6))
+                 @ rng.integers(-3, 4, size=(6, 129)), True),
+    "small int8": (lambda rng: rng.integers(-2, 3, size=(12, 9), dtype=np.int8), True),
+    "n=6 vertex rows": (lambda rng: vertex_space(6).rows(range(720)), False),
+}
+
+
+@pytest.mark.parametrize("p", PRIME_POOL[:DEFAULT_PRIME_COUNT])
+@pytest.mark.parametrize("case", sorted(ELIMINATION_CASES))
+def test_blocked_elimination_matches_the_unblocked_loop(case, p):
+    build, small = ELIMINATION_CASES[case]
+    matrix = build(np.random.default_rng(12))
+    rank, pivots, echelon = modrank._echelonize_mod_p(matrix, p)
+    expected_rank, expected_pivots, expected_echelon = unblocked_echelon(matrix, p)
+    assert (rank, pivots) == (expected_rank, expected_pivots)
+    assert echelon.shape == (rank, matrix.shape[1])
+    assert ((echelon >= 0) & (echelon < p)).all()
+    for row, c in zip(echelon, pivots):
+        assert row[c] == 1 and not row[:c].any()
+    # the same row swaps and updates, only landing at other times
+    assert np.array_equal(echelon, expected_echelon)
+    kernel, free = modrank._kernel_mod_p(pivots, echelon, p)
+    expected_kernel, expected_free = unblocked_kernel(pivots, expected_echelon, p)
+    assert np.array_equal(free, expected_free)
+    assert np.array_equal(kernel, expected_kernel)
+    assert not _object_matmul_mod_p(echelon, kernel.T, p).any()
+    if small:
+        assert rank == rank_exact_rational(matrix)
+
+
+@pytest.mark.parametrize("k", [1, modrank.PANEL])
+@pytest.mark.parametrize("p", PRIME_POOL)
+def test_split_residue_matmul_is_exact_at_the_largest_residues(p, k):
+    # p - 1 everywhere, and odd residues, whose products are odd: a sum past
+    # 2**53 would lose their last bit (a split at 17 bits does)
+    a = np.full((3, k), p - 1, dtype=np.int64)
+    a[1] = p - 2
+    a[2] = 2 ** 16 - 1
+    b = np.full((k, 5), p - 1, dtype=np.int64)
+    b[:, 1] = p - 2
+    b[:, 2] = 2 ** 16 - 1
+    b[:, 3] = 0
+    b[:, 4] = 1
+    expected = _object_matmul_mod_p(a, b, p)
+    assert np.array_equal(modrank._matmul_mod_p(a, b, p), expected.astype(np.int64))
+
+
+def test_a_panel_of_split_products_stays_below_float64_exactness():
+    bound = modrank.PANEL * (2 ** 16 - 1) * (max(PRIME_POOL) - 1)
+    assert bound < 2 ** 53 == modrank.FLOAT_EXACT
+
+
+def _n7_subset():
+    space = vertex_space(7)
+    rng = np.random.default_rng(0)
+    rows = space.rows(np.sort(rng.choice(len(space.perms), 490, replace=False)))
+    return rows[1:] - rows[0]
+
+
+def test_the_blocked_elimination_runs_one_product_per_panel(monkeypatch):
+    # a product per pivot would be 457 calls; a panel of 64 columns takes
+    # one per block of EQUATION_CHECK_ROWS rows
+    matrix = _n7_subset()
+    assert matrix.shape == (489, 931)
+    calls = []
+    original = modrank._matmul_mod_p
+
+    def counting(a, b, p):
+        calls.append(a.shape)
+        return original(a, b, p)
+
+    monkeypatch.setattr(modrank, "_matmul_mod_p", counting)
+    assert rank_mod_p(matrix, PRIME_POOL[0]) == 457
+    row_blocks = -(-matrix.shape[0] // modrank.EQUATION_CHECK_ROWS)
+    assert 0 < len(calls) <= -(-matrix.shape[1] // modrank.PANEL) * row_blocks
+    assert all(rows <= modrank.EQUATION_CHECK_ROWS for rows, _ in calls)
+
+
+def test_blocked_elimination_memory_stays_within_row_blocks():
+    # beyond its int64 working copy, the elimination holds at most this many
+    # blocks of EQUATION_CHECK_ROWS x cols 8-byte values at once (the trailing
+    # block, its product, and the product's low half in float64 and int64);
+    # the unblocked loop, updating all 3000 rows at once, needed about 5.5
+    blocks = 4.5
+    space = vertex_space(7)
+    points = space.rows(np.random.default_rng(1).permutation(len(space.perms))[:3000])
+    rows, cols = points.shape
+    tracemalloc.start()
+    try:
+        rank = rank_mod_p(points, PRIME_POOL[0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rank == 458
+    assert peak - rows * cols * 8 <= blocks * modrank.EQUATION_CHECK_ROWS * cols * 8
