@@ -39,12 +39,13 @@ import json
 import logging
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidParameterError
+from .errors import DimensionMismatchError, InvalidParameterError, QappolyError
 from .indexing import (
     EntryKey,
     Pair,
@@ -72,48 +73,100 @@ def binom2(x: int) -> int:
 # points
 
 
-@dataclass
-class YPoint:
-    """An arbitrary symmetric rational test point, stored sparsely.
+# Largest magnitude an int64 holds; a point's scaled values and denominator
+# must stay within it.
+INT64_MAX = int(np.iinfo(np.int64).max)
 
-    ``values`` maps canonical entry keys (f1 <= f2) to exact rationals;
-    missing keys are zero.  Symmetry is structural: there is only one slot
-    per unordered pair.
+
+def _position(n: int, f1: int, f2: int) -> int:
+    """Triangle position of the entry (f1, f2), in either order, checked."""
+    f1, f2 = canon_entry(f1, f2)
+    if not 1 <= f1 <= f2 <= n * n:
+        raise DimensionMismatchError(f"entry ({f1},{f2}) out of range for n={n}")
+    return triangle_position(n, f1, f2)
+
+
+class YPoint:
+    """An arbitrary symmetric rational test point, stored as one exact
+    integer vector over the triangular coordinate space.
+
+    Y[f1, f2] is ``vector[triangle_position(n, f1, f2)] / denom``: ``vector``
+    is a read-only int64 array, ``denom`` a positive integer, and the two
+    are reduced by their gcd, so ``denom`` is the lcm of the values'
+    denominators.  Symmetry is structural: there is only one slot per
+    unordered pair.
+
+    ``YPoint(n, values)`` takes a mapping from entry keys (f1 <= f2) to
+    rationals, missing keys being zero, and ``values`` gives that mapping
+    back; ``from_scaled_vector`` takes an integer vector and a denominator
+    directly.  A scaled value or denominator past INT64_MAX is refused with
+    a QappolyError.
     """
 
-    n: int
-    values: dict[EntryKey, Fraction]
-    provenance: dict | str | None = None
+    def __init__(self, n: int, values: Mapping[EntryKey, Fraction | int],
+                 provenance: dict | str | None = None):
+        fractions = {_position(n, f1, f2): Fraction(v) for (f1, f2), v in values.items()}
+        denom = math.lcm(*(v.denominator for v in fractions.values()))
+        scaled = [0] * triangle_dimension(n)
+        for position, value in fractions.items():
+            scaled[position] = int(value * denom)
+        if max(map(abs, scaled), default=0) > INT64_MAX:
+            raise QappolyError(f"a scaled value of the point passes {INT64_MAX}")
+        self._store(n, np.array(scaled, dtype=np.int64), denom, provenance)
+
+    @classmethod
+    def from_scaled_vector(cls, n: int, vector: np.ndarray, denom: int,
+                           provenance: dict | str | None = None) -> "YPoint":
+        """The point ``vector / denom``, for an integer vector over the
+        triangular coordinate space and a positive integer ``denom``."""
+        point = cls.__new__(cls)
+        point._store(n, np.array(vector, dtype=np.int64), denom, provenance)
+        return point
+
+    def _store(self, n: int, vector: np.ndarray, denom: int, provenance) -> None:
+        if vector.shape != (triangle_dimension(n),):
+            raise DimensionMismatchError(
+                f"a point at n={n} has {triangle_dimension(n)} entries, got shape {vector.shape}")
+        if not 0 < denom <= INT64_MAX:
+            raise QappolyError(f"the point's denominator {denom} is not in 1..{INT64_MAX}")
+        common = math.gcd(int(np.gcd.reduce(vector)), denom)
+        if common > 1:
+            vector //= common
+            denom //= common
+        vector.flags.writeable = False
+        self.n, self.vector, self.denom, self.provenance = n, vector, int(denom), provenance
 
     @classmethod
     def zero(cls, n: int) -> "YPoint":
-        return cls(n=n, values={}, provenance="zero point")
+        return cls.from_scaled_vector(n, np.zeros(triangle_dimension(n), dtype=np.int64), 1,
+                                      provenance="zero point")
 
     @classmethod
     def from_vertex(cls, vertex: QapVertex) -> "YPoint":
-        values = {key: Fraction(1) for key in vertex.entries}
-        return cls(n=vertex.n, values=values,
-                   provenance=f"vertex {vertex.source_permutation.one_line()}")
+        vector = np.zeros(triangle_dimension(vertex.n), dtype=np.int64)
+        vector[[triangle_position(vertex.n, f1, f2) for f1, f2 in vertex.entries]] = 1
+        return cls.from_scaled_vector(
+            vertex.n, vector, 1, provenance=f"vertex {vertex.source_permutation.one_line()}")
+
+    @property
+    def values(self) -> dict[EntryKey, Fraction]:
+        """Every nonzero entry as key (f1, f2) -> exact value, in triangle order."""
+        entry_at = triangle_entries(self.n)
+        nonzero = np.flatnonzero(self.vector)
+        return {entry_at[p]: Fraction(v, self.denom)
+                for p, v in zip(nonzero.tolist(), self.vector[nonzero].tolist())}
 
     def get_flat(self, f1: int, f2: int) -> Fraction:
-        return self.values.get(canon_entry(f1, f2), Fraction(0))
+        return Fraction(int(self.vector[_position(self.n, f1, f2)]), self.denom)
 
     def get(self, i: int, j: int, k: int, l: int) -> Fraction:
         return self.get_flat(flat_index(self.n, i, j), flat_index(self.n, k, l))
 
     def to_scaled_vector(self) -> tuple[np.ndarray, int]:
-        """Dense integer vector over the triangular coordinate space.
-
-        Returns (vec, denom) with vec[pos] == denom * value; denom is the
-        lcm of all denominators, so the scaling is exact.
-        """
-        denom = 1
-        for v in self.values.values():
-            denom = denom * v.denominator // math.gcd(denom, v.denominator)
-        vec = np.zeros(triangle_dimension(self.n), dtype=np.int64)
-        for (f1, f2), v in self.values.items():
-            vec[triangle_position(self.n, f1, f2)] = int(v * denom)
-        return vec, int(denom)
+        """(vector, denom): the stored read-only int64 vector over the
+        triangular coordinate space, with vector[pos] == denom * value, and
+        the lcm of the values' denominators."""
+        return self.vector, self.denom
 
     def to_json(self) -> str:
         def frac(v: Fraction) -> str:
@@ -121,7 +174,7 @@ class YPoint:
 
         entries = [
             [list(pair_from_flat(self.n, f1)), list(pair_from_flat(self.n, f2)), frac(v)]
-            for (f1, f2), v in sorted(self.values.items())
+            for (f1, f2), v in self.values.items()
         ]
         return json.dumps({"n": self.n, "entries": entries,
                            "provenance": self.provenance}, sort_keys=True)
@@ -223,8 +276,9 @@ def evaluate(form: LinearForm, point: "YPoint | QapVertex") -> EvaluationResult:
         point = YPoint.from_vertex(point)
     if point.n != form.n:
         raise DimensionMismatchError(f"form n={form.n} vs point n={point.n}")
-    lhs = sum((c * point.get_flat(f1, f2) for f1, f2, c in form.entries()),
-              Fraction(0))
+    vector = point.vector
+    lhs = Fraction(sum(c * int(vector[p]) for p, c in zip(form.positions, form.coeffs)),
+                   point.denom)
     ok = lhs <= form.rhs if form.sense == "<=" else lhs >= form.rhs
     return EvaluationResult(lhs=lhs, rhs=form.rhs, scale=form.scale,
                             sense=form.sense, satisfied=ok)
@@ -632,8 +686,9 @@ class Segment:
     Form ``start + r`` is row r of the product of ``factors``, each one the
     index table ``_index_table(*factor)``, the last one varying fastest, as
     itertools.product orders them.  A form's entries join its cells at the
-    slot pairs ``pairs``, in the builder's entry order; ``coeffs`` and
-    ``rhs`` are the builder's, per form (qap3: per beta).
+    slot pairs ``pairs``, in the builder's entry order.  Row t of ``coeffs``
+    and entry t of ``rhs`` are the builder's coefficients and right-hand
+    side of template t: a run has one template, qap3 runs one per beta.
     """
 
     sense = "<="
@@ -645,7 +700,8 @@ class Segment:
         self.shape = tuple(math.perm(s, r) if ordered else math.comb(s, r)
                            for s, r, ordered in factors)
         self.count = math.prod(self.shape)
-        self.pairs, self.coeffs, self.rhs = layout
+        self.pairs, coeffs, rhs = layout
+        self.coeffs, self.rhs = np.atleast_2d(coeffs), np.atleast_1d(rhs)
         self.entries = len(self.pairs[0])
 
     def _picks(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
@@ -662,22 +718,22 @@ class Segment:
         """Parameters of forms lo..hi-1 of the run."""
         raise NotImplementedError
 
-    def arrays(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(positions, coeffs, rhs) of forms lo..hi-1 of the run, exactly as
-        the builders emit them: positions is (forms, entries); coeffs and
-        rhs broadcast against it."""
+    def arrays(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """(positions, template) of forms lo..hi-1 of the run: positions is
+        (forms, entries), exactly as the builders emit them, and template
+        each form's row in ``coeffs`` and ``rhs``."""
         sets = self._sets(lo, hi)
         cells = self._cells(sets)
         f1, f2 = cells[:, self.pairs[0]], cells[:, self.pairs[1]]
         positions = triangle_position(self.n, np.minimum(f1, f2), np.maximum(f1, f2))
-        return (positions,) + self._coefficients(sets)
+        return positions, self._template(sets)
 
     def _cells(self, sets) -> np.ndarray:
         """Flat indices of each form's cells, one form per row."""
         raise NotImplementedError
 
-    def _coefficients(self, sets) -> tuple:
-        return self.coeffs, np.full(len(sets[0]), self.rhs)
+    def _template(self, sets) -> np.ndarray:
+        return np.zeros(len(sets[0]), dtype=np.intp)
 
 
 @functools.lru_cache(maxsize=None)
@@ -807,8 +863,8 @@ class _Qap3Run(Segment):
         q = np.array([self.q_set])
         return np.hstack((_grid(self.n, sets[0], q), _grid(self.n, sets[1], q)))
 
-    def _coefficients(self, sets):
-        return self.coeffs[sets[2]], self.rhs[sets[2]]
+    def _template(self, sets):
+        return sets[2]
 
 
 def _qap1_runs(n: int):

@@ -6,17 +6,32 @@ threshold; sweeping the threshold parameter t and watching where the point
 becomes feasible recovers the clique number, which is cross-checked against
 an independent exact branch-and-bound solver.
 
-Membership itself is decided by brute force: the point is evaluated against
-every enumerated form of the family with exact integer arithmetic (the
-point is denominator-cleared first).  Each (family, n) is compiled once, in
-numpy, into blocks of the forms' triangle positions and coefficients in
-enumeration order, and kept in a two-entry LRU cache, so repeated queries
-are fast and the first violated form (lowest form id) is the witness.
+A point is built directly as its scaled integer vector (``YPoint``): the
+n**2 x n**2 matrix is filled from the graph's adjacency broadcast over the
+cells, times the lcm of the point's denominators, and its upper triangle
+read row-major, which is ``triangle_position`` order.
 
+Membership is decided by brute force: the point is evaluated against every
+enumerated form of the family with exact integer arithmetic.  Each
+(family, n) is compiled once, in numpy, and kept in a two-entry LRU cache.
 The compile reads the family's segments (``inequalities.family_segments``):
 runs of forms with fixed index-set sizes, each the product of a few index
-tables.  Every form of a run has the same number of entries, so the
-family's entry count is known before anything is built, and a family past
+tables.  All forms of a run share one coefficient template and rhs (a qap3
+run one per beta), so the family compiles to one block per distinct
+(template, rhs): the int16 triangle positions of its forms, one row each,
+the shared int64 template, and each row's int32 form id, increasing.  A
+query is a gather and a small integer product, ``y[positions] @ template``,
+CHUNK_FORMS rows at a time.  The form ids are cut into stripes of
+BLOCK_FORMS; the sweep checks every block's rows of one stripe before the
+next, each block only below the least violated id found so far, and stops
+at the first stripe with a hit.  That least id is the witness: the first
+violated form in enumeration order.
+
+The products run in int64, so a query first checks that no lhs
+(max |y| times the template's sum of |coefficients|) and no scaled rhs can
+pass INT64_MAX, and refuses a point past that bound instead of wrapping.
+Every form of a run has the same number of entries, so the family's entry
+count is known before anything is built, and a family past
 COMPILE_ENTRY_LIMIT entries is refused up front.  A witness is decoded from
 its form id through the same segments and built alone.
 """
@@ -25,7 +40,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,9 +49,10 @@ from .graphs import (
     cliques_of_size_at_least,
     max_clique_capped,
 )
-from .indexing import pair_from_flat
+from .indexing import flat_index, pair_from_flat, triangle_dimension
 from .inequalities import (
     CHUNK_FORMS,
+    INT64_MAX,
     MEMBERSHIP_FAMILIES,
     LinearForm,
     YPoint,
@@ -49,6 +64,24 @@ from .perms import DEFAULT_ENUMERATION_CAP, require_enumerable
 
 # ---------------------------------------------------------------------------
 # reduction points
+
+
+def _rows_adjacent(graph: Graph) -> np.ndarray:
+    """n**2 x n**2 booleans, indexed by flat index - 1: whether the rows of
+    the two cells are joined in the graph."""
+    n = graph.n
+    adjacent = np.zeros((n, n), dtype=bool)
+    if graph.edges:
+        u, v = np.array(sorted(graph.edges)).T - 1
+        adjacent[u, v] = adjacent[v, u] = True
+    row = np.repeat(np.arange(n), n)
+    return adjacent[np.ix_(row, row)]
+
+
+def _upper_triangle(matrix: np.ndarray) -> np.ndarray:
+    """The upper triangle of an n**2 x n**2 matrix, row-major: the order of
+    ``indexing.triangle_position``."""
+    return matrix[np.triu_indices(len(matrix))]
 
 
 def build_point_qap1(graph: Graph, k: int, l: int, t: int) -> YPoint:
@@ -67,26 +100,21 @@ def build_point_qap1(graph: Graph, k: int, l: int, t: int) -> YPoint:
         raise InvalidParameterError(f"family requires n >= 6, got {n}")
     if not (1 <= k <= n and 1 <= l <= n):
         raise InvalidParameterError(f"(k,l)=({k},{l}) out of range")
-    values: dict[tuple[int, int], Fraction] = {}
     nn = n * n
-    for f1 in range(1, nn + 1):
-        i1, j1 = pair_from_flat(n, f1)
-        for f2 in range(f1, nn + 1):
-            i2, j2 = pair_from_flat(n, f2)
-            if f1 == f2:
-                v = t if (i1, j1) == (k, l) else nn
-            elif (i1, j1) == (k, l) or (i2, j2) == (k, l):
-                # cross entries against the special cell: 1 when both the
-                # row and the column differ, unspecified cases default to 0
-                oi, oj = (i2, j2) if (i1, j1) == (k, l) else (i1, j1)
-                v = 1 if (oi != k and oj != l) else 0
-            else:
-                v = 0 if graph.has_edge(i1, i2) else n  # no within-partition edges
-            if v:
-                values[(f1, f2)] = Fraction(v)
-    return YPoint(n=n, values=values,
-                  provenance={"reduction": "qap1", "k": k, "l": l, "t": t,
-                              "scale": "unscaled; any positive multiple is equivalent"})
+    # n between two cells whose rows are not joined in the graph, which
+    # includes two cells of one row
+    y = np.where(_rows_adjacent(graph), 0, n)
+    # cross entries against the special cell: 1 when both the row and the
+    # column differ, unspecified cases default to 0
+    row, col = np.divmod(np.arange(nn), n)
+    special = flat_index(n, k, l) - 1
+    y[special, :] = y[:, special] = (row != k - 1) & (col != l - 1)
+    np.fill_diagonal(y, nn)
+    y[special, special] = t
+    return YPoint.from_scaled_vector(
+        n, _upper_triangle(y), 1,
+        provenance={"reduction": "qap1", "k": k, "l": l, "t": t,
+                    "scale": "unscaled; any positive multiple is equivalent"})
 
 
 def build_point_qap2(graph: Graph, t: int) -> YPoint:
@@ -95,18 +123,13 @@ def build_point_qap2(graph: Graph, t: int) -> YPoint:
     n = graph.n
     if not (1 <= t <= n - 4):
         raise InvalidParameterError(f"1 <= t <= n-4 required, got t={t} at n={n}")
-    values: dict[tuple[int, int], Fraction] = {}
     nn = n * n
-    for f1 in range(1, nn + 1):
-        i1, j1 = pair_from_flat(n, f1)
-        for f2 in range(f1, nn + 1):
-            i2, j2 = pair_from_flat(n, f2)
-            if i1 != i2:
-                if not graph.has_edge(i1, i2):
-                    values[(f1, f2)] = Fraction(nn)
-            elif f1 == f2 and j1 == 1:
-                values[(f1, f2)] = Fraction(1, t)
-    return YPoint(n=n, values=values, provenance={"reduction": "qap2", "t": t})
+    row, col = np.divmod(np.arange(nn), n)
+    # scaled by t: n**2 t across non-edges, 1 on the column-1 diagonal
+    y = np.where(_rows_adjacent(graph) | (row[:, None] == row), 0, nn * t)
+    np.fill_diagonal(y, col == 0)
+    return YPoint.from_scaled_vector(n, _upper_triangle(y), t,
+                                     provenance={"reduction": "qap2", "t": t})
 
 
 def build_point_qap4(graph: Graph, t: int) -> YPoint:
@@ -117,49 +140,75 @@ def build_point_qap4(graph: Graph, t: int) -> YPoint:
         raise InvalidParameterError(f"t >= 6 is a natural number, got {t}")
     if n < 7:
         raise InvalidParameterError(f"family requires n >= 7, got {n}")
-    values: dict[tuple[int, int], Fraction] = {}
     nn = n * n
-    for f1 in range(1, nn + 1):
-        i1, j1 = pair_from_flat(n, f1)
-        for f2 in range(f1, nn + 1):
-            i2, j2 = pair_from_flat(n, f2)
-            if i1 != i2:
-                if not graph.has_edge(i1, i2):
-                    values[(f1, f2)] = Fraction(n, 6)
-            elif f1 == f2:
-                values[(f1, f2)] = Fraction(1, t)
-    return YPoint(n=n, values=values, provenance={"reduction": "qap4", "t": t})
+    row = np.arange(nn) // n
+    # scaled by 6t: n t across non-edges, 6 on the diagonal
+    y = np.where(_rows_adjacent(graph) | (row[:, None] == row), 0, n * t)
+    np.fill_diagonal(y, 6)
+    return YPoint.from_scaled_vector(n, _upper_triangle(y), 6 * t,
+                                     provenance={"reduction": "qap4", "t": t})
 
 
 # ---------------------------------------------------------------------------
 # compiled membership sweeps
 
 
-# Forms per compiled block.  Blocks keep enumeration order, so a violated
-# form's id is the number of forms in earlier blocks plus its row.
+# Form ids per early-exit stripe.  A sweep checks every block's rows of one
+# stripe before the next, so the witness, the least violated id of the
+# first stripe with a hit, is the family's first violated form.
 BLOCK_FORMS = 50_000
 
 # Most coefficient entries one compiled family may hold, counted from the
 # run sizes before anything is built.  Every family at n <= 8 fits: the
-# largest is qap1 at n = 8 with 137,208,960 entries (about 0.8 GB as int32
-# positions plus int16 coefficients), then qap3 at n = 8 with 72,984,128.
+# largest is qap1 at n = 8 with 137,208,960 entries (about 0.3 GB as int16
+# positions plus an int32 id per form), then qap3 at n = 8 with 72,984,128.
 # qap1, qap3 and qap4 at n = 9 do not fit and are refused up front.
 COMPILE_ENTRY_LIMIT = 140_000_000
 
+# Positions are stored as int16.  Every family that passes the entry limit
+# has n <= 9, far below the n = 16 whose triangle passes int16.
+POSITION_DTYPE = np.int16
+
+
+@dataclass(frozen=True)
+class TemplateBlock:
+    """The compiled forms of one family that share a coefficient template
+    and a right-hand side, both negated for a ">=" family: at a point with
+    scaled vector y and denominator d, the form of a row is violated exactly
+    when ``y[positions[row]] @ template`` exceeds ``d * rhs``."""
+
+    positions: np.ndarray   # int16 (forms, entries): each form's triangle positions
+    template: np.ndarray    # int64 (entries,)
+    rhs: int
+    ids: np.ndarray         # int32 (forms,): each row's form id, increasing
+
+    @property
+    def weight(self) -> int:
+        """Largest |lhs| per unit of max |y|: the sum of |template|."""
+        return int(np.abs(self.template).sum())
+
+
+@dataclass(frozen=True)
+class CompiledFamily:
+    blocks: tuple[TemplateBlock, ...]
+    # stripe s covers form ids [s*BLOCK_FORMS, (s+1)*BLOCK_FORMS): per block,
+    # the (start, stop) of its rows with those ids
+    stripes: tuple[tuple[tuple[int, int], ...], ...]
+    forms: int
+
 
 @functools.lru_cache(maxsize=2)
-def compiled_blocks(family: str, n: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """The family's forms at size n as blocks (coords, coeffs, offsets, rhs)
-    of BLOCK_FORMS forms each: per block the int32 triangle positions and
-    int16 coefficients of all its forms concatenated, each form's segment
-    start, and each form's scaled right-hand side, all negated for a ">="
-    family: a form is violated exactly when its lhs exceeds its rhs.
+def compiled_blocks(family: str, n: int) -> CompiledFamily:
+    """The family's forms at size n, one TemplateBlock per distinct
+    (template, rhs), in order of first appearance, and the row slices of
+    each BLOCK_FORMS stripe of form ids.
 
-    The forms come straight from the family's runs (``family_segments``):
-    each block is allocated once and filled in place, CHUNK_FORMS forms at
-    a time.  Raises CapExceededError, before anything is allocated, when
-    the entries pass COMPILE_ENTRY_LIMIT.  The enumeration cap is the
-    caller's to check.
+    The forms come straight from the family's runs (``family_segments``),
+    CHUNK_FORMS forms at a time; a qap3 chunk is split by its forms' beta.
+    Every block is allocated once, at its size counted from the runs, and
+    filled in place.  Raises CapExceededError, before anything is
+    allocated, when the entries pass COMPILE_ENTRY_LIMIT.  The enumeration
+    cap is the caller's to check.
     """
     runs = family_segments(n, family)
     entries = sum(run.count * run.entries for run in runs)
@@ -167,33 +216,43 @@ def compiled_blocks(family: str, n: int) -> tuple[tuple[np.ndarray, ...], ...]:
         raise CapExceededError(
             f"{family} at n={n} compiles to {entries} coefficient entries, more "
             f"than {COMPILE_ENTRY_LIMIT}; its membership sweep is refused")
-    total = sum(run.count for run in runs)
-    blocks = []
-    for first in range(0, total, BLOCK_FORMS):
-        last = min(first + BLOCK_FORMS, total)
-        pieces = [(run, max(first - run.start, 0), min(last - run.start, run.count))
-                  for run in runs if run.start < last and run.start + run.count > first]
-        size = sum((hi - lo) * run.entries for run, lo, hi in pieces)
-        coords = np.empty(size, dtype=np.int32)
-        coeffs = np.empty(size, dtype=np.int16)
-        offsets = np.empty(last - first, dtype=np.int32)
-        rhs = np.empty(last - first, dtype=np.int64)
-        form = entry = 0
-        for run, lo, hi in pieces:
-            for chunk in range(lo, hi, CHUNK_FORMS):
-                count = min(chunk + CHUNK_FORMS, hi) - chunk
-                stop = entry + count * run.entries
-                positions, form_coeffs, form_rhs = run.arrays(chunk, chunk + count)
-                coords[entry:stop].reshape(count, run.entries)[:] = positions
-                coeffs[entry:stop].reshape(count, run.entries)[:] = form_coeffs
-                offsets[form:form + count] = np.arange(entry, stop, run.entries)
-                rhs[form:form + count] = form_rhs
-                form, entry = form + count, stop
-        if runs[0].sense == ">=":
-            np.negative(coeffs, out=coeffs)
-            np.negative(rhs, out=rhs)
-        blocks.append((coords, coeffs, offsets, rhs))
-    return tuple(blocks)
+    assert triangle_dimension(n) <= np.iinfo(POSITION_DTYPE).max
+    keys: dict[tuple, int] = {}     # (template, rhs) -> block
+    sizes: list[int] = []
+    run_blocks = []                 # each run's block of each of its templates
+    for run in runs:
+        sign = -1 if run.sense == ">=" else 1
+        targets = []
+        for coeffs, rhs in zip(run.coeffs, run.rhs):
+            key = (tuple((sign * coeffs).tolist()), sign * int(rhs))
+            if key not in keys:
+                keys[key] = len(sizes)
+                sizes.append(0)
+            sizes[keys[key]] += run.count // len(run.rhs)
+            targets.append(keys[key])
+        run_blocks.append(targets)
+    positions = [np.empty((size, len(template)), dtype=POSITION_DTYPE)
+                 for (template, _), size in zip(keys, sizes)]
+    ids = [np.empty(size, dtype=np.int32) for size in sizes]
+    filled = [0] * len(sizes)
+    for run, targets in zip(runs, run_blocks):
+        for lo in range(0, run.count, CHUNK_FORMS):
+            form_positions, template = run.arrays(lo, min(lo + CHUNK_FORMS, run.count))
+            for pick, block in enumerate(targets):
+                rows = np.flatnonzero(template == pick)
+                start, stop = filled[block], filled[block] + rows.size
+                positions[block][start:stop] = form_positions[rows]
+                ids[block][start:stop] = run.start + lo + rows
+                filled[block] = stop
+    blocks = tuple(TemplateBlock(positions=pos, template=np.array(template, dtype=np.int64),
+                                 rhs=rhs, ids=form_ids)
+                   for (template, rhs), pos, form_ids in zip(keys, positions, ids))
+    forms = sum(run.count for run in runs)
+    stripes = tuple(
+        tuple((int(np.searchsorted(block.ids, first)),
+               int(np.searchsorted(block.ids, first + BLOCK_FORMS))) for block in blocks)
+        for first in range(0, forms, BLOCK_FORMS))
+    return CompiledFamily(blocks=blocks, stripes=stripes, forms=forms)
 
 
 @dataclass
@@ -209,14 +268,28 @@ class MembershipVerdict:
         return self.member
 
 
+def _first_violated(block: TemplateBlock, start: int, stop: int,
+                    yvec: np.ndarray, threshold: int) -> int | None:
+    """The least form id among the block's rows start..stop-1 whose lhs at
+    yvec exceeds threshold, or None."""
+    for lo in range(start, stop, CHUNK_FORMS):
+        rows = block.positions[lo:min(lo + CHUNK_FORMS, stop)]
+        hits = np.flatnonzero(yvec[rows.astype(np.intp)] @ block.template > threshold)
+        if hits.size:
+            return int(block.ids[lo + hits[0]])
+    return None
+
+
 def brute_force_membership(point: YPoint, family: str,
                            cap: int = DEFAULT_ENUMERATION_CAP) -> MembershipVerdict:
     """Evaluate a point against every enumerated form of the family.
 
-    Exact throughout: the point is cleared to integers and each form's
-    integer coefficients are applied once.  On violation the first violated
-    form in enumeration order is rematerialized as the witness and
-    re-confirmed by the generic evaluator.
+    Exact throughout: the point's scaled integer vector meets each block's
+    integer template in int64, after a check that no lhs and no scaled rhs
+    can pass INT64_MAX; a point past that bound is refused with a
+    QappolyError.  On violation the first violated form in enumeration
+    order is rematerialized as the witness and re-confirmed by the generic
+    evaluator.
     """
     if family not in MEMBERSHIP_FAMILIES:
         raise InvalidParameterError(
@@ -224,14 +297,23 @@ def brute_force_membership(point: YPoint, family: str,
     n = point.n
     require_enumerable(n, cap)
     yvec, denom = point.to_scaled_vector()
-    checked = 0
-    for coords, coeffs, offsets, rhs in compiled_blocks(family, n):
-        start = checked
-        checked += rhs.size
-        lhs = np.add.reduceat(coeffs * yvec[coords], offsets)  # int16 * int64 -> int64
-        hits = np.flatnonzero(lhs > denom * rhs)
-        if hits.size:
-            idx = start + int(hits[0])
+    compiled = compiled_blocks(family, n)
+    top = max(int(yvec.max()), -int(yvec.min()))
+    for block in compiled.blocks:
+        if top * block.weight > INT64_MAX or denom * abs(block.rhs) > INT64_MAX:
+            raise QappolyError(
+                f"the point's scaled values (up to {top}, denominator {denom}) are too "
+                f"large for an exact int64 {family} sweep")
+    for stripe, slices in enumerate(compiled.stripes):
+        idx = None
+        for block, (start, stop) in zip(compiled.blocks, slices):
+            if idx is not None:  # only ids below the best hit so far matter
+                stop = start + int(np.searchsorted(block.ids[start:stop], idx))
+            hit = _first_violated(block, start, stop, yvec, denom * block.rhs)
+            if hit is not None:
+                idx = hit
+        if idx is not None:
+            checked = min((stripe + 1) * BLOCK_FORMS, compiled.forms)
             witness = family_form_at(n, family, idx, cap=cap)
             result = evaluate(witness, point)
             if result.satisfied:
@@ -239,7 +321,7 @@ def brute_force_membership(point: YPoint, family: str,
             return MembershipVerdict(member=False, family=family, n=n,
                                      forms_checked=checked, witness=witness,
                                      witness_index=idx)
-    return MembershipVerdict(member=True, family=family, n=n, forms_checked=checked)
+    return MembershipVerdict(member=True, family=family, n=n, forms_checked=compiled.forms)
 
 
 # ---------------------------------------------------------------------------

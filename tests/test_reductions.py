@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,9 +9,15 @@ import pytest
 from oracle_streams import ORACLE
 
 from qappoly import inequalities, reductions
-from qappoly.errors import CapExceededError, InvalidParameterError
-from qappoly.graphs import Graph, max_clique_bruteforce
-from qappoly.indexing import canon_entry, flat_index
+from qappoly.errors import CapExceededError, InvalidParameterError, QappolyError
+from qappoly.graphs import Graph, max_clique_bruteforce, random_graph
+from qappoly.indexing import (
+    canon_entry,
+    flat_index,
+    pair_from_flat,
+    triangle_dimension,
+    triangle_position,
+)
 from qappoly.inequalities import (
     BUILDERS,
     YPoint,
@@ -74,6 +81,176 @@ def test_qap4_point_cases():
         build_point_qap4(TRIANGLE_7, 5)
     with pytest.raises(InvalidParameterError, match="n >= 7"):
         build_point_qap4(Graph.cycle(6), 6)
+
+
+# The builders as they were first written, one Fraction per entry: the
+# oracles of the numpy builders.  Each returns (values, provenance).
+
+
+def oracle_point_qap1(graph, k, l, t):
+    n = graph.n
+    if t < 2:
+        raise InvalidParameterError(f"t >= 2 required, got {t}")
+    if n < 6:
+        raise InvalidParameterError(f"family requires n >= 6, got {n}")
+    if not (1 <= k <= n and 1 <= l <= n):
+        raise InvalidParameterError(f"(k,l)=({k},{l}) out of range")
+    values = {}
+    nn = n * n
+    for f1 in range(1, nn + 1):
+        i1, j1 = pair_from_flat(n, f1)
+        for f2 in range(f1, nn + 1):
+            i2, j2 = pair_from_flat(n, f2)
+            if f1 == f2:
+                v = t if (i1, j1) == (k, l) else nn
+            elif (i1, j1) == (k, l) or (i2, j2) == (k, l):
+                oi, oj = (i2, j2) if (i1, j1) == (k, l) else (i1, j1)
+                v = 1 if (oi != k and oj != l) else 0
+            else:
+                v = 0 if graph.has_edge(i1, i2) else n
+            if v:
+                values[(f1, f2)] = Fraction(v)
+    return values, {"reduction": "qap1", "k": k, "l": l, "t": t,
+                    "scale": "unscaled; any positive multiple is equivalent"}
+
+
+def oracle_point_qap2(graph, t):
+    n = graph.n
+    if not (1 <= t <= n - 4):
+        raise InvalidParameterError(f"1 <= t <= n-4 required, got t={t} at n={n}")
+    values = {}
+    nn = n * n
+    for f1 in range(1, nn + 1):
+        i1, j1 = pair_from_flat(n, f1)
+        for f2 in range(f1, nn + 1):
+            i2, j2 = pair_from_flat(n, f2)
+            if i1 != i2:
+                if not graph.has_edge(i1, i2):
+                    values[(f1, f2)] = Fraction(nn)
+            elif f1 == f2 and j1 == 1:
+                values[(f1, f2)] = Fraction(1, t)
+    return values, {"reduction": "qap2", "t": t}
+
+
+def oracle_point_qap4(graph, t):
+    n = graph.n
+    if t < 6:
+        raise InvalidParameterError(f"t >= 6 is a natural number, got {t}")
+    if n < 7:
+        raise InvalidParameterError(f"family requires n >= 7, got {n}")
+    values = {}
+    nn = n * n
+    for f1 in range(1, nn + 1):
+        i1, j1 = pair_from_flat(n, f1)
+        for f2 in range(f1, nn + 1):
+            i2, j2 = pair_from_flat(n, f2)
+            if i1 != i2:
+                if not graph.has_edge(i1, i2):
+                    values[(f1, f2)] = Fraction(n, 6)
+            elif f1 == f2:
+                values[(f1, f2)] = Fraction(1, t)
+    return values, {"reduction": "qap4", "t": t}
+
+
+def oracle_scaled(n, values):
+    """The dict point's scaled vector, by the loop the vector replaced."""
+    denom = 1
+    for v in values.values():
+        denom = denom * v.denominator // math.gcd(denom, v.denominator)
+    vec = np.zeros(triangle_dimension(n), dtype=np.int64)
+    for (f1, f2), v in values.items():
+        vec[triangle_position(n, f1, f2)] = int(v * denom)
+    return vec, denom
+
+
+def oracle_json(n, values, provenance):
+    def frac(v):
+        return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
+
+    entries = [[list(pair_from_flat(n, f1)), list(pair_from_flat(n, f2)), frac(v)]
+               for (f1, f2), v in sorted(values.items())]
+    return json.dumps({"n": n, "entries": entries, "provenance": provenance},
+                      sort_keys=True)
+
+
+def assert_point_matches(point, n, values, provenance):
+    vec, denom = point.to_scaled_vector()
+    expected_vec, expected_denom = oracle_scaled(n, values)
+    assert vec.dtype == np.int64 and np.array_equal(vec, expected_vec)
+    assert denom == expected_denom and type(denom) is int
+    assert point.values == values and list(point.values) == sorted(values)
+    assert point.to_json() == oracle_json(n, values, provenance)
+
+
+def _builder_cases(n, rng):
+    """(numpy builder, oracle, args) for every k with l = 1 and a random l,
+    and every valid t, on a seeded graph and the edgeless and complete
+    graphs on n vertices."""
+    graphs = (random_graph(n, 0.5, rng), Graph.from_edges(n, []), Graph.complete(n))
+    for graph in graphs:
+        for k in range(1, n + 1):
+            for l in sorted({1, rng.randint(1, n)}):
+                for t in range(2, n + 1):
+                    yield build_point_qap1, oracle_point_qap1, (graph, k, l, t)
+        for t in range(1, n - 3):
+            yield build_point_qap2, oracle_point_qap2, (graph, t)
+        if n >= 7:
+            for t in range(6, n + 2):
+                yield build_point_qap4, oracle_point_qap4, (graph, t)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_point_builders_match_the_fraction_loops(n):
+    rng = random.Random(n)
+    cases = 0
+    for build, oracle, args in _builder_cases(n, rng):
+        values, provenance = oracle(*args)
+        assert_point_matches(build(*args), n, values, provenance)
+        cases += 1
+    assert cases > 3 * 2 * n
+
+
+@pytest.mark.parametrize("build,oracle,args", [
+    (build_point_qap1, oracle_point_qap1, (C5_PLUS_ISOLATED, 1, 1, 1)),
+    (build_point_qap1, oracle_point_qap1, (Graph.cycle(5), 1, 1, 2)),
+    (build_point_qap1, oracle_point_qap1, (C5_PLUS_ISOLATED, 7, 1, 2)),
+    (build_point_qap1, oracle_point_qap1, (C5_PLUS_ISOLATED, 1, 0, 2)),
+    (build_point_qap2, oracle_point_qap2, (C5_PLUS_ISOLATED, 3)),
+    (build_point_qap2, oracle_point_qap2, (TRIANGLE_7, 0)),
+    (build_point_qap4, oracle_point_qap4, (TRIANGLE_7, 5)),
+    (build_point_qap4, oracle_point_qap4, (Graph.cycle(6), 6)),
+])
+def test_point_builders_refuse_what_the_fraction_loops_refuse(build, oracle, args):
+    with pytest.raises(InvalidParameterError) as expected:
+        oracle(*args)
+    with pytest.raises(InvalidParameterError) as refused:
+        build(*args)
+    assert str(refused.value) == str(expected.value)
+
+
+def test_points_round_trip_through_the_vector():
+    rng = random.Random(3)
+    n = 6
+    keys = rng.sample(list(itertools.combinations_with_replacement(range(1, n * n + 1), 2)), 40)
+    values = {key: Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for key in keys}
+    values = {key: v for key, v in values.items() if v}
+    point = YPoint(n=n, values=values, provenance="random")
+    assert_point_matches(point, n, values, "random")
+    again = YPoint.from_scaled_vector(n, *point.to_scaled_vector(), provenance="random")
+    assert again.values == values and again.denom == point.denom
+    # a common factor of the vector and the denominator is reduced away
+    scaled = YPoint.from_scaled_vector(n, 6 * point.vector, 6 * point.denom)
+    assert scaled.denom == point.denom and np.array_equal(scaled.vector, point.vector)
+    with pytest.raises(ValueError):
+        point.vector[0] = 1  # the stored vector is read-only
+    zero = YPoint.zero(n)
+    assert_point_matches(zero, n, {}, "zero point")
+    for sigma in (Permutation(tuple(range(1, n + 1))),
+                  Permutation(tuple(rng.sample(range(1, n + 1), n)))):
+        vertex = vertex_from_permutation(sigma)
+        assert_point_matches(YPoint.from_vertex(vertex), n,
+                             {key: Fraction(1) for key in vertex.entries},
+                             f"vertex {sigma.one_line()}")
 
 
 # ---------------------------------------------------------------------------
@@ -181,26 +358,121 @@ def test_compile_refuses_families_over_the_entry_limit(monkeypatch):
 def test_compile_and_unranking_follow_the_oracle_order(family, n, monkeypatch):
     oracle = list(ORACLE[family](n))
     forms = [BUILDERS[family](params) for params in oracle]
-    # small blocks, so that runs straddle blocks
+    # small stripes, so that blocks straddle stripes
     monkeypatch.setattr(reductions, "BLOCK_FORMS", 1000)
     compiled_blocks.cache_clear()
     try:
-        blocks = compiled_blocks(family, n)
+        compiled = compiled_blocks(family, n)
     finally:
         compiled_blocks.cache_clear()
     sign = -1 if forms[0].sense == ">=" else 1
-    assert len(blocks) == math.ceil(len(forms) / 1000)
-    for number, (coords, coeffs, offsets, rhs) in enumerate(blocks):
-        chunk = forms[1000 * number:1000 * (number + 1)]
-        sizes = [len(form.positions) for form in chunk]
-        assert coords.tolist() == [p for form in chunk for p in form.positions]
-        assert coeffs.tolist() == [sign * c for form in chunk for c in form.coeffs]
-        assert offsets.tolist() == [0] + list(itertools.accumulate(sizes))[:-1]
-        assert rhs.tolist() == [sign * form.rhs for form in chunk]
+    assert compiled.forms == len(forms)
+    # one block per distinct signed (template, rhs), in order of first use
+    templates = list(dict.fromkeys((tuple(sign * c for c in form.coeffs), sign * form.rhs)
+                                   for form in forms))
+    assert [(tuple(block.template.tolist()), block.rhs)
+            for block in compiled.blocks] == templates
+    if family == "qap3":
+        assert len({form.params.beta for form in forms}) > 1
+    # every form comes back by id: its positions from its block's row, its
+    # signed coefficients and rhs from the block's template
+    at = {}
+    for number, block in enumerate(compiled.blocks):
+        assert block.positions.dtype == np.int16 and block.ids.dtype == np.int32
+        assert np.all(np.diff(block.ids) > 0)
+        at.update((int(form_id), (number, row)) for row, form_id in enumerate(block.ids))
+    assert sorted(at) == list(range(len(forms)))
+    for form_id, form in enumerate(forms):
+        number, row = at[form_id]
+        block = compiled.blocks[number]
+        assert block.positions[row].tolist() == list(form.positions)
+        assert block.template.tolist() == [sign * c for c in form.coeffs]
+        assert block.rhs == sign * form.rhs
+    # stripe s holds exactly the rows with ids in [1000 s, 1000 (s + 1))
+    assert len(compiled.stripes) == math.ceil(len(forms) / 1000)
+    for stripe, slices in enumerate(compiled.stripes):
+        ids = sorted(int(form_id) for block, (start, stop) in zip(compiled.blocks, slices)
+                     for form_id in block.ids[start:stop])
+        assert ids == list(range(1000 * stripe, min(1000 * (stripe + 1), len(forms))))
     for index, params in enumerate(oracle):
         assert family_form_at(n, family, index).params == params
     with pytest.raises(InvalidParameterError, match="no form"):
         family_form_at(n, family, len(oracle))
+
+
+def test_witness_is_the_least_id_across_blocks():
+    # at (k, l) = (1, 1) the diagonal 3 outweighs any three of the four
+    # compatible cross entries, so the first violated form is an m = 4 form
+    # (ids 600..1199), while the m = 3 block's first hit comes later, from
+    # the cross entry at (k, l) = (1, 2): both hits share the one stripe
+    n = 6
+    special = flat_index(n, 1, 1)
+    values = {(special, special): Fraction(3)}
+    for r in range(2, 6):
+        values[canon_entry(special, flat_index(n, r, r))] = Fraction(1)
+    values[canon_entry(flat_index(n, 1, 2), flat_index(n, 2, 1))] = Fraction(1)
+    point = YPoint(n=n, values=values)
+    violated = [index for index, form in enumerate(enumerate_family(n, "qap1"))
+                if not evaluate(form, point).satisfied]
+    first_m3 = next(index for index in violated
+                    if len(family_form_at(n, "qap1", index).params.i_set) == 3)
+    compiled_blocks.cache_clear()
+    compiled = compiled_blocks("qap1", n)
+    assert len(compiled.stripes) == 1 and compiled.blocks[0].template.size == 7  # m = 3
+    block_of = {int(form_id): number for number, block in enumerate(compiled.blocks)
+                for form_id in block.ids}
+    assert violated[0] < first_m3 and block_of[violated[0]] > block_of[first_m3] == 0
+    verdict = brute_force_membership(point, "qap1")
+    assert verdict.witness_index == violated[0] and verdict.forms_checked == 47520
+
+
+def test_compiled_qap4_n8_holds_two_bytes_per_entry():
+    compiled_blocks.cache_clear()
+    try:
+        compiled = compiled_blocks("qap4", 8)
+    finally:
+        compiled_blocks.cache_clear()
+    runs = inequalities.family_segments(8, "qap4")
+    entries = sum(run.count * run.entries for run in runs)
+    forms = sum(run.count for run in runs)
+    assert compiled.forms == forms == 362_880
+    per_form = sum(block.positions.nbytes + block.ids.nbytes for block in compiled.blocks)
+    assert per_form <= 2 * entries + 4 * forms
+    # the templates are shared: a few hundred bytes for the whole family
+    assert sum(block.template.nbytes for block in compiled.blocks) <= 8 * (28 + 36)
+
+
+def test_membership_refuses_a_point_past_the_int64_bound():
+    # 2**62 on every cross entry of cell (1, 1): an m = 3 qap1 lhs reaches
+    # 3 * 2**62 and wraps in int64, which once moved the witness from form 0
+    # to form 1200; the sweep refuses the point instead
+    n = 6
+    special = flat_index(n, 1, 1)
+    values = {canon_entry(special, f): Fraction(2 ** 62)
+              for f in range(1, n * n + 1) if f != special}
+    point = YPoint(n=n, values=values)
+    first = next(index for index, form in enumerate(enumerate_family(n, "qap1"))
+                 if not evaluate(form, point).satisfied)
+    assert first == 0
+    with pytest.raises(QappolyError, match="too large for an exact int64"):
+        brute_force_membership(point, "qap1")
+    # below the bound the sweep runs and agrees with the evaluator
+    small = YPoint(n=n, values={key: Fraction(2 ** 20) for key in values})
+    assert brute_force_membership(small, "qap1").witness_index == 0
+
+
+def test_points_past_int64_are_refused_with_a_clear_error():
+    key = (1, 2)
+    with pytest.raises(QappolyError, match="scaled value"):
+        YPoint(n=6, values={key: Fraction(2 ** 63)})
+    with pytest.raises(QappolyError, match="scaled value"):
+        YPoint(n=6, values={key: Fraction(-2 ** 63)})
+    # the scaling by the lcm of the denominators can push a value past it
+    with pytest.raises(QappolyError, match="scaled value"):
+        YPoint(n=6, values={key: Fraction(2 ** 62), (1, 1): Fraction(1, 3)})
+    with pytest.raises(QappolyError, match="denominator"):
+        YPoint(n=6, values={key: Fraction(1, 2 ** 63)})
+    assert YPoint(n=6, values={key: Fraction(2 ** 63 - 1)}).get_flat(2, 1) == 2 ** 63 - 1
 
 
 def test_entry_limit_is_checked_before_any_form_is_built(monkeypatch):
