@@ -83,7 +83,7 @@ def test_qap4_point_cases():
         build_point_qap4(Graph.cycle(6), 6)
 
 
-# The builders as they were first written, one Fraction per entry: the
+# Reference builders written as plain loops, one Fraction per entry: the
 # oracles of the numpy builders.  Each returns (values, provenance).
 
 
@@ -444,8 +444,8 @@ def test_compiled_qap4_n8_holds_two_bytes_per_entry():
 
 def test_membership_refuses_a_point_past_the_int64_bound():
     # 2**62 on every cross entry of cell (1, 1): an m = 3 qap1 lhs reaches
-    # 3 * 2**62 and wraps in int64, which once moved the witness from form 0
-    # to form 1200; the sweep refuses the point instead
+    # 3 * 2**62, which wraps in int64 (a wrapping sweep reports form 1200,
+    # while form 0 is the first violated); the sweep refuses the point
     n = 6
     special = flat_index(n, 1, 1)
     values = {canon_entry(special, f): Fraction(2 ** 62)
