@@ -173,7 +173,7 @@ def _cmd_verify_facet(args, report: RunReport, caps: Caps):
     details = {"polytope_dim": facet.polytope_dim, "tight_dim": facet.tight_dim,
                "tight_count": facet.tight_count,
                "ranks": facet.polytope_rank.ranks,
-               # None where a rank was only voted, or the tight set is empty
+               # the tight one is None only for an empty tight set
                "certificate": {
                    "polytope": facet.polytope_rank.certificate,
                    "tight": facet.tight_rank and facet.tight_rank.certificate}}
@@ -237,7 +237,7 @@ def _cmd_verify_lemmas(args, report: RunReport, caps: Caps):
         if which in (lemma, "all"):
             _require_enumerable(n, caps)
             res = verify(n, pattern, samples=args.samples, seed=args.seed)
-            # one per generator set; None where membership was only voted
+            # one per generator set
             report.add(name, res.all_member, samples=res.samples,
                        members=res.member_count, certificates=res.certificates)
 

@@ -5,7 +5,7 @@ space, but only coordinates that some vertex can make nonzero (all diagonal
 cells, plus off-diagonal cells with distinct rows and distinct columns) are
 carried in the matrices; identically-zero coordinates never affect a rank.
 
-Dimensions and spans are proven, not only voted.  ``affine_hull_equations``
+Every dimension and span verdict is proven.  ``affine_hull_equations``
 gives integer equations that vanish on every vertex (checked exactly), which
 bound the polytope's dimension from above; the modular rank of a seeded
 vertex subset that reaches that bound proves it (``modrank.RankCertificate``).
@@ -14,8 +14,7 @@ so a tight subset that reaches dim(P) - 1 proves a facet.  Where that subset
 misses (a "not facet" verdict, or a form tight everywhere), the tight set's
 ``modrank.lifted_kernel`` proves its dimension at one prime, and the span
 lemmas decide membership against the generators' lifted kernel the same way.
-Only where no lift passes does a report fall back to the vote at three
-primes, without a certificate.
+Where no proof stands, the verdict is refused as unproven.
 
 The vertex classification S_k, the signed-sum identities, S_0 connectivity,
 and the span lemmas are all driven by a per-n ``VertexSpace`` cache.  It
@@ -248,29 +247,33 @@ def _subset_reaching(space: VertexSpace, idx: np.ndarray,
 
     A subset of ``claim.bound + SUBSET_MARGIN + 1`` vertices goes first, and
     one prime decides whether it reaches the bound before the other primes
-    are spent.  With ``grow`` each miss doubles the subset (up to the whole
-    set, exclusive); without, one miss ends the search.
+    are spent.  With ``grow`` each miss doubles the subset, up to the whole
+    set, which is the last one tried; without, one miss ends the search,
+    and a set no larger than the first subset is not tried at all.
     """
     bound = claim.bound
     rng = np.random.default_rng(SUBSET_SEED)
     size = bound + SUBSET_MARGIN + 1
-    while size < idx.size:
-        rows = space.rows(np.sort(rng.choice(idx, size, replace=False)))
+    while True:
+        whole = size >= idx.size
+        if whole and not grow:
+            return None
+        chosen = idx if whole else np.sort(rng.choice(idx, size, replace=False))
+        rows = space.rows(chosen)
         trial = rank_consensus(rows[1:] - rows[0], reach=bound,
                                column_dimension=triangle_dimension(space.n))
         if trial.consensus_rank is not None and trial.consensus_rank >= bound:
-            return _within_claim(trial, claim, size)
-        if not grow:
+            return _within_claim(trial, claim, chosen.size)
+        if whole or not grow:
             return None
         size *= 2
-    return None
 
 
 def _within_claim(report: RankReport, claim: RankCertificate,
                   used: int) -> RankReport:
     """Raise if a rank exceeds ``claim``'s bound; one that reaches it, from
     ``used`` vertices and with no certificate yet, is proven by the claim."""
-    if report.consensus_rank is not None and report.consensus_rank > claim.bound:
+    if report.consensus_rank > claim.bound:
         raise QappolyError(f"affine rank {report.consensus_rank} exceeds the "
                            f"bound {claim.bound} of the {claim.kind}")
     if report.consensus_rank == claim.bound and report.certificate is None:
@@ -299,10 +302,11 @@ def _kernel_affine_dim(space: VertexSpace, idx: np.ndarray) -> RankReport | None
 
 def proven_polytope_dim(space: VertexSpace, equations: np.ndarray) -> RankReport:
     """Affine dimension of all vertices, proven from ``equations`` (integer
-    rows over the support coordinates) when a vertex subset reaches the
-    bound they give; ``affine_dim``'s vote, uncertified, when none does.
+    rows over the support coordinates) by a vertex subset, the whole set at
+    the latest, that reaches the bound they give.
 
-    The equations are checked exactly on every vertex first.
+    The equations are checked exactly on every vertex first.  Raises
+    "unproven" when even the whole set misses the bound.
     """
     _require_vanishing(space, equations)
     prime = PRIME_POOL[0]
@@ -313,8 +317,9 @@ def proven_polytope_dim(space: VertexSpace, equations: np.ndarray) -> RankReport
                             prime=prime, subset_rows=0)
     report = _subset_reaching(space, np.arange(len(space.perms)), claim, grow=True)
     if report is None:
-        # a full-set rank that reaches the bound proves it all the same
-        report = _within_claim(affine_dim(space.perms), claim, len(space.perms))
+        raise QappolyError(f"unproven: the {len(space.perms)} vertices at "
+                           f"n={space.n} miss the bound {claim.bound} of the "
+                           f"{claim.kind}")
     return report
 
 
@@ -323,6 +328,19 @@ def polytope_affine_dim(n: int) -> RankReport:
     """Affine dimension of the whole polytope at size n, proven by
     ``affine_hull_equations(n)`` and a vertex subset (cached per n)."""
     return proven_polytope_dim(vertex_space(n), affine_hull_equations(n))
+
+
+def _certified(space: VertexSpace, idx: np.ndarray, report: RankReport) -> RankReport:
+    """A copy of ``report``, the proven affine rank of the vertices ``idx``,
+    once fraction-free elimination of their differences gives the same
+    rank; raises "certification mismatch" when it does not."""
+    rows = space.rows(idx)
+    exact = rank_exact_rational(rows - rows[0])
+    if exact != report.consensus_rank:
+        raise QappolyError(
+            f"certification mismatch: fraction-free elimination gives affine "
+            f"rank {exact} for {idx.size} vertices, the proof {report.consensus_rank}")
+    return replace(report, status="ok (certified over Q)")
 
 
 @dataclass
@@ -340,14 +358,14 @@ def verify_facet(form: LinearForm, n: int, certify: bool = False) -> FacetReport
     """Decide facet-ness: valid everywhere and the tight vertices span an
     affine subspace of dimension exactly one less than the polytope's.
 
-    Both dimensions are proven where a certificate stands.  A valid form
-    with a vertex of positive slack bounds its tight set by dim(P) - 1, so a
-    tight subset that reaches that bound proves "facet" ("proper face").
-    Where it misses, or no vertex has positive slack, the tight set's lifted
-    kernel proves its dimension, "not facet" included ("lifted kernel");
-    only when no lift passes is the full tight set voted, uncertified.
-    With ``certify`` both are full-set votes that fraction-free elimination
-    must confirm instead.
+    Both dimensions are proven.  A valid form with a vertex of positive
+    slack bounds its tight set by dim(P) - 1, so a tight subset that reaches
+    that bound proves "facet" ("proper face").  Where it misses, or no
+    vertex has positive slack, the tight set's lifted kernel proves its
+    dimension, "not facet" included ("lifted kernel"); where no lift
+    passes, the verdict is refused as unproven.  With ``certify``,
+    fraction-free elimination of the differences over every vertex and over
+    the tight set must then confirm both proven dimensions.
     """
     if form.n != n:
         raise DimensionMismatchError(f"form has n={form.n}, expected {n}")
@@ -358,18 +376,16 @@ def verify_facet(form: LinearForm, n: int, certify: bool = False) -> FacetReport
         sigma = space.perms[int(bad[0])]
         raise QappolyError(
             f"form is not valid: violated by sigma = {sigma.one_line()}")
-    full = (affine_dim(space.perms, certify=True) if certify
-            else polytope_affine_dim(n))
+    full = polytope_affine_dim(n)
+    if certify:
+        full = _certified(space, np.arange(len(space.perms)), full)
     tight_rows = np.nonzero(slack == 0)[0]
     if tight_rows.size == 0:
         return FacetReport(verdict="not facet", n=n, tight_count=0,
                            polytope_dim=int(full.consensus_rank), tight_dim=-1,
                            polytope_rank=full, tight_rank=None)
     tight_report = claim = None
-    if certify:
-        tight_report = affine_dim([space.perms[int(r)] for r in tight_rows],
-                                  certify=True)
-    elif full.certificate is not None and slack.any():
+    if slack.any():
         # a vertex of positive slack: the form's equation, homogenised like
         # the hull equations, is independent of them, so dim <= dim(P) - 1
         claim = replace(full.certificate, kind="proper face",
@@ -377,10 +393,14 @@ def verify_facet(form: LinearForm, n: int, certify: bool = False) -> FacetReport
                         equation_rank=full.certificate.equation_rank + 1)
         tight_report = _subset_reaching(space, tight_rows, claim, grow=False)
     if tight_report is None:
-        tight_report = (_kernel_affine_dim(space, tight_rows)
-                        or affine_dim([space.perms[int(r)] for r in tight_rows]))
+        tight_report = _kernel_affine_dim(space, tight_rows)
+        if tight_report is None:
+            raise QappolyError(f"unproven: no lifted kernel of the "
+                               f"{tight_rows.size} tight vertices passes")
         if claim is not None:
             _within_claim(tight_report, claim, tight_rows.size)
+    if certify:
+        tight_report = _certified(space, tight_rows, tight_report)
     verdict = ("facet"
                if tight_report.consensus_rank == full.consensus_rank - 1
                else "not facet")
@@ -599,9 +619,8 @@ def check_s0_connectivity(n: int, pattern: MatchPattern) -> S0ConnectivityReport
 @dataclass
 class SpanReport:
     member: bool
-    votes: dict[int, bool]          # empty when the certificate decides
     generator_count: int
-    certificate: RankCertificate | None = None
+    certificate: RankCertificate
 
 
 def check_span_membership(target, generators) -> SpanReport:
@@ -609,9 +628,8 @@ def check_span_membership(target, generators) -> SpanReport:
 
     The generators' lifted kernel W cuts out their span over Q, so the
     target is a member exactly when W·target = 0; the report carries W's
-    certificate.  When no lift passes, the target is reduced against an
-    echelon basis of the generators at each default prime instead, and
-    membership requires a unanimous vote.
+    certificate.  Generators whose lift does not pass are refused as
+    unproven.
     """
     generators = list(generators)
     if not generators:
@@ -627,8 +645,7 @@ def check_span_membership(target, generators) -> SpanReport:
         if tp.n != n:
             raise DimensionMismatchError("target and generators have mixed sizes")
         vec = space.rows([space.row_of(tp)])[0]
-    member, votes = basis.contains(vec)
-    return SpanReport(member=member, votes=votes, generator_count=len(generators),
+    return SpanReport(member=basis.contains(vec), generator_count=len(generators),
                       certificate=basis.certificate)
 
 
@@ -657,8 +674,8 @@ class SpanLemmaReport:
     seed: int
     details: dict = field(default_factory=dict)
     # one per generator set (per k in ascending order where there are
-    # several); None where membership was voted, not proven
-    certificates: list[RankCertificate | None] = field(default_factory=list)
+    # several)
+    certificates: list[RankCertificate] = field(default_factory=list)
 
 
 def _sample_span_lemma(lemma: str, space: VertexSpace, generators, draw,
@@ -668,8 +685,7 @@ def _sample_span_lemma(lemma: str, space: VertexSpace, generators, draw,
     ``generators`` holds the vertex rows spanning the targets, or a dict of
     them per class k, cycled through sample by sample and reported as
     samples per k.  ``draw(rng, k)`` returns a target vector.  Each
-    generator set's certificate, where its lifted kernel stands, makes every
-    verdict against it exact.
+    generator set's certificate makes every verdict against it exact.
     """
     per_k = isinstance(generators, dict)
     bases = {k: ModularSpanBasis(space.rows(rows))
@@ -680,7 +696,7 @@ def _sample_span_lemma(lemma: str, space: VertexSpace, generators, draw,
     member_count = 0
     for s in range(samples):
         key = keys[s % len(keys)]
-        member_count += bases[key].contains(draw(rng, key))[0]
+        member_count += bases[key].contains(draw(rng, key))
         counts[key] += 1
     return SpanLemmaReport(lemma=lemma, n=space.n, samples=samples,
                            member_count=member_count,

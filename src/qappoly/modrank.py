@@ -12,13 +12,14 @@ finitely many primes.  Two routes turn that into a proof:
   integer kernel exactly on every point.  It then cuts out the points' span
   over Q, so it proves their rank and decides span membership exactly.
 
-A failed lift or check gives no certificate, never a false one; callers
-then fall back to ``rank_consensus``, a vote at three 31-bit primes from a
-vetted pool ("inconclusive" when they split), which is strong evidence but
-not a proof.  With ``reach``, the first prime alone decides whether a matrix
-reaches a bound before the other primes are spent.  A fraction-free
-(Bareiss) integer elimination is available for certification runs; it is
-exact but slower.
+A failed lift or check gives no certificate, never a false one, and
+callers refuse the verdict as unproven.  ``rank_consensus`` reduces a
+matrix at three 31-bit primes from a vetted pool ("inconclusive" when they
+split); a rank it finds proves nothing until it meets an equation bound.
+With ``reach``, the first prime alone decides whether a matrix reaches a
+bound before the other primes are spent.  A fraction-free (Bareiss) integer
+elimination re-checks proven ranks in certification runs; it is exact but
+slower.
 
 Callers hand in signed integer matrices of any width (the vertex layer
 passes int8 rows and differences); each elimination widens its own reduced
@@ -105,7 +106,9 @@ class RankReport:
 
     ``consensus_rank`` is set only when every prime agrees; otherwise the
     status is "inconclusive", or "short" when a ``reach`` was missed.
-    ``certificate`` is set when the rank is proven, not only voted.
+    ``certificate`` is set when the rank is proven: every dimension the
+    geometry layer reports carries one, and only ``affine_dim`` leaves it
+    unset.
     """
 
     row_count: int
@@ -509,64 +512,26 @@ class ModularSpanBasis:
     ``__init__`` builds ``lifted_kernel(generators)``; its equations cut out
     the generators' span over Q, so ``contains`` decides membership exactly
     by checking them on the vector, and ``certificate`` records the proof.
-    When no lift passes, echelon bases are built at the default primes and
-    ``contains`` falls back to their vote, without a certificate.
+    Generators whose lift does not pass are refused as unproven.
     """
 
     def __init__(self, generators: np.ndarray):
         if generators.ndim != 2:
             raise QappolyError("generator matrix must be 2-dimensional")
-        self._generators = generators
-        self._bases: dict[int, tuple[list[int], np.ndarray]] = {}
-        self.kernel = lifted_kernel(generators, PRIME_POOL[0])
-        if self.kernel is None:
-            for p in PRIME_POOL[:DEFAULT_PRIME_COUNT]:
-                self._build(p)
-
-    @property
-    def certificate(self) -> RankCertificate | None:
-        return self.kernel and self.kernel.certificate()
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        """The primes whose echelon basis is built, in the order built."""
-        return tuple(self._bases)
-
-    def _build(self, p: int) -> None:
-        if p not in self._bases:
-            _, pivots, rows = _echelonize_mod_p(self._generators, p)
-            # a copy, so the basis does not pin the whole reduced matrix
-            self._bases[p] = (pivots, rows.copy())
-
-    def contains_mod_p(self, vector: np.ndarray, p: int) -> bool:
-        pivots, rows = self._bases[p]
-        v = np.mod(vector, np.int64(p))
-        for idx, c in enumerate(pivots):
-            coef = v[c]
-            if coef:
-                v -= coef * rows[idx]
-                v %= p
-        return not v.any()
-
-    def vote(self, vector: np.ndarray) -> tuple[bool, dict[int, bool]]:
-        """Consensus membership verdict at the default primes plus the
-        per-prime verdicts; raises when the primes disagree."""
-        def at(p: int) -> bool:
-            self._build(p)
-            return self.contains_mod_p(vector, p)
-
-        votes, member = _prime_vote(at)
-        if member is None:
+        kernel = lifted_kernel(generators, PRIME_POOL[0])
+        if kernel is None:
             raise QappolyError(
-                f"span membership disagreement across primes: {votes}")
-        return member, votes
+                f"unproven: no lifted kernel of the {generators.shape[0]} span "
+                f"generators passes at p = {PRIME_POOL[0]}")
+        self.kernel = kernel
 
-    def contains(self, vector: np.ndarray) -> tuple[bool, dict[int, bool]]:
-        """Membership verdict plus the per-prime votes behind it: exact, with
-        no votes, when the lifted kernel stands; else ``vote``."""
-        if self.kernel is not None:
-            return self.kernel.annihilates(vector), {}
-        return self.vote(vector)
+    @property
+    def certificate(self) -> RankCertificate:
+        return self.kernel.certificate()
+
+    def contains(self, vector: np.ndarray) -> bool:
+        """Whether the vector lies in the generators' span over Q, exactly."""
+        return self.kernel.annihilates(vector)
 
 
 def rank_exact_rational(matrix: np.ndarray) -> int:

@@ -205,12 +205,45 @@ def test_options_the_family_does_not_read_are_usage_failures(argv, unread, trian
     assert verdicts[0]["details"]["error"].endswith("does not read " + unread)
 
 
+QAP5_CERTIFY = ["verify-facet", "--family", "qap5", "--n", "5", "--beta", "0",
+                "--coeffs", "1,1:1;2,2:-1", "--expect", "valid-only", "--certify"]
+
+
 def test_verify_facet_takes_certify(tmp_path):
     out = tmp_path / "report.json"
-    assert main(["verify-facet", "--family", "qap5", "--n", "5", "--beta", "0",
-                 "--coeffs", "1,1:1;2,2:-1", "--expect", "valid-only", "--certify",
-                 "--json", str(out)]) == 0
-    assert json.loads(out.read_text())["parameters"]["certify"] is True
+    assert main(QAP5_CERTIFY + ["--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["parameters"]["certify"] is True
+    certificate = report["verdicts"][-1]["details"]["certificate"]
+    assert certificate["polytope"] and certificate["tight"]
+
+
+def test_a_certification_mismatch_is_a_failed_report(monkeypatch, tmp_path):
+    from qappoly import geometry
+
+    monkeypatch.setattr(geometry, "rank_exact_rational", lambda matrix: 0)
+    out = tmp_path / "report.json"
+    assert main(QAP5_CERTIFY + ["--json", str(out)]) == 1
+    verdicts = json.loads(out.read_text())["verdicts"]
+    assert [v["name"] for v in verdicts] == ["usage"]
+    assert verdicts[0]["details"]["error"].startswith("certification mismatch")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-facet", "--family", "qap5", "--n", "5", "--beta", "0",
+     "--coeffs", "1,1:1;2,2:-1", "--expect", "valid-only"],
+    ["verify-lemmas", "--which", "s3ss0", "--n", "5", "--samples", "5"],
+])
+def test_a_verdict_without_a_lift_is_refused_as_unproven(argv, monkeypatch, tmp_path):
+    from qappoly import geometry, modrank
+
+    for module in (geometry, modrank):
+        monkeypatch.setattr(module, "lifted_kernel", lambda points, p: None)
+    out = tmp_path / "report.json"
+    assert main(argv + ["--json", str(out)]) == 1
+    verdicts = json.loads(out.read_text())["verdicts"]
+    assert verdicts[-1]["name"] == "usage"
+    assert verdicts[-1]["details"]["error"].startswith("unproven")
 
 
 @pytest.mark.parametrize("argv", [

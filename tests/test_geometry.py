@@ -17,7 +17,13 @@ from qappoly.geometry import (
     s_k_sets,
 )
 from qappoly.inequalities import Qap2Params, build_qap2
-from qappoly.modrank import PRIME_POOL, rank_consensus, rank_mod_p
+from qappoly.modrank import (
+    DEFAULT_PRIME_COUNT,
+    PRIME_POOL,
+    _echelonize_mod_p,
+    rank_consensus,
+    rank_mod_p,
+)
 from qappoly.perms import Permutation, enumerate_permutations, vertex_from_permutation
 
 
@@ -213,12 +219,10 @@ def test_span_membership_of_generator(monkeypatch):
     assert report.member
     assert report.certificate.kind == "lifted kernel"
     assert report.certificate.equation_rows == report.certificate.columns - 3
-    assert report.votes == {}
-    # with no lift, the verdict is a vote
+    # with no lift, there is no verdict
     monkeypatch.setattr(modrank, "lifted_kernel", lambda points, p: None)
-    report = check_span_membership(gens[1], gens)
-    assert report.member and report.certificate is None
-    assert len(report.votes) >= 3 and all(report.votes.values())
+    with pytest.raises(QappolyError, match="unproven"):
+        check_span_membership(gens[1], gens)
 
 
 def test_span_membership_negative():
@@ -281,23 +285,34 @@ def test_szeroins_refuses_a_pattern_without_s0_neighbours():
 
 
 def test_certified_facet_reduces_the_full_vertex_set_once(monkeypatch):
+    # the proven route runs as without the flag; fraction-free elimination
+    # then re-checks the differences over every vertex and over the tight set
     from qappoly import geometry
     from qappoly.inequalities import Qap5Params, build_qap5
-    from qappoly.modrank import rank_consensus
+    from qappoly.modrank import rank_exact_rational
 
     calls = []
 
-    def counting(matrix, *args, **kwargs):
+    def counting(matrix):
         calls.append(matrix.shape)
-        return rank_consensus(matrix, *args, **kwargs)
+        return rank_exact_rational(matrix)
 
-    monkeypatch.setattr(geometry, "rank_consensus", counting)
+    monkeypatch.setattr(geometry, "rank_exact_rational", counting)
     geometry.polytope_affine_dim.cache_clear()
     form = build_qap5(Qap5Params(n=5, beta=0, coeffs={(1, 1): 1, (2, 2): -1}))
     report = geometry.verify_facet(form, 5, certify=True)
-    assert report.polytope_dim == 77
+    assert (report.polytope_dim, report.tight_dim) == (77, 72)
+    assert calls == [(120, 225), (102, 225)]
+    assert report.polytope_rank.certificate.kind == "affine-hull equations"
+    assert report.tight_rank.certificate.kind == "lifted kernel"
     assert "certified" in report.polytope_rank.status
-    assert len(calls) == 2  # the full vertex set and the tight set
+    assert "certified" in report.tight_rank.status
+    # the cached polytope report is left as the proof made it
+    plain = geometry.verify_facet(form, 5)
+    assert plain.polytope_rank is geometry.polytope_affine_dim(5)
+    assert plain.polytope_rank.status == "ok"
+    assert plain.polytope_rank.certificate == report.polytope_rank.certificate
+    assert len(calls) == 2
 
 
 def test_polytope_rank_is_computed_once_per_n():
@@ -345,18 +360,19 @@ def test_proven_polytope_dim_matches_the_full_vertex_vote(n):
     assert report.certificate is not None
     assert report.certificate.bound == report.consensus_rank
     assert report.certificate.prime in report.primes or report.row_count == 0
+    if n <= 4:
+        # the seeded subset would outnumber the vertices: the whole set is it
+        assert report.certificate.subset_rows == len(vertex_space(n).perms)
 
 
-def test_a_loose_equation_bound_leaves_the_full_vertex_vote_uncertified():
+def test_a_loose_equation_bound_is_refused_as_unproven():
     from qappoly.geometry import affine_hull_equations, proven_polytope_dim, vertex_space
 
     equations = affine_hull_equations(5)
     loose = equations[: len(equations) // 2]
     assert rank_mod_p(loose, PRIME_POOL[0]) < rank_mod_p(equations, PRIME_POOL[0])
-    report = proven_polytope_dim(vertex_space(5), loose)
-    assert report.certificate is None
-    assert report.consensus_rank == 77
-    assert report.row_count == 120  # the full vertex set
+    with pytest.raises(QappolyError, match="unproven: the 120 vertices"):
+        proven_polytope_dim(vertex_space(5), loose)
 
 
 def test_equations_that_fail_on_a_vertex_are_refused():
@@ -391,7 +407,7 @@ def test_an_empty_tight_set_is_not_a_facet():
 
 @pytest.fixture
 def no_lift(monkeypatch):
-    """Make every lifted kernel fail, so tight dimensions are voted."""
+    """Make every lifted kernel fail, so no tight dimension is proven."""
     from qappoly import geometry
 
     monkeypatch.setattr(geometry, "lifted_kernel", lambda points, p: None)
@@ -409,14 +425,12 @@ def test_a_form_tight_everywhere_is_not_a_facet():
     assert certificate.kind == "lifted kernel" and certificate.bound == 77
 
 
-def test_a_form_tight_everywhere_is_voted_without_a_lift(no_lift):
+def test_a_form_tight_everywhere_is_refused_without_a_lift(no_lift):
     from qappoly.geometry import verify_facet
     from qappoly.inequalities import LinearForm
 
-    report = verify_facet(LinearForm(n=5, positions=(), coeffs=(), rhs=0, sense="<="), 5)
-    assert report.tight_dim == report.polytope_dim == 77
-    assert report.tight_rank.certificate is None
-    assert len(report.tight_rank.ranks) == 3
+    with pytest.raises(QappolyError, match="unproven: .* 120 tight vertices"):
+        verify_facet(LinearForm(n=5, positions=(), coeffs=(), rhs=0, sense="<="), 5)
 
 
 def test_a_valid_only_qap5_form_keeps_its_tight_dim():
@@ -431,17 +445,16 @@ def test_a_valid_only_qap5_form_keeps_its_tight_dim():
     assert certificate.subset_rows <= 102
 
 
-def test_a_valid_only_qap5_form_is_voted_without_a_lift(no_lift):
+def test_a_valid_only_qap5_form_is_refused_without_a_lift(no_lift):
     from qappoly.geometry import verify_facet
     from qappoly.inequalities import Qap5Params, build_qap5
 
     form = build_qap5(Qap5Params(n=5, beta=0, coeffs={(1, 1): 1, (2, 2): -1}))
-    report = verify_facet(form, 5)
-    assert (report.verdict, report.tight_count, report.tight_dim) == ("not facet", 102, 72)
-    assert report.tight_rank.certificate is None
+    with pytest.raises(QappolyError, match="unproven: .* 102 tight vertices"):
+        verify_facet(form, 5)
 
 
-def test_a_flipped_lift_entry_falls_back_to_the_tight_vote(monkeypatch):
+def test_a_flipped_lift_entry_refuses_the_tight_dim(monkeypatch):
     from qappoly import modrank
     from qappoly.geometry import verify_facet
     from qappoly.inequalities import Qap5Params, build_qap5
@@ -455,10 +468,8 @@ def test_a_flipped_lift_entry_falls_back_to_the_tight_vote(monkeypatch):
 
     monkeypatch.setattr(modrank, "_lift", flipped)
     form = build_qap5(Qap5Params(n=5, beta=0, coeffs={(1, 1): 1, (2, 2): -1}))
-    report = verify_facet(form, 5)
-    assert report.tight_dim == 72
-    assert report.tight_rank.certificate is None
-    assert len(report.tight_rank.ranks) == 3
+    with pytest.raises(QappolyError, match="unproven"):
+        verify_facet(form, 5)
 
 
 def test_the_n7_facet_is_proven_without_a_full_vertex_elimination(monkeypatch):
@@ -506,6 +517,29 @@ def test_the_n7_not_facet_is_proven_by_a_lifted_kernel(monkeypatch):
     assert shapes and max(rows for rows, _ in shapes) <= 1100
 
 
+class VoteOracle:
+    """Span membership by vote, the route the lifted kernel replaced: the
+    generators' echelon basis at each default prime, the vector reduced
+    against each basis, and a verdict only when every prime agrees."""
+
+    def __init__(self, generators):
+        self.bases = {}
+        for p in PRIME_POOL[:DEFAULT_PRIME_COUNT]:
+            _, pivots, rows = _echelonize_mod_p(generators, p)
+            self.bases[p] = (pivots, rows.copy())
+
+    def contains(self, vector) -> bool:
+        votes = set()
+        for p, (pivots, rows) in self.bases.items():
+            v = np.mod(vector, np.int64(p))
+            for idx, c in enumerate(pivots):
+                if v[c]:
+                    v = (v - v[c] * rows[idx]) % p
+            votes.add(not v.any())
+        assert len(votes) == 1, "the primes split"
+        return votes.pop()
+
+
 def test_certified_span_verdicts_match_the_vote_at_n6(monkeypatch):
     # every sampled target of criterion 07, at n=6, is a member; the same
     # target with one coordinate raised is (almost always) not
@@ -513,16 +547,20 @@ def test_certified_span_verdicts_match_the_vote_at_n6(monkeypatch):
     from qappoly.modrank import ModularSpanBasis
 
     verdicts = []
-    contains = ModularSpanBasis.contains
+    init, contains = ModularSpanBasis.__init__, ModularSpanBasis.contains
+
+    def with_oracle(self, generators):
+        init(self, generators)
+        self.oracle = VoteOracle(generators)
 
     def both(self, vector):
-        assert self.certificate is not None
         raised = vector.astype(np.int64)
         raised[len(verdicts) % vector.size] += 1
         for target in (vector, raised):
-            verdicts.append((contains(self, target)[0], self.vote(target)[0]))
+            verdicts.append((contains(self, target), self.oracle.contains(target)))
         return contains(self, vector)
 
+    monkeypatch.setattr(ModularSpanBasis, "__init__", with_oracle)
     monkeypatch.setattr(ModularSpanBasis, "contains", both)
     for verify, seed in ((verify_skasnxt4, 1), (verify_s3ss0, 2), (verify_szeroins, 3)):
         assert verify(6, samples=200, seed=seed).all_member

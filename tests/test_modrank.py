@@ -28,47 +28,23 @@ def test_rank_disagreement_at_the_default_primes_is_inconclusive(monkeypatch):
     assert report.consensus_rank is None
 
 
-def test_split_membership_vote_raises_at_the_default_primes(monkeypatch):
+def test_a_span_basis_without_a_lift_is_refused(monkeypatch):
     monkeypatch.setattr(modrank, "lifted_kernel", lambda points, p: None)
     space = vertex_space(4)
-    basis = ModularSpanBasis(space.rows(range(6)))
-    assert basis.certificate is None
-    assert basis.primes == PRIME_POOL[:DEFAULT_PRIME_COUNT]
-
-    def split_vote(self, vector, p):
-        return p == PRIME_POOL[0]
-
-    monkeypatch.setattr(ModularSpanBasis, "contains_mod_p", split_vote)
-    with pytest.raises(QappolyError, match="disagreement"):
-        basis.contains(space.rows([3])[0])
-    assert basis.primes == PRIME_POOL[:DEFAULT_PRIME_COUNT]
-    assert sorted(basis._bases) == sorted(PRIME_POOL[:DEFAULT_PRIME_COUNT])
+    with pytest.raises(QappolyError, match="unproven: .* 6 span generators"):
+        ModularSpanBasis(space.rows(range(6)))
 
 
-def test_span_basis_stores_only_its_echelon_rows(monkeypatch):
+def test_span_basis_keeps_only_its_lifted_kernel():
     # the 24 vertices at n=4 have rank 23 (affine dimension 22): the lifted
-    # kernel proves it, and no echelon basis is kept beside it
+    # kernel proves it, and neither the generators nor an echelon basis is
+    # kept beside it
     generators = vertex_space(4).rows(range(24))
     basis = ModularSpanBasis(generators)
     assert basis.certificate.kind == "lifted kernel"
     assert basis.kernel.rank == 23
     assert basis.certificate.bound == 22
-    assert basis._bases == {}
-    # on the vote path the reduced matrix has 24 rows, and the stored basis
-    # must not be a view that keeps all of them alive
-    monkeypatch.setattr(modrank, "lifted_kernel", lambda points, p: None)
-    basis = ModularSpanBasis(generators)
-    assert basis.primes == PRIME_POOL[:DEFAULT_PRIME_COUNT]
-    for pivots, rows in basis._bases.values():
-        assert rows.base is None
-        assert rows.shape[0] == len(pivots) == 23
-
-
-def test_span_basis_keeps_the_int8_generators_it_is_given():
-    generators = vertex_space(4).rows(range(24))
-    basis = ModularSpanBasis(generators)
-    assert basis._generators is generators
-    assert basis._generators.dtype == np.int8
+    assert vars(basis) == {"kernel": basis.kernel}
 
 
 def test_rank_consensus_reports_the_same_for_int8_and_int64():
@@ -132,25 +108,19 @@ def test_a_flipped_lift_entry_loses_the_certificate(monkeypatch):
     assert ModularSpanBasis(generators).certificate is not None
     monkeypatch.setattr(modrank, "_lift", flipped)
     assert lifted_kernel(generators, PRIME_POOL[0]) is None
-    basis = ModularSpanBasis(generators)
-    assert basis.certificate is None
-    assert basis.primes == PRIME_POOL[:DEFAULT_PRIME_COUNT]
-    member, votes = basis.contains(generators[5])
-    assert member and len(votes) == DEFAULT_PRIME_COUNT
+    with pytest.raises(QappolyError, match="unproven"):
+        ModularSpanBasis(generators)
 
 
-def test_large_denominators_fall_back_to_the_vote():
+def test_large_denominators_are_refused_as_unproven():
     # a kernel of a random 6x12 matrix with entries up to 10**4 has
     # denominators near 10**26, far beyond reconstruction at a 31-bit prime
     rng = np.random.default_rng(11)
     matrix = rng.integers(-10**4, 10**4, size=(6, 12))
     assert lifted_kernel(matrix, PRIME_POOL[0]) is None
     assert rank_consensus(matrix).consensus_rank == rank_exact_rational(matrix) == 6
-    basis = ModularSpanBasis(matrix)
-    assert basis.certificate is None
-    member, votes = basis.contains(2 * matrix[0] - matrix[3])
-    assert member and len(votes) == DEFAULT_PRIME_COUNT
-    assert not basis.contains(np.eye(12, dtype=np.int64)[0])[0]
+    with pytest.raises(QappolyError, match="unproven"):
+        ModularSpanBasis(matrix)
 
 
 def test_an_empty_point_set_has_the_identity_kernel():
