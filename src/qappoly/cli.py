@@ -50,6 +50,7 @@ from .inequalities import (
     build_qap5,
     closed_form_slack,
     enumerate_family,
+    family_segments,
     slack_table_csv,
 )
 from .modrank import DEFAULT_PRIME_COUNT, PRIME_POOL
@@ -246,6 +247,8 @@ def _cmd_verify_slack(args, report: RunReport, caps: Caps):
     n = args.n
     _require_count("--limit", args.limit)
     _require_enumerable(n, caps)
+    if not any(run.count for run in family_segments(n, args.family)):
+        raise QappolyError(f"{args.family} has no forms at n={n} to verify")
     space = vertex_space(n)
     checked = 0
     mismatches = 0
@@ -264,7 +267,7 @@ def _cmd_verify_slack(args, report: RunReport, caps: Caps):
         if args.limit and checked >= args.limit:
             break
     report.add("slack formulas agree with direct evaluation", mismatches == 0,
-               forms=checked, vertices=len(space.perms), mismatches=mismatches)
+               forms=checked, vertices=len(space.images), mismatches=mismatches)
     report.add("all enumerated forms valid on all vertices", invalid == 0,
                violations=invalid)
     if args.csv:

@@ -16,26 +16,25 @@ misses (a "not facet" verdict, or a form tight everywhere), the tight set's
 lemmas decide membership against the generators' lifted kernel the same way.
 Where no proof stands, the verdict is refused as unproven.
 
-The vertex classification S_k, the signed-sum identities, S_0 connectivity,
-and the span lemmas are all driven by a per-n ``VertexSpace`` cache.  It
-stores each vertex once, as a column of the 0/1 match matrix ``zt`` that
-also drives batch evaluation of linear forms; ``VertexSpace.rows`` derives
-int8 vertex rows from it on demand, and ``VertexSpace.match_counts``
-classifies every vertex into its S_k at once.  Rows and their differences
-(entries -1..1) go to ``modrank`` as int8, which widens them only inside
-the elimination.
+The S_k classes, S_0 connectivity and the span lemmas read a per-n
+``VertexSpace`` cache: each vertex once, as an int8 one-line image in
+lexicographic order, so its index is its Lehmer rank (``index_of``, also
+used for ``neighbours``).  The int8 0/1 match matrix ``zt`` derived from the
+images drives batch form evaluation, ``rows`` (int8 vertex rows, widened by
+``modrank`` only inside elimination) and ``match_counts`` (every S_k).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatchError, QappolyError
+from .errors import DimensionMismatchError, InvalidPermutationError, QappolyError
 from .indexing import EntryKey, Pair, flat_index, pair_from_flat, triangle_dimension
 from .inequalities import LinearForm, Qap4Params
 from .modrank import (
@@ -50,10 +49,11 @@ from .modrank import (
     rank_mod_p,
 )
 from .perms import (
+    DEFAULT_ENUMERATION_CAP,
     Permutation,
     QapVertex,
     apply_transposition,
-    enumerate_permutations,
+    require_enumerable,
     vertex_from_permutation,
 )
 
@@ -108,19 +108,42 @@ def _off_diagonal_support(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class VertexSpace:
-    n: int
-    perms: list[Permutation]
-    index: dict[tuple[int, ...], int]
-    zt: np.ndarray       # (n*n, n!) int32 match indicators, one vertex per column
+    """The n! vertices at size n, in lexicographic order of their images."""
 
-    def row_of(self, perm: Permutation) -> int:
-        return self.index[perm.image]
+    n: int
+    images: np.ndarray   # (n!, n) int8 one-line images, one vertex per row
+    zt: np.ndarray       # (n*n, n!) int8 match indicators, one vertex per column
+
+    @cached_property
+    def perms(self) -> list[Permutation]:
+        return [Permutation(tuple(image)) for image in self.images.tolist()]
+
+    def index_of(self, images) -> np.ndarray:
+        """Vertex index of each one-line image: its lexicographic rank, the
+        Lehmer code sum_i c_i (n-1-i)!, c_i the later entries below entry i."""
+        entries = np.asarray(images).T.copy()   # one contiguous row per position
+        index = np.zeros(entries.shape[1], dtype=np.int64)
+        for i in range(self.n - 1):
+            below = (entries[i + 1:] < entries[i]).sum(axis=0, dtype=np.int64)
+            index += below * math.factorial(self.n - 1 - i)
+        return index
+
+    def neighbours(self, idx) -> np.ndarray:
+        """Index of the vertex one transposition (x, y) away from each vertex
+        at ``idx``: one column per (x, y), in ``combinations`` order."""
+        images = self.images[idx]
+        out = np.empty((len(images), self.n * (self.n - 1) // 2), dtype=np.int64)
+        for column, (x, y) in enumerate(itertools.combinations(range(self.n), 2)):
+            swapped = images.copy()
+            swapped[:, [x, y]] = images[:, [y, x]]
+            out[:, column] = self.index_of(swapped)
+        return out
 
     def rows(self, idx) -> np.ndarray:
         """int8 rows of the vertices at ``idx`` over the support coordinates:
         the diagonal cells in flat order, then the off-diagonal support pairs
         in lexicographic order, each the product of its two match indicators."""
-        z = self.zt[:, idx].T.astype(np.int8)
+        z = self.zt[:, idx].T
         f1, f2 = _off_diagonal_support(self.n)
         return np.concatenate([z, z[:, f1] * z[:, f2]], axis=1)
 
@@ -132,12 +155,14 @@ class VertexSpace:
 
 @lru_cache(maxsize=3)
 def vertex_space(n: int) -> VertexSpace:
-    perms = list(enumerate_permutations(n))
-    index = {p.image: v for v, p in enumerate(perms)}
-    zt = np.zeros((n * n, len(perms)), dtype=np.int32)
-    images = np.array([p.image for p in perms], dtype=np.int64)
-    zt[n * np.arange(n) + images - 1, np.arange(len(perms))[:, None]] = 1
-    return VertexSpace(n=n, perms=perms, index=index, zt=zt)
+    if n < 1:
+        raise InvalidPermutationError(f"n must be positive, got {n}")
+    require_enumerable(n, DEFAULT_ENUMERATION_CAP)
+    count = math.factorial(n)   # permutations() runs in lexicographic order
+    images = np.fromiter(itertools.chain.from_iterable(itertools.permutations(
+        range(1, n + 1))), np.int8, n * count).reshape(count, n)
+    cells = images.T[:, None] == np.arange(1, n + 1, dtype=np.int8)[:, None]
+    return VertexSpace(n=n, images=images, zt=cells.reshape(n * n, count).view(np.int8))
 
 
 def _as_permutation(v) -> Permutation:
@@ -148,12 +173,12 @@ def _as_permutation(v) -> Permutation:
     raise QappolyError(f"expected a vertex or permutation, got {type(v).__name__}")
 
 
-def _vertex_rows(vertices, space: VertexSpace) -> tuple[list[Permutation], np.ndarray]:
-    perms = [_as_permutation(v) for v in vertices]
-    if any(p.n != space.n for p in perms):
+def _vertex_rows(vertices) -> tuple[VertexSpace, np.ndarray]:
+    images = [_as_permutation(v).image for v in vertices]
+    if len({len(image) for image in images}) > 1:
         raise DimensionMismatchError("all vertices must share the same n")
-    rows = np.array([space.row_of(p) for p in perms], dtype=np.int64)
-    return perms, rows
+    space = vertex_space(len(images[0]))
+    return space, space.index_of(images)
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +196,9 @@ def affine_dim(vertices, certify: bool = False) -> RankReport:
     vertices = list(vertices)
     if not vertices:
         raise QappolyError("affine_dim of an empty vertex set")
-    n = _as_permutation(vertices[0]).n
-    space = vertex_space(n)
-    perms, rows = _vertex_rows(vertices, space)
-    base_row = space.row_of(min(perms))
-    diffs = space.rows(rows) - space.rows([base_row])
-    report = rank_consensus(diffs, column_dimension=triangle_dimension(n))
+    space, rows = _vertex_rows(vertices)
+    diffs = space.rows(rows) - space.rows([rows.min()])
+    report = rank_consensus(diffs, column_dimension=triangle_dimension(space.n))
     if certify and report.consensus_rank is not None:
         exact = rank_exact_rational(diffs)
         if exact != report.consensus_rank:
@@ -234,7 +256,7 @@ def affine_hull_equations(n: int) -> np.ndarray:
 
 def _require_vanishing(space: VertexSpace, equations: np.ndarray) -> None:
     """Raise unless every equation vanishes on every vertex, exactly."""
-    failing = nonvanishing_rows(equations, len(space.perms), space.rows)
+    failing = nonvanishing_rows(equations, len(space.images), space.rows)
     if failing.size:
         sigma = space.perms[int(failing[0])]
         raise QappolyError(f"an equation does not vanish on sigma = {sigma.one_line()}")
@@ -315,9 +337,9 @@ def proven_polytope_dim(space: VertexSpace, equations: np.ndarray) -> RankReport
                             equation_rows=equations.shape[0],
                             equation_rank=rank_mod_p(equations, prime),
                             prime=prime, subset_rows=0)
-    report = _subset_reaching(space, np.arange(len(space.perms)), claim, grow=True)
+    report = _subset_reaching(space, np.arange(len(space.images)), claim, grow=True)
     if report is None:
-        raise QappolyError(f"unproven: the {len(space.perms)} vertices at "
+        raise QappolyError(f"unproven: the {len(space.images)} vertices at "
                            f"n={space.n} miss the bound {claim.bound} of the "
                            f"{claim.kind}")
     return report
@@ -378,7 +400,7 @@ def verify_facet(form: LinearForm, n: int, certify: bool = False) -> FacetReport
             f"form is not valid: violated by sigma = {sigma.one_line()}")
     full = polytope_affine_dim(n)
     if certify:
-        full = _certified(space, np.arange(len(space.perms)), full)
+        full = _certified(space, np.arange(len(space.images)), full)
     tight_rows = np.nonzero(slack == 0)[0]
     if tight_rows.size == 0:
         return FacetReport(verdict="not facet", n=n, tight_count=0,
@@ -431,8 +453,7 @@ def check_equality_set(form: LinearForm, n: int) -> EqualitySetReport:
     k_of = space.match_counts(pattern)
     sizes = {int(k): int((k_of == k).sum()) for k in range(pattern.m + 1)}
     tight = slack == 0
-    in_s1_s2 = (k_of == 1) | (k_of == 2)
-    mismatch_rows = np.nonzero(tight != in_s1_s2)[0]
+    mismatch_rows = np.flatnonzero(tight != np.isin(k_of, (1, 2)))
     mismatches = [space.perms[int(r)].one_line() for r in mismatch_rows[:5]]
     return EqualitySetReport(n=n, m=pattern.m, ok=mismatch_rows.size == 0,
                              tight_count=int(tight.sum()), sizes_by_k=sizes,
@@ -540,18 +561,14 @@ def check_identity2(s1: Permutation, s2: Permutation, s3: Permutation,
         for key in vertex_from_permutation(sigma).entries:
             total[key] = total.get(key, 0) + sign
     nonzero = {k: v for k, v in total.items() if v != 0}
-    plus = minus = count = 0
-    for (f1, f2), v in nonzero.items():
-        weight = 1 if f1 == f2 else 2  # both orientations of the full matrix
-        count += weight
-        if v > 0:
-            plus += weight
-        else:
-            minus += weight
+    # an off-diagonal entry counts in both orientations of the full matrix
+    weight = {(f1, f2): 1 if f1 == f2 else 2 for f1, f2 in nonzero}
+    plus = sum(w for key, w in weight.items() if nonzero[key] > 0)
+    count = sum(weight.values())
     affected = tuple(sorted(
         (pair_from_flat(n, f1), pair_from_flat(n, f2)) for f1, f2 in nonzero))
-    return Identity2Report(nonzero_count=count, plus_count=plus, minus_count=minus,
-                           affected_entries=affected,
+    return Identity2Report(nonzero_count=count, plus_count=plus,
+                           minus_count=count - plus, affected_entries=affected,
                            affected_flats=tuple(sorted(nonzero)))
 
 
@@ -569,45 +586,29 @@ class S0ConnectivityReport:
     status: str  # "ok" or "vacuous"
 
 
-def _s0_neighbours(space: VertexSpace, v: int, s0: set[int]) -> list[int]:
-    """The vertices of S_0 one transposition (x, y) away from vertex v, in
-    ``combinations`` order of (x, y)."""
-    image = space.perms[v].image
-    out = []
-    for x, y in itertools.combinations(range(space.n), 2):
-        swapped = list(image)
-        swapped[x], swapped[y] = swapped[y], swapped[x]
-        w = space.index[tuple(swapped)]
-        if w in s0:
-            out.append(w)
-    return out
-
-
 def check_s0_connectivity(n: int, pattern: MatchPattern) -> S0ConnectivityReport:
     """Connectivity of the graph on S_0 whose edges join permutations one
-    transposition apart (with both endpoints avoiding every pattern pair)."""
+    transposition apart (both endpoints avoiding every pattern pair), found by
+    labels that fall to the least over each edge and jump until none moves."""
     space = vertex_space(n)
-    members = _class_rows(space, pattern)[0].tolist()
-    if not members:
+    members = _class_rows(space, pattern)[0]
+    if not members.size:
         return S0ConnectivityReport(n=n, pattern=pattern, size=0,
                                     component_count=0, connected=False,
                                     status="vacuous")
-    s0 = set(members)
-    parent = {v: v for v in members}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for v in members:
-        for w in _s0_neighbours(space, v, s0):
-            ra, rb = find(v), find(w)
-            if ra != rb:
-                parent[ra] = rb
-    components = len({find(v) for v in members})
-    return S0ConnectivityReport(n=n, pattern=pattern, size=len(members),
+    own = np.arange(members.size)
+    position = np.full(len(space.images), -1)
+    position[members] = own
+    links = position[space.neighbours(members)]   # a member's S_0 neighbours,
+    links = np.where(links < 0, own[:, None], links)   # itself for the others
+    label, lower = None, own
+    while not np.array_equal(lower, label):
+        label = lower
+        lower = np.minimum(label, label[links].min(axis=1))
+        while not np.array_equal(lower[lower], lower):
+            lower = lower[lower]
+    components = int((label == own).sum())
+    return S0ConnectivityReport(n=n, pattern=pattern, size=int(members.size),
                                 component_count=components,
                                 connected=components == 1, status="ok")
 
@@ -634,17 +635,15 @@ def check_span_membership(target, generators) -> SpanReport:
     generators = list(generators)
     if not generators:
         raise QappolyError("span membership needs at least one generator")
-    n = _as_permutation(generators[0]).n
-    space = vertex_space(n)
-    _, rows = _vertex_rows(generators, space)
+    space, rows = _vertex_rows(generators)
     basis = ModularSpanBasis(space.rows(rows))
     if isinstance(target, np.ndarray):
         vec = target
     else:
         tp = _as_permutation(target)
-        if tp.n != n:
+        if tp.n != space.n:
             raise DimensionMismatchError("target and generators have mixed sizes")
-        vec = space.rows([space.row_of(tp)])[0]
+        vec = space.rows(space.index_of([tp.image]))[0]
     return SpanReport(member=basis.contains(vec), generator_count=len(generators),
                       certificate=basis.certificate)
 
@@ -673,8 +672,7 @@ class SpanLemmaReport:
     all_member: bool
     seed: int
     details: dict = field(default_factory=dict)
-    # one per generator set (per k in ascending order where there are
-    # several)
+    # one per generator set (in ascending k where there are several)
     certificates: list[RankCertificate] = field(default_factory=list)
 
 
@@ -744,17 +742,19 @@ def verify_szeroins(n: int, pattern: MatchPattern | None = None, samples: int = 
     pattern = pattern or MatchPattern.diagonal(n)
     space = vertex_space(n)
     classes = _class_rows(space, pattern)
-    s0 = set(classes[0].tolist())
-    if not any(_s0_neighbours(space, v, s0) for v in s0):
+    s0 = classes[0]
+    links = space.neighbours(s0)
+    linked = np.isin(links, s0)
+    if not linked.any():
         raise QappolyError(f"no S_0 vertex has an S_0 neighbour at n={n} for a "
                            f"pattern of {pattern.m} pairs")
 
     def draw(rng, _):
         while True:  # redraw an S_0 vertex without an S_0 neighbour
-            v = rng.choice(classes[0])
-            neighbours = _s0_neighbours(space, v, s0)
-            if neighbours:
-                pair = space.rows([v, rng.choice(neighbours)])
+            row = rng.randrange(s0.size)
+            neighbours = links[row][linked[row]]
+            if neighbours.size:
+                pair = space.rows([s0[row], rng.choice(neighbours)])
                 return pair[0] - pair[1]
 
     return _sample_span_lemma(

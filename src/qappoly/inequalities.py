@@ -868,6 +868,9 @@ class _Qap3Run(Segment):
 
 
 def _qap1_runs(n: int):
+    if n < 6:
+        log.info("qap1 has no parameter-valid forms at n=%d (it needs n >= 6)", n)
+        return
     for k in range(1, n + 1):
         for l in range(1, n + 1):
             for m in range(3, n):

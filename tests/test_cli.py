@@ -318,8 +318,19 @@ def test_verify_slack_counts_a_per_vertex_formula_off_by_one(monkeypatch, tmp_pa
     monkeypatch.setattr(cli, "closed_form_slack",
                         lambda *args, **kwargs: scalar(*args, **kwargs) + 1)
     out = tmp_path / "slack.json"
-    code = main(["verify-slack", "--family", "qap1", "--n", "5", "--limit", "6",
+    # qap1 has forms from n = 6 on
+    code = main(["verify-slack", "--family", "qap1", "--n", "6", "--limit", "6",
                  "--json", str(out)])
     details = json.loads(out.read_text())["verdicts"][0]["details"]
     assert code == 1
-    assert (details["forms"], details["mismatches"]) == (6, 6 * 120)
+    assert (details["forms"], details["mismatches"]) == (6, 6 * 720)
+
+
+@pytest.mark.parametrize("family,n", [("qap2", 6), ("qap1", 5), ("qap4", 6)])
+def test_verify_slack_on_an_empty_family_is_a_usage_failure(family, n, tmp_path):
+    out = tmp_path / "slack.json"
+    assert main(["verify-slack", "--family", family, "--n", str(n),
+                 "--json", str(out)]) == 1
+    verdicts = json.loads(out.read_text())["verdicts"]
+    assert [v["name"] for v in verdicts] == ["usage"]
+    assert f"{family} has no forms at n={n}" in verdicts[0]["details"]["error"]

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import numpy as np
@@ -204,6 +206,121 @@ def test_s0_n3_single_pair_pattern():
 def test_s0_vacuous():
     report = check_s0_connectivity(1, MatchPattern(((1, 1),)))
     assert report.status == "vacuous" and report.size == 0
+
+
+class PerSwapListing:
+    """The neighbour listing the vertex table replaced: a dict from each
+    image of the lexicographic enumeration to its index, and a Python loop
+    over the swaps (x, y) of one image in ``combinations`` order."""
+
+    def __init__(self, n):
+        self.n = n
+        self.perms = list(enumerate_permutations(n))
+        self.index = {p.image: v for v, p in enumerate(self.perms)}
+
+    def neighbours(self, v, s0=None) -> list[int]:
+        """The vertices one transposition away from vertex v, those in the
+        set ``s0`` only when it is given."""
+        out = []
+        for x, y in itertools.combinations(range(self.n), 2):
+            swapped = list(self.perms[v].image)
+            swapped[x], swapped[y] = swapped[y], swapped[x]
+            w = self.index[tuple(swapped)]
+            if s0 is None or w in s0:
+                out.append(w)
+        return out
+
+    def component_count(self, s0: set[int]) -> int:
+        parent = {v: v for v in s0}
+
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        for v in s0:
+            for w in self.neighbours(v, s0):
+                parent[find(v)] = find(w)
+        return len({find(v) for v in s0})
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_a_vertex_index_is_the_lexicographic_rank_of_its_image(n):
+    from qappoly.geometry import vertex_space
+
+    space = vertex_space(n)
+    assert space.images.dtype == space.zt.dtype == np.int8
+    assert (space.index_of(space.images) == np.arange(math.factorial(n))).all()
+    if n <= 6:
+        assert space.images.tolist() == [list(p.image) for p in enumerate_permutations(n)]
+        assert space.perms == list(enumerate_permutations(n))
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_neighbours_match_the_per_swap_listing(n):
+    from qappoly.geometry import vertex_space
+
+    space = vertex_space(n)
+    listing = PerSwapListing(n)
+    table = space.neighbours(np.arange(len(space.images)))
+    assert table.shape == (len(space.images), n * (n - 1) // 2)
+    assert table.tolist() == [listing.neighbours(v) for v in range(len(space.images))]
+
+
+@pytest.mark.parametrize("n,pairs", [
+    (3, ((1, 1), (2, 2), (3, 3))),          # two isolated 3-cycles
+    (4, ((1, 1), (2, 2), (3, 3), (4, 4))),
+    (4, ((1, 2), (2, 1))),
+    (5, ((1, 1), (2, 2), (3, 3), (4, 4), (5, 5))),
+    (5, ((1, 1), (2, 3), (4, 5))),
+    (6, ((1, 2), (2, 3), (3, 1), (4, 4), (5, 6), (6, 5))),
+    (6, ((1, 1), (2, 2))),
+])
+def test_s0_components_match_a_union_find(n, pairs):
+    pattern = MatchPattern(pairs)
+    listing = PerSwapListing(n)
+    s0 = {v for v, p in enumerate(listing.perms) if classify_vertex(p, pattern) == 0}
+    expected = listing.component_count(s0)
+    report = check_s0_connectivity(n, pattern)
+    assert (report.size, report.component_count) == (len(s0), expected)
+    assert report.connected == (expected == 1)
+
+
+def test_s0_of_the_n3_diagonal_is_two_isolated_members():
+    report = check_s0_connectivity(3, MatchPattern.diagonal(3))
+    assert (report.size, report.component_count, report.connected) == (2, 2, False)
+
+
+def test_szeroins_draws_the_targets_of_the_per_swap_listing(monkeypatch):
+    from qappoly.geometry import vertex_space, verify_szeroins
+    from qappoly.modrank import ModularSpanBasis
+
+    targets = []
+    contains = ModularSpanBasis.contains
+
+    def captured(self, vector):
+        targets.append(vector)
+        return contains(self, vector)
+
+    monkeypatch.setattr(ModularSpanBasis, "contains", captured)
+    assert verify_szeroins(6, samples=200, seed=3).all_member
+    # the draw before the table: an S_0 member, redrawn until it has an S_0
+    # neighbour, then one of those neighbours, from the same generator
+    pattern = MatchPattern.diagonal(6)
+    listing = PerSwapListing(6)
+    members = [v for v, p in enumerate(listing.perms) if classify_vertex(p, pattern) == 0]
+    s0 = set(members)
+    rng = random.Random(3)
+    expected = []
+    while len(expected) < 200:
+        v = rng.choice(members)
+        neighbours = listing.neighbours(v, s0)
+        if neighbours:
+            pair = vertex_space(6).rows([v, rng.choice(neighbours)])
+            expected.append(pair[0] - pair[1])
+    assert len(targets) == 200
+    assert all((got == want).all() for got, want in zip(targets, expected))
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,14 @@ def test_enumerate_qap4_n7():
     assert count == len(keys) == math.factorial(7)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_enumerated_forms_pass_validation_below_n7(n):
+    # qap1 needs n >= 6, so its runs below that yield nothing
+    for family in ("qap1", "qap2", "qap3", "qap4"):
+        for form in enumerate_family(n, family):
+            form.params.validate()
+
+
 def test_enumerate_qap2():
     assert sum(1 for _ in enumerate_family(6, "qap2")) == 0  # conditions unsatisfiable
     forms = list(enumerate_family(7, "qap2"))
