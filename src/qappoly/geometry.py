@@ -43,7 +43,6 @@ from .modrank import (
     RankCertificate,
     RankReport,
     lifted_kernel,
-    nonvanishing_rows,
     rank_consensus,
     rank_exact_rational,
     rank_mod_p,
@@ -255,8 +254,36 @@ def affine_hull_equations(n: int) -> np.ndarray:
 
 
 def _require_vanishing(space: VertexSpace, equations: np.ndarray) -> None:
-    """Raise unless every equation vanishes on every vertex, exactly."""
-    failing = nonvanishing_rows(equations, len(space.images), space.rows)
+    """Raise unless every equation vanishes on every vertex, exactly.
+
+    Each equation sums only its nonzero columns, over all vertices at once:
+    a diagonal column is a row of the match matrix ``zt``, an off-diagonal
+    one the product of two.  The sum of an equation's |coefficients| bounds
+    its value at every vertex, so the sums run in int16 when every such
+    bound is below 2**15, and in int64 otherwise.
+    """
+    cells = space.n ** 2
+    f1, f2 = _off_diagonal_support(space.n)
+    bound = int(np.abs(equations.astype(np.int64)).sum(axis=1).max(initial=0))
+    dtype = np.int16 if bound <= np.iinfo(np.int16).max else np.int64
+    zt = space.zt
+    failing = np.zeros(zt.shape[1], dtype=bool)
+    for equation in equations:
+        total = np.zeros(zt.shape[1], dtype=dtype)
+        columns = np.flatnonzero(equation)
+        for column, coeff in zip(columns.tolist(), equation[columns].tolist()):
+            if column < cells:
+                value = zt[column]
+            else:
+                value = zt[f1[column - cells]] * zt[f2[column - cells]]
+            if coeff == 1:
+                total += value
+            elif coeff == -1:
+                total -= value
+            else:
+                total += coeff * value.astype(dtype)
+        failing |= total != 0
+    failing = np.flatnonzero(failing)
     if failing.size:
         sigma = space.perms[int(failing[0])]
         raise QappolyError(f"an equation does not vanish on sigma = {sigma.one_line()}")

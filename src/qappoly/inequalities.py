@@ -689,9 +689,15 @@ class Segment:
     slot pairs ``pairs``, in the builder's entry order.  Row t of ``coeffs``
     and entry t of ``rhs`` are the builder's coefficients and right-hand
     side of template t: a run has one template, qap3 runs one per beta.
+
+    A form's columns, read in slot order, are its column tuple: row r of
+    ``_columns()``, the rows of factor ``column_factor`` mapped to columns
+    (for qap1 led by l).  A qap3 run has one Q, so ``column_factor`` is None
+    and ``_columns()`` is that one tuple.
     """
 
     sense = "<="
+    column_factor: int | None = 1
 
     def __init__(self, n: int, factors: tuple, layout: tuple):
         self.n = n
@@ -704,29 +710,55 @@ class Segment:
         self.coeffs, self.rhs = np.atleast_2d(coeffs), np.atleast_1d(rhs)
         self.entries = len(self.pairs[0])
 
-    def _picks(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
-        """Each factor's table rows for forms lo..hi-1 of the run, as int64."""
-        digits = np.unravel_index(np.arange(lo, hi), self.shape)
+    def _picks(self, rows) -> tuple[np.ndarray, ...]:
+        """Each factor's table rows for the forms at run rows ``rows``, as int64."""
+        digits = np.unravel_index(rows, self.shape)
         return tuple(_index_table(*factor)[digit].astype(np.int64)
                      for factor, digit in zip(self.factors, digits))
 
-    def _sets(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
-        """The 1-based index sets of forms lo..hi-1 of the run."""
-        return tuple(pick + 1 for pick in self._picks(lo, hi))
+    def _sets(self, rows) -> tuple[np.ndarray, ...]:
+        """The 1-based index sets of the forms at run rows ``rows``."""
+        return tuple(pick + 1 for pick in self._picks(rows))
 
-    def params(self, lo: int, hi: int) -> list:
-        """Parameters of forms lo..hi-1 of the run."""
+    def params(self, rows) -> list:
+        """Parameters of the forms at run rows ``rows``."""
         raise NotImplementedError
 
-    def arrays(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """(positions, template) of forms lo..hi-1 of the run: positions is
-        (forms, entries), exactly as the builders emit them, and template
+    def arrays(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """(positions, template) of the forms at run rows ``rows``: positions
+        is (forms, entries), exactly as the builders emit them, and template
         each form's row in ``coeffs`` and ``rhs``."""
-        sets = self._sets(lo, hi)
+        sets = self._sets(rows)
         cells = self._cells(sets)
         f1, f2 = cells[:, self.pairs[0]], cells[:, self.pairs[1]]
         positions = triangle_position(self.n, np.minimum(f1, f2), np.maximum(f1, f2))
         return positions, self._template(sets)
+
+    def orbit_minima(self, classes) -> list[np.ndarray]:
+        """Per factor, the ascending rows of its index table that the run's
+        orbit minima use; the minima are the product of these rows.
+
+        ``classes`` are disjoint sorted column tuples, and the group
+        Sym(C1) x Sym(C2) x ... relabels the columns of every form.  Where
+        two forms share an orbit, their order is lexicographic on their
+        column tuples.  So a form is the least of its orbit exactly when,
+        in every class, the tuple's entries in that class, read in slot
+        order, are its smallest members in ascending order.  With no
+        classes every row is kept.
+        """
+        axes = [np.arange(size) for size in self.shape]
+        if classes:
+            keep = _least_in_orbit(self._columns(), classes)
+            if self.column_factor is None:   # the run's one column tuple
+                if not keep[0]:
+                    axes[0] = axes[0][:0]
+            else:
+                axes[self.column_factor] = np.flatnonzero(keep)
+        return axes
+
+    def _columns(self) -> np.ndarray:
+        """The column tuple of each row of factor ``column_factor``."""
+        return _index_table(*self.factors[self.column_factor]) + 1
 
     def _cells(self, sets) -> np.ndarray:
         """Flat indices of each form's cells, one form per row."""
@@ -734,6 +766,22 @@ class Segment:
 
     def _template(self, sets) -> np.ndarray:
         return np.zeros(len(sets[0]), dtype=np.intp)
+
+
+def _least_in_orbit(columns: np.ndarray, classes) -> np.ndarray:
+    """Whether each row of column tuples is the least of its orbit: in every
+    class, the row's entries that lie in it, in slot order, are the class's
+    smallest members in ascending order."""
+    keep = np.ones(len(columns), dtype=bool)
+    size = max(int(columns.max()), *map(max, classes)) + 1
+    for members in classes:
+        rank = np.full(size, -1, dtype=np.int8)   # -1 outside the class
+        rank[list(members)] = np.arange(len(members))
+        ranks = rank[columns]
+        inside = ranks >= 0
+        ordinal = np.cumsum(inside, axis=1, dtype=np.int8) - 1
+        keep &= np.all(~inside | (ranks == ordinal), axis=1)
+    return keep
 
 
 @functools.lru_cache(maxsize=None)
@@ -755,14 +803,18 @@ class _Qap1Run(Segment):
         universe = np.arange(1, n + 1)
         self.rows, self.cols = universe[universe != k], universe[universe != l]
 
-    def _sets(self, lo, hi):
-        i_picks, j_picks = self._picks(lo, hi)
+    def _sets(self, rows):
+        i_picks, j_picks = self._picks(rows)
         return self.rows[i_picks], self.cols[j_picks]
 
-    def params(self, lo, hi):
-        i_sets, j_sets = (s.tolist() for s in self._sets(lo, hi))
+    def params(self, rows):
+        i_sets, j_sets = (s.tolist() for s in self._sets(rows))
         return [Qap1Params(n=self.n, i_set=tuple(i), j_set=tuple(j), k=self.k, l=self.l)
                 for i, j in zip(i_sets, j_sets)]
+
+    def _columns(self):
+        j_sets = self.cols[_index_table(*self.factors[1])]
+        return np.hstack((np.full((len(j_sets), 1), self.l), j_sets))
 
     def _cells(self, sets):
         i_sets, j_sets = sets
@@ -783,8 +835,8 @@ class _Qap4Run(Segment):
     def __init__(self, n: int, m: int):
         super().__init__(n, ((n, m, False), (n, m, True)), _qap4_layout(m))
 
-    def params(self, lo, hi):
-        i_sets, j_sets = (s.tolist() for s in self._sets(lo, hi))
+    def params(self, rows):
+        i_sets, j_sets = (s.tolist() for s in self._sets(rows))
         return [Qap4Params(n=self.n, i_set=tuple(i), j_set=tuple(j))
                 for i, j in zip(i_sets, j_sets)]
 
@@ -808,8 +860,8 @@ class _Qap2Run(Segment):
         super().__init__(n, ((n, p, False), (n, q, False)), _qap2_layout(beta, p, q))
         self.beta = beta
 
-    def params(self, lo, hi):
-        p_sets, q_sets = (s.tolist() for s in self._sets(lo, hi))
+    def params(self, rows):
+        p_sets, q_sets = (s.tolist() for s in self._sets(rows))
         return [Qap2Params(n=self.n, p_set=p, q_set=q, beta=self.beta)
                 for p, q in zip(p_sets, q_sets)]
 
@@ -837,6 +889,7 @@ class _Qap3Run(Segment):
     from the rows outside P1) by the admissible betas."""
 
     sense = ">="
+    column_factor = None
 
     def __init__(self, n: int, q_set: tuple[int, ...], p1: int, p2: int,
                  betas: tuple[int, ...]):
@@ -844,20 +897,23 @@ class _Qap3Run(Segment):
                          _qap3_layout(len(q_set), p1, p2, betas))
         self.q_set, self.betas = q_set, betas
 
-    def _sets(self, lo, hi):
+    def _sets(self, rows):
         """P1 and P2 (1-based) and each form's index into ``betas``."""
-        p1_picks, rest_picks, beta_picks = self._picks(lo, hi)
+        p1_picks, rest_picks, beta_picks = self._picks(rows)
         free = np.ones((len(p1_picks), self.n), dtype=bool)
         np.put_along_axis(free, p1_picks, False, axis=1)
         rest = np.nonzero(free)[1].reshape(len(p1_picks), -1)
         p2_picks = np.take_along_axis(rest, rest_picks, axis=1)
         return p1_picks + 1, p2_picks + 1, beta_picks[:, 0]
 
-    def params(self, lo, hi):
-        p1_sets, p2_sets, beta_picks = (s.tolist() for s in self._sets(lo, hi))
+    def params(self, rows):
+        p1_sets, p2_sets, beta_picks = (s.tolist() for s in self._sets(rows))
         return [Qap3Params(n=self.n, p1_set=p1, p2_set=p2, q_set=self.q_set,
                            beta=self.betas[pick])
                 for p1, p2, pick in zip(p1_sets, p2_sets, beta_picks)]
+
+    def _columns(self):
+        return np.array([self.q_set])
 
     def _cells(self, sets):
         q = np.array([self.q_set])
@@ -957,7 +1013,7 @@ def _param_stream(n: int, family: str, bounds: Qap5Bounds | None, cap: int):
         return _qap5_param_stream(n, bounds)
     return (params for run in family_segments(n, family)
             for lo in range(0, run.count, CHUNK_FORMS)
-            for params in run.params(lo, min(lo + CHUNK_FORMS, run.count)))
+            for params in run.params(np.arange(lo, min(lo + CHUNK_FORMS, run.count))))
 
 
 def enumerate_family(n: int, family: str, bounds: Qap5Bounds | None = None,
@@ -1000,5 +1056,5 @@ def family_form_at(n: int, family: str, index: int,
     if at < 0 or index >= runs[at].start + runs[at].count:
         raise InvalidParameterError(f"{family} at n={n} has no form #{index}")
     row = index - runs[at].start
-    params, = runs[at].params(row, row + 1)
+    params, = runs[at].params([row])
     return BUILDERS[family](params, check=False)

@@ -11,27 +11,46 @@ n**2 x n**2 matrix is filled from the graph's adjacency broadcast over the
 cells, times the lcm of the point's denominators, and its upper triangle
 read row-major, which is ``triangle_position`` order.
 
-Membership is decided by brute force: the point is evaluated against every
-enumerated form of the family with exact integer arithmetic.  Each
-(family, n) is compiled once, in numpy, and kept in a two-entry LRU cache.
-The compile reads the family's segments (``inequalities.family_segments``):
-runs of forms with fixed index-set sizes, each the product of a few index
-tables.  All forms of a run share one coefficient template and rhs (a qap3
-run one per beta), so the family compiles to one block per distinct
-(template, rhs): the int16 triangle positions of its forms, one row each,
-the shared int64 template, and each row's int32 form id, increasing.  A
-query is a gather and a small integer product, ``y[positions] @ template``,
-CHUNK_FORMS rows at a time.  The form ids are cut into stripes of
-BLOCK_FORMS; the sweep checks every block's rows of one stripe before the
-next, each block only below the least violated id found so far, and stops
-at the first stripe with a hit.  That least id is the witness: the first
-violated form in enumeration order.
+Membership is decided against every enumerated form of the family, with
+exact integer arithmetic, through one form per orbit of the point's column
+symmetry.  ``column_classes`` applies each column transposition (a b),
+which moves cell (i, a) to (i, b) and back, to the point's scaled vector
+and compares exactly.  The transpositions that fix the point join its
+columns into classes C1, C2, ..., and every permutation in
+Sym(C1) x Sym(C2) x ... fixes the point.  Such a permutation maps each
+family onto itself and keeps a form's template, so all forms of one orbit
+have the same lhs at the point.  The sweep keeps the least form id of each
+orbit (``Segment.orbit_minima``).  The ids of one orbit are ordered
+lexicographically on the forms' column tuples: (l, j_1..j_m) for qap1,
+the j-tuple for qap4, Q for qap2 and qap3.  (A qap1 orbit crosses runs only
+through l, which leads its tuple; a qap3 run has one Q, so whole qap3 runs
+are kept or dropped.)  So the least id is the form whose entries in each
+class are that class's smallest columns in ascending order.  The violated
+forms are a union of orbits, so the least violated form kept is the first
+violated form of the whole family.  With no class every form is kept.
+
+Each (family, n, classes) is compiled once, in numpy, and kept in a
+two-entry LRU cache.  The compile reads the family's segments
+(``inequalities.family_segments``): runs of forms with fixed index-set
+sizes, each the product of a few index tables, and keeps the product of
+the rows each table contributes to the orbit minima.  All forms of a run
+share one coefficient template and rhs (a qap3 run one per beta), so the
+family compiles to one block per distinct (template, rhs): the int16
+triangle positions of its kept forms, one row each, the shared int64
+template, and each row's int32 form id, increasing.  A query is a gather
+and a small integer product, ``y[positions] @ template``, CHUNK_FORMS rows
+at a time.  The form ids are cut into stripes of BLOCK_FORMS; the sweep
+checks every block's rows of one stripe before the next, each block only
+below the least violated id found so far, and stops at the first stripe
+with a hit.  That least id is the witness, and ``forms_checked`` counts the
+family's forms up to the end of its stripe, as a sweep over every form
+would.
 
 The products run in int64, so a query first checks that no lhs
 (max |y| times the template's sum of |coefficients|) and no scaled rhs can
 pass INT64_MAX, and refuses a point past that bound instead of wrapping.
-Every form of a run has the same number of entries, so the family's entry
-count is known before anything is built, and a family past
+Every form of a run has the same number of entries, so the kept entry
+count is known before any form is built, and a sweep past
 COMPILE_ENTRY_LIMIT entries is refused up front.  A witness is decoded from
 its form id through the same segments and built alone.
 """
@@ -39,6 +58,9 @@ its form id through the same segments and built alone.
 from __future__ import annotations
 
 import functools
+import itertools
+import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,18 +71,21 @@ from .graphs import (
     cliques_of_size_at_least,
     max_clique_capped,
 )
-from .indexing import flat_index, pair_from_flat, triangle_dimension
+from .indexing import flat_index, pair_from_flat, triangle_dimension, triangle_position
 from .inequalities import (
     CHUNK_FORMS,
     INT64_MAX,
     MEMBERSHIP_FAMILIES,
     LinearForm,
+    Segment,
     YPoint,
     evaluate,
     family_form_at,
     family_segments,
 )
 from .perms import DEFAULT_ENUMERATION_CAP, require_enumerable
+
+log = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------------------
 # reduction points
@@ -158,15 +183,15 @@ def build_point_qap4(graph: Graph, t: int) -> YPoint:
 # first stripe with a hit, is the family's first violated form.
 BLOCK_FORMS = 50_000
 
-# Most coefficient entries one compiled family may hold, counted from the
-# run sizes before anything is built.  Every family at n <= 8 fits: the
-# largest is qap1 at n = 8 with 137,208,960 entries (about 0.3 GB as int16
-# positions plus an int32 id per form), then qap3 at n = 8 with 72,984,128.
-# qap1, qap3 and qap4 at n = 9 do not fit and are refused up front.
+# Most coefficient entries one compiled sweep may hold, counted from the
+# run sizes and the kept rows before any form is built.  Every whole family
+# at n <= 8 fits: the largest is qap1 at n = 8 with 137,208,960 entries
+# (about 0.3 GB as int16 positions plus an int32 id per form), then qap3 at
+# n = 8 with 72,984,128.  Whole qap1, qap3 and qap4 families at n = 9 do not
+# fit and are refused up front; the orbit minima of a symmetric point may.
 COMPILE_ENTRY_LIMIT = 140_000_000
 
-# Positions are stored as int16.  Every family that passes the entry limit
-# has n <= 9, far below the n = 16 whose triangle passes int16.
+# Positions are stored as int16, which holds the triangle up to n = 15.
 POSITION_DTYPE = np.int16
 
 
@@ -191,27 +216,82 @@ class TemplateBlock:
 @dataclass(frozen=True)
 class CompiledFamily:
     blocks: tuple[TemplateBlock, ...]
-    # stripe s covers form ids [s*BLOCK_FORMS, (s+1)*BLOCK_FORMS): per block,
-    # the (start, stop) of its rows with those ids
+    # each stripe covers form ids [s*BLOCK_FORMS, (s+1)*BLOCK_FORMS) for one
+    # s, in increasing s, and holds per block the (start, stop) of its rows
+    # with those ids; stripes that hold no compiled form are left out
     stripes: tuple[tuple[tuple[int, int], ...], ...]
-    forms: int
+    forms: int   # the whole family's, kept or not
+
+
+@functools.lru_cache(maxsize=None)
+def _column_swaps(n: int) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The column transpositions (a, b), a < b, and for each the triangle
+    position that every triangle position maps to: swapping the columns
+    moves cell (i, a) to (i, b) and back."""
+    nn = n * n
+    f1, f2 = np.triu_indices(nn)   # 0-based, in triangle_position order
+    row, col = np.divmod(np.arange(nn), n)
+    swaps = list(itertools.combinations(range(1, n + 1), 2))
+    images = np.empty((len(swaps), f1.size), dtype=np.intp)
+    for at, (a, b) in enumerate(swaps):
+        swapped = np.where(col == a - 1, b - 1, np.where(col == b - 1, a - 1, col))
+        cell = n * row + swapped + 1
+        g1, g2 = cell[f1], cell[f2]
+        images[at] = triangle_position(n, np.minimum(g1, g2), np.maximum(g1, g2))
+    return swaps, images
+
+
+def column_classes(point: YPoint) -> tuple[tuple[int, ...], ...]:
+    """The classes of two or more columns that the point's fixing column
+    transpositions join, each sorted, ordered by their least column.
+
+    A transposition (a b) fixes the point when it maps the scaled vector
+    onto itself, compared exactly.  Transpositions that fix a point form an
+    equivalence on the columns, since (a c) = (a b)(b c)(a b); so every
+    permutation of the columns within each class fixes the point.
+    """
+    swaps, images = _column_swaps(point.n)
+    fixing = {swap for swap, fixed in zip(
+        swaps, np.all(point.vector[images] == point.vector, axis=1).tolist()) if fixed}
+    classes: dict[int, list[int]] = {}
+    for b in range(1, point.n + 1):
+        # the least column in b's class: the least one whose swap with b fixes
+        least = next((a for a in range(1, b) if (a, b) in fixing), b)
+        classes.setdefault(least, []).append(b)
+    return tuple(tuple(members) for members in classes.values() if len(members) > 1)
+
+
+def _rows_of(run: Segment, axes: list[np.ndarray], lo: int, hi: int) -> np.ndarray:
+    """Run rows lo..hi-1 of the product of the per-factor table rows ``axes``."""
+    digits = np.unravel_index(np.arange(lo, hi), tuple(axis.size for axis in axes))
+    return np.ravel_multi_index(tuple(axis[digit] for axis, digit in zip(axes, digits)),
+                                run.shape)
 
 
 @functools.lru_cache(maxsize=2)
-def compiled_blocks(family: str, n: int) -> CompiledFamily:
-    """The family's forms at size n, one TemplateBlock per distinct
-    (template, rhs), in order of first appearance, and the row slices of
-    each BLOCK_FORMS stripe of form ids.
+def compiled_blocks(family: str, n: int, classes: tuple = ()) -> CompiledFamily:
+    """The family's forms at size n that are least in their orbit under
+    the column classes ``classes`` (``Segment.orbit_minima``; every form when
+    there are none), one TemplateBlock per distinct (template, rhs), in order
+    of first appearance, and the row slices of each BLOCK_FORMS stripe of
+    form ids.
 
     The forms come straight from the family's runs (``family_segments``),
     CHUNK_FORMS forms at a time; a qap3 chunk is split by its forms' beta.
     Every block is allocated once, at its size counted from the runs, and
-    filled in place.  Raises CapExceededError, before anything is
-    allocated, when the entries pass COMPILE_ENTRY_LIMIT.  The enumeration
-    cap is the caller's to check.
+    filled in place.  Raises CapExceededError, before any form is built,
+    when the kept entries pass COMPILE_ENTRY_LIMIT.  The enumeration cap is
+    the caller's to check.
     """
     runs = family_segments(n, family)
-    entries = sum(run.count * run.entries for run in runs)
+    forms = sum(run.count for run in runs)
+    kept = []   # (run, the table rows of its orbit minima per factor, their count)
+    for run in runs:
+        axes = run.orbit_minima(classes)
+        count = math.prod(axis.size for axis in axes)
+        if count:
+            kept.append((run, axes, count))
+    entries = sum(count * run.entries for run, _, count in kept)
     if entries > COMPILE_ENTRY_LIMIT:
         raise CapExceededError(
             f"{family} at n={n} compiles to {entries} coefficient entries, more "
@@ -220,7 +300,7 @@ def compiled_blocks(family: str, n: int) -> CompiledFamily:
     keys: dict[tuple, int] = {}     # (template, rhs) -> block
     sizes: list[int] = []
     run_blocks = []                 # each run's block of each of its templates
-    for run in runs:
+    for run, _, count in kept:
         sign = -1 if run.sense == ">=" else 1
         targets = []
         for coeffs, rhs in zip(run.coeffs, run.rhs):
@@ -228,30 +308,33 @@ def compiled_blocks(family: str, n: int) -> CompiledFamily:
             if key not in keys:
                 keys[key] = len(sizes)
                 sizes.append(0)
-            sizes[keys[key]] += run.count // len(run.rhs)
+            sizes[keys[key]] += count // len(run.rhs)  # a run keeps all its betas
             targets.append(keys[key])
         run_blocks.append(targets)
     positions = [np.empty((size, len(template)), dtype=POSITION_DTYPE)
                  for (template, _), size in zip(keys, sizes)]
     ids = [np.empty(size, dtype=np.int32) for size in sizes]
     filled = [0] * len(sizes)
-    for run, targets in zip(runs, run_blocks):
-        for lo in range(0, run.count, CHUNK_FORMS):
-            form_positions, template = run.arrays(lo, min(lo + CHUNK_FORMS, run.count))
+    for (run, axes, count), targets in zip(kept, run_blocks):
+        for lo in range(0, count, CHUNK_FORMS):
+            rows = _rows_of(run, axes, lo, min(lo + CHUNK_FORMS, count))
+            form_positions, template = run.arrays(rows)
             for pick, block in enumerate(targets):
-                rows = np.flatnonzero(template == pick)
-                start, stop = filled[block], filled[block] + rows.size
-                positions[block][start:stop] = form_positions[rows]
-                ids[block][start:stop] = run.start + lo + rows
+                chosen = np.flatnonzero(template == pick)
+                start, stop = filled[block], filled[block] + chosen.size
+                positions[block][start:stop] = form_positions[chosen]
+                ids[block][start:stop] = run.start + rows[chosen]
                 filled[block] = stop
     blocks = tuple(TemplateBlock(positions=pos, template=np.array(template, dtype=np.int64),
                                  rhs=rhs, ids=form_ids)
                    for (template, rhs), pos, form_ids in zip(keys, positions, ids))
-    forms = sum(run.count for run in runs)
-    stripes = tuple(
-        tuple((int(np.searchsorted(block.ids, first)),
-               int(np.searchsorted(block.ids, first + BLOCK_FORMS))) for block in blocks)
-        for first in range(0, forms, BLOCK_FORMS))
+    log.debug("%s at n=%d under column classes %s: %d of %d forms kept",
+              family, n, classes, sum(count for _, _, count in kept), forms)
+    stripes = (tuple((int(np.searchsorted(block.ids, first)),
+                      int(np.searchsorted(block.ids, first + BLOCK_FORMS)))
+                     for block in blocks)
+               for first in range(0, forms, BLOCK_FORMS))
+    stripes = tuple(slices for slices in stripes if any(lo < hi for lo, hi in slices))
     return CompiledFamily(blocks=blocks, stripes=stripes, forms=forms)
 
 
@@ -280,31 +363,10 @@ def _first_violated(block: TemplateBlock, start: int, stop: int,
     return None
 
 
-def brute_force_membership(point: YPoint, family: str,
-                           cap: int = DEFAULT_ENUMERATION_CAP) -> MembershipVerdict:
-    """Evaluate a point against every enumerated form of the family.
-
-    Exact throughout: the point's scaled integer vector meets each block's
-    integer template in int64, after a check that no lhs and no scaled rhs
-    can pass INT64_MAX; a point past that bound is refused with a
-    QappolyError.  On violation the first violated form in enumeration
-    order is rematerialized as the witness and re-confirmed by the generic
-    evaluator.
-    """
-    if family not in MEMBERSHIP_FAMILIES:
-        raise InvalidParameterError(
-            f"membership supports {MEMBERSHIP_FAMILIES}, got {family!r}")
-    n = point.n
-    require_enumerable(n, cap)
-    yvec, denom = point.to_scaled_vector()
-    compiled = compiled_blocks(family, n)
-    top = max(int(yvec.max()), -int(yvec.min()))
-    for block in compiled.blocks:
-        if top * block.weight > INT64_MAX or denom * abs(block.rhs) > INT64_MAX:
-            raise QappolyError(
-                f"the point's scaled values (up to {top}, denominator {denom}) are too "
-                f"large for an exact int64 {family} sweep")
-    for stripe, slices in enumerate(compiled.stripes):
+def _least_violated(compiled: CompiledFamily, yvec: np.ndarray, denom: int) -> int | None:
+    """The least violated form id of the compiled forms, stripe by stripe:
+    the first stripe with a hit holds it."""
+    for slices in compiled.stripes:
         idx = None
         for block, (start, stop) in zip(compiled.blocks, slices):
             if idx is not None:  # only ids below the best hit so far matter
@@ -313,15 +375,50 @@ def brute_force_membership(point: YPoint, family: str,
             if hit is not None:
                 idx = hit
         if idx is not None:
-            checked = min((stripe + 1) * BLOCK_FORMS, compiled.forms)
-            witness = family_form_at(n, family, idx, cap=cap)
-            result = evaluate(witness, point)
-            if result.satisfied:
-                raise QappolyError("internal: witness re-evaluation disagrees")
-            return MembershipVerdict(member=False, family=family, n=n,
-                                     forms_checked=checked, witness=witness,
-                                     witness_index=idx)
-    return MembershipVerdict(member=True, family=family, n=n, forms_checked=compiled.forms)
+            return idx
+    return None
+
+
+def brute_force_membership(point: YPoint, family: str,
+                           cap: int = DEFAULT_ENUMERATION_CAP) -> MembershipVerdict:
+    """Decide the point against every enumerated form of the family, through
+    one form per orbit of the point's column classes (``column_classes``).
+
+    Exact throughout: the point's scaled integer vector meets each block's
+    integer template in int64, after a check that no lhs and no scaled rhs
+    can pass INT64_MAX; a point past that bound is refused with a
+    QappolyError.  The violated forms are a union of orbits, so the least
+    violated orbit minimum is the first violated form in enumeration order;
+    it is rematerialized as the witness and re-confirmed by the generic
+    evaluator.  ``forms_checked`` counts the forms up to the end of the
+    witness's BLOCK_FORMS stripe, or the whole family for a member.
+    """
+    if family not in MEMBERSHIP_FAMILIES:
+        raise InvalidParameterError(
+            f"membership supports {MEMBERSHIP_FAMILIES}, got {family!r}")
+    n = point.n
+    require_enumerable(n, cap)
+    yvec, denom = point.to_scaled_vector()
+    classes = column_classes(point)
+    log.debug("the %s point at n=%d has column classes %s", family, n, classes)
+    compiled = compiled_blocks(family, n, classes)
+    top = max(int(yvec.max()), -int(yvec.min()))
+    for block in compiled.blocks:
+        if top * block.weight > INT64_MAX or denom * abs(block.rhs) > INT64_MAX:
+            raise QappolyError(
+                f"the point's scaled values (up to {top}, denominator {denom}) are too "
+                f"large for an exact int64 {family} sweep")
+    idx = _least_violated(compiled, yvec, denom)
+    if idx is None:
+        return MembershipVerdict(member=True, family=family, n=n,
+                                 forms_checked=compiled.forms)
+    witness = family_form_at(n, family, idx, cap=cap)
+    if evaluate(witness, point).satisfied:
+        raise QappolyError("internal: witness re-evaluation disagrees")
+    return MembershipVerdict(member=False, family=family, n=n,
+                             forms_checked=min((idx // BLOCK_FORMS + 1) * BLOCK_FORMS,
+                                               compiled.forms),
+                             witness=witness, witness_index=idx)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from qappoly.inequalities import Qap1Params, Qap2Params, Qap3Params, Qap4Params
 
 
 def qap1_params(n: int):
+    if n < 6:  # Qap1Params.validate requires n >= 6
+        return
     universe = range(1, n + 1)
     for k in universe:
         for l in universe:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -499,6 +500,24 @@ def test_equations_that_fail_on_a_vertex_are_refused():
     wrong[0, 0] += 1
     with pytest.raises(QappolyError, match="does not vanish"):
         proven_polytope_dim(vertex_space(4), wrong)
+
+
+def test_the_vanishing_check_names_the_first_vertex_the_dense_product_misses():
+    from qappoly.geometry import affine_hull_equations, proven_polytope_dim, vertex_space
+
+    n = 5
+    space = vertex_space(n)
+    equations = affine_hull_equations(n)
+    rows = space.rows(range(len(space.images))).astype(np.int64)
+    rng = random.Random(5)
+    for _ in range(4):
+        # one coefficient off on an off-diagonal column, which sums a product
+        wrong = equations.copy()
+        wrong[rng.randrange(len(wrong)), rng.randrange(n * n, wrong.shape[1])] += 1
+        first = np.flatnonzero((rows @ wrong.T.astype(np.int64)).any(axis=1))[0]
+        sigma = space.perms[first].one_line()
+        with pytest.raises(QappolyError, match=f"does not vanish on sigma = {re.escape(sigma)}$"):
+            proven_polytope_dim(space, wrong)
 
 
 def test_a_short_first_prime_ends_the_vote():

@@ -320,7 +320,8 @@ def test_enumerate_qap5_requires_bounds():
     assert len(forms) == 8  # 2 beta values x 4 assignments
 
 
-@pytest.mark.parametrize("family,n", [("qap1", 6), ("qap2", 8), ("qap3", 7), ("qap4", 8)])
+@pytest.mark.parametrize("family,n", [("qap1", 4), ("qap1", 5), ("qap1", 6), ("qap2", 8),
+                                      ("qap3", 7), ("qap4", 8)])
 def test_enumeration_follows_the_oracle_order(family, n):
     pairs = itertools.zip_longest(enumerate_family(n, family), ORACLE[family](n))
     for form, params in pairs:

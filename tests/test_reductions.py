@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -20,10 +21,13 @@ from qappoly.indexing import (
 )
 from qappoly.inequalities import (
     BUILDERS,
+    Qap1Params,
+    Qap4Params,
     YPoint,
     enumerate_family,
     evaluate,
     family_form_at,
+    family_segments,
 )
 from qappoly.perms import Permutation, vertex_from_permutation
 from qappoly.reductions import (
@@ -32,6 +36,7 @@ from qappoly.reductions import (
     build_point_qap2,
     build_point_qap4,
     clique_via_membership_oracle,
+    column_classes,
     compiled_blocks,
     neighborhood_clique_number,
 )
@@ -491,6 +496,242 @@ def test_entry_limit_is_checked_before_any_form_is_built(monkeypatch):
     assert params.j_set == tuple(range(8, 0, -1))
     with pytest.raises(InvalidParameterError, match="no form"):
         family_form_at(9, "qap1", forms)
+    assert compiled_blocks.cache_info().currsize == 0
+
+
+# ---------------------------------------------------------------------------
+# the orbit sweep over the point's column classes
+#
+# Column relabellings written as plain loops: the oracles of the stabilizer
+# check and of the orbit minima.
+
+
+def column_image(n, image):
+    """The triangle position each position moves to when every cell (i, c)
+    moves to (i, image[c - 1])."""
+    def cell(f):
+        i, j = pair_from_flat(n, f)
+        return flat_index(n, i, image[j - 1])
+
+    moved = np.empty(triangle_dimension(n), dtype=np.intp)
+    for f1 in range(1, n * n + 1):
+        for f2 in range(f1, n * n + 1):
+            moved[triangle_position(n, f1, f2)] = triangle_position(
+                n, *canon_entry(cell(f1), cell(f2)))
+    return moved
+
+
+def column_group(n, classes):
+    """Every element of Sym(C1) x Sym(C2) x ..., as the list of column images."""
+    for parts in itertools.product(*(itertools.permutations(c) for c in classes)):
+        image = list(range(1, n + 1))
+        for members, images in zip(classes, parts):
+            for c, d in zip(members, images):
+                image[c - 1] = d
+        yield image
+
+
+def relabel(params, image):
+    """The parameters with every column c replaced by image[c - 1]."""
+    def g(columns):
+        return type(columns)(image[c - 1] for c in columns)
+
+    if isinstance(params, Qap1Params):
+        return dataclasses.replace(params, j_set=g(params.j_set), l=image[params.l - 1])
+    if isinstance(params, Qap4Params):
+        return dataclasses.replace(params, j_set=g(params.j_set))
+    return dataclasses.replace(params, q_set=g(params.q_set))
+
+
+def random_classes(n, rng):
+    """Up to three disjoint sorted column classes of two or more columns."""
+    columns = rng.sample(range(1, n + 1), n)
+    cuts = sorted(rng.sample(range(1, n), 2))
+    parts = (columns[:cuts[0]], columns[cuts[0]:cuts[1]], columns[cuts[1]:])
+    return tuple(sorted(tuple(sorted(part)) for part in parts if len(part) > 1))
+
+
+def vertex_vector(n, rng):
+    """The scaled vector of a random vertex."""
+    sigma = rng.sample(range(1, n + 1), n)
+    cells = [flat_index(n, i, sigma[i - 1]) for i in range(1, n + 1)]
+    vector = np.zeros(triangle_dimension(n), dtype=np.int64)
+    for f1, f2 in itertools.combinations_with_replacement(cells, 2):
+        vector[triangle_position(n, f1, f2)] = 1
+    return vector
+
+
+def seeded_points(family, n, rng):
+    """Midpoints of two random vertices (members of every family), the same
+    raised on two random entries and two random diagonal entries, each also
+    averaged over the column relabellings of random classes; reduction
+    points of a random graph; and for qap4 a point violated only late in
+    the family."""
+    diagonal = [triangle_position(n, f, f) for f in range(1, n * n + 1)]
+    for raised in (False, False, True, True, True, True):
+        vector = vertex_vector(n, rng) + vertex_vector(n, rng)
+        if raised:
+            for position in rng.sample(range(vector.size), 2) + rng.sample(diagonal, 2):
+                vector[position] += rng.choice((1, 2, 3))
+        yield YPoint.from_scaled_vector(n, vector, 2)
+        group = list(column_group(n, random_classes(n, rng)))
+        averaged = sum(vector[column_image(n, image)] for image in group)
+        yield YPoint.from_scaled_vector(n, averaged, 2 * len(group))
+    graph = random_graph(n, 0.5, rng)
+    if family == "qap1":
+        for _ in range(4):
+            yield build_point_qap1(graph, rng.randint(1, n), rng.randint(1, n), rng.randint(2, n))
+    elif family == "qap2" and n >= 7:
+        yield from (build_point_qap2(graph, t) for t in range(1, n - 3))
+    elif family == "qap4" and n >= 7:
+        yield from (build_point_qap4(graph, t) for t in (6, 7))
+        # 1/3 on the diagonal of the cells (r, n + 1 - r), r = 1..4: a form
+        # is violated exactly when it passes through all four, so its
+        # j-tuple starts with n, in the last n-th of its i-set's forms
+        yield YPoint(n=n, values={(f, f): Fraction(1, 3)
+                                  for f in (flat_index(n, r, n + 1 - r) for r in range(1, 5))})
+
+
+def test_column_classes_of_the_reduction_points():
+    graph = random_graph(8, 0.5, random.Random(8))
+    assert column_classes(build_point_qap4(graph, 7)) == (tuple(range(1, 9)),)
+    assert column_classes(build_point_qap2(graph, 2)) == (tuple(range(2, 9)),)
+    assert column_classes(build_point_qap1(graph, 5, 3, 4)) == ((1, 2, 4, 5, 6, 7, 8),)
+    sigma = Permutation((2, 1, 3, 5, 4, 6))
+    assert column_classes(YPoint.from_vertex(vertex_from_permutation(sigma))) == ()
+
+
+def test_a_point_broken_in_one_entry_has_no_column_class():
+    # row 1's diagonal reads 2, 2, 3, 4, 5, 6 along the columns: only the
+    # swap (1 2) fixes the point
+    n = 6
+    values = {(flat_index(n, 1, j),) * 2: Fraction(max(j, 2)) for j in range(1, n + 1)}
+    assert column_classes(YPoint(n=n, values=values)) == ((1, 2),)
+    # one more entry, which (1 2) moves onto a zero
+    broken = dict(values)
+    f = flat_index(n, 2, 1)
+    broken[(f, f)] = Fraction(1)
+    point = YPoint(n=n, values=broken)
+    moved = point.vector[column_image(n, [2, 1, 3, 4, 5, 6])]
+    assert np.count_nonzero(moved != point.vector) == 2   # the entry and its image
+    assert column_classes(point) == ()
+
+
+@pytest.mark.parametrize("family,n", [("qap1", 6), ("qap2", 7), ("qap3", 7), ("qap4", 7)])
+def test_orbit_minima_are_the_least_ids_of_their_orbits(family, n):
+    classes = ((2, 3, 5), (4, 6))
+    ids = {params: index for index, params in enumerate(ORACLE[family](n))}
+    group = list(column_group(n, classes))
+    least = sorted(index for params, index in ids.items()
+                   if index == min(ids[relabel(params, image)] for image in group))
+    compiled_blocks.cache_clear()
+    try:
+        compiled = compiled_blocks(family, n, classes)
+    finally:
+        compiled_blocks.cache_clear()
+    assert compiled.forms == len(ids) and 0 < len(least) < len(ids)
+    assert sorted(int(i) for block in compiled.blocks for i in block.ids) == least
+    sign = -1 if family == "qap3" else 1
+    for block in compiled.blocks:
+        for row in (0, len(block.ids) // 2, len(block.ids) - 1):
+            form = family_form_at(n, family, int(block.ids[row]))
+            assert block.positions[row].tolist() == list(form.positions)
+            assert block.template.tolist() == [sign * c for c in form.coeffs]
+
+
+@pytest.mark.parametrize("family,n", [("qap1", 7), ("qap2", 7), ("qap3", 7), ("qap4", 7)])
+def test_relabelling_columns_moves_the_positions_and_keeps_the_template(family, n):
+    rng = random.Random(n)
+    forms = sum(run.count for run in family_segments(n, family))
+    for _ in range(4):
+        vector = vertex_vector(n, rng)
+        group = list(column_group(n, random_classes(n, rng)))
+        point = YPoint.from_scaled_vector(
+            n, sum(vector[column_image(n, image)] for image in group), 1)
+        found = column_classes(point)
+        assert found
+        for _ in range(10):
+            image = rng.choice(list(column_group(n, found)))
+            form = family_form_at(n, family, rng.randrange(forms))
+            params = relabel(form.params, image)
+            params.validate()
+            moved = BUILDERS[family](params)
+            assert (sorted(zip(moved.positions, moved.coeffs))
+                    == sorted(zip(column_image(n, image)[list(form.positions)].tolist(),
+                                  form.coeffs)))
+            assert (moved.rhs, moved.sense, moved.scale) == (form.rhs, form.sense, form.scale)
+
+
+def _verdicts(points, family):
+    return [(v.member, v.witness_index, v.forms_checked,
+             v.witness.params if v.witness else None)
+            for v in (brute_force_membership(point, family) for point in points)]
+
+
+@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("family", ["qap1", "qap2", "qap3", "qap4"])
+def test_the_orbit_sweep_matches_the_whole_family(family, n, monkeypatch):
+    points = list(seeded_points(family, n, random.Random(10 * n)))
+    # small stripes, so that witnesses lie past the first stripe
+    monkeypatch.setattr(reductions, "BLOCK_FORMS", 1000)
+    compiled_blocks.cache_clear()
+    try:
+        orbit = _verdicts(points, family)
+        with monkeypatch.context() as trivial:
+            trivial.setattr(reductions, "column_classes", lambda point: ())
+            whole = _verdicts(points, family)
+    finally:
+        compiled_blocks.cache_clear()
+    assert orbit == whole
+    classes = [column_classes(point) for point in points]
+    assert () in classes and any(classes)
+    forms = sum(run.count for run in family_segments(n, family))
+    if forms:
+        assert {member for member, *_ in orbit} == {True, False}
+    if forms > 2000:
+        assert any(index is not None and index >= 1000 for _, index, *_ in orbit)
+
+
+def test_qap4_oracle_at_n9_matches_the_exact_clique_number():
+    rng = random.Random(9)
+    graphs = [random_graph(9, 0.5, rng)]
+    for size in (7, 8):
+        clique = rng.sample(range(1, 10), size)
+        planted = set(itertools.combinations(sorted(clique), 2))
+        graphs.append(Graph.from_edges(9, sorted(planted | set(random_graph(9, 0.3, rng).edges))))
+    graphs.append(Graph.from_edges(9, [e for e in Graph.complete(9).edges if e != (4, 7)]))
+    sizes = []
+    for graph in graphs:
+        report = clique_via_membership_oracle(graph, "qap4")
+        assert report.clique_size == max_clique_bruteforce(graph)[0]
+        sizes.append(report.clique_size)
+    assert sizes[1:] == [7, 8, 8] and sizes[0] <= 6
+
+
+def test_qap1_oracle_at_n9_matches_the_exact_clique_number():
+    rng = random.Random(9)
+    for p in (0.5, 0.8):
+        graph = random_graph(9, p, rng)
+        report = clique_via_membership_oracle(graph, "qap1")
+        assert report.clique_size == max_clique_bruteforce(graph)[0]
+
+
+def test_qap4_at_n9_with_a_trivial_stabilizer_is_refused_up_front(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a form was built")
+
+    point = build_point_qap4(random_graph(9, 0.5, random.Random(9)), 7)
+    vector = point.vector.copy()
+    for j in range(1, 10):   # row 1's diagonal now differs in every column
+        f = flat_index(9, 1, j)
+        vector[triangle_position(9, f, f)] += j
+    asymmetric = YPoint.from_scaled_vector(9, vector, point.denom)
+    assert column_classes(point) == (tuple(range(1, 10)),)
+    assert column_classes(asymmetric) == ()
+    monkeypatch.setattr(inequalities.Segment, "arrays", refuse)
+    compiled_blocks.cache_clear()
+    with pytest.raises(CapExceededError, match="more than 140000000"):
+        brute_force_membership(asymmetric, "qap4")
     assert compiled_blocks.cache_info().currsize == 0
 
 
