@@ -20,8 +20,9 @@ The S_k classes, S_0 connectivity and the span lemmas read a per-n
 ``VertexSpace`` cache: each vertex once, as an int8 one-line image in
 lexicographic order, so its index is its Lehmer rank (``index_of``, also
 used for ``neighbours``).  The int8 0/1 match matrix ``zt`` derived from the
-images drives batch form evaluation, ``rows`` (int8 vertex rows, widened by
-``modrank`` only inside elimination) and ``match_counts`` (every S_k).
+images gives ``rows`` (int8 vertex rows, widened by ``modrank`` only inside
+elimination); every sparse form on all vertices, the hull equations and the
+S_k counts included, is read from it by ``entries_on_match_rows``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidPermutationError, QappolyError
 from .indexing import EntryKey, Pair, flat_index, pair_from_flat, triangle_dimension
-from .inequalities import LinearForm, Qap4Params
+from .inequalities import LinearForm, Qap4Params, entries_on_match_rows
 from .modrank import (
     PRIME_POOL,
     ModularSpanBasis,
@@ -148,8 +149,12 @@ class VertexSpace:
 
     def match_counts(self, pattern: MatchPattern) -> np.ndarray:
         """S_k index of every vertex: its number of matched pattern pairs."""
-        flats = [flat_index(self.n, i, j) - 1 for i, j in pattern.pairs]
-        return self.zt[flats].sum(axis=0)
+        return entries_on_match_rows(self.zt, [(flat_index(self.n, i, j),) * 2 + (1,)
+                                               for i, j in pattern.pairs])
+
+    def one_line(self, row) -> str:
+        """``Permutation.one_line`` of the vertex at ``row``, none built."""
+        return " ".join(map(str, self.images[row].tolist()))
 
 
 @lru_cache(maxsize=3)
@@ -256,37 +261,21 @@ def affine_hull_equations(n: int) -> np.ndarray:
 def _require_vanishing(space: VertexSpace, equations: np.ndarray) -> None:
     """Raise unless every equation vanishes on every vertex, exactly.
 
-    Each equation sums only its nonzero columns, over all vertices at once:
-    a diagonal column is a row of the match matrix ``zt``, an off-diagonal
-    one the product of two.  The sum of an equation's |coefficients| bounds
-    its value at every vertex, so the sums run in int16 when every such
-    bound is below 2**15, and in int64 otherwise.
+    Each equation's nonzero columns are read as (f1, f2, c) entries, a
+    diagonal column as (f, f), and summed by ``entries_on_match_rows``.
     """
-    cells = space.n ** 2
+    diagonal = np.arange(1, space.n ** 2 + 1)
     f1, f2 = _off_diagonal_support(space.n)
-    bound = int(np.abs(equations.astype(np.int64)).sum(axis=1).max(initial=0))
-    dtype = np.int16 if bound <= np.iinfo(np.int16).max else np.int64
-    zt = space.zt
-    failing = np.zeros(zt.shape[1], dtype=bool)
+    first, second = np.concatenate([diagonal, f1 + 1]), np.concatenate([diagonal, f2 + 1])
+    failing = np.zeros(len(space.images), dtype=bool)
     for equation in equations:
-        total = np.zeros(zt.shape[1], dtype=dtype)
         columns = np.flatnonzero(equation)
-        for column, coeff in zip(columns.tolist(), equation[columns].tolist()):
-            if column < cells:
-                value = zt[column]
-            else:
-                value = zt[f1[column - cells]] * zt[f2[column - cells]]
-            if coeff == 1:
-                total += value
-            elif coeff == -1:
-                total -= value
-            else:
-                total += coeff * value.astype(dtype)
-        failing |= total != 0
+        failing |= entries_on_match_rows(space.zt, zip(
+            first[columns].tolist(), second[columns].tolist(),
+            equation[columns].tolist())) != 0
     failing = np.flatnonzero(failing)
     if failing.size:
-        sigma = space.perms[int(failing[0])]
-        raise QappolyError(f"an equation does not vanish on sigma = {sigma.one_line()}")
+        raise QappolyError(f"an equation does not vanish on sigma = {space.one_line(failing[0])}")
 
 
 def _subset_reaching(space: VertexSpace, idx: np.ndarray,
@@ -422,9 +411,8 @@ def verify_facet(form: LinearForm, n: int, certify: bool = False) -> FacetReport
     slack = form.scaled_slack_on_match_rows(space.zt)
     bad = np.nonzero(slack < 0)[0]
     if bad.size:
-        sigma = space.perms[int(bad[0])]
         raise QappolyError(
-            f"form is not valid: violated by sigma = {sigma.one_line()}")
+            f"form is not valid: violated by sigma = {space.one_line(bad[0])}")
     full = polytope_affine_dim(n)
     if certify:
         full = _certified(space, np.arange(len(space.images)), full)
@@ -481,7 +469,7 @@ def check_equality_set(form: LinearForm, n: int) -> EqualitySetReport:
     sizes = {int(k): int((k_of == k).sum()) for k in range(pattern.m + 1)}
     tight = slack == 0
     mismatch_rows = np.flatnonzero(tight != np.isin(k_of, (1, 2)))
-    mismatches = [space.perms[int(r)].one_line() for r in mismatch_rows[:5]]
+    mismatches = [space.one_line(r) for r in mismatch_rows[:5]]
     return EqualitySetReport(n=n, m=pattern.m, ok=mismatch_rows.size == 0,
                              tight_count=int(tight.sum()), sizes_by_k=sizes,
                              mismatches=mismatches)

@@ -22,7 +22,9 @@ Family quick reference (true, unscaled versions):
 The closed-form slack of each family at a vertex is a polynomial in the
 number of matched index pairs; ``slack_from_counts`` holds those formulas,
 with the convention binom2(x) = x(x-1)/2 for any integer x, and runs them on
-the counts of one vertex or of a whole batch.
+the counts of one vertex or of a whole batch.  Batch counts and slacks,
+like every sparse form on all vertices, are read from the 0/1 match matrix
+``zt`` by ``entries_on_match_rows`` alone.
 
 The enumeration order of qap1-qap4 is written once, by ``family_segments``,
 as runs of forms whose index sets have fixed sizes (see ``Segment``).
@@ -208,27 +210,9 @@ class LinearForm:
         entry_at = triangle_entries(self.n)
         return [entry_at[p] + (c,) for p, c in zip(self.positions, self.coeffs)]
 
-    def lhs_on_match_rows(self, zt: np.ndarray) -> np.ndarray:
-        """Scaled lhs on a whole batch of vertices at once.
-
-        ``zt`` has one row per flat index and one column per permutation:
-        zt[f-1, v] == 1 iff vertex v matches (i, j) with flat index f.  Row by
-        row, with no multiply for a diagonal entry or a +-1 coefficient: on
-        this few rows that is faster than one gather and dot.
-        """
-        acc = np.zeros(zt.shape[1], dtype=np.int64)
-        for f1, f2, c in self.entries():
-            hit = zt[f1 - 1] if f1 == f2 else zt[f1 - 1] * zt[f2 - 1]
-            if c == 1:
-                acc += hit
-            elif c == -1:
-                acc -= hit
-            else:
-                acc += c * hit.astype(np.int64)
-        return acc
-
     def scaled_slack_on_match_rows(self, zt: np.ndarray) -> np.ndarray:
-        lhs = self.lhs_on_match_rows(zt)
+        """Scaled int64 slack at every vertex of the 0/1 match matrix ``zt``."""
+        lhs = entries_on_match_rows(zt, self.entries()).astype(np.int64)
         return self.rhs - lhs if self.sense == "<=" else lhs - self.rhs
 
     def key(self) -> tuple:
@@ -250,6 +234,31 @@ class LinearForm:
             "scale": self.scale,
             "n": n,
         }, sort_keys=True)
+
+
+def entries_on_match_rows(zt: np.ndarray, entries) -> np.ndarray:
+    """The exact sum of c * Y[f1, f2] over (f1, f2, c) ``entries``, 1-based
+    flat indices, at every vertex: Y[f, f] is row f-1 of the 0/1 match
+    matrix ``zt``, Y[f1, f2] the product of two rows, and a +-1 coefficient
+    adds with no multiply.  The sum of |c| bounds every partial sum, so the
+    sums run, and are returned, in int16 when it is at most 2**15 - 1 and in
+    int64 otherwise; past INT64_MAX they are refused.
+    """
+    entries = list(entries)
+    bound = sum(abs(c) for _, _, c in entries)
+    if bound > INT64_MAX:
+        raise QappolyError(f"the |coefficients| sum to {bound}, past {INT64_MAX}")
+    dtype = np.int16 if bound <= np.iinfo(np.int16).max else np.int64
+    acc = np.zeros(zt.shape[1], dtype=dtype)
+    for f1, f2, c in entries:
+        hit = zt[f1 - 1] if f1 == f2 else zt[f1 - 1] * zt[f2 - 1]
+        if c == 1:
+            acc += hit
+        elif c == -1:
+            acc -= hit
+        else:
+            acc += c * hit.astype(dtype)
+    return acc
 
 
 @dataclass
@@ -567,31 +576,25 @@ def match_statistics(family: str, params, sigma: Permutation) -> dict[str, int]:
     raise InvalidParameterError(f"unknown family {family!r}")
 
 
-def _match_statistics_on_rows(family: str, params, zt: np.ndarray) -> dict[str, np.ndarray]:
-    """match_statistics for every vertex at once, as int64 count vectors read
-    from the 0/1 match matrix (one row per flat index, one column per vertex)."""
-    n = params.n
-    zero = np.zeros(zt.shape[1], dtype=np.int64)
-
-    def hit(i, j):
-        return zt[flat_index(n, i, j) - 1].astype(np.int64)
-
-    def count(cells):
-        return sum((hit(i, j) for i, j in cells), zero)
-
+def closed_form_slack_on_match_rows(family: str, params, zt: np.ndarray) -> np.ndarray:
+    """closed_form_slack over a whole batch of vertices at once, from int64
+    counts read off the 0/1 match matrix.  Returns unscaled int64 slacks."""
     if family in ("qap1", "qap4"):
-        q = count(zip(params.i_set, params.j_set))
-        if family == "qap4":
-            return {"q": q}
-        return {"q": q, "pkl": hit(params.k, params.l)}
-    if family == "qap2":
-        return {"q": count(itertools.product(params.p_set, params.q_set))}
-    if family == "qap3":
-        return {"q1": count(itertools.product(params.p1_set, params.q_set)),
-                "q2": count(itertools.product(params.p2_set, params.q_set))}
-    if family == "qap5":
-        return {"s": sum((v * hit(i, j) for (i, j), v in params.coeffs), zero)}
-    raise InvalidParameterError(f"unknown family {family!r}")
+        cells = {"q": dict.fromkeys(zip(params.i_set, params.j_set), 1)}
+        if family == "qap1":
+            cells["pkl"] = {(params.k, params.l): 1}
+    elif family == "qap2":
+        cells = {"q": dict.fromkeys(itertools.product(params.p_set, params.q_set), 1)}
+    elif family == "qap3":
+        cells = {"q1": dict.fromkeys(itertools.product(params.p1_set, params.q_set), 1),
+                 "q2": dict.fromkeys(itertools.product(params.p2_set, params.q_set), 1)}
+    elif family == "qap5":
+        cells = {"s": params.coeff_map()}
+    else:
+        raise InvalidParameterError(f"unknown family {family!r}")
+    return slack_from_counts(family, params, {name: entries_on_match_rows(
+        zt, [(flat_index(params.n, i, j),) * 2 + (v,) for (i, j), v in weights.items()]
+    ).astype(np.int64) for name, weights in cells.items()})
 
 
 def slack_from_counts(family: str, params, counts: dict):
@@ -621,13 +624,6 @@ def closed_form_slack(family: str, params, sigma: Permutation, check: bool = Tru
     if check:
         params.validate()
     return slack_from_counts(family, params, match_statistics(family, params, sigma))
-
-
-def closed_form_slack_on_match_rows(family: str, params, zt: np.ndarray) -> np.ndarray:
-    """closed_form_slack over a whole batch of vertices at once, with the
-    counts read from the 0/1 match matrix.  Returns unscaled int64 slacks."""
-    return slack_from_counts(family, params,
-                             _match_statistics_on_rows(family, params, zt))
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +730,7 @@ class Segment:
         positions = triangle_position(self.n, np.minimum(f1, f2), np.maximum(f1, f2))
         return positions, self._template(sets)
 
-    def orbit_minima(self, classes) -> list[np.ndarray]:
+    def orbit_minima(self, classes, masks: dict) -> list[np.ndarray]:
         """Per factor, the ascending rows of its index table that the run's
         orbit minima use; the minima are the product of these rows.
 
@@ -744,21 +740,28 @@ class Segment:
         column tuples.  So a form is the least of its orbit exactly when,
         in every class, the tuple's entries in that class, read in slot
         order, are its smallest members in ascending order.  With no
-        classes every row is kept.
+        classes every row is kept.  ``masks``, shared by the runs of one
+        compile, holds each column table's mask by its ``_column_key``.
         """
         axes = [np.arange(size) for size in self.shape]
         if classes:
-            keep = _least_in_orbit(self._columns(), classes)
+            key = self._column_key()
+            if key not in masks:
+                masks[key] = _least_in_orbit(self._columns(), classes)
             if self.column_factor is None:   # the run's one column tuple
-                if not keep[0]:
+                if not masks[key][0]:
                     axes[0] = axes[0][:0]
             else:
-                axes[self.column_factor] = np.flatnonzero(keep)
+                axes[self.column_factor] = np.flatnonzero(masks[key])
         return axes
 
     def _columns(self) -> np.ndarray:
         """The column tuple of each row of factor ``column_factor``."""
         return _index_table(*self.factors[self.column_factor]) + 1
+
+    def _column_key(self):
+        """What ``_columns()`` depends on: runs with one key share it."""
+        return self.factors[self.column_factor]
 
     def _cells(self, sets) -> np.ndarray:
         """Flat indices of each form's cells, one form per row."""
@@ -815,6 +818,9 @@ class _Qap1Run(Segment):
     def _columns(self):
         j_sets = self.cols[_index_table(*self.factors[1])]
         return np.hstack((np.full((len(j_sets), 1), self.l), j_sets))
+
+    def _column_key(self):
+        return self.l, self.factors[1]
 
     def _cells(self, sets):
         i_sets, j_sets = sets
@@ -914,6 +920,9 @@ class _Qap3Run(Segment):
 
     def _columns(self):
         return np.array([self.q_set])
+
+    def _column_key(self):
+        return self.q_set
 
     def _cells(self, sets):
         q = np.array([self.q_set])

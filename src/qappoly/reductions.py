@@ -286,8 +286,9 @@ def compiled_blocks(family: str, n: int, classes: tuple = ()) -> CompiledFamily:
     runs = family_segments(n, family)
     forms = sum(run.count for run in runs)
     kept = []   # (run, the table rows of its orbit minima per factor, their count)
+    masks = {}
     for run in runs:
-        axes = run.orbit_minima(classes)
+        axes = run.orbit_minima(classes, masks)
         count = math.prod(axis.size for axis in axes)
         if count:
             kept.append((run, axes, count))

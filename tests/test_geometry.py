@@ -520,6 +520,40 @@ def test_the_vanishing_check_names_the_first_vertex_the_dense_product_misses():
             proven_polytope_dim(space, wrong)
 
 
+def test_error_paths_name_a_vertex_without_the_permutation_table(monkeypatch):
+    from qappoly.geometry import (
+        VertexSpace,
+        affine_hull_equations,
+        check_equality_set,
+        proven_polytope_dim,
+        verify_facet,
+        vertex_space,
+    )
+    from qappoly.indexing import triangle_position
+    from qappoly.inequalities import LinearForm, Qap4Params, build_qap4
+
+    # one Permutation per vertex is what formatting a single vertex must not build
+    monkeypatch.setattr(VertexSpace, "perms", property(
+        lambda self: pytest.fail("an error path built every Permutation")))
+    wrong = affine_hull_equations(4).copy()
+    wrong[0, 0] += 1   # now nonzero exactly where sigma(1) = 1
+    with pytest.raises(QappolyError, match="does not vanish on sigma = 1 2 3 4$"):
+        proven_polytope_dim(vertex_space(4), wrong)
+    # Y[12, 12] <= 0 fails first where sigma(1) = 2
+    form = LinearForm(n=5, positions=(triangle_position(5, 2, 2),), coeffs=(1,), rhs=0,
+                      sense="<=")
+    with pytest.raises(QappolyError, match="not valid: violated by sigma = 2 1 3 4 5$"):
+        verify_facet(form, 5)
+    # rhs 0 makes q in {0, 3} tight, so every vertex with q <= 3 mismatches
+    diagonal = tuple(range(1, 8))
+    loose = build_qap4(Qap4Params(n=7, i_set=diagonal, j_set=diagonal))
+    loose.rhs = 0
+    pattern = MatchPattern.diagonal(7)
+    expected = [sigma.one_line() for sigma in enumerate_permutations(7)
+                if classify_vertex(sigma, pattern) <= 3][:5]
+    assert check_equality_set(loose, 7).mismatches == expected
+
+
 def test_a_short_first_prime_ends_the_vote():
     report = rank_consensus(np.eye(4, dtype=np.int64), reach=5)
     assert report.status == "short"

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from oracle_streams import ORACLE
 
@@ -12,6 +13,7 @@ from qappoly.errors import (
     CapExceededError,
     DimensionMismatchError,
     InvalidParameterError,
+    QappolyError,
 )
 from qappoly.geometry import vertex_space
 from qappoly.indexing import flat_index, triangle_position
@@ -31,6 +33,7 @@ from qappoly.inequalities import (
     build_qap5,
     closed_form_slack,
     closed_form_slack_on_match_rows,
+    entries_on_match_rows,
     enumerate_family,
     evaluate,
     family_form_at,
@@ -266,6 +269,82 @@ def test_closed_form_vectorized_agrees_with_scalar():
         for idx in rng.sample(range(len(space.perms)), 30):
             assert vec[idx] == closed_form_slack(family, params, space.perms[idx],
                                                  check=False)
+
+
+# ---------------------------------------------------------------------------
+# sparse forms on every vertex, over the match matrix
+
+
+def _dense_values(n: int, entries) -> list[int]:
+    """sum c * Y[f1, f2] at every vertex, in lexicographic order, in Python
+    integers from each vertex's YPoint vector."""
+    return [sum(c * int(point.vector[triangle_position(n, min(f1, f2), max(f1, f2))])
+                for f1, f2, c in entries)
+            for point in (YPoint.from_vertex(vertex_from_permutation(sigma))
+                          for sigma in enumerate_permutations(n))]
+
+
+def _random_entries(n: int, rng: random.Random, count: int, coeffs) -> list:
+    flats = range(1, n * n + 1)
+    return [(f, f if rng.random() < 0.3 else rng.choice(flats), rng.choice(coeffs))
+            for f in rng.choices(flats, k=count)]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_entries_on_match_rows_agree_with_dense_vertex_vectors(n):
+    space = vertex_space(n)
+    rng = random.Random(n)
+    for coeffs in ((1, -1), (1, -1, 2, -3, 7, -40), (1, -1, 9000, -12000)):
+        for count in (1, 5, 40):
+            entries = _random_entries(n, rng, count, coeffs)
+            values = entries_on_match_rows(space.zt, entries)
+            bound = sum(abs(c) for _, _, c in entries)
+            assert values.dtype == (np.int16 if bound <= 2 ** 15 - 1 else np.int64)
+            assert values.tolist() == _dense_values(n, entries)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_entries_on_match_rows_widens_exactly_at_the_int16_limit(n):
+    space = vertex_space(n)
+    f, g, h = (flat_index(n, 1, 1), flat_index(n, 2, 2), flat_index(n, 3, 3))
+    cases = {
+        # |c| summing to 2**15 - 1 and to 2**15
+        (np.int16, 2 ** 15 - 1): [(f, f, 16384), (g, g, -16383)],
+        (np.int64, 2 ** 15): [(f, f, 16384), (g, h, -16384)],
+        # sums past int16 at the vertices matching all three cells, reached
+        # through both diagonal and off-diagonal entries
+        (np.int64, 80000): [(f, f, 20000), (g, g, 20000), (f, h, 20000), (g, h, 20000)],
+    }
+    for (dtype, bound), entries in cases.items():
+        assert sum(abs(c) for _, _, c in entries) == bound
+        values = entries_on_match_rows(space.zt, entries)
+        assert values.dtype == dtype
+        assert values.tolist() == _dense_values(n, entries)
+    assert values.max() == 80000
+
+
+def test_entries_on_match_rows_refuses_sums_past_int64():
+    space = vertex_space(4)
+    with pytest.raises(QappolyError, match="past"):
+        entries_on_match_rows(space.zt, [(1, 1, 2 ** 62), (6, 6, 2 ** 62)])
+
+
+def test_slacks_past_int16_stay_exact():
+    # beta = 200: the scaled rhs is 200 - 200**2 = -39800 and the slack
+    # s(s+1) with s = counts - 200 stays near 40000, past int16, while the
+    # lhs coefficients sum to far below 2**15, so the lhs runs in int16
+    n = 6
+    params = Qap5Params(n=n, beta=200, coeffs={(1, 1): 1, (2, 3): 1, (3, 2): -1, (4, 5): 2})
+    form = build_qap5(params)
+    assert sum(abs(c) for c in form.coeffs) <= 2 ** 15 - 1
+    space = vertex_space(n)
+    scaled = form.scaled_slack_on_match_rows(space.zt)
+    closed = closed_form_slack_on_match_rows("qap5", params, space.zt)
+    assert scaled.dtype == closed.dtype == np.int64 and scaled.min() > 2 ** 15
+    for row, sigma in enumerate(space.perms):
+        slack = evaluate(form, vertex_from_permutation(sigma)).slack
+        assert scaled[row] == slack * form.scale
+        assert closed[row] == slack == closed_form_slack("qap5", params, sigma)
 
 
 # ---------------------------------------------------------------------------
