@@ -8,9 +8,10 @@ a rank mod p never exceeds the rank over Q.  Ranks are still reported at
 three 31-bit primes, and a fraction-free (Bareiss) integer elimination can
 re-check the small cases.  A valid inequality is facet-defining when its
 tight vertices span an affine subspace of dimension exactly one less than
-the polytope's.  "Not facet" is proven too: the kernel of a tight subset
-mod a prime, lifted to integer equations and checked on every tight vertex,
-bounds the tight dimension from above where the subset reaches it.
+the polytope's.  "Not facet" is proven too: the hull equations, plus the
+kernel rows of a tight subset mod a prime that lie beyond them, lifted to
+integer equations and checked on every tight vertex, bound the tight
+dimension from above where the subset reaches it.
 
 This demo works at n<=5 and prints the commands for the big ones; the n=7
 facet check takes a few seconds.
@@ -37,12 +38,14 @@ print(f"\nn=4 dimension re-checked by rational elimination: "
 form = build_qap5(Qap5Params(n=5, beta=0, coeffs={(1, 1): 1, (2, 2): -1}))
 report = verify_facet(form, 5)
 cert = report.tight_rank.certificate
+hull = report.polytope_rank.certificate.equation_rows
 print(f"\ngeneric qap5 form at n=5: verdict '{report.verdict}' "
       f"(tight dim {report.tight_dim} vs polytope dim {report.polytope_dim})")
-print(f"  proof ({cert.kind}): {cert.equation_rows} equations lifted from the "
-      f"kernel of {cert.subset_rows} tight vertices mod {cert.prime}")
-print(f"  vanish on all {report.tight_count} tight vertices, so the tight "
-      f"dimension is at most {cert.bound}, which those vertices reach")
+print(f"  proof ({cert.kind}): the {hull} hull equations and {cert.equation_rows - hull} "
+      f"more, lifted from the kernel of {cert.subset_rows} tight vertices mod {cert.prime},")
+print(f"  have rank {cert.equation_rank} on {cert.columns} columns and vanish on all "
+      f"{report.tight_count} tight vertices, so the tight dimension is at most "
+      f"{cert.bound}, which those vertices reach")
 
 trivial = LinearForm(n=4, positions=(), coeffs=(), rhs=1, sense="<=")
 report = verify_facet(trivial, 4)

@@ -5,24 +5,26 @@ space, but only coordinates that some vertex can make nonzero (all diagonal
 cells, plus off-diagonal cells with distinct rows and distinct columns) are
 carried in the matrices; identically-zero coordinates never affect a rank.
 
-Every dimension and span verdict is proven.  ``affine_hull_equations``
-gives integer equations that vanish on every vertex (checked exactly), which
+Every dimension and span verdict is proven.  ``hull_equations`` holds the
+integer affine-hull equations E, checked exactly on every vertex, which
 bound the polytope's dimension from above; the modular rank of a seeded
 vertex subset that reaches that bound proves it (``modrank.RankCertificate``).
 A valid form with a vertex of positive slack bounds its tight set one lower,
 so a tight subset that reaches dim(P) - 1 proves a facet.  Where that subset
 misses (a "not facet" verdict, or a form tight everywhere), the tight set's
-``modrank.lifted_kernel`` proves its dimension at one prime, and the span
-lemmas decide membership against the generators' lifted kernel the same way.
-Where no proof stands, the verdict is refused as unproven.
+``modrank.lifted_kernel`` starts from E and lifts only the kernel rows
+beyond it, checked exactly on every tight vertex; the span lemmas decide
+membership against E and the generators' extras the same way.  Where no
+proof stands, the verdict is refused as unproven.
 
 The S_k classes, S_0 connectivity and the span lemmas read a per-n
 ``VertexSpace`` cache: each vertex once, as an int8 one-line image in
 lexicographic order, so its index is its Lehmer rank (``index_of``, also
 used for ``neighbours``).  The int8 0/1 match matrix ``zt`` derived from the
-images gives ``rows`` (int8 vertex rows, widened by ``modrank`` only inside
-elimination); every sparse form on all vertices, the hull equations and the
-S_k counts included, is read from it by ``entries_on_match_rows``.
+images gives ``rows`` (int8 vertex rows, built only for drawn subsets and
+widened by ``modrank`` only inside elimination); every sparse form on a
+vertex set, E and the extras included, is read from it by
+``entries_on_match_rows``.
 """
 
 from __future__ import annotations
@@ -37,16 +39,16 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidPermutationError, QappolyError
 from .indexing import EntryKey, Pair, flat_index, pair_from_flat, triangle_dimension
-from .inequalities import LinearForm, Qap4Params, entries_on_match_rows
+from .inequalities import LinearForm, Qap4Params, entries_on_match_rows, permutation_table
 from .modrank import (
     PRIME_POOL,
     ModularSpanBasis,
+    ProvenEquations,
     RankCertificate,
     RankReport,
     lifted_kernel,
     rank_consensus,
     rank_exact_rational,
-    rank_mod_p,
 )
 from .perms import (
     DEFAULT_ENUMERATION_CAP,
@@ -162,11 +164,9 @@ def vertex_space(n: int) -> VertexSpace:
     if n < 1:
         raise InvalidPermutationError(f"n must be positive, got {n}")
     require_enumerable(n, DEFAULT_ENUMERATION_CAP)
-    count = math.factorial(n)   # permutations() runs in lexicographic order
-    images = np.fromiter(itertools.chain.from_iterable(itertools.permutations(
-        range(1, n + 1))), np.int8, n * count).reshape(count, n)
+    images = permutation_table(n, n) + 1
     cells = images.T[:, None] == np.arange(1, n + 1, dtype=np.int8)[:, None]
-    return VertexSpace(n=n, images=images, zt=cells.reshape(n * n, count).view(np.int8))
+    return VertexSpace(n=n, images=images, zt=cells.reshape(n * n, len(images)).view(np.int8))
 
 
 def _as_permutation(v) -> Permutation:
@@ -258,24 +258,52 @@ def affine_hull_equations(n: int) -> np.ndarray:
     return equations
 
 
-def _require_vanishing(space: VertexSpace, equations: np.ndarray) -> None:
-    """Raise unless every equation vanishes on every vertex, exactly.
+@dataclass(frozen=True)
+class _VertexSet:
+    """The vertices ``idx`` (an index array, or a slice for ``missed``) as
+    ``lifted_kernel`` reads them: int8 rows built only for the positions
+    asked for, and an exact check of equations on all of them."""
 
-    Each equation's nonzero columns are read as (f1, f2, c) entries, a
-    diagonal column as (f, f), and summed by ``entries_on_match_rows``.
-    """
-    diagonal = np.arange(1, space.n ** 2 + 1)
-    f1, f2 = _off_diagonal_support(space.n)
-    first, second = np.concatenate([diagonal, f1 + 1]), np.concatenate([diagonal, f2 + 1])
-    failing = np.zeros(len(space.images), dtype=bool)
-    for equation in equations:
-        columns = np.flatnonzero(equation)
-        failing |= entries_on_match_rows(space.zt, zip(
-            first[columns].tolist(), second[columns].tolist(),
-            equation[columns].tolist())) != 0
-    failing = np.flatnonzero(failing)
+    space: VertexSpace
+    idx: np.ndarray | slice
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.idx.size, self.space.n ** 2 + _off_diagonal_support(self.space.n)[0].size
+
+    def __getitem__(self, positions) -> np.ndarray:
+        return self.space.rows(self.idx[positions])
+
+    def missed(self, equations: np.ndarray) -> np.ndarray:
+        """Positions of the vertices on which some equation is nonzero,
+        exactly: its nonzero support columns, read as (f1, f2, c) entries (a
+        diagonal one as (f, f)), summed by ``entries_on_match_rows``."""
+        diagonal = np.arange(1, self.space.n ** 2 + 1)
+        f1, f2 = _off_diagonal_support(self.space.n)
+        first, second = np.concatenate([diagonal, f1 + 1]), np.concatenate([diagonal, f2 + 1])
+        zt = self.space.zt[:, self.idx]
+        failing = np.zeros(zt.shape[1], dtype=bool)
+        for equation in equations:
+            columns = np.flatnonzero(equation)
+            failing |= entries_on_match_rows(zt, zip(
+                first[columns].tolist(), second[columns].tolist(),
+                equation[columns].tolist())) != 0
+        return np.flatnonzero(failing)
+
+
+def _require_vanishing(space: VertexSpace, equations: np.ndarray) -> None:
+    """Raise unless every equation vanishes on every vertex, exactly."""
+    failing = _VertexSet(space, slice(None)).missed(equations)
     if failing.size:
         raise QappolyError(f"an equation does not vanish on sigma = {space.one_line(failing[0])}")
+
+
+@lru_cache(maxsize=4)
+def hull_equations(n: int) -> ProvenEquations:
+    """``affine_hull_equations(n)`` checked on every vertex (cached per n),
+    where the polytope's claim and every vertex set's kernel start."""
+    _require_vanishing(vertex_space(n), affine_hull_equations(n))
+    return ProvenEquations(affine_hull_equations(n), PRIME_POOL[0])
 
 
 def _subset_reaching(space: VertexSpace, idx: np.ndarray,
@@ -319,40 +347,16 @@ def _within_claim(report: RankReport, claim: RankCertificate,
     return report
 
 
-def _kernel_affine_dim(space: VertexSpace, idx: np.ndarray) -> RankReport | None:
-    """Affine dimension of the vertices ``idx`` proven by their lifted
-    kernel W at one prime, or None when no lift passes.
-
-    The vertices lie on the hyperplane where the diagonal sum is n, so
-    their affine dimension is one less than their linear rank,
-    columns - rows(W), which a seeded subset reaches mod the prime.
+def proven_polytope_dim(space: VertexSpace, known: ProvenEquations) -> RankReport:
+    """Affine dimension of all vertices, proven from ``known`` equations by a
+    vertex subset, the whole set at the latest, that reaches the bound they
+    give.  Raises "unproven" when even the whole set misses the bound.
     """
-    prime = PRIME_POOL[0]
-    kernel = lifted_kernel(space.rows(idx), prime)
-    if kernel is None:
-        return None
-    certificate = kernel.certificate()
-    return RankReport(row_count=certificate.subset_rows,
-                      column_dimension=triangle_dimension(space.n),
-                      ranks=[(prime, certificate.bound)],
-                      consensus_rank=certificate.bound, certificate=certificate)
-
-
-def proven_polytope_dim(space: VertexSpace, equations: np.ndarray) -> RankReport:
-    """Affine dimension of all vertices, proven from ``equations`` (integer
-    rows over the support coordinates) by a vertex subset, the whole set at
-    the latest, that reaches the bound they give.
-
-    The equations are checked exactly on every vertex first.  Raises
-    "unproven" when even the whole set misses the bound.
-    """
-    _require_vanishing(space, equations)
-    prime = PRIME_POOL[0]
     claim = RankCertificate(kind="affine-hull equations",
-                            columns=equations.shape[1],
-                            equation_rows=equations.shape[0],
-                            equation_rank=rank_mod_p(equations, prime),
-                            prime=prime, subset_rows=0)
+                            columns=known.echelon.shape[1],
+                            equation_rows=known.equations.shape[0],
+                            equation_rank=len(known.echelon),
+                            prime=known.prime, subset_rows=0)
     report = _subset_reaching(space, np.arange(len(space.images)), claim, grow=True)
     if report is None:
         raise QappolyError(f"unproven: the {len(space.images)} vertices at "
@@ -364,8 +368,8 @@ def proven_polytope_dim(space: VertexSpace, equations: np.ndarray) -> RankReport
 @lru_cache(maxsize=4)
 def polytope_affine_dim(n: int) -> RankReport:
     """Affine dimension of the whole polytope at size n, proven by
-    ``affine_hull_equations(n)`` and a vertex subset (cached per n)."""
-    return proven_polytope_dim(vertex_space(n), affine_hull_equations(n))
+    ``hull_equations(n)`` and a vertex subset (cached per n)."""
+    return proven_polytope_dim(vertex_space(n), hull_equations(n))
 
 
 def _certified(space: VertexSpace, idx: np.ndarray, report: RankReport) -> RankReport:
@@ -430,10 +434,16 @@ def verify_facet(form: LinearForm, n: int, certify: bool = False) -> FacetReport
                         equation_rank=full.certificate.equation_rank + 1)
         tight_report = _subset_reaching(space, tight_rows, claim, grow=False)
     if tight_report is None:
-        tight_report = _kernel_affine_dim(space, tight_rows)
-        if tight_report is None:
+        # the diagonal sum is n on every vertex: affine rank = linear rank - 1
+        lifted = lifted_kernel(_VertexSet(space, tight_rows), hull_equations(n))
+        if lifted is None:
             raise QappolyError(f"unproven: no lifted kernel of the "
                                f"{tight_rows.size} tight vertices passes")
+        _, proof = lifted
+        tight_report = RankReport(row_count=proof.subset_rows,
+                                  column_dimension=triangle_dimension(n),
+                                  ranks=[(proof.prime, proof.bound)],
+                                  consensus_rank=proof.bound, certificate=proof)
         if claim is not None:
             _within_claim(tight_report, claim, tight_rows.size)
     if certify:
@@ -642,16 +652,16 @@ class SpanReport:
 def check_span_membership(target, generators) -> SpanReport:
     """Exact linear-span membership.
 
-    The generators' lifted kernel W cuts out their span over Q, so the
-    target is a member exactly when W·target = 0; the report carries W's
-    certificate.  Generators whose lift does not pass are refused as
-    unproven.
+    The hull equations E and the generators' lifted extras cut out their
+    span over Q, so the target is a member exactly when both vanish on it;
+    the report carries their certificate.  Generators whose lift does not
+    pass are refused as unproven.
     """
     generators = list(generators)
     if not generators:
         raise QappolyError("span membership needs at least one generator")
     space, rows = _vertex_rows(generators)
-    basis = ModularSpanBasis(space.rows(rows))
+    basis = ModularSpanBasis(_VertexSet(space, rows), hull_equations(space.n))
     if isinstance(target, np.ndarray):
         vec = target
     else:
@@ -701,7 +711,7 @@ def _sample_span_lemma(lemma: str, space: VertexSpace, generators, draw,
     generator set's certificate makes every verdict against it exact.
     """
     per_k = isinstance(generators, dict)
-    bases = {k: ModularSpanBasis(space.rows(rows))
+    bases = {k: ModularSpanBasis(_VertexSet(space, rows), hull_equations(space.n))
              for k, rows in (generators if per_k else {None: generators}).items()}
     keys = list(bases)
     counts = dict.fromkeys(keys, 0)

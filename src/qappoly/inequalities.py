@@ -646,13 +646,29 @@ class Qap5Bounds:
 CHUNK_FORMS = 1024
 
 
+def permutation_table(size: int, r: int) -> np.ndarray:
+    """The r-permutations (r <= size) of range(size), one per row of an int8
+    table, in ``itertools.permutations`` order.  Each slot's Lehmer digit is
+    its digit range repeated and tiled; from the last slot back, each later
+    entry at or past a slot's digit shifts up past it."""
+    slots = np.empty((r, math.perm(size, r)), dtype=np.int8)   # one contiguous row per slot
+    for i in range(r):
+        digits = np.repeat(np.arange(size - i, dtype=np.int8), math.perm(size - i - 1, r - i - 1))
+        slots[i] = np.tile(digits, math.perm(size, i))
+    for i in range(r - 2, -1, -1):
+        later = slots[i + 1:]
+        later += later >= slots[i]
+    return np.ascontiguousarray(slots.T)
+
+
 @functools.lru_cache(maxsize=None)
 def _index_table(size: int, r: int, ordered: bool) -> np.ndarray:
     """The r-combinations of range(size), or its r-permutations when
     ``ordered``, one per row of an int8 table, in itertools order."""
-    pick = itertools.permutations if ordered else itertools.combinations
-    rows = math.perm(size, r) if ordered else math.comb(size, r)
-    flat = itertools.chain.from_iterable(pick(range(size), r))
+    if ordered:
+        return permutation_table(size, r)
+    rows = math.comb(size, r)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(size), r))
     return np.fromiter(flat, dtype=np.int8, count=rows * r).reshape(rows, r)
 
 

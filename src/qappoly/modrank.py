@@ -6,11 +6,12 @@ finitely many primes.  Two routes turn that into a proof:
 * a matching upper bound from integer equations that vanish on every point
   (the geometry layer's affine-hull equations, recorded as a
   ``RankCertificate``);
-* ``lifted_kernel``: reduce a seeded subset of the points mod one prime to
-  reduced row-echelon form, read off its kernel, lift it to integers
-  (rational reconstruction where a lift is not small), and check the
-  integer kernel exactly on every point.  It then cuts out the points' span
-  over Q, so it proves their rank and decides span membership exactly.
+* ``lifted_kernel``: start from equations already proven on every point,
+  reduce a seeded subset of the points mod one prime, lift only the kernel
+  rows beyond those equations to integers (rational reconstruction where a
+  lift is not small), and check them exactly on every point.  Both then
+  cut out the points' span over Q, so they prove its rank and decide span
+  membership exactly.
 
 A failed lift or check gives no certificate, never a false one, and
 callers refuse the verdict as unproven.  ``rank_consensus`` reduces a
@@ -56,7 +57,7 @@ PRIME_POOL = (
     2147483549, 2147483543, 2147483497, 2147483489, 2147483477,
 )
 DEFAULT_PRIME_COUNT = 3
-# Point rows per block when checking integer equations; float64 products
+# Rows per block of the elimination's matrix products; float64 products
 # are exact while every partial sum is an integer below 2**53.
 EQUATION_CHECK_ROWS = 1024
 FLOAT_EXACT = 2 ** 53
@@ -84,8 +85,11 @@ class RankCertificate:
     most columns - equation_rank dimensions linearly, and one less affinely
     (they lie on a hyperplane off the origin).  From below: the affine rank
     of ``subset_rows`` of the points, reduced mod ``prime``, reaches that
-    ``bound``.  ``kind`` names where the equations come from:
-    "affine-hull equations", "proper face" or "lifted kernel".
+    ``bound``.  ``kind`` names the equations: the hull equations E
+    ("affine-hull equations"), E and the form's own equation ("proper
+    face"), or E and the lifted extras of a tight or generator set ("lifted
+    kernel", its rank taken on the lifted rows, its subset counting the
+    points re-added in later rounds).
     """
 
     kind: str
@@ -218,8 +222,8 @@ def _echelonize_mod_p(matrix: np.ndarray, p: int):
     """Row-reduce an integer matrix mod p, on a reduced int64 copy.
 
     Returns (rank, pivot columns, echelon rows): each echelon row has a
-    leading 1 at its pivot column and zeros in earlier columns, which is
-    all that membership reduction needs.
+    leading 1 at its pivot column and zeros in earlier columns.  The rows
+    are copied out, so the reduced matrix does not outlive the call.
 
     The elimination is right-looking and blocked, ``PANEL`` columns at a
     time.  ``_factor_panel`` picks the panel's pivots on a copy of its
@@ -257,7 +261,7 @@ def _echelonize_mod_p(matrix: np.ndarray, p: int):
         m[r:r + k, c0:c1] = head
         pivots += [c0 + c for c in local]
         r += k
-    return r, pivots, m[:r]
+    return r, pivots, m[:r].copy()
 
 
 def rank_mod_p(matrix: np.ndarray, p: int) -> int:
@@ -315,45 +319,16 @@ def rank_consensus(matrix: np.ndarray, column_dimension: int | None = None,
 
 
 @dataclass(frozen=True)
-class LiftedKernel:
-    """Integer equations W that vanish exactly on every point of a set.
+class ProvenEquations:
+    """Integer equations the caller has proven to vanish on every point of
+    a set, with their echelon form mod ``prime``."""
 
-    W has one row per free column of a seeded subset's echelon form mod
-    ``prime``; on the free columns it is diagonal with nonzero entries, so
-    its rank over Q is its row count.  The points therefore span at most
-    columns - rows(W) dimensions over Q, and the subset's rank mod
-    ``prime`` is exactly that number: span_Q(points) = ker_Q(W).
-    """
-
-    equations: np.ndarray   # int64, |entries| * columns below 2**53
+    equations: np.ndarray
     prime: int
-    subset_rows: int
 
-    @property
-    def rank(self) -> int:
-        """The points' linear rank over Q."""
-        rows, columns = self.equations.shape
-        return columns - rows
-
-    def certificate(self) -> RankCertificate:
-        rows, columns = self.equations.shape
-        return RankCertificate(kind="lifted kernel", columns=columns,
-                               equation_rows=rows, equation_rank=rows,
-                               prime=self.prime, subset_rows=self.subset_rows)
-
-    def annihilates(self, vector: np.ndarray) -> bool:
-        """Whether W·vector = 0 exactly, i.e. whether the vector lies in the
-        points' span over Q."""
-        vector = np.asarray(vector)
-        if vector.shape != (self.equations.shape[1],):
-            raise QappolyError(f"vector has shape {vector.shape}, expected "
-                               f"({self.equations.shape[1]},)")
-        if not self.equations.size:
-            return True
-        largest = _magnitude(self.equations) * _magnitude(vector)
-        if largest * vector.size < 2 ** 63:
-            return not (self.equations @ vector.astype(np.int64)).any()
-        return not (self.equations.astype(object) @ vector.astype(object)).any()
+    @functools.cached_property
+    def echelon(self) -> np.ndarray:
+        return _echelonize_mod_p(self.equations, self.prime)[2]
 
 
 def _magnitude(matrix: np.ndarray) -> int:
@@ -361,32 +336,24 @@ def _magnitude(matrix: np.ndarray) -> int:
     return max(int(matrix.max(initial=0)), -int(matrix.min(initial=0)))
 
 
-def _extend_echelon(echelon: np.ndarray, rows: np.ndarray, p: int):
-    """Echelon form mod p of the echelon rows plus new integer rows; rows
-    already in echelon form cost one pass over their pivots."""
-    rank, pivots, reduced = _echelonize_mod_p(np.vstack([echelon, rows]), p)
-    return rank, pivots, reduced.copy()
+def _kernel_mod_p(pivots: list[int], echelon: np.ndarray, free: np.ndarray, p: int):
+    """Kernel vectors mod p of the echelon rows' span, one per column of
+    ``free`` (columns that are not ``pivots``): 1 there, 0 at every other
+    column that is not a pivot.
 
-
-def _kernel_mod_p(pivots: list[int], echelon: np.ndarray, p: int):
-    """Kernel basis mod p of the echelon rows' span, one vector per free
-    column: 1 there, 0 at the other free columns.  Returns the basis and
-    the free columns.
-
-    Back-substitution brings the free part of the rows to reduced
+    Back-substitution brings those columns of the rows to reduced
     row-echelon form: it solves U·X = F, where U, the pivot part, is unit
-    upper triangular and F is the free part.  It runs ``PANEL`` pivots at a
-    time from the last: the block's rows are solved among themselves, one
-    pivot at a time, and one ``_subtract_product`` clears the block's pivot
-    columns from every row above it.  Clearing pivot column i leaves the
-    columns j < i of the rows above as they are, so U is read from the
+    upper triangular and F is the ``free`` part.  It runs ``PANEL`` pivots
+    at a time from the last: the block's rows are solved among themselves,
+    one pivot at a time, and one ``_subtract_product`` clears the block's
+    pivot columns from every row above it.  Clearing pivot column i leaves
+    the columns j < i of the rows above as they are, so U is read from the
     echelon rows throughout.
     """
     cols = echelon.shape[1]
-    free = np.setdiff1d(np.arange(cols), pivots)
     upper = echelon[:, pivots]
     solved = echelon[:, free].copy()
-    # row i is zero at the free columns before its pivot
+    # row i is zero at the columns before its pivot
     starts = np.searchsorted(free, pivots)
     for b0 in range((len(pivots) - 1) // PANEL * PANEL, -1, -PANEL):
         b1 = min(b0 + PANEL, len(pivots))
@@ -398,7 +365,7 @@ def _kernel_mod_p(pivots: list[int], echelon: np.ndarray, p: int):
     kernel = np.zeros((free.size, cols), dtype=np.int64)
     kernel[np.arange(free.size), free] = 1
     kernel[:, pivots] = (p - solved.T) % p
-    return kernel, free
+    return kernel
 
 
 def _rational_reconstruction(residues: np.ndarray, p: int):
@@ -449,33 +416,32 @@ def _lift(kernel: np.ndarray, p: int, limit: int) -> np.ndarray | None:
     return numerators if np.abs(numerators).max(initial=0) < limit else None
 
 
-def nonvanishing_rows(equations: np.ndarray, count: int, rows) -> np.ndarray:
-    """Indices below ``count`` of the points on which some equation is
-    nonzero, exactly.  ``rows(idx)`` gives the integer points at the indices
-    ``idx``; they are checked in float64 blocks of ``EQUATION_CHECK_ROWS``,
-    whose partial sums stay integers below 2**53."""
-    transposed = equations.T.astype(np.float64)
-    failing = [start + np.flatnonzero(
-        (rows(np.arange(start, min(count, start + EQUATION_CHECK_ROWS)))
-         .astype(np.float64) @ transposed).any(axis=1))
-        for start in range(0, count, EQUATION_CHECK_ROWS)]
-    return np.concatenate(failing) if failing else np.zeros(0, dtype=np.int64)
+def lifted_kernel(points, known: ProvenEquations):
+    """Integer equations beyond ``known`` that, with them, cut out the span
+    of ``points`` over Q, and the certificate of its rank; None when no
+    proof passes.  ``points`` has a ``shape`` (count, columns), gives
+    integer rows by ``points[positions]`` (asked only for the subset) and
+    ``points.missed(equations)``, the positions of the points on which
+    some integer equation is nonzero, exactly.
 
+    Seeded points join a subset chunk by chunk (doubling while every row is
+    independent) until a chunk holds ``KERNEL_MARGIN`` rows dependent on the
+    rest.  Mod p the subset's kernel has one row per free column, 1 there
+    and 0 at the other free columns; the known equations lie in it, so their
+    free columns fix them.  The extras are the kernel rows at the free
+    columns where those have no pivot.  Only they are lifted to integers and
+    checked on every point; for up to ``KERNEL_ROUNDS`` rounds the points
+    they miss join the subset and the extras are lifted again.
 
-def lifted_kernel(points: np.ndarray, p: int) -> LiftedKernel | None:
-    """Integer equations cutting out the span of ``points`` over Q, checked
-    exactly on every point, or None when no lift passes.
-
-    Seeded rows of ``points`` join a subset chunk by chunk (doubling while
-    every row is independent) until a chunk holds ``KERNEL_MARGIN`` rows
-    dependent on the rest.  The subset's kernel mod p is lifted to integers
-    and checked on every point; for up to ``KERNEL_ROUNDS`` rounds the
-    points it misses join the subset and the kernel is lifted again.
+    The proof: the known equations and the extras vanish exactly on every
+    point, so the points' rank over Q is at most columns - rank_Q(known ∪
+    extras) <= columns - rank_p(known ∪ extras), taken on the lifted rows;
+    the subset's rank mod p, columns - free columns, is at most the points'
+    rank over Q and reaches that bound.
     """
-    if points.ndim != 2:
-        raise QappolyError("point matrix must be 2-dimensional")
     count, cols = points.shape
-    limit = FLOAT_EXACT // (max(cols, 1) * max(_magnitude(points), 1))
+    p = known.prime
+    limit = FLOAT_EXACT // max(cols, 1)
     order = np.random.default_rng(KERNEL_SEED).permutation(count)
     echelon = np.zeros((0, cols), dtype=np.int64)
     pivots: list[int] = []
@@ -483,25 +449,28 @@ def lifted_kernel(points: np.ndarray, p: int) -> LiftedKernel | None:
     while taken < count:
         new = order[taken:taken + chunk]
         before = len(pivots)
-        rank, pivots, echelon = _extend_echelon(echelon, points[new], p)
+        rank, pivots, echelon = _echelonize_mod_p(np.vstack([echelon, points[new]]), p)
         taken += new.size
         if new.size - (rank - before) >= KERNEL_MARGIN:
             break
         chunk = taken if rank - before == new.size else 2 * KERNEL_MARGIN
     for _ in range(KERNEL_ROUNDS):
-        kernel, free = _kernel_mod_p(pivots, echelon, p)
-        equations = _lift(kernel, p, limit)
-        # on the free columns W must be diagonal with nonzero entries: that
-        # is what makes its rank over Q its row count
-        if equations is None or not np.array_equal(
-                equations[:, free] != 0, np.eye(free.size, dtype=bool)):
+        free = np.setdiff1d(np.arange(cols), pivots)
+        _, covered, _ = _echelonize_mod_p(known.echelon[:, free], p)
+        extras = _lift(_kernel_mod_p(pivots, echelon, np.delete(free, covered), p), p, limit)
+        if extras is None:
             return None
-        missed = nonvanishing_rows(equations, len(points), points.__getitem__)
+        missed = points.missed(extras)
         if not missed.size:
-            return LiftedKernel(equations=equations, prime=p, subset_rows=taken)
+            rank, _, _ = _echelonize_mod_p(np.vstack([known.echelon, extras]), p)
+            if rank != free.size:
+                return None
+            return extras, RankCertificate(
+                kind="lifted kernel", columns=cols, prime=p, subset_rows=taken,
+                equation_rows=len(known.equations) + len(extras), equation_rank=rank)
         # a missed point lies outside the subset's span, so it adds rank
         missed = missed[:2 * KERNEL_MARGIN]
-        _, pivots, echelon = _extend_echelon(echelon, points[missed], p)
+        _, pivots, echelon = _echelonize_mod_p(np.vstack([echelon, points[missed]]), p)
         taken += missed.size
     return None
 
@@ -509,29 +478,34 @@ def lifted_kernel(points: np.ndarray, p: int) -> LiftedKernel | None:
 class ModularSpanBasis:
     """Membership in the span of fixed generators, decided for many vectors.
 
-    ``__init__`` builds ``lifted_kernel(generators)``; its equations cut out
-    the generators' span over Q, so ``contains`` decides membership exactly
-    by checking them on the vector, and ``certificate`` records the proof.
-    Generators whose lift does not pass are refused as unproven.
+    The known equations and the extras of ``lifted_kernel(generators,
+    known)`` cut out the generators' span over Q, so ``contains`` checks
+    them on the vector, and ``certificate`` records the proof.  Generators
+    whose lift does not pass are refused as unproven.
     """
 
-    def __init__(self, generators: np.ndarray):
-        if generators.ndim != 2:
-            raise QappolyError("generator matrix must be 2-dimensional")
-        kernel = lifted_kernel(generators, PRIME_POOL[0])
-        if kernel is None:
+    def __init__(self, generators, known: ProvenEquations):
+        lifted = lifted_kernel(generators, known)
+        if lifted is None:
             raise QappolyError(
                 f"unproven: no lifted kernel of the {generators.shape[0]} span "
-                f"generators passes at p = {PRIME_POOL[0]}")
-        self.kernel = kernel
-
-    @property
-    def certificate(self) -> RankCertificate:
-        return self.kernel.certificate()
+                f"generators passes at p = {known.prime}")
+        extras, self.certificate = lifted
+        # exact integers in float64: entries times columns stay below 2**53
+        self.equations = np.vstack([known.equations, extras]).astype(np.float64)
+        self.largest = _magnitude(self.equations)
 
     def contains(self, vector: np.ndarray) -> bool:
-        """Whether the vector lies in the generators' span over Q, exactly."""
-        return self.kernel.annihilates(vector)
+        """Whether every equation vanishes on the vector exactly, i.e. it lies
+        in the span; float64 sums are exact while they stay below 2**53."""
+        vector = np.asarray(vector)
+        if vector.shape != (self.equations.shape[1],):
+            raise QappolyError(f"vector has shape {vector.shape}, expected "
+                               f"({self.equations.shape[1]},)")
+        if self.largest * _magnitude(vector) * vector.size < FLOAT_EXACT:
+            return not (self.equations @ vector.astype(np.float64)).any()
+        exact = self.equations.astype(np.int64).astype(object)
+        return not (exact @ vector.astype(object)).any()
 
 
 def rank_exact_rational(matrix: np.ndarray) -> int:

@@ -238,7 +238,7 @@ def test_a_verdict_without_a_lift_is_refused_as_unproven(argv, monkeypatch, tmp_
     from qappoly import geometry, modrank
 
     for module in (geometry, modrank):
-        monkeypatch.setattr(module, "lifted_kernel", lambda points, p: None)
+        monkeypatch.setattr(module, "lifted_kernel", lambda points, known: None)
     out = tmp_path / "report.json"
     assert main(argv + ["--json", str(out)]) == 1
     verdicts = json.loads(out.read_text())["verdicts"]
@@ -334,3 +334,36 @@ def test_verify_slack_on_an_empty_family_is_a_usage_failure(family, n, tmp_path)
     verdicts = json.loads(out.read_text())["verdicts"]
     assert [v["name"] for v in verdicts] == ["usage"]
     assert f"{family} has no forms at n={n}" in verdicts[0]["details"]["error"]
+
+
+# the five operations of the facet-n7 benchmark workload (seed 1), with the
+# verdict and dimensions each gave before the lifted kernel started from the
+# hull equations
+FACET_N7_OPS = [
+    (["verify-facet", "--family", "qap4", "--n", "7", "--m", "7"],
+     "facet", {"verdict": "facet", "polytope_dim": 457, "tight_dim": 456,
+               "tight_count": 2779}),
+    (["verify-facet", "--family", "qap3", "--n", "7", "--P1", "1,2", "--P2", "3",
+      "--Q", "1,2,3", "--beta", "1", "--expect", "valid-only"],
+     "facet-analysis", {"verdict": "not facet", "polytope_dim": 457, "tight_dim": 454,
+                        "tight_count": 3600}),
+    (["verify-lemmas", "--which", "szeroins", "--n", "7", "--samples", "200",
+      "--seed", "1"],
+     "S_0 neighbor differences in span(S)", {"samples": 200, "members": 200}),
+    (["verify-facet", "--family", "qap5", "--n", "5", "--beta", "0",
+      "--coeffs", "1,1:1;2,2:-1", "--expect", "valid-only", "--certify"],
+     "facet-analysis", {"verdict": "not facet", "polytope_dim": 77, "tight_dim": 72,
+                        "tight_count": 102}),
+    (["verify-slack", "--family", "qap1", "--n", "7", "--limit", "300", "--seed", "1"],
+     "slack formulas agree with direct evaluation", {"forms": 300, "mismatches": 0}),
+]
+
+
+@pytest.mark.parametrize("argv,name,pinned", FACET_N7_OPS,
+                         ids=["qap4", "qap3", "szeroins", "qap5", "slack"])
+def test_the_facet_n7_operations_keep_their_verdicts(argv, name, pinned, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(argv + ["--json", str(out)]) == 0
+    verdicts = {v["name"]: v for v in json.loads(out.read_text())["verdicts"]}
+    assert verdicts[name]["passed"]
+    assert {key: verdicts[name]["details"][key] for key in pinned} == pinned

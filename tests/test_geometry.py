@@ -336,9 +336,9 @@ def test_span_membership_of_generator(monkeypatch):
     report = check_span_membership(gens[1], gens)
     assert report.member
     assert report.certificate.kind == "lifted kernel"
-    assert report.certificate.equation_rows == report.certificate.columns - 3
+    assert report.certificate.equation_rank == report.certificate.columns - 3
     # with no lift, there is no verdict
-    monkeypatch.setattr(modrank, "lifted_kernel", lambda points, p: None)
+    monkeypatch.setattr(modrank, "lifted_kernel", lambda points, known: None)
     with pytest.raises(QappolyError, match="unproven"):
         check_span_membership(gens[1], gens)
 
@@ -485,25 +485,26 @@ def test_proven_polytope_dim_matches_the_full_vertex_vote(n):
 
 def test_a_loose_equation_bound_is_refused_as_unproven():
     from qappoly.geometry import affine_hull_equations, proven_polytope_dim, vertex_space
+    from qappoly.modrank import ProvenEquations
 
     equations = affine_hull_equations(5)
     loose = equations[: len(equations) // 2]
     assert rank_mod_p(loose, PRIME_POOL[0]) < rank_mod_p(equations, PRIME_POOL[0])
     with pytest.raises(QappolyError, match="unproven: the 120 vertices"):
-        proven_polytope_dim(vertex_space(5), loose)
+        proven_polytope_dim(vertex_space(5), ProvenEquations(loose, PRIME_POOL[0]))
 
 
 def test_equations_that_fail_on_a_vertex_are_refused():
-    from qappoly.geometry import affine_hull_equations, proven_polytope_dim, vertex_space
+    from qappoly.geometry import _require_vanishing, affine_hull_equations, vertex_space
 
     wrong = affine_hull_equations(4).copy()
     wrong[0, 0] += 1
     with pytest.raises(QappolyError, match="does not vanish"):
-        proven_polytope_dim(vertex_space(4), wrong)
+        _require_vanishing(vertex_space(4), wrong)
 
 
 def test_the_vanishing_check_names_the_first_vertex_the_dense_product_misses():
-    from qappoly.geometry import affine_hull_equations, proven_polytope_dim, vertex_space
+    from qappoly.geometry import _require_vanishing, affine_hull_equations, vertex_space
 
     n = 5
     space = vertex_space(n)
@@ -517,15 +518,15 @@ def test_the_vanishing_check_names_the_first_vertex_the_dense_product_misses():
         first = np.flatnonzero((rows @ wrong.T.astype(np.int64)).any(axis=1))[0]
         sigma = space.perms[first].one_line()
         with pytest.raises(QappolyError, match=f"does not vanish on sigma = {re.escape(sigma)}$"):
-            proven_polytope_dim(space, wrong)
+            _require_vanishing(space, wrong)
 
 
 def test_error_paths_name_a_vertex_without_the_permutation_table(monkeypatch):
     from qappoly.geometry import (
         VertexSpace,
+        _require_vanishing,
         affine_hull_equations,
         check_equality_set,
-        proven_polytope_dim,
         verify_facet,
         vertex_space,
     )
@@ -538,7 +539,7 @@ def test_error_paths_name_a_vertex_without_the_permutation_table(monkeypatch):
     wrong = affine_hull_equations(4).copy()
     wrong[0, 0] += 1   # now nonzero exactly where sigma(1) = 1
     with pytest.raises(QappolyError, match="does not vanish on sigma = 1 2 3 4$"):
-        proven_polytope_dim(vertex_space(4), wrong)
+        _require_vanishing(vertex_space(4), wrong)
     # Y[12, 12] <= 0 fails first where sigma(1) = 2
     form = LinearForm(n=5, positions=(triangle_position(5, 2, 2),), coeffs=(1,), rhs=0,
                       sense="<=")
@@ -580,7 +581,7 @@ def no_lift(monkeypatch):
     """Make every lifted kernel fail, so no tight dimension is proven."""
     from qappoly import geometry
 
-    monkeypatch.setattr(geometry, "lifted_kernel", lambda points, p: None)
+    monkeypatch.setattr(geometry, "lifted_kernel", lambda points, known: None)
 
 
 def test_a_form_tight_everywhere_is_not_a_facet():
@@ -624,22 +625,85 @@ def test_a_valid_only_qap5_form_is_refused_without_a_lift(no_lift):
         verify_facet(form, 5)
 
 
-def test_a_flipped_lift_entry_refuses_the_tight_dim(monkeypatch):
+def _refused_with_a_corrupted_lift(corrupt, monkeypatch):
     from qappoly import modrank
     from qappoly.geometry import verify_facet
     from qappoly.inequalities import Qap5Params, build_qap5
 
     lift = modrank._lift
 
-    def flipped(kernel, p, limit):
+    def corrupted(kernel, p, limit):
         equations = lift(kernel, p, limit)
-        equations[0, 0] += 1   # column 0 is the cell (1,1), set on some vertex
+        corrupt(equations)
         return equations
 
-    monkeypatch.setattr(modrank, "_lift", flipped)
     form = build_qap5(Qap5Params(n=5, beta=0, coeffs={(1, 1): 1, (2, 2): -1}))
+    plain = verify_facet(form, 5).tight_rank.certificate
+    assert plain.kind == "lifted kernel" and plain.equation_rows - 210 >= 2   # E has 210 rows
+    monkeypatch.setattr(modrank, "_lift", corrupted)
     with pytest.raises(QappolyError, match="unproven"):
         verify_facet(form, 5)
+
+
+def test_a_flipped_lift_entry_refuses_the_tight_dim(monkeypatch):
+    def flipped(equations):
+        equations[0, 0] += 1   # column 0 is the cell (1,1), set on some vertex
+
+    _refused_with_a_corrupted_lift(flipped, monkeypatch)
+
+
+def test_a_repeated_lift_row_refuses_the_tight_dim(monkeypatch):
+    def repeated(equations):
+        equations[1] = equations[0]   # still vanishes, but one rank short
+
+    _refused_with_a_corrupted_lift(repeated, monkeypatch)
+
+
+def _planting(monkeypatch, row, rounds):
+    """Append ``row`` to the extras of the first ``rounds`` lifts."""
+    from qappoly import modrank
+
+    lift = modrank._lift
+    calls = []
+
+    def planted(kernel, p, limit):
+        equations = lift(kernel, p, limit)
+        calls.append(None)
+        return np.vstack([equations, row]) if len(calls) <= rounds else equations
+
+    monkeypatch.setattr(modrank, "_lift", planted)
+    return calls
+
+
+@pytest.mark.parametrize("rounds", [1, 4])
+def test_a_planted_extra_that_misses_one_tight_vertex_is_caught(rounds, monkeypatch):
+    # the planted row is 1 on a support column that exactly one tight vertex
+    # sets: the exact check finds that vertex, which joins the subset; a
+    # plant in the first lift only is proven away by the next round, one in
+    # every lift leaves the tight dimension unproven
+    from qappoly.geometry import vertex_space, verify_facet
+    from qappoly.inequalities import Qap5Params, build_qap5
+    from qappoly.modrank import KERNEL_ROUNDS
+
+    form = build_qap5(Qap5Params(n=4, beta=0, coeffs={(1, 1): 1, (2, 2): -1}))
+    plain = verify_facet(form, 4).tight_rank.certificate
+    space = vertex_space(4)
+    tight = np.flatnonzero(form.scaled_slack_on_match_rows(space.zt) == 0)
+    hits = space.rows(tight).sum(axis=0, dtype=np.int64)
+    row = np.zeros(hits.size, dtype=np.int64)
+    row[np.flatnonzero(hits == 1)[0]] = 1
+    calls = _planting(monkeypatch, row, rounds)
+    if rounds < KERNEL_ROUNDS:
+        report = verify_facet(form, 4)
+        assert len(calls) == 2
+        certificate = report.tight_rank.certificate
+        assert (report.verdict, report.tight_dim) == ("not facet", plain.bound)
+        assert certificate.subset_rows == plain.subset_rows + 1
+        assert certificate.equation_rows == plain.equation_rows
+    else:
+        with pytest.raises(QappolyError, match="unproven: .* 20 tight vertices"):
+            verify_facet(form, 4)
+        assert len(calls) == KERNEL_ROUNDS
 
 
 def test_the_n7_facet_is_proven_without_a_full_vertex_elimination(monkeypatch):
@@ -653,8 +717,7 @@ def test_the_n7_facet_is_proven_without_a_full_vertex_elimination(monkeypatch):
         shapes.append(matrix.shape)
         return original(matrix, p)
 
-    for module in (modrank, geometry):
-        monkeypatch.setattr(module, "rank_mod_p", recording)
+    monkeypatch.setattr(modrank, "rank_mod_p", recording)
     geometry.polytope_affine_dim.cache_clear()
     form = build_qap4(Qap4Params(n=7, i_set=tuple(range(1, 8)), j_set=tuple(range(1, 8))))
     report = geometry.verify_facet(form, 7)
@@ -666,7 +729,11 @@ def test_the_n7_facet_is_proven_without_a_full_vertex_elimination(monkeypatch):
 
 
 def test_the_n7_not_facet_is_proven_by_a_lifted_kernel(monkeypatch):
+    # no elimination is taller than 1,100 rows, and vertex rows are built
+    # only for the subsets drawn and the vertices re-added, never for the
+    # whole tight set or generator set
     from qappoly import geometry, modrank
+    from qappoly.geometry import SUBSET_MARGIN, VertexSpace
     from qappoly.inequalities import Qap3Params, build_qap3
 
     shapes = []
@@ -676,7 +743,16 @@ def test_the_n7_not_facet_is_proven_by_a_lifted_kernel(monkeypatch):
         shapes.append(matrix.shape)
         return original(matrix, p)
 
+    asked = []
+    rows = VertexSpace.rows
+
+    def counting(self, idx):
+        built = rows(self, idx)
+        asked.append(len(built))
+        return built
+
     monkeypatch.setattr(modrank, "_echelonize_mod_p", recording)
+    monkeypatch.setattr(VertexSpace, "rows", counting)
     geometry.polytope_affine_dim.cache_clear()
     form = build_qap3(Qap3Params(n=7, p1_set=(1, 2), p2_set=(3,), q_set=(1, 2, 3), beta=1))
     report = geometry.verify_facet(form, 7)
@@ -685,6 +761,16 @@ def test_the_n7_not_facet_is_proven_by_a_lifted_kernel(monkeypatch):
     certificate = report.tight_rank.certificate
     assert certificate.kind == "lifted kernel" and certificate.bound == 454
     assert shapes and max(rows for rows, _ in shapes) <= 1100
+    # the polytope's subset, one proper-face subset of the tight set, and
+    # the kernel's subset with its re-adds
+    polytope = report.polytope_rank.certificate
+    assert sum(asked) <= (polytope.subset_rows + polytope.bound + SUBSET_MARGIN
+                          + certificate.subset_rows)
+    asked.clear()
+    lemma = geometry.verify_szeroins(7, samples=200, seed=1)
+    assert lemma.all_member
+    # the basis's subset with its re-adds, then two rows per sampled pair
+    assert sum(asked) <= lemma.certificates[0].subset_rows + 2 * 200
 
 
 class VoteOracle:
@@ -719,9 +805,9 @@ def test_certified_span_verdicts_match_the_vote_at_n6(monkeypatch):
     verdicts = []
     init, contains = ModularSpanBasis.__init__, ModularSpanBasis.contains
 
-    def with_oracle(self, generators):
-        init(self, generators)
-        self.oracle = VoteOracle(generators)
+    def with_oracle(self, generators, known):
+        init(self, generators, known)
+        self.oracle = VoteOracle(generators[np.arange(generators.shape[0])])
 
     def both(self, vector):
         raised = vector.astype(np.int64)
@@ -738,3 +824,52 @@ def test_certified_span_verdicts_match_the_vote_at_n6(monkeypatch):
     assert all(certified == voted for certified, voted in verdicts)
     members = sum(certified for certified, _ in verdicts)
     assert 600 <= members < len(verdicts)
+
+
+# ---------------------------------------------------------------------------
+# proven tight dimensions against fixed verdicts and exact elimination
+
+
+def _qap5_diagonal(n, m):
+    """qap4's shape on (1,1)..(m,m) as a qap5 form with beta = 2."""
+    from qappoly.inequalities import Qap5Params, build_qap5
+
+    return build_qap5(Qap5Params(n=n, beta=2, coeffs={(i, i): 1 for i in range(1, m + 1)}))
+
+
+@pytest.mark.parametrize("m,expected", [
+    (4, ("not facet", 444, 2172)),
+    (5, ("facet", 456, 2450)),
+    (6, ("facet", 456, 2649)),
+    (7, ("facet", 456, 2779)),
+])
+def test_the_qap4_shape_at_n7_keeps_its_verdicts(m, expected):
+    from qappoly.geometry import verify_facet
+
+    report = verify_facet(_qap5_diagonal(7, m), 7)
+    assert (report.verdict, report.tight_dim, report.tight_count) == expected
+    assert report.polytope_dim == 457
+    assert report.tight_rank.certificate.bound == report.tight_dim
+
+
+def _n6_forms():
+    from qappoly.inequalities import Qap1Params, Qap3Params, build_qap1, build_qap3
+
+    # qap3's parameter conditions need n >= 7; the form itself is valid at n=6
+    qap3 = build_qap3(Qap3Params(n=6, p1_set=frozenset({1, 2}), p2_set=frozenset({3}),
+                                 q_set=frozenset({1, 2, 3}), beta=1), check=False)
+    return {"qap1": build_qap1(Qap1Params(n=6, i_set=(1, 2, 3), j_set=(1, 2, 3), k=4, l=4)),
+            "qap3": qap3, "qap5": _qap5_diagonal(6, 4)}
+
+
+@pytest.mark.parametrize("family", ["qap1", "qap3", "qap5"])
+def test_lifted_kernel_tight_dims_at_n6_match_fraction_free_elimination(family):
+    from qappoly.geometry import vertex_space, verify_facet
+    from qappoly.modrank import rank_exact_rational
+
+    form = _n6_forms()[family]
+    report = verify_facet(form, 6)
+    assert report.tight_rank.certificate.kind == "lifted kernel"
+    space = vertex_space(6)
+    rows = space.rows(np.flatnonzero(form.scaled_slack_on_match_rows(space.zt) == 0))
+    assert report.tight_dim == rank_exact_rational(rows - rows[0])

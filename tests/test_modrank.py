@@ -5,11 +5,12 @@ import pytest
 
 from qappoly import modrank
 from qappoly.errors import QappolyError
-from qappoly.geometry import vertex_space
+from qappoly.geometry import hull_equations, vertex_space
 from qappoly.modrank import (
     DEFAULT_PRIME_COUNT,
     PRIME_POOL,
     ModularSpanBasis,
+    ProvenEquations,
     lifted_kernel,
     rank_consensus,
     rank_exact_rational,
@@ -28,23 +29,45 @@ def test_rank_disagreement_at_the_default_primes_is_inconclusive(monkeypatch):
     assert report.consensus_rank is None
 
 
+class ExactPoints:
+    """Integer points as ``lifted_kernel`` reads them, checked against
+    equations by products of Python integers."""
+
+    def __init__(self, points):
+        self.points = np.asarray(points)
+        self.shape = self.points.shape
+
+    def __getitem__(self, positions):
+        return self.points[positions]
+
+    def missed(self, equations):
+        products = self.points.astype(object) @ equations.T.astype(object)
+        return np.flatnonzero(products.any(axis=1))
+
+
+def nothing_known(columns):
+    return ProvenEquations(np.zeros((0, columns), dtype=np.int64), PRIME_POOL[0])
+
+
 def test_a_span_basis_without_a_lift_is_refused(monkeypatch):
-    monkeypatch.setattr(modrank, "lifted_kernel", lambda points, p: None)
-    space = vertex_space(4)
+    monkeypatch.setattr(modrank, "lifted_kernel", lambda points, known: None)
+    points = ExactPoints(vertex_space(4).rows(range(6)))
     with pytest.raises(QappolyError, match="unproven: .* 6 span generators"):
-        ModularSpanBasis(space.rows(range(6)))
+        ModularSpanBasis(points, nothing_known(points.shape[1]))
 
 
 def test_span_basis_keeps_only_its_lifted_kernel():
-    # the 24 vertices at n=4 have rank 23 (affine dimension 22): the lifted
-    # kernel proves it, and neither the generators nor an echelon basis is
-    # kept beside it
-    generators = vertex_space(4).rows(range(24))
-    basis = ModularSpanBasis(generators)
+    # the 24 vertices at n=4 have rank 23 (affine dimension 22): the hull
+    # equations prove it with no extra, and neither the generators nor an
+    # echelon basis is kept beside the equations
+    generators = ExactPoints(vertex_space(4).rows(range(24)))
+    known = hull_equations(4)
+    basis = ModularSpanBasis(generators, known)
     assert basis.certificate.kind == "lifted kernel"
-    assert basis.kernel.rank == 23
+    assert basis.certificate.columns - basis.certificate.equation_rank == 23
     assert basis.certificate.bound == 22
-    assert vars(basis) == {"kernel": basis.kernel}
+    assert np.array_equal(basis.equations, known.equations)
+    assert set(vars(basis)) == {"certificate", "equations", "largest"}
 
 
 def test_rank_consensus_reports_the_same_for_int8_and_int64():
@@ -73,27 +96,42 @@ def test_bareiss_rank_agrees_with_modular_consensus():
 # lifted kernels
 
 
+@pytest.mark.parametrize("hull", [False, True])
 @pytest.mark.parametrize("n", [4, 5, 6])
-def test_a_lifted_kernel_vanishes_on_its_points_and_has_full_row_rank(n):
+def test_a_lifted_kernel_vanishes_on_its_points_and_has_full_row_rank(n, hull):
+    # from nothing known, the extras are the whole kernel; from the hull
+    # equations, which cut out the span of all vertices, there are none
     space = vertex_space(n)
     points = space.rows(range(len(space.perms)))
-    kernel = lifted_kernel(points, PRIME_POOL[0])
-    equations = kernel.equations
-    assert not (points.astype(np.int64) @ equations.T).any()
-    assert rank_mod_p(equations, PRIME_POOL[1]) == equations.shape[0]
-    assert kernel.rank == rank_consensus(points).consensus_rank
-    assert kernel.subset_rows <= len(points)
-    certificate = kernel.certificate()
-    assert (certificate.kind, certificate.equation_rows) == ("lifted kernel", len(equations))
+    known = hull_equations(n) if hull else nothing_known(points.shape[1])
+    extras, certificate = lifted_kernel(ExactPoints(points), known)
+    assert not (points.astype(np.int64) @ extras.T).any()
+    rank = rank_consensus(points).consensus_rank
+    assert len(extras) == (0 if hull else points.shape[1] - rank)
+    assert rank_mod_p(extras, PRIME_POOL[1]) == extras.shape[0]
+    assert certificate.subset_rows <= len(points)
+    assert (certificate.kind, certificate.equation_rows, certificate.equation_rank) == (
+        "lifted kernel", len(known.equations) + len(extras), points.shape[1] - rank)
+    assert certificate.bound == rank - 1
 
 
 def test_a_lifted_kernel_reconstructs_denominators():
     # the span of (3, 1, 0) and (0, 1, 3): its kernel row mod p holds 1/3
-    points = np.array([[3, 1, 0], [0, 1, 3]])
-    kernel = lifted_kernel(points, PRIME_POOL[0])
-    assert kernel.equations.tolist() in ([[1, -3, 1]], [[-1, 3, -1]])
-    assert kernel.annihilates(np.array([3, 2, 3]))
-    assert not kernel.annihilates(np.array([1, 0, 0]))
+    points = ExactPoints(np.array([[3, 1, 0], [0, 1, 3]]))
+    extras, _ = lifted_kernel(points, nothing_known(3))
+    assert extras.tolist() in ([[1, -3, 1]], [[-1, 3, -1]])
+    basis = ModularSpanBasis(points, nothing_known(3))
+    assert basis.contains(np.array([3, 2, 3]))
+    assert not basis.contains(np.array([1, 0, 0]))
+
+
+def test_membership_is_exact_past_float64():
+    # 3 * 2**60 + 1 and 3 * 2**60 round to the same float64; the products
+    # of Python integers tell them apart
+    basis = ModularSpanBasis(ExactPoints(np.array([[3, 1, 0], [0, 1, 3]])), nothing_known(3))
+    big = 2 ** 60
+    assert basis.contains(np.array([3 * big, 2 * big, 3 * big]))
+    assert not basis.contains(np.array([3 * big + 1, 2 * big, 3 * big]))
 
 
 def test_a_flipped_lift_entry_loses_the_certificate(monkeypatch):
@@ -104,12 +142,13 @@ def test_a_flipped_lift_entry_loses_the_certificate(monkeypatch):
         equations[0, 0] += 1
         return equations
 
-    generators = vertex_space(4).rows(range(24))
-    assert ModularSpanBasis(generators).certificate is not None
+    generators = ExactPoints(vertex_space(4).rows(range(24)))
+    known = nothing_known(generators.shape[1])
+    assert ModularSpanBasis(generators, known).certificate is not None
     monkeypatch.setattr(modrank, "_lift", flipped)
-    assert lifted_kernel(generators, PRIME_POOL[0]) is None
+    assert lifted_kernel(generators, known) is None
     with pytest.raises(QappolyError, match="unproven"):
-        ModularSpanBasis(generators)
+        ModularSpanBasis(generators, known)
 
 
 def test_large_denominators_are_refused_as_unproven():
@@ -117,21 +156,23 @@ def test_large_denominators_are_refused_as_unproven():
     # denominators near 10**26, far beyond reconstruction at a 31-bit prime
     rng = np.random.default_rng(11)
     matrix = rng.integers(-10**4, 10**4, size=(6, 12))
-    assert lifted_kernel(matrix, PRIME_POOL[0]) is None
+    assert lifted_kernel(ExactPoints(matrix), nothing_known(12)) is None
     assert rank_consensus(matrix).consensus_rank == rank_exact_rational(matrix) == 6
     with pytest.raises(QappolyError, match="unproven"):
-        ModularSpanBasis(matrix)
+        ModularSpanBasis(ExactPoints(matrix), nothing_known(12))
 
 
 def test_an_empty_point_set_has_the_identity_kernel():
-    kernel = lifted_kernel(np.zeros((0, 4), dtype=np.int8), PRIME_POOL[0])
-    assert kernel.rank == 0 and kernel.subset_rows == 0
-    assert not kernel.annihilates(np.array([0, 0, 1, 0]))
+    points = ExactPoints(np.zeros((0, 4), dtype=np.int8))
+    extras, certificate = lifted_kernel(points, nothing_known(4))
+    assert extras.tolist() == np.eye(4, dtype=int).tolist()
+    assert certificate.equation_rank == 4 and certificate.subset_rows == 0
+    assert not ModularSpanBasis(points, nothing_known(4)).contains(np.array([0, 0, 1, 0]))
 
 
 def test_a_lift_short_of_full_row_rank_is_no_proof(monkeypatch):
-    # a repeated row still vanishes on every point, but its row count would
-    # claim one dimension too few
+    # a repeated row still vanishes on every point, but the rank of the
+    # lifted rows falls one short of the free columns
     lift = modrank._lift
 
     def repeated(kernel, p, limit):
@@ -139,9 +180,9 @@ def test_a_lift_short_of_full_row_rank_is_no_proof(monkeypatch):
         equations[1] = equations[0]
         return equations
 
-    points = vertex_space(4).rows(range(24))
+    points = ExactPoints(vertex_space(4).rows(range(24)))
     monkeypatch.setattr(modrank, "_lift", repeated)
-    assert lifted_kernel(points, PRIME_POOL[0]) is None
+    assert lifted_kernel(points, nothing_known(points.shape[1])) is None
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +295,12 @@ def test_blocked_elimination_matches_the_unblocked_loop(case, p):
         assert row[c] == 1 and not row[:c].any()
     # the same row swaps and updates, only landing at other times
     assert np.array_equal(echelon, expected_echelon)
-    kernel, free = modrank._kernel_mod_p(pivots, echelon, p)
-    expected_kernel, expected_free = unblocked_kernel(pivots, expected_echelon, p)
-    assert np.array_equal(free, expected_free)
+    expected_kernel, free = unblocked_kernel(pivots, expected_echelon, p)
+    kernel = modrank._kernel_mod_p(pivots, echelon, free, p)
     assert np.array_equal(kernel, expected_kernel)
+    # any subset of the free columns gives those kernel rows
+    assert np.array_equal(modrank._kernel_mod_p(pivots, echelon, free[::2], p),
+                          expected_kernel[::2])
     assert not _object_matmul_mod_p(echelon, kernel.T, p).any()
     if small:
         assert rank == rank_exact_rational(matrix)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,6 +7,7 @@ import pytest
 
 from qappoly.errors import CapExceededError, InvalidPermutationError
 from qappoly.indexing import pair_from_flat
+from qappoly.inequalities import permutation_table
 from qappoly.perms import (
     Permutation,
     apply_transposition,
@@ -123,3 +125,13 @@ def test_vertex_json_lists_index_pairs():
     pairs = json.loads(v.to_json())
     assert [[2, 2], [2, 2]] not in pairs  # keys are [[i,j],[k,l]] with i,j in range
     assert [[1, 2], [1, 2]] in pairs and [[1, 2], [2, 1]] in pairs
+
+
+@pytest.mark.parametrize("size", range(9))
+def test_permutation_tables_follow_itertools_order(size):
+    for r in range(size + 1):
+        table = permutation_table(size, r)
+        expected = list(itertools.permutations(range(size), r))
+        assert table.dtype == np.int8 and table.flags.c_contiguous
+        assert table.shape == (len(expected), r)
+        assert table.tolist() == [list(row) for row in expected]
