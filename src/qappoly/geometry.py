@@ -22,9 +22,8 @@ The S_k classes, S_0 connectivity and the span lemmas read a per-n
 lexicographic order, so its index is its Lehmer rank (``index_of``, also
 used for ``neighbours``).  The int8 0/1 match matrix ``zt`` derived from the
 images gives ``rows`` (int8 vertex rows, built only for drawn subsets and
-widened by ``modrank`` only inside elimination); every sparse form on a
-vertex set, E and the extras included, is read from it by
-``entries_on_match_rows``.
+widened by ``modrank`` only inside elimination); ``entries_on_match_rows``
+reads every sparse form on a vertex set from it, E and the extras included.
 """
 
 from __future__ import annotations
@@ -99,13 +98,15 @@ def classify_vertex(sigma: Permutation, pattern: MatchPattern) -> int:
 
 
 @lru_cache(maxsize=4)
-def _off_diagonal_support(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices (0-based) of the off-diagonal support pairs f1 < f2 with
+def _support_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two flat cells (0-based) of each support coordinate: the diagonal
+    cells (f, f) in flat order, then the off-diagonal pairs f1 < f2 with
     distinct rows and distinct columns, in lexicographic order."""
-    row, col = np.divmod(np.arange(n * n), n)
+    cells = np.arange(n * n)
+    row, col = np.divmod(cells, n)
     f1, f2 = np.triu_indices(n * n, k=1)
     keep = (row[f1] != row[f2]) & (col[f1] != col[f2])
-    return f1[keep], f2[keep]
+    return np.concatenate([cells, f1[keep]]), np.concatenate([cells, f2[keep]])
 
 
 @dataclass
@@ -142,12 +143,11 @@ class VertexSpace:
         return out
 
     def rows(self, idx) -> np.ndarray:
-        """int8 rows of the vertices at ``idx`` over the support coordinates:
-        the diagonal cells in flat order, then the off-diagonal support pairs
-        in lexicographic order, each the product of its two match indicators."""
+        """int8 rows of the vertices at ``idx`` over the support coordinates
+        (``_support_cells``), each the product of its two match indicators."""
         z = self.zt[:, idx].T
-        f1, f2 = _off_diagonal_support(self.n)
-        return np.concatenate([z, z[:, f1] * z[:, f2]], axis=1)
+        first, second = _support_cells(self.n)
+        return z[:, first] * z[:, second]
 
     def match_counts(self, pattern: MatchPattern) -> np.ndarray:
         """S_k index of every vertex: its number of matched pattern pairs."""
@@ -234,10 +234,10 @@ def affine_hull_equations(n: int) -> np.ndarray:
       Y[ij,ij]; likewise for each column l != j, summed over k.
     """
     cells = n * n
-    f1, f2 = _off_diagonal_support(n)
-    columns = cells + f1.size
+    first, second = _support_cells(n)
+    columns = first.size
     pair_column = np.full((cells, cells), -1)
-    pair_column[f1, f2] = pair_column[f2, f1] = cells + np.arange(f1.size)
+    pair_column[first, second] = pair_column[second, first] = np.arange(columns)
     blocks = []
     for line_of in np.divmod(np.arange(cells), n):   # each cell's row, column
         sums = np.zeros((n, columns), dtype=np.int8)
@@ -258,42 +258,40 @@ def affine_hull_equations(n: int) -> np.ndarray:
     return equations
 
 
+def _missed(zt: np.ndarray, n: int, equations: np.ndarray) -> np.ndarray:
+    """Columns (vertices) of the match matrix ``zt`` where some equation is
+    nonzero, exactly: ``entries_on_match_rows`` of its (f1, f2, c) entries."""
+    first, second = (cells + 1 for cells in _support_cells(n))
+    failing = np.zeros(zt.shape[1], dtype=bool)
+    for equation in equations:
+        columns = np.flatnonzero(equation)
+        entries = zip(*(part[columns].tolist() for part in (first, second, equation)))
+        failing |= entries_on_match_rows(zt, entries) != 0
+    return np.flatnonzero(failing)
+
+
 @dataclass(frozen=True)
 class _VertexSet:
-    """The vertices ``idx`` (an index array, or a slice for ``missed``) as
-    ``lifted_kernel`` reads them: int8 rows built only for the positions
-    asked for, and an exact check of equations on all of them."""
+    """The vertices at the index array ``idx`` as ``lifted_kernel`` reads
+    them: rows built only where asked for, and an exact equation check."""
 
     space: VertexSpace
-    idx: np.ndarray | slice
+    idx: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.idx.size, self.space.n ** 2 + _off_diagonal_support(self.space.n)[0].size
+        return self.idx.size, _support_cells(self.space.n)[0].size
 
     def __getitem__(self, positions) -> np.ndarray:
         return self.space.rows(self.idx[positions])
 
     def missed(self, equations: np.ndarray) -> np.ndarray:
-        """Positions of the vertices on which some equation is nonzero,
-        exactly: its nonzero support columns, read as (f1, f2, c) entries (a
-        diagonal one as (f, f)), summed by ``entries_on_match_rows``."""
-        diagonal = np.arange(1, self.space.n ** 2 + 1)
-        f1, f2 = _off_diagonal_support(self.space.n)
-        first, second = np.concatenate([diagonal, f1 + 1]), np.concatenate([diagonal, f2 + 1])
-        zt = self.space.zt[:, self.idx]
-        failing = np.zeros(zt.shape[1], dtype=bool)
-        for equation in equations:
-            columns = np.flatnonzero(equation)
-            failing |= entries_on_match_rows(zt, zip(
-                first[columns].tolist(), second[columns].tolist(),
-                equation[columns].tolist())) != 0
-        return np.flatnonzero(failing)
+        return _missed(self.space.zt[:, self.idx], self.space.n, equations)
 
 
 def _require_vanishing(space: VertexSpace, equations: np.ndarray) -> None:
     """Raise unless every equation vanishes on every vertex, exactly."""
-    failing = _VertexSet(space, slice(None)).missed(equations)
+    failing = _missed(space.zt, space.n, equations)
     if failing.size:
         raise QappolyError(f"an equation does not vanish on sigma = {space.one_line(failing[0])}")
 

@@ -223,7 +223,7 @@ def _echelonize_mod_p(matrix: np.ndarray, p: int):
 
     Returns (rank, pivot columns, echelon rows): each echelon row has a
     leading 1 at its pivot column and zeros in earlier columns.  The rows
-    are copied out, so the reduced matrix does not outlive the call.
+    are a view of the reduced copy; a caller that keeps them copies them.
 
     The elimination is right-looking and blocked, ``PANEL`` columns at a
     time.  ``_factor_panel`` picks the panel's pivots on a copy of its
@@ -261,7 +261,7 @@ def _echelonize_mod_p(matrix: np.ndarray, p: int):
         m[r:r + k, c0:c1] = head
         pivots += [c0 + c for c in local]
         r += k
-    return r, pivots, m[:r].copy()
+    return r, pivots, m[:r]
 
 
 def rank_mod_p(matrix: np.ndarray, p: int) -> int:
@@ -328,7 +328,7 @@ class ProvenEquations:
 
     @functools.cached_property
     def echelon(self) -> np.ndarray:
-        return _echelonize_mod_p(self.equations, self.prime)[2]
+        return _echelonize_mod_p(self.equations, self.prime)[2].copy()
 
 
 def _magnitude(matrix: np.ndarray) -> int:
@@ -450,6 +450,7 @@ def lifted_kernel(points, known: ProvenEquations):
         new = order[taken:taken + chunk]
         before = len(pivots)
         rank, pivots, echelon = _echelonize_mod_p(np.vstack([echelon, points[new]]), p)
+        echelon = echelon.copy()   # kept: the rows alone, not the reduced matrix
         taken += new.size
         if new.size - (rank - before) >= KERNEL_MARGIN:
             break
@@ -471,6 +472,7 @@ def lifted_kernel(points, known: ProvenEquations):
         # a missed point lies outside the subset's span, so it adds rank
         missed = missed[:2 * KERNEL_MARGIN]
         _, pivots, echelon = _echelonize_mod_p(np.vstack([echelon, points[missed]]), p)
+        echelon = echelon.copy()
         taken += missed.size
     return None
 

@@ -555,6 +555,39 @@ def test_error_paths_name_a_vertex_without_the_permutation_table(monkeypatch):
     assert check_equality_set(loose, 7).mismatches == expected
 
 
+def test_hull_equations_that_fail_on_a_vertex_refuse_every_claim(monkeypatch):
+    # every dimension and span proof trusts the hull equations it is given;
+    # hull_equations is where they are checked on every vertex
+    from qappoly import geometry
+    from qappoly.inequalities import Qap5Params, build_qap5
+
+    form = build_qap5(Qap5Params(n=4, beta=0, coeffs={(1, 1): 1, (2, 2): -1}))
+    caches = (geometry.hull_equations, geometry.polytope_affine_dim)
+    for cache in caches:
+        cache.cache_clear()
+    assert geometry.verify_facet(form, 4).tight_rank.certificate.kind == "lifted kernel"
+    original = geometry.affine_hull_equations
+    wrong = original(4).copy()
+    wrong[0, 0] += 1   # now nonzero exactly where sigma(1) = 1
+    monkeypatch.setattr(geometry, "affine_hull_equations",
+                        lambda n: wrong if n == 4 else original(n))
+    geometry.hull_equations.cache_clear()
+    failing = "does not vanish on sigma = 1 2 3 4$"
+    try:
+        # the polytope's dimension stays cached: the tight set's kernel refuses
+        with pytest.raises(QappolyError, match=failing):
+            geometry.verify_facet(form, 4)
+        with pytest.raises(QappolyError, match=failing):
+            check_span_membership(Permutation.identity(4), [
+                Permutation.identity(4), Permutation((2, 1, 3, 4)), Permutation((1, 2, 4, 3))])
+        geometry.polytope_affine_dim.cache_clear()
+        with pytest.raises(QappolyError, match=failing):
+            geometry.polytope_affine_dim(4)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+
+
 def test_a_short_first_prime_ends_the_vote():
     report = rank_consensus(np.eye(4, dtype=np.int64), reach=5)
     assert report.status == "short"
