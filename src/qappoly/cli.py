@@ -89,41 +89,47 @@ class RunReport:
         return json.dumps(asdict(self), sort_keys=True, indent=2, default=str)
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
+def _ints(flag: str, text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in text.replace(",", " ").split())
+    except ValueError:
+        raise QappolyError(f"{flag} takes integers, got {text!r}") from None
 
 
 def _coeff_map(text: str) -> dict:
     # "i,j:v;i,j:v" sparse coefficient notation
     out = {}
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(None, map(str.strip, text.split(";"))):
         pos, _, val = chunk.partition(":")
-        i, j = _ints(pos)
-        out[(i, j)] = int(val)
+        try:
+            i, j = _ints("--coeffs", pos)
+            out[(i, j)] = int(val)
+        except ValueError:
+            raise QappolyError(f"--coeffs takes 'i,j:v;i,j:v', got {chunk!r}") from None
     return out
 
 
 def _build_form(args):
     n = args.n
+    missing = ["--" + name.replace("_", "-") for name in FACET_OPTIONS[args.family]
+               if name != "m" and getattr(args, name) is None]   # qap4's m defaults to n
+    if missing:
+        raise QappolyError(f"{args.family} needs {', '.join(missing)}")
     if args.family == "qap4":
         m = n if args.m is None else args.m
         return build_qap4(Qap4Params(n=n, i_set=tuple(range(1, m + 1)),
                                      j_set=tuple(range(1, m + 1))))
     if args.family == "qap2":
-        return build_qap2(Qap2Params(n=n, p_set=_ints(args.P), q_set=_ints(args.Q),
-                                     beta=args.beta))
+        return build_qap2(Qap2Params(n=n, p_set=_ints("--P", args.P),
+                                     q_set=_ints("--Q", args.Q), beta=args.beta))
     if args.family == "qap3":
-        return build_qap3(Qap3Params(n=n, p1_set=_ints(args.P1), p2_set=_ints(args.P2),
-                                     q_set=_ints(args.Q), beta=args.beta))
+        return build_qap3(Qap3Params(n=n, p1_set=_ints("--P1", args.P1),
+                                     p2_set=_ints("--P2", args.P2),
+                                     q_set=_ints("--Q", args.Q), beta=args.beta))
     if args.family == "qap1":
-        return build_qap1(Qap1Params(n=n, i_set=_ints(args.i_set),
-                                     j_set=_ints(args.j_set), k=args.k, l=args.l))
-    if args.family == "qap5":
-        return build_qap5(Qap5Params(n=n, beta=args.beta, coeffs=_coeff_map(args.coeffs)))
-    raise QappolyError(f"unsupported family {args.family!r}")
+        return build_qap1(Qap1Params(n=n, i_set=_ints("--i-set", args.i_set),
+                                     j_set=_ints("--j-set", args.j_set), k=args.k, l=args.l))
+    return build_qap5(Qap5Params(n=n, beta=args.beta, coeffs=_coeff_map(args.coeffs)))
 
 
 # The options each family, lemma or protocol action reads.
@@ -433,7 +439,7 @@ def main(argv=None) -> int:
             caps = caps_from_config(parse_config(Path(args.config).read_text()),
                                     acknowledge=args.acknowledge_caps)
         args.func(args, report, caps)
-    except QappolyError as exc:
+    except (QappolyError, OSError) as exc:   # OSError: an unreadable input file
         print(f"error: {exc}", file=sys.stderr)
         report.add("usage", False, error=str(exc))
     report.timings["total_seconds"] = round(time.perf_counter() - start, 3)

@@ -84,7 +84,6 @@ def parse_graph(text: str) -> Graph:
     """
     n = None
     edges: list[tuple[int, int]] = []
-    max_seen = 0
     saw_dimacs = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -117,14 +116,15 @@ def parse_graph(text: str) -> Graph:
             raise GraphParseError(f"line {lineno}: non-integer endpoint in {line!r}")
         if u == v:
             raise GraphParseError(f"line {lineno}: self-loop {u}")
+        if min(u, v) < 1:
+            raise GraphParseError(f"line {lineno}: endpoint {min(u, v)} is below 1")
+        if n is not None and max(u, v) > n:
+            raise GraphParseError(f"line {lineno}: endpoint {max(u, v)} exceeds declared n={n}")
         edges.append((min(u, v), max(u, v)))
-        max_seen = max(max_seen, u, v)
-    if n is None:
-        n = max_seen
+    if n is None:   # plain pairs: the largest endpoint
+        n = max((v for _, v in edges), default=0)
     if n == 0:
         raise GraphParseError("no vertices found in graph input")
-    if max_seen > n:
-        raise GraphParseError(f"edge endpoint {max_seen} exceeds declared n={n}")
     return Graph.from_edges(n, edges)
 
 

@@ -27,9 +27,10 @@ like every sparse form on all vertices, are read from the 0/1 match matrix
 ``zt`` by ``entries_on_match_rows`` alone.
 
 The enumeration order of qap1-qap4 is written once, by ``family_segments``,
-as runs of forms whose index sets have fixed sizes (see ``Segment``).
-Enumeration, ``family_form_at`` and the compiled membership sweeps in
-``reductions`` all read those runs.
+as runs of forms whose index sets have fixed sizes, and their forms once,
+by each run's layout (see ``Segment``).  The builders, enumeration,
+``family_form_at`` and the compiled membership sweeps in ``reductions`` all
+read those.
 """
 
 from __future__ import annotations
@@ -466,31 +467,26 @@ def _positions(n: int, pairs) -> tuple[int, ...]:
     return tuple(offsets[f1] + f2 if f1 <= f2 else offsets[f2] + f1 for f1, f2 in pairs)
 
 
+def _one_row(values) -> np.ndarray:
+    """An index set as a one-row int64 table, as the runs' cell code reads it."""
+    return np.array([values], dtype=np.int64)
+
+
+# qap1-qap4 forms are built by their runs' layouts (``Segment.form``).
+
+
 def build_qap1(params: Qap1Params, check: bool = True) -> LinearForm:
     if check:
         params.validate()
-    n = params.n
-    kl = flat_index(n, params.k, params.l)
-    flats = [flat_index(n, i, j) for i, j in zip(params.i_set, params.j_set)]
-    crosses = list(itertools.combinations(flats, 2))
-    pairs = [(kl, kl)] + [(f, kl) for f in flats] + crosses
-    coeffs = (-1,) + (1,) * len(flats) + (-1,) * len(crosses)
-    return LinearForm(n=n, positions=_positions(n, pairs), coeffs=coeffs, rhs=0,
-                      sense="<=", scale=1, family="qap1", params=params)
+    run = _Qap1Run(params.n, params.k, params.l, params.m)
+    return run.form(params, _one_row(params.i_set), _one_row(params.j_set))
 
 
 def build_qap2(params: Qap2Params, check: bool = True) -> LinearForm:
     if check:
         params.validate()
-    n, b = params.n, params.beta
-    cells = [(i, flat_index(n, i, j)) for i in sorted(params.p_set)
-             for j in sorted(params.q_set)]
-    # cell pairs in distinct rows: the i < k orientation, canonicalized
-    crosses = [(f, g) for (i, f), (k, g) in itertools.combinations(cells, 2) if i != k]
-    pairs = [(f, f) for _, f in cells] + crosses
-    coeffs = (2 * (b - 1),) * len(cells) + (-2,) * len(crosses)
-    return LinearForm(n=n, positions=_positions(n, pairs), coeffs=coeffs,
-                      rhs=b * b - b, sense="<=", scale=2, family="qap2", params=params)
+    p_set, q_set = _one_row(sorted(params.p_set)), _one_row(sorted(params.q_set))
+    return _Qap2Run(params.n, params.beta, p_set.size, q_set.size).form(params, p_set, q_set)
 
 
 def build_qap3(params: Qap3Params, check: bool = True) -> LinearForm:
@@ -502,31 +498,17 @@ def build_qap3(params: Qap3Params, check: bool = True) -> LinearForm:
     """
     if check:
         params.validate()
-    n, b = params.n, params.beta
-    q = sorted(params.q_set)
-    cells1 = [(i, flat_index(n, i, j)) for i in sorted(params.p1_set) for j in q]
-    cells2 = [(i, flat_index(n, i, j)) for i in sorted(params.p2_set) for j in q]
-    within = [(f, g) for block in (cells1, cells2)
-              for (i, f), (k, g) in itertools.combinations(block, 2) if i != k]
-    # P1 and P2 disjoint, so every cross pair has distinct rows
-    cross = [(f, g) for _, f in cells1 for _, g in cells2]
-    pairs = [(f, f) for _, f in cells1 + cells2] + within + cross
-    coeffs = ((-2 * (b - 1),) * len(cells1) + (2 * b,) * len(cells2)
-              + (2,) * len(within) + (-2,) * len(cross))
-    return LinearForm(n=n, positions=_positions(n, pairs), coeffs=coeffs,
-                      rhs=b - b * b, sense=">=", scale=2, family="qap3", params=params)
+    p1_set, p2_set = _one_row(sorted(params.p1_set)), _one_row(sorted(params.p2_set))
+    run = _Qap3Run(params.n, tuple(sorted(params.q_set)), p1_set.size, p2_set.size,
+                   (params.beta,))
+    return run.form(params, p1_set, p2_set)
 
 
 def build_qap4(params: Qap4Params, check: bool = True) -> LinearForm:
     if check:
         params.validate()
-    n = params.n
-    flats = [flat_index(n, i, j) for i, j in zip(params.i_set, params.j_set)]
-    crosses = list(itertools.combinations(flats, 2))
-    pairs = [(f, f) for f in flats] + crosses
-    coeffs = (1,) * len(flats) + (-1,) * len(crosses)
-    return LinearForm(n=n, positions=_positions(n, pairs), coeffs=coeffs, rhs=1,
-                      sense="<=", scale=1, family="qap4", params=params)
+    return _Qap4Run(params.n, params.m).form(params, _one_row(params.i_set),
+                                             _one_row(params.j_set))
 
 
 def build_qap5(params: Qap5Params, check: bool = True) -> LinearForm:
@@ -695,12 +677,17 @@ class Segment:
     """A run of consecutive forms of one family whose index sets have fixed
     sizes (and, for qap2, a fixed beta).
 
-    Form ``start + r`` is row r of the product of ``factors``, each one the
+    Row r of the run is row r of the product of ``factors``, each one the
     index table ``_index_table(*factor)``, the last one varying fastest, as
-    itertools.product orders them.  A form's entries join its cells at the
-    slot pairs ``pairs``, in the builder's entry order.  Row t of ``coeffs``
-    and entry t of ``rhs`` are the builder's coefficients and right-hand
-    side of template t: a run has one template, qap3 runs one per beta.
+    itertools.product orders them; ``_sets`` gives each row's index sets.
+    The run's layout states its forms, once for the builders (``form``) too:
+    ``_cells`` maps a row's index sets to its cells, entry e of a form joins
+    the cells at slots ``pairs[0][e]`` and ``pairs[1][e]``, and template t
+    has coefficients ``templates[t]`` and right-hand side ``rhs[t]``.  T is
+    the number of admissible betas of a qap3 run and 1 for every other run.
+    Form ``start + r*T + t`` is row r with template t; ``_params`` gives a
+    row's T parameter sets in template order.  ``family``, ``sense`` and
+    ``scale`` are the family's.
 
     A form's columns, read in slot order, are its column tuple: row r of
     ``_columns()``, the rows of factor ``column_factor`` mapped to columns
@@ -708,7 +695,9 @@ class Segment:
     and ``_columns()`` is that one tuple.
     """
 
+    family: str
     sense = "<="
+    scale = 1
     column_factor: int | None = 1
 
     def __init__(self, n: int, factors: tuple, layout: tuple):
@@ -717,34 +706,51 @@ class Segment:
         self.factors = factors
         self.shape = tuple(math.perm(s, r) if ordered else math.comb(s, r)
                            for s, r, ordered in factors)
-        self.count = math.prod(self.shape)
-        self.pairs, coeffs, rhs = layout
-        self.coeffs, self.rhs = np.atleast_2d(coeffs), np.atleast_1d(rhs)
+        self.pairs, self.templates, self.rhs = layout
+        self.row_count = math.prod(self.shape)
+        self.count = self.row_count * len(self.rhs)
         self.entries = len(self.pairs[0])
 
     def _picks(self, rows) -> tuple[np.ndarray, ...]:
-        """Each factor's table rows for the forms at run rows ``rows``, as int64."""
+        """Each factor's table rows for the run rows ``rows``, as int64."""
         digits = np.unravel_index(rows, self.shape)
         return tuple(_index_table(*factor)[digit].astype(np.int64)
                      for factor, digit in zip(self.factors, digits))
 
     def _sets(self, rows) -> tuple[np.ndarray, ...]:
-        """The 1-based index sets of the forms at run rows ``rows``."""
+        """The 1-based index sets of the run rows ``rows``."""
         return tuple(pick + 1 for pick in self._picks(rows))
 
-    def params(self, rows) -> list:
-        """Parameters of the forms at run rows ``rows``."""
-        raise NotImplementedError
+    def arrays(self, rows) -> np.ndarray:
+        """The triangle positions of the run rows ``rows``, (rows, entries),
+        each row shared by its T forms."""
+        return self._slot_positions(self._sets(rows))
 
-    def arrays(self, rows) -> tuple[np.ndarray, np.ndarray]:
-        """(positions, template) of the forms at run rows ``rows``: positions
-        is (forms, entries), exactly as the builders emit them, and template
-        each form's row in ``coeffs`` and ``rhs``."""
+    def forms(self, rows) -> list[LinearForm]:
+        """The forms of the run rows ``rows``, T per row in template order."""
         sets = self._sets(rows)
+        return self._build(sets, self._params(sets))
+
+    def form(self, params, *sets) -> LinearForm:
+        """The form of ``params`` with template 0, from its index sets
+        ``sets``, each a one-row table."""
+        form, = self._build(sets, [params])
+        return form
+
+    def _slot_positions(self, sets) -> np.ndarray:
         cells = self._cells(sets)
         f1, f2 = cells[:, self.pairs[0]], cells[:, self.pairs[1]]
-        positions = triangle_position(self.n, np.minimum(f1, f2), np.maximum(f1, f2))
-        return positions, self._template(sets)
+        return triangle_position(self.n, np.minimum(f1, f2), np.maximum(f1, f2))
+
+    def _build(self, sets, params) -> list[LinearForm]:
+        """The forms of the rows with index sets ``sets`` with each template,
+        row by row; ``params`` holds their parameters in that order."""
+        templates = list(zip(map(tuple, self.templates.tolist()), self.rhs.tolist()))
+        return [LinearForm(n=self.n, positions=tuple(row), coeffs=coeffs, rhs=rhs,
+                           sense=self.sense, scale=self.scale, family=self.family,
+                           params=form_params)
+                for (row, (coeffs, rhs)), form_params in zip(
+                    itertools.product(self._slot_positions(sets).tolist(), templates), params)]
 
     def orbit_minima(self, classes, masks: dict) -> list[np.ndarray]:
         """Per factor, the ascending rows of its index table that the run's
@@ -779,13 +785,6 @@ class Segment:
         """What ``_columns()`` depends on: runs with one key share it."""
         return self.factors[self.column_factor]
 
-    def _cells(self, sets) -> np.ndarray:
-        """Flat indices of each form's cells, one form per row."""
-        raise NotImplementedError
-
-    def _template(self, sets) -> np.ndarray:
-        return np.zeros(len(sets[0]), dtype=np.intp)
-
 
 def _least_in_orbit(columns: np.ndarray, classes) -> np.ndarray:
     """Whether each row of column tuples is the least of its orbit: in every
@@ -809,12 +808,14 @@ def _qap1_layout(m: int) -> tuple:
     a, b = np.triu_indices(m, 1)
     slots = np.arange(1, m + 1)
     return ((_concat([0], slots, a + 1), _concat([0] * (m + 1), b + 1)),
-            _concat([-1], [1] * m, [-1] * a.size), 0)
+            _concat([-1], [1] * m, [-1] * a.size)[None], _concat([0]))
 
 
 class _Qap1Run(Segment):
     """qap1 forms with one (k, l) and one m: i-sets by j-assignments, over
     the rows other than k and the columns other than l."""
+
+    family = "qap1"
 
     def __init__(self, n: int, k: int, l: int, m: int):
         super().__init__(n, ((n - 1, m, False), (n - 1, m, True)), _qap1_layout(m))
@@ -826,8 +827,8 @@ class _Qap1Run(Segment):
         i_picks, j_picks = self._picks(rows)
         return self.rows[i_picks], self.cols[j_picks]
 
-    def params(self, rows):
-        i_sets, j_sets = (s.tolist() for s in self._sets(rows))
+    def _params(self, sets):
+        i_sets, j_sets = (s.tolist() for s in sets)
         return [Qap1Params(n=self.n, i_set=tuple(i), j_set=tuple(j), k=self.k, l=self.l)
                 for i, j in zip(i_sets, j_sets)]
 
@@ -848,17 +849,20 @@ class _Qap1Run(Segment):
 def _qap4_layout(m: int) -> tuple:
     a, b = np.triu_indices(m, 1)
     slots = np.arange(m)
-    return (_concat(slots, a), _concat(slots, b)), _concat([1] * m, [-1] * a.size), 1
+    return ((_concat(slots, a), _concat(slots, b)),
+            _concat([1] * m, [-1] * a.size)[None], _concat([1]))
 
 
 class _Qap4Run(Segment):
     """qap4 forms with one m: i-sets by j-assignments."""
 
+    family = "qap4"
+
     def __init__(self, n: int, m: int):
         super().__init__(n, ((n, m, False), (n, m, True)), _qap4_layout(m))
 
-    def params(self, rows):
-        i_sets, j_sets = (s.tolist() for s in self._sets(rows))
+    def _params(self, sets):
+        i_sets, j_sets = (s.tolist() for s in sets)
         return [Qap4Params(n=self.n, i_set=tuple(i), j_set=tuple(j))
                 for i, j in zip(i_sets, j_sets)]
 
@@ -872,18 +876,21 @@ def _qap2_layout(beta: int, p: int, q: int) -> tuple:
     a, b = _cross_row_pairs(p, q)
     slots = np.arange(p * q)
     return ((_concat(slots, a), _concat(slots, b)),
-            _concat([2 * (beta - 1)] * (p * q), [-2] * a.size), beta * beta - beta)
+            _concat([2 * (beta - 1)] * (p * q), [-2] * a.size)[None],
+            _concat([beta * beta - beta]))
 
 
 class _Qap2Run(Segment):
     """qap2 forms with one beta, |P| and |Q|: P-sets by Q-sets."""
 
+    family, scale = "qap2", 2
+
     def __init__(self, n: int, beta: int, p: int, q: int):
         super().__init__(n, ((n, p, False), (n, q, False)), _qap2_layout(beta, p, q))
         self.beta = beta
 
-    def params(self, rows):
-        p_sets, q_sets = (s.tolist() for s in self._sets(rows))
+    def _params(self, sets):
+        p_sets, q_sets = (s.tolist() for s in sets)
         return [Qap2Params(n=self.n, p_set=p, q_set=q, beta=self.beta)
                 for p, q in zip(p_sets, q_sets)]
 
@@ -900,39 +907,37 @@ def _qap3_layout(q: int, p1: int, p2: int, betas: tuple[int, ...]) -> tuple:
     slots = np.arange(c1 + c2)
     pairs = (_concat(slots, w1[0], w2[0] + c1, x1),
              _concat(slots, w1[1], w2[1] + c1, x2 + c1))
-    coeffs = np.array([[-2 * (b - 1)] * c1 + [2 * b] * c2
-                       + [2] * (w1[0].size + w2[0].size) + [-2] * x1.size
-                       for b in betas])
-    return pairs, coeffs, np.array([b - b * b for b in betas])
+    templates = [_concat([-2 * (b - 1)] * c1, [2 * b] * c2,
+                         [2] * (w1[0].size + w2[0].size), [-2] * x1.size) for b in betas]
+    return pairs, np.array(templates).reshape(len(betas), -1), _concat([b - b * b for b in betas])
 
 
 class _Qap3Run(Segment):
     """qap3 forms with one Q and one |P1|, |P2|: P1-sets by P2-sets (picked
-    from the rows outside P1) by the admissible betas."""
+    from the rows outside P1), each row with one template per admissible
+    beta."""
 
-    sense = ">="
+    family, sense, scale = "qap3", ">=", 2
     column_factor = None
 
     def __init__(self, n: int, q_set: tuple[int, ...], p1: int, p2: int,
                  betas: tuple[int, ...]):
-        super().__init__(n, ((n, p1, False), (n - p1, p2, False), (len(betas), 1, False)),
+        super().__init__(n, ((n, p1, False), (n - p1, p2, False)),
                          _qap3_layout(len(q_set), p1, p2, betas))
         self.q_set, self.betas = q_set, betas
 
     def _sets(self, rows):
-        """P1 and P2 (1-based) and each form's index into ``betas``."""
-        p1_picks, rest_picks, beta_picks = self._picks(rows)
+        p1_picks, rest_picks = self._picks(rows)
         free = np.ones((len(p1_picks), self.n), dtype=bool)
         np.put_along_axis(free, p1_picks, False, axis=1)
         rest = np.nonzero(free)[1].reshape(len(p1_picks), -1)
         p2_picks = np.take_along_axis(rest, rest_picks, axis=1)
-        return p1_picks + 1, p2_picks + 1, beta_picks[:, 0]
+        return p1_picks + 1, p2_picks + 1
 
-    def params(self, rows):
-        p1_sets, p2_sets, beta_picks = (s.tolist() for s in self._sets(rows))
-        return [Qap3Params(n=self.n, p1_set=p1, p2_set=p2, q_set=self.q_set,
-                           beta=self.betas[pick])
-                for p1, p2, pick in zip(p1_sets, p2_sets, beta_picks)]
+    def _params(self, sets):
+        p1_sets, p2_sets = (s.tolist() for s in sets)
+        return [Qap3Params(n=self.n, p1_set=p1, p2_set=p2, q_set=self.q_set, beta=beta)
+                for p1, p2 in zip(p1_sets, p2_sets) for beta in self.betas]
 
     def _columns(self):
         return np.array([self.q_set])
@@ -941,11 +946,8 @@ class _Qap3Run(Segment):
         return self.q_set
 
     def _cells(self, sets):
-        q = np.array([self.q_set])
+        q = _one_row(self.q_set)
         return np.hstack((_grid(self.n, sets[0], q), _grid(self.n, sets[1], q)))
-
-    def _template(self, sets):
-        return sets[2]
 
 
 def _qap1_runs(n: int):
@@ -1028,33 +1030,28 @@ def _qap5_param_stream(n: int, bounds: Qap5Bounds):
             yield Qap5Params(n=n, beta=beta, coeffs=coeffs)
 
 
-def _param_stream(n: int, family: str, bounds: Qap5Bounds | None, cap: int):
-    """The family's parameter sets at size n, in enumeration order."""
-    require_enumerable(n, cap)
-    if family == "qap5":
-        if bounds is None:
-            raise InvalidParameterError(
-                "qap5 is an infinite family: enumeration bounds are required")
-        return _qap5_param_stream(n, bounds)
-    return (params for run in family_segments(n, family)
-            for lo in range(0, run.count, CHUNK_FORMS)
-            for params in run.params(np.arange(lo, min(lo + CHUNK_FORMS, run.count))))
-
-
 def enumerate_family(n: int, family: str, bounds: Qap5Bounds | None = None,
                      cap: int = DEFAULT_ENUMERATION_CAP):
     """Yield every parameter-valid form of a family at size n, in a fixed
     deterministic order (parameters canonicalized: index sets sorted, the
     j-assignment enumerated lexicographically).
 
-    qap1-qap4 are finite at fixed n and follow ``family_segments``; qap5 is
-    infinite and requires explicit bounds.  Validation is skipped because
-    the runs and the qap5 stream only produce valid parameter sets.
+    qap1-qap4 are finite at fixed n and follow ``family_segments``, each
+    run's forms built CHUNK_FORMS rows at a time; qap5 is infinite and
+    requires explicit bounds.  Validation is skipped because the runs and
+    the qap5 stream only produce valid parameter sets.
     """
-    stream = _param_stream(n, family, bounds, cap)
-    builder = BUILDERS[family]
-    for params in stream:
-        yield builder(params, check=False)
+    require_enumerable(n, cap)
+    if family == "qap5":
+        if bounds is None:
+            raise InvalidParameterError(
+                "qap5 is an infinite family: enumeration bounds are required")
+        for params in _qap5_param_stream(n, bounds):
+            yield build_qap5(params, check=False)
+        return
+    for run in family_segments(n, family):
+        for lo in range(0, run.row_count, CHUNK_FORMS):
+            yield from run.forms(np.arange(lo, min(lo + CHUNK_FORMS, run.row_count)))
 
 
 def slack_table_csv(family: str, forms, perms) -> str:
@@ -1073,13 +1070,12 @@ def family_form_at(n: int, family: str, index: int,
                    cap: int = DEFAULT_ENUMERATION_CAP) -> LinearForm:
     """The index-th form of the deterministic qap1-qap4 enumeration (form ids
     are stable, so this reconstructs membership witnesses).  A bisect over
-    the run starts finds the form's run, a divmod its rows in the run's
-    index tables; one form is built."""
+    the run starts finds the form's run, a divmod its row in the run's
+    index tables and its template; only that row's forms are built."""
     require_enumerable(n, cap)
     runs = family_segments(n, family)
     at = bisect.bisect_right(runs, index, key=operator.attrgetter("start")) - 1
     if at < 0 or index >= runs[at].start + runs[at].count:
         raise InvalidParameterError(f"{family} at n={n} has no form #{index}")
-    row = index - runs[at].start
-    params, = runs[at].params([row])
-    return BUILDERS[family](params, check=False)
+    row, template = divmod(index - runs[at].start, len(runs[at].rhs))
+    return runs[at].forms([row])[template]

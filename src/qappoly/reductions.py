@@ -33,26 +33,26 @@ Each (family, n, classes) is compiled once, in numpy, and kept in a
 two-entry LRU cache.  The compile reads the family's segments
 (``inequalities.family_segments``): runs of forms with fixed index-set
 sizes, each the product of a few index tables, and keeps the product of
-the rows each table contributes to the orbit minima.  All forms of a run
-share one coefficient template and rhs (a qap3 run one per beta), so the
-family compiles to one block per distinct (template, rhs): the int16
-triangle positions of its kept forms, one row each, the shared int64
-template, and each row's int32 form id, increasing.  A query is a gather
-and a small integer product, ``y[positions] @ template``, CHUNK_FORMS rows
-at a time.  The form ids are cut into stripes of BLOCK_FORMS; the sweep
-checks every block's rows of one stripe before the next, each block only
-below the least violated id found so far, and stops at the first stripe
-with a hit.  That least id is the witness, and ``forms_checked`` counts the
-family's forms up to the end of its stripe, as a sweep over every form
-would.
+the rows each table contributes to the orbit minima.  A row's T forms
+share its positions, and each run's layout holds its T templates and
+rhs (T is the number of betas of a qap3 run, else 1), so the family
+compiles to one block per distinct layout: the int16 triangle positions
+of its kept rows, the shared int64 templates, and each row's int32 base
+id, increasing.  A query is a gather and a small integer product,
+``y[positions] @ templates.T``, CHUNK_FORMS rows at a time; the first hit
+in row-major order is the least violated id of those rows.  The base ids
+are cut into stripes of BLOCK_FORMS; the sweep checks every block's rows
+of one stripe before the next, each block only below the least violated
+id found so far, and stops at the first stripe with a hit.  That least id
+is the witness, and ``forms_checked`` counts the family's forms up to the
+end of its stripe, as a sweep over every form would.
 
-The products run in int64, so a query first checks that no lhs
-(max |y| times the template's sum of |coefficients|) and no scaled rhs can
-pass INT64_MAX, and refuses a point past that bound instead of wrapping.
-Every form of a run has the same number of entries, so the kept entry
-count is known before any form is built, and a sweep past
-COMPILE_ENTRY_LIMIT entries is refused up front.  A witness is decoded from
-its form id through the same segments and built alone.
+The products run in int64, so a query first checks that no lhs (max |y|
+times the largest sum of |coefficients| of a template) and no scaled rhs
+can pass INT64_MAX, and refuses a point past that bound.  The rows of a
+run have one entry count, so the kept entries are known before any form
+is built, and a sweep past COMPILE_ENTRY_LIMIT is refused up front.  A
+witness is decoded from its form id through the same segments.
 """
 
 from __future__ import annotations
@@ -183,12 +183,13 @@ def build_point_qap4(graph: Graph, t: int) -> YPoint:
 # first stripe with a hit, is the family's first violated form.
 BLOCK_FORMS = 50_000
 
-# Most coefficient entries one compiled sweep may hold, counted from the
-# run sizes and the kept rows before any form is built.  Every whole family
-# at n <= 8 fits: the largest is qap1 at n = 8 with 137,208,960 entries
-# (about 0.3 GB as int16 positions plus an int32 id per form), then qap3 at
-# n = 8 with 72,984,128.  Whole qap1, qap3 and qap4 families at n = 9 do not
-# fit and are refused up front; the orbit minima of a symmetric point may.
+# Most position entries one compiled sweep may store, each row's once for
+# its T forms, counted from the run sizes and the kept rows before any form
+# is built.  Every whole family at n <= 8 fits: the largest is qap1 at
+# n = 8 with 137,208,960 entries (about 0.3 GB as int16 positions plus an
+# int32 id per row), then qap3 at n = 8 with 44,581,376.  Whole qap1, qap3
+# and qap4 families at n = 9 do not fit and are refused up front; the orbit
+# minima of a symmetric point may.
 COMPILE_ENTRY_LIMIT = 140_000_000
 
 # Positions are stored as int16, which holds the triangle up to n = 15.
@@ -197,20 +198,15 @@ POSITION_DTYPE = np.int16
 
 @dataclass(frozen=True)
 class TemplateBlock:
-    """The compiled forms of one family that share a coefficient template
-    and a right-hand side, both negated for a ">=" family: at a point with
-    scaled vector y and denominator d, the form of a row is violated exactly
-    when ``y[positions[row]] @ template`` exceeds ``d * rhs``."""
+    """The compiled forms of one family's runs with one layout: T templates
+    and right-hand sides, both negated for a ">=" family.  Form ids[r] + t
+    is row r with template t, violated at a point with scaled vector y and
+    denominator d exactly when ``y[positions[r]] @ templates[t] > d * rhs[t]``."""
 
-    positions: np.ndarray   # int16 (forms, entries): each form's triangle positions
-    template: np.ndarray    # int64 (entries,)
-    rhs: int
-    ids: np.ndarray         # int32 (forms,): each row's form id, increasing
-
-    @property
-    def weight(self) -> int:
-        """Largest |lhs| per unit of max |y|: the sum of |template|."""
-        return int(np.abs(self.template).sum())
+    positions: np.ndarray   # int16 (rows, entries): each row's triangle positions
+    templates: np.ndarray   # int64 (T, entries)
+    rhs: np.ndarray         # int64 (T,)
+    ids: np.ndarray         # int32 (rows,): each row's base id, increasing
 
 
 @dataclass(frozen=True)
@@ -221,6 +217,8 @@ class CompiledFamily:
     # with those ids; stripes that hold no compiled form are left out
     stripes: tuple[tuple[tuple[int, int], ...], ...]
     forms: int   # the whole family's, kept or not
+    weight: int  # largest |lhs| per unit of max |y|: the largest sum of |template|
+    rhs_bound: int   # the largest |rhs|
 
 
 @functools.lru_cache(maxsize=None)
@@ -272,16 +270,16 @@ def _rows_of(run: Segment, axes: list[np.ndarray], lo: int, hi: int) -> np.ndarr
 def compiled_blocks(family: str, n: int, classes: tuple = ()) -> CompiledFamily:
     """The family's forms at size n that are least in their orbit under
     the column classes ``classes`` (``Segment.orbit_minima``; every form when
-    there are none), one TemplateBlock per distinct (template, rhs), in order
-    of first appearance, and the row slices of each BLOCK_FORMS stripe of
-    form ids.
+    there are none), one TemplateBlock per distinct (templates, rhs) run
+    shape, in order of first appearance, and the row slices of each
+    BLOCK_FORMS stripe of base ids.
 
-    The forms come straight from the family's runs (``family_segments``),
-    CHUNK_FORMS forms at a time; a qap3 chunk is split by its forms' beta.
-    Every block is allocated once, at its size counted from the runs, and
-    filled in place.  Raises CapExceededError, before any form is built,
-    when the kept entries pass COMPILE_ENTRY_LIMIT.  The enumeration cap is
-    the caller's to check.
+    The rows come straight from the family's runs (``family_segments``),
+    CHUNK_FORMS rows at a time, each row's positions stored once for its T
+    forms.  Every block is allocated once, at its size counted from the
+    runs, and filled in place.  Raises CapExceededError, before any form is
+    built, when the kept position entries pass COMPILE_ENTRY_LIMIT.  The
+    enumeration cap is the caller's to check.
     """
     runs = family_segments(n, family)
     forms = sum(run.count for run in runs)
@@ -298,45 +296,41 @@ def compiled_blocks(family: str, n: int, classes: tuple = ()) -> CompiledFamily:
             f"{family} at n={n} compiles to {entries} coefficient entries, more "
             f"than {COMPILE_ENTRY_LIMIT}; its membership sweep is refused")
     assert triangle_dimension(n) <= np.iinfo(POSITION_DTYPE).max
-    keys: dict[tuple, int] = {}     # (template, rhs) -> block
-    sizes: list[int] = []
-    run_blocks = []                 # each run's block of each of its templates
-    for run, _, count in kept:
+    keys: dict[tuple, int] = {}     # signed (templates, rhs) -> block
+    run_blocks = []                 # each kept run's block
+    for run, _, _ in kept:
         sign = -1 if run.sense == ">=" else 1
-        targets = []
-        for coeffs, rhs in zip(run.coeffs, run.rhs):
-            key = (tuple((sign * coeffs).tolist()), sign * int(rhs))
-            if key not in keys:
-                keys[key] = len(sizes)
-                sizes.append(0)
-            sizes[keys[key]] += count // len(run.rhs)  # a run keeps all its betas
-            targets.append(keys[key])
-        run_blocks.append(targets)
-    positions = [np.empty((size, len(template)), dtype=POSITION_DTYPE)
-                 for (template, _), size in zip(keys, sizes)]
+        key = (tuple(map(tuple, (sign * run.templates).tolist())),
+               tuple((sign * run.rhs).tolist()))
+        run_blocks.append(keys.setdefault(key, len(keys)))
+    sizes = [0] * len(keys)
+    for (_, _, count), block in zip(kept, run_blocks):
+        sizes[block] += count
+    positions = [np.empty((size, len(templates[0])), dtype=POSITION_DTYPE)
+                 for (templates, _), size in zip(keys, sizes)]
     ids = [np.empty(size, dtype=np.int32) for size in sizes]
     filled = [0] * len(sizes)
-    for (run, axes, count), targets in zip(kept, run_blocks):
+    for (run, axes, count), block in zip(kept, run_blocks):
         for lo in range(0, count, CHUNK_FORMS):
             rows = _rows_of(run, axes, lo, min(lo + CHUNK_FORMS, count))
-            form_positions, template = run.arrays(rows)
-            for pick, block in enumerate(targets):
-                chosen = np.flatnonzero(template == pick)
-                start, stop = filled[block], filled[block] + chosen.size
-                positions[block][start:stop] = form_positions[chosen]
-                ids[block][start:stop] = run.start + rows[chosen]
-                filled[block] = stop
-    blocks = tuple(TemplateBlock(positions=pos, template=np.array(template, dtype=np.int64),
-                                 rhs=rhs, ids=form_ids)
-                   for (template, rhs), pos, form_ids in zip(keys, positions, ids))
+            start, stop = filled[block], filled[block] + rows.size
+            positions[block][start:stop] = run.arrays(rows)
+            ids[block][start:stop] = run.start + rows * len(run.rhs)
+            filled[block] = stop
+    blocks = tuple(TemplateBlock(positions=pos, templates=np.array(templates, dtype=np.int64),
+                                 rhs=np.array(rhs, dtype=np.int64), ids=base_ids)
+                   for (templates, rhs), pos, base_ids in zip(keys, positions, ids))
     log.debug("%s at n=%d under column classes %s: %d of %d forms kept",
-              family, n, classes, sum(count for _, _, count in kept), forms)
+              family, n, classes, sum(count * len(run.rhs) for run, _, count in kept), forms)
     stripes = (tuple((int(np.searchsorted(block.ids, first)),
                       int(np.searchsorted(block.ids, first + BLOCK_FORMS)))
                      for block in blocks)
                for first in range(0, forms, BLOCK_FORMS))
     stripes = tuple(slices for slices in stripes if any(lo < hi for lo, hi in slices))
-    return CompiledFamily(blocks=blocks, stripes=stripes, forms=forms)
+    return CompiledFamily(
+        blocks=blocks, stripes=stripes, forms=forms,
+        weight=max((sum(map(abs, t)) for templates, _ in keys for t in templates), default=0),
+        rhs_bound=max((abs(r) for _, rhs in keys for r in rhs), default=0))
 
 
 @dataclass
@@ -353,14 +347,17 @@ class MembershipVerdict:
 
 
 def _first_violated(block: TemplateBlock, start: int, stop: int,
-                    yvec: np.ndarray, threshold: int) -> int | None:
-    """The least form id among the block's rows start..stop-1 whose lhs at
-    yvec exceeds threshold, or None."""
+                    yvec: np.ndarray, thresholds: np.ndarray) -> int | None:
+    """The least form id among the forms of the block's rows start..stop-1
+    whose lhs at yvec exceeds its template's threshold, or None.  A row's
+    ids follow its templates, and rows follow their base ids, so that is
+    the first hit in row-major order."""
     for lo in range(start, stop, CHUNK_FORMS):
         rows = block.positions[lo:min(lo + CHUNK_FORMS, stop)]
-        hits = np.flatnonzero(yvec[rows.astype(np.intp)] @ block.template > threshold)
+        hits = np.flatnonzero(yvec[rows.astype(np.intp)] @ block.templates.T > thresholds)
         if hits.size:
-            return int(block.ids[lo + hits[0]])
+            row, template = divmod(int(hits[0]), len(block.rhs))
+            return int(block.ids[lo + row]) + template
     return None
 
 
@@ -370,7 +367,8 @@ def _least_violated(compiled: CompiledFamily, yvec: np.ndarray, denom: int) -> i
     for slices in compiled.stripes:
         idx = None
         for block, (start, stop) in zip(compiled.blocks, slices):
-            if idx is not None:  # only ids below the best hit so far matter
+            if idx is not None:  # only rows based below the best hit so far matter;
+                # a row's ids are consecutive, so all of them lie below it
                 stop = start + int(np.searchsorted(block.ids[start:stop], idx))
             hit = _first_violated(block, start, stop, yvec, denom * block.rhs)
             if hit is not None:
@@ -404,11 +402,10 @@ def brute_force_membership(point: YPoint, family: str,
     log.debug("the %s point at n=%d has column classes %s", family, n, classes)
     compiled = compiled_blocks(family, n, classes)
     top = max(int(yvec.max()), -int(yvec.min()))
-    for block in compiled.blocks:
-        if top * block.weight > INT64_MAX or denom * abs(block.rhs) > INT64_MAX:
-            raise QappolyError(
-                f"the point's scaled values (up to {top}, denominator {denom}) are too "
-                f"large for an exact int64 {family} sweep")
+    if top * compiled.weight > INT64_MAX or denom * compiled.rhs_bound > INT64_MAX:
+        raise QappolyError(
+            f"the point's scaled values (up to {top}, denominator {denom}) are too "
+            f"large for an exact int64 {family} sweep")
     idx = _least_violated(compiled, yvec, denom)
     if idx is None:
         return MembershipVerdict(member=True, family=family, n=n,

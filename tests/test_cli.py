@@ -205,6 +205,31 @@ def test_options_the_family_does_not_read_are_usage_failures(argv, unread, trian
     assert verdicts[0]["details"]["error"].endswith("does not read " + unread)
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["verify-facet", "--family", "qap1", "--n", "7"], "qap1 needs --i-set, --j-set, --k, --l"),
+    (["verify-facet", "--family", "qap2", "--n", "7", "--P", "1,2,3", "--Q", "1,2,3"],
+     "qap2 needs --beta"),
+    (["verify-facet", "--family", "qap5", "--n", "5", "--coeffs", "1,1:1"], "qap5 needs --beta"),
+    (["verify-facet", "--family", "qap2", "--n", "7", "--P", "1,a", "--Q", "1,2,3",
+      "--beta", "2"], "--P takes integers, got '1,a'"),
+    (["verify-facet", "--family", "qap5", "--n", "5", "--beta", "0", "--coeffs", "1,1"],
+     "--coeffs takes 'i,j:v;i,j:v', got '1,1'"),
+    (["verify-facet", "--family", "qap5", "--n", "5", "--beta", "0", "--coeffs", "1:2"],
+     "--coeffs takes 'i,j:v;i,j:v', got '1:2'"),
+    (["reduce", "--family", "qap1", "--graph", "MISSING", "--t", "2"], "MISSING"),
+    (["clique-oracle", "--family", "qap2", "--graph", "TRIANGLE7", "--config", "MISSING"],
+     "MISSING"),
+], ids=["qap1-sets", "qap2-beta", "qap5-beta", "P", "coeffs-value", "coeffs-pair",
+        "graph-file", "config-file"])
+def test_malformed_and_missing_inputs_are_usage_failures(argv, error, triangle7, tmp_path):
+    out, missing = tmp_path / "report.json", str(tmp_path / "missing.txt")
+    argv = [{"TRIANGLE7": str(triangle7), "MISSING": missing}.get(arg, arg) for arg in argv]
+    assert main(argv + ["--json", str(out)]) == 1
+    verdicts = json.loads(out.read_text())["verdicts"]
+    assert [v["name"] for v in verdicts] == ["usage"]
+    assert error.replace("MISSING", missing) in verdicts[0]["details"]["error"]
+
+
 QAP5_CERTIFY = ["verify-facet", "--family", "qap5", "--n", "5", "--beta", "0",
                 "--coeffs", "1,1:1;2,2:-1", "--expect", "valid-only", "--certify"]
 

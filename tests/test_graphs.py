@@ -62,6 +62,9 @@ def test_parse_dimacs_with_comments():
     ("p edge 3 1\ne 1 1\n", "self-loop"),
     ("1 2\np edge 3 1\n", "line 2"),
     ("p edge 2 1\ne 1 5\n", "exceeds"),
+    ("p edge 4 1\ne 0 3\n", "line 2: endpoint 0 is below 1"),
+    ("p edge 3 2\ne 1 2\ne 1 5\n", "line 3: endpoint 5 exceeds declared n=3"),
+    ("1 2\n-1 2\n", "line 2: endpoint -1 is below 1"),
 ])
 def test_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(GraphParseError, match=fragment):

@@ -359,6 +359,23 @@ def test_compile_refuses_families_over_the_entry_limit(monkeypatch):
     assert compiled_blocks.cache_info().currsize == 0
 
 
+def compiled_forms(compiled):
+    """(form id, block, row, template) of every compiled form."""
+    for block in compiled.blocks:
+        for row, base in enumerate(block.ids.tolist()):
+            for template in range(len(block.rhs)):
+                yield base + template, block, row, template
+
+
+def assert_compiled_as_built(block, row, template, form):
+    """The block's row gives the form's positions, and its template the
+    form's signed coefficients and rhs."""
+    sign = -1 if form.sense == ">=" else 1
+    assert block.positions[row].tolist() == list(form.positions)
+    assert block.templates[template].tolist() == [sign * c for c in form.coeffs]
+    assert block.rhs[template] == sign * form.rhs
+
+
 @pytest.mark.parametrize("family,n", [("qap1", 6), ("qap2", 7), ("qap3", 7), ("qap4", 7)])
 def test_compile_and_unranking_follow_the_oracle_order(family, n, monkeypatch):
     oracle = list(ORACLE[family](n))
@@ -370,35 +387,29 @@ def test_compile_and_unranking_follow_the_oracle_order(family, n, monkeypatch):
         compiled = compiled_blocks(family, n)
     finally:
         compiled_blocks.cache_clear()
-    sign = -1 if forms[0].sense == ">=" else 1
     assert compiled.forms == len(forms)
-    # one block per distinct signed (template, rhs), in order of first use
-    templates = list(dict.fromkeys((tuple(sign * c for c in form.coeffs), sign * form.rhs)
-                                   for form in forms))
-    assert [(tuple(block.template.tolist()), block.rhs)
-            for block in compiled.blocks] == templates
+    # one block per distinct signed (templates, rhs), in order of first use
+    layouts = [(block.templates.tolist(), block.rhs.tolist()) for block in compiled.blocks]
+    assert all(layouts.count(layout) == 1 for layout in layouts)
+    assert [int(block.ids[0]) for block in compiled.blocks] == sorted(
+        int(block.ids[0]) for block in compiled.blocks)
     if family == "qap3":
         assert len({form.params.beta for form in forms}) > 1
     # every form comes back by id: its positions from its block's row, its
-    # signed coefficients and rhs from the block's template
-    at = {}
-    for number, block in enumerate(compiled.blocks):
+    # signed coefficients and rhs from the row's template
+    for block in compiled.blocks:
         assert block.positions.dtype == np.int16 and block.ids.dtype == np.int32
-        assert np.all(np.diff(block.ids) > 0)
-        at.update((int(form_id), (number, row)) for row, form_id in enumerate(block.ids))
+        assert np.all(np.diff(block.ids) >= len(block.rhs))
+    at = {form_id: place for form_id, *place in compiled_forms(compiled)}
     assert sorted(at) == list(range(len(forms)))
     for form_id, form in enumerate(forms):
-        number, row = at[form_id]
-        block = compiled.blocks[number]
-        assert block.positions[row].tolist() == list(form.positions)
-        assert block.template.tolist() == [sign * c for c in form.coeffs]
-        assert block.rhs == sign * form.rhs
-    # stripe s holds exactly the rows with ids in [1000 s, 1000 (s + 1))
+        assert_compiled_as_built(*at[form_id], form)
+    # stripe s holds exactly the rows with base ids in [1000 s, 1000 (s + 1))
     assert len(compiled.stripes) == math.ceil(len(forms) / 1000)
     for stripe, slices in enumerate(compiled.stripes):
-        ids = sorted(int(form_id) for block, (start, stop) in zip(compiled.blocks, slices)
-                     for form_id in block.ids[start:stop])
-        assert ids == list(range(1000 * stripe, min(1000 * (stripe + 1), len(forms))))
+        for block, (start, stop) in zip(compiled.blocks, slices):
+            inside = (block.ids >= 1000 * stripe) & (block.ids < 1000 * (stripe + 1))
+            assert np.flatnonzero(inside).tolist() == list(range(start, stop))
     for index, params in enumerate(oracle):
         assert family_form_at(n, family, index).params == params
     with pytest.raises(InvalidParameterError, match="no form"):
@@ -423,7 +434,7 @@ def test_witness_is_the_least_id_across_blocks():
                     if len(family_form_at(n, "qap1", index).params.i_set) == 3)
     compiled_blocks.cache_clear()
     compiled = compiled_blocks("qap1", n)
-    assert len(compiled.stripes) == 1 and compiled.blocks[0].template.size == 7  # m = 3
+    assert len(compiled.stripes) == 1 and compiled.blocks[0].templates.shape == (1, 7)  # m = 3
     block_of = {int(form_id): number for number, block in enumerate(compiled.blocks)
                 for form_id in block.ids}
     assert violated[0] < first_m3 and block_of[violated[0]] > block_of[first_m3] == 0
@@ -444,7 +455,86 @@ def test_compiled_qap4_n8_holds_two_bytes_per_entry():
     per_form = sum(block.positions.nbytes + block.ids.nbytes for block in compiled.blocks)
     assert per_form <= 2 * entries + 4 * forms
     # the templates are shared: a few hundred bytes for the whole family
-    assert sum(block.template.nbytes for block in compiled.blocks) <= 8 * (28 + 36)
+    assert sum(block.templates.nbytes for block in compiled.blocks) <= 8 * (28 + 36)
+
+
+def test_qap3_at_n8_stores_each_row_once_for_its_betas():
+    # 723,240 forms in 384,552 (P1, P2) rows, with 1, 2 or 3 betas a row;
+    # storing a row once per beta would take 72,984,128 entries
+    compiled_blocks.cache_clear()
+    try:
+        compiled = compiled_blocks("qap3", 8)
+    finally:
+        compiled_blocks.cache_clear()
+    assert compiled.forms == 723_240
+    assert sum(block.ids.size for block in compiled.blocks) == 384_552
+    assert sum(block.positions.size for block in compiled.blocks) == 44_581_376
+    assert sum(block.positions.nbytes + block.ids.nbytes for block in compiled.blocks) <= 91e6
+    assert {len(block.rhs) for block in compiled.blocks} == {1, 2, 3}
+    form_ids = np.concatenate([(block.ids[:, None] + np.arange(len(block.rhs))).ravel()
+                               for block in compiled.blocks])
+    assert np.array_equal(np.sort(form_ids), np.arange(723_240))
+    rng = random.Random(8)
+    for _ in range(300):
+        block = rng.choice(compiled.blocks)
+        row, template = rng.randrange(block.ids.size), rng.randrange(len(block.rhs))
+        form_id = int(block.ids[row]) + template
+        form = BUILDERS["qap3"](family_form_at(8, "qap3", form_id).params)
+        assert_compiled_as_built(block, row, template, form)
+
+
+def test_qap3_at_n8_rows_with_several_betas_follow_the_oracle():
+    # under one class of all columns only the runs with Q = {1, 2, 3} or
+    # {1, 2, 3, 4} are kept; the former are the family's first 9,100 forms
+    runs = family_segments(8, "qap3")
+    first = sum(run.count for run in runs if run.q_set == (1, 2, 3))
+    oracle = list(itertools.islice(ORACLE["qap3"](8), first))
+    assert first == 9100
+    assert {len(run.rhs) for run in runs if run.q_set == (1, 2, 3)} == {2, 3}
+    compiled_blocks.cache_clear()
+    try:
+        compiled = compiled_blocks("qap3", 8, (tuple(range(1, 9)),))
+    finally:
+        compiled_blocks.cache_clear()
+    forms = sorted(compiled_forms(compiled), key=lambda place: place[0])
+    assert [form_id for form_id, *_ in forms[:first]] == list(range(first))
+    assert {family_form_at(8, "qap3", form_id).params.q_set
+            for form_id, *_ in forms[first:]} == {frozenset({1, 2, 3, 4})}
+    for form_id, block, row, template in forms:
+        params = family_form_at(8, "qap3", form_id).params
+        if form_id < first:
+            assert params == oracle[form_id]
+        assert_compiled_as_built(block, row, template, BUILDERS["qap3"](params))
+
+
+@pytest.mark.parametrize("rows,block_forms,witness", [
+    ((1, 2), 50_000, 1),   # the family's first row: beta = -1 holds, beta = 0 not
+    ((7, 8), 97, 97),      # a stripe boundary between the row's two forms
+])
+def test_a_witness_can_follow_a_form_of_its_row_that_holds(rows, block_forms, witness,
+                                                           monkeypatch):
+    # cross entries 1/18 between the cells of rows a and b in the columns of
+    # Q = {1, 2, 3}: the qap3 row P1 = {a}, P2 = {b} (betas -1 and 0) has
+    # lhs -1, which holds against -2 and is violated against 0
+    n, (a, b) = 8, rows
+    values = {canon_entry(flat_index(n, a, c), flat_index(n, b, d)): Fraction(1, 18)
+              for c in (1, 2, 3) for d in (1, 2, 3)}
+    point = YPoint(n=n, values=values)
+    violated = (index for index, form in enumerate(enumerate_family(n, "qap3"))
+                if not evaluate(form, point).satisfied)
+    assert next(violated) == witness
+    held, hit = (family_form_at(n, "qap3", index) for index in (witness - 1, witness))
+    assert evaluate(held, point).satisfied
+    assert (held.params.p1_set, held.params.p2_set) == (hit.params.p1_set, hit.params.p2_set)
+    assert (held.params.beta, hit.params.beta) == (-1, 0)
+    monkeypatch.setattr(reductions, "BLOCK_FORMS", block_forms)
+    compiled_blocks.cache_clear()
+    try:
+        verdict = brute_force_membership(point, "qap3")
+    finally:
+        compiled_blocks.cache_clear()
+    assert verdict.witness_index == witness and verdict.witness == hit
+    assert verdict.forms_checked == (witness // block_forms + 1) * block_forms
 
 
 def test_membership_refuses_a_point_past_the_int64_bound():
@@ -630,13 +720,12 @@ def test_orbit_minima_are_the_least_ids_of_their_orbits(family, n):
     finally:
         compiled_blocks.cache_clear()
     assert compiled.forms == len(ids) and 0 < len(least) < len(ids)
-    assert sorted(int(i) for block in compiled.blocks for i in block.ids) == least
-    sign = -1 if family == "qap3" else 1
+    assert sorted(form_id for form_id, *_ in compiled_forms(compiled)) == least
     for block in compiled.blocks:
         for row in (0, len(block.ids) // 2, len(block.ids) - 1):
-            form = family_form_at(n, family, int(block.ids[row]))
-            assert block.positions[row].tolist() == list(form.positions)
-            assert block.template.tolist() == [sign * c for c in form.coeffs]
+            for template in range(len(block.rhs)):
+                form = family_form_at(n, family, int(block.ids[row]) + template)
+                assert_compiled_as_built(block, row, template, form)
 
 
 @pytest.mark.parametrize("family,n", [("qap1", 7), ("qap2", 7), ("qap3", 7), ("qap4", 7)])
@@ -706,6 +795,18 @@ def test_qap4_oracle_at_n9_matches_the_exact_clique_number():
         assert report.clique_size == max_clique_bruteforce(graph)[0]
         sizes.append(report.clique_size)
     assert sizes[1:] == [7, 8, 8] and sizes[0] <= 6
+
+
+def test_qap4_oracle_at_n10_matches_the_exact_clique_number():
+    # past the default enumeration cap: a planted 8-clique is found by the
+    # t-sweep, with a witness at t = 6 and t = 7
+    rng = random.Random(10)
+    clique = rng.sample(range(1, 11), 8)
+    planted = set(itertools.combinations(sorted(clique), 2))
+    graph = Graph.from_edges(10, sorted(planted | set(random_graph(10, 0.3, rng).edges)))
+    report = clique_via_membership_oracle(graph, "qap4", cap=10)
+    assert report.clique_size == max_clique_bruteforce(graph)[0] == 8
+    assert report.queries == [(6, False), (7, False), (8, True)]
 
 
 def test_qap1_oracle_at_n9_matches_the_exact_clique_number():
