@@ -53,7 +53,6 @@ from .inequalities import (
     family_segments,
     slack_table_csv,
 )
-from .modrank import DEFAULT_PRIME_COUNT, PRIME_POOL
 from .perms import Permutation, require_enumerable
 from .protocols import as_bits, hard_matrix_entry, HardMatrixSpec, protocol_n0, slack_protocol
 from .reductions import (
@@ -71,7 +70,6 @@ class RunReport:
     parameters: dict
     verdicts: list[dict] = field(default_factory=list)
     seeds: dict = field(default_factory=dict)
-    primes: list[int] = field(default_factory=lambda: list(PRIME_POOL[:DEFAULT_PRIME_COUNT]))
     tool_version: str = __version__
     timings: dict = field(default_factory=dict)
 

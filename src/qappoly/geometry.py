@@ -5,17 +5,18 @@ space, but only coordinates that some vertex can make nonzero (all diagonal
 cells, plus off-diagonal cells with distinct rows and distinct columns) are
 carried in the matrices; identically-zero coordinates never affect a rank.
 
-Every dimension and span verdict is proven.  ``hull_equations`` holds the
-integer affine-hull equations E, checked exactly on every vertex, which
-bound the polytope's dimension from above; the modular rank of a seeded
-vertex subset that reaches that bound proves it (``modrank.RankCertificate``).
-A valid form with a vertex of positive slack bounds its tight set one lower,
-so a tight subset that reaches dim(P) - 1 proves a facet.  Where that subset
-misses (a "not facet" verdict, or a form tight everywhere), the tight set's
-``modrank.lifted_kernel`` starts from E and lifts only the kernel rows
-beyond it, checked exactly on every tight vertex; the span lemmas decide
-membership against E and the generators' extras the same way.  Where no
-proof stands, the verdict is refused as unproven.
+Every dimension and span verdict is proven, by one route:
+``modrank.lifted_kernel`` of the vertex set from equations already proven
+on it.  ``hull_equations`` holds the integer affine-hull equations E,
+checked exactly on every vertex.  The kernel eliminates one seeded subset
+mod one prime and lifts only the kernel rows beyond the known equations,
+checked exactly on every vertex of the set; the subset's rank meets the
+bound they give (``modrank.RankCertificate``).  The polytope starts from
+E.  A valid form's tight set starts from E and, where some vertex has
+positive slack, the form's own equation made homogeneous ("proper face":
+dim(P) - 1 at most, so a facet needs no extras).  The span lemmas decide
+membership against E and the generators' extras.  Where no proof stands,
+the verdict is refused as unproven.
 
 The S_k classes, S_0 connectivity and the span lemmas read a per-n
 ``VertexSpace`` cache: each vertex once, as an int8 one-line image in
@@ -107,6 +108,17 @@ def _support_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
     f1, f2 = np.triu_indices(n * n, k=1)
     keep = (row[f1] != row[f2]) & (col[f1] != col[f2])
     return np.concatenate([cells, f1[keep]]), np.concatenate([cells, f2[keep]])
+
+
+@lru_cache(maxsize=4)
+def _pair_columns(n: int) -> np.ndarray:
+    """The support column of each pair of flat cells (0-based), in either
+    order; -1 off the support, where two cells share a row or a column."""
+    first, second = _support_cells(n)
+    columns = np.full((n * n, n * n), -1)
+    columns[first, second] = columns[second, first] = np.arange(first.size)
+    columns.flags.writeable = False   # cached: shared by every caller
+    return columns
 
 
 @dataclass
@@ -213,12 +225,6 @@ def affine_dim(vertices, certify: bool = False) -> RankReport:
     return report
 
 
-# Vertices drawn beyond a rank bound when a seeded subset is to reach it,
-# and the seed of that draw.
-SUBSET_MARGIN = 32
-SUBSET_SEED = 0
-
-
 @lru_cache(maxsize=4)
 def affine_hull_equations(n: int) -> np.ndarray:
     """Integer equations that every vertex satisfies, as int8 rows over the
@@ -234,10 +240,8 @@ def affine_hull_equations(n: int) -> np.ndarray:
       Y[ij,ij]; likewise for each column l != j, summed over k.
     """
     cells = n * n
-    first, second = _support_cells(n)
-    columns = first.size
-    pair_column = np.full((cells, cells), -1)
-    pair_column[first, second] = pair_column[second, first] = np.arange(columns)
+    columns = _support_cells(n)[0].size
+    pair_column = _pair_columns(n)
     blocks = []
     for line_of in np.divmod(np.arange(cells), n):   # each cell's row, column
         sums = np.zeros((n, columns), dtype=np.int8)
@@ -299,75 +303,47 @@ def _require_vanishing(space: VertexSpace, equations: np.ndarray) -> None:
 @lru_cache(maxsize=4)
 def hull_equations(n: int) -> ProvenEquations:
     """``affine_hull_equations(n)`` checked on every vertex (cached per n),
-    where the polytope's claim and every vertex set's kernel start."""
+    where every proven rank starts: the polytope's, each tight set's and
+    each span generator set's."""
     _require_vanishing(vertex_space(n), affine_hull_equations(n))
     return ProvenEquations(affine_hull_equations(n), PRIME_POOL[0])
 
 
-def _subset_reaching(space: VertexSpace, idx: np.ndarray,
-                     claim: RankCertificate, grow: bool) -> RankReport | None:
-    """Affine rank of a seeded subset of the vertices ``idx`` that reaches
-    ``claim``'s bound, with the claim as its certificate; None when none does.
-
-    A subset of ``claim.bound + SUBSET_MARGIN + 1`` vertices goes first, and
-    one prime decides whether it reaches the bound before the other primes
-    are spent.  With ``grow`` each miss doubles the subset, up to the whole
-    set, which is the last one tried; without, one miss ends the search,
-    and a set no larger than the first subset is not tried at all.
-    """
-    bound = claim.bound
-    rng = np.random.default_rng(SUBSET_SEED)
-    size = bound + SUBSET_MARGIN + 1
-    while True:
-        whole = size >= idx.size
-        if whole and not grow:
-            return None
-        chosen = idx if whole else np.sort(rng.choice(idx, size, replace=False))
-        rows = space.rows(chosen)
-        trial = rank_consensus(rows[1:] - rows[0], reach=bound,
-                               column_dimension=triangle_dimension(space.n))
-        if trial.consensus_rank is not None and trial.consensus_rank >= bound:
-            return _within_claim(trial, claim, chosen.size)
-        if whole or not grow:
-            return None
-        size *= 2
-
-
-def _within_claim(report: RankReport, claim: RankCertificate,
-                  used: int) -> RankReport:
-    """Raise if a rank exceeds ``claim``'s bound; one that reaches it, from
-    ``used`` vertices and with no certificate yet, is proven by the claim."""
-    if report.consensus_rank > claim.bound:
-        raise QappolyError(f"affine rank {report.consensus_rank} exceeds the "
-                           f"bound {claim.bound} of the {claim.kind}")
-    if report.consensus_rank == claim.bound and report.certificate is None:
-        report.certificate = replace(claim, subset_rows=used)
-    return report
-
-
-def proven_polytope_dim(space: VertexSpace, known: ProvenEquations) -> RankReport:
-    """Affine dimension of all vertices, proven from ``known`` equations by a
-    vertex subset, the whole set at the latest, that reaches the bound they
-    give.  Raises "unproven" when even the whole set misses the bound.
-    """
-    claim = RankCertificate(kind="affine-hull equations",
-                            columns=known.echelon.shape[1],
-                            equation_rows=known.equations.shape[0],
-                            equation_rank=len(known.echelon),
-                            prime=known.prime, subset_rows=0)
-    report = _subset_reaching(space, np.arange(len(space.images)), claim, grow=True)
-    if report is None:
-        raise QappolyError(f"unproven: the {len(space.images)} vertices at "
-                           f"n={space.n} miss the bound {claim.bound} of the "
-                           f"{claim.kind}")
-    return report
+def _proven_rank(space: VertexSpace, idx: np.ndarray, known: ProvenEquations,
+                 what: str) -> RankReport:
+    """The affine rank of the vertices ``idx``, proven by their lifted
+    kernel from ``known`` (the diagonal sum is n on every vertex, so it is
+    their linear rank - 1), reported at the certificate's one prime; raises
+    "unproven" when no lift passes."""
+    lifted = lifted_kernel(_VertexSet(space, idx), known)
+    if lifted is None:
+        raise QappolyError(f"unproven: no lifted kernel of the {idx.size} {what} passes")
+    _, proof = lifted
+    return RankReport(row_count=proof.subset_rows, column_dimension=triangle_dimension(space.n),
+                      ranks=[(proof.prime, proof.bound)], consensus_rank=proof.bound,
+                      certificate=proof)
 
 
 @lru_cache(maxsize=4)
 def polytope_affine_dim(n: int) -> RankReport:
-    """Affine dimension of the whole polytope at size n, proven by
-    ``hull_equations(n)`` and a vertex subset (cached per n)."""
-    return proven_polytope_dim(vertex_space(n), hull_equations(n))
+    """Affine dimension of the whole polytope at size n, proven by the
+    lifted kernel of every vertex from ``hull_equations(n)`` (cached per n)."""
+    space = vertex_space(n)
+    return _proven_rank(space, np.arange(len(space.images)), hull_equations(n), "vertices")
+
+
+def _form_equation(form: LinearForm) -> np.ndarray:
+    """The form's equation lhs = rhs made homogeneous like the hull
+    equations, n·lhs - rhs·(diagonal sum), as an int64 row over the support
+    columns.  Entries off the support are dropped: they are 0 on every vertex."""
+    n = form.n
+    f1, f2, coeffs = np.array(form.entries(), dtype=np.int64).reshape(-1, 3).T
+    columns = _pair_columns(n)[f1 - 1, f2 - 1]
+    on = columns >= 0
+    row = np.zeros(_support_cells(n)[0].size, dtype=np.int64)
+    row[:n * n] = -form.rhs
+    np.add.at(row, columns[on], n * coeffs[on])
+    return row
 
 
 def _certified(space: VertexSpace, idx: np.ndarray, report: RankReport) -> RankReport:
@@ -398,12 +374,13 @@ def verify_facet(form: LinearForm, n: int, certify: bool = False) -> FacetReport
     """Decide facet-ness: valid everywhere and the tight vertices span an
     affine subspace of dimension exactly one less than the polytope's.
 
-    Both dimensions are proven.  A valid form with a vertex of positive
-    slack bounds its tight set by dim(P) - 1, so a tight subset that reaches
-    that bound proves "facet" ("proper face").  Where it misses, or no
-    vertex has positive slack, the tight set's lifted kernel proves its
-    dimension, "not facet" included ("lifted kernel"); where no lift
-    passes, the verdict is refused as unproven.  With ``certify``,
+    Both dimensions are proven by a lifted kernel (``_proven_rank``).  For
+    the tight set it starts from the hull equations and, where some vertex
+    has positive slack, the form's own equation, checked exactly on every
+    tight vertex first ("proper face" when nothing more is lifted, which
+    proves a facet); a form tight everywhere starts from the hull equations
+    alone.  Where no lift passes, the verdict is refused as unproven.  With
+    ``certify``,
     fraction-free elimination of the differences over every vertex and over
     the tight set must then confirm both proven dimensions.
     """
@@ -423,27 +400,17 @@ def verify_facet(form: LinearForm, n: int, certify: bool = False) -> FacetReport
         return FacetReport(verdict="not facet", n=n, tight_count=0,
                            polytope_dim=int(full.consensus_rank), tight_dim=-1,
                            polytope_rank=full, tight_rank=None)
-    tight_report = claim = None
+    known = hull_equations(n)
     if slack.any():
-        # a vertex of positive slack: the form's equation, homogenised like
-        # the hull equations, is independent of them, so dim <= dim(P) - 1
-        claim = replace(full.certificate, kind="proper face",
-                        equation_rows=full.certificate.equation_rows + 1,
-                        equation_rank=full.certificate.equation_rank + 1)
-        tight_report = _subset_reaching(space, tight_rows, claim, grow=False)
-    if tight_report is None:
-        # the diagonal sum is n on every vertex: affine rank = linear rank - 1
-        lifted = lifted_kernel(_VertexSet(space, tight_rows), hull_equations(n))
-        if lifted is None:
-            raise QappolyError(f"unproven: no lifted kernel of the "
-                               f"{tight_rows.size} tight vertices passes")
-        _, proof = lifted
-        tight_report = RankReport(row_count=proof.subset_rows,
-                                  column_dimension=triangle_dimension(n),
-                                  ranks=[(proof.prime, proof.bound)],
-                                  consensus_rank=proof.bound, certificate=proof)
-        if claim is not None:
-            _within_claim(tight_report, claim, tight_rows.size)
+        # a vertex of positive slack: the form's equation, which vanishes on
+        # the tight set, is independent of the hull equations
+        equation = _form_equation(form)
+        missed = _VertexSet(space, tight_rows).missed(equation[None])
+        if missed.size:
+            raise QappolyError(f"the form's equation does not vanish on the tight vertex "
+                               f"sigma = {space.one_line(tight_rows[missed[0]])}")
+        known = known.with_equation(equation, "proper face")
+    tight_report = _proven_rank(space, tight_rows, known, "tight vertices")
     if certify:
         tight_report = _certified(space, tight_rows, tight_report)
     verdict = ("facet"

@@ -627,6 +627,10 @@ class Qap5Bounds:
 # higher).
 CHUNK_FORMS = 1024
 
+# Rows of a column table masked per step by ``Segment.orbit_minima``: about
+# 1 MB per temporary, where the whole ordered table at n=10 takes 35 MB.
+CHUNK_COLUMNS = 1 << 16
+
 
 def permutation_table(size: int, r: int) -> np.ndarray:
     """The r-permutations (r <= size) of range(size), one per row of an int8
@@ -690,9 +694,9 @@ class Segment:
     ``scale`` are the family's.
 
     A form's columns, read in slot order, are its column tuple: row r of
-    ``_columns()``, the rows of factor ``column_factor`` mapped to columns
+    ``_columns``, the rows of factor ``column_factor`` mapped to columns
     (for qap1 led by l).  A qap3 run has one Q, so ``column_factor`` is None
-    and ``_columns()`` is that one tuple.
+    and ``_columns`` holds that one tuple.
     """
 
     family: str
@@ -763,13 +767,18 @@ class Segment:
         in every class, the tuple's entries in that class, read in slot
         order, are its smallest members in ascending order.  With no
         classes every row is kept.  ``masks``, shared by the runs of one
-        compile, holds each column table's mask by its ``_column_key``.
+        compile, holds each column table's mask by its ``_column_key``; the
+        table is masked CHUNK_COLUMNS rows at a time.
         """
         axes = [np.arange(size) for size in self.shape]
         if classes:
             key = self._column_key()
             if key not in masks:
-                masks[key] = _least_in_orbit(self._columns(), classes)
+                rows = 1 if self.column_factor is None else self.shape[self.column_factor]
+                masks[key] = np.empty(rows, dtype=bool)
+                for lo in range(0, rows, CHUNK_COLUMNS):
+                    chunk = slice(lo, lo + CHUNK_COLUMNS)
+                    masks[key][chunk] = _least_in_orbit(self._columns(chunk), classes)
             if self.column_factor is None:   # the run's one column tuple
                 if not masks[key][0]:
                     axes[0] = axes[0][:0]
@@ -777,12 +786,12 @@ class Segment:
                 axes[self.column_factor] = np.flatnonzero(masks[key])
         return axes
 
-    def _columns(self) -> np.ndarray:
-        """The column tuple of each row of factor ``column_factor``."""
-        return _index_table(*self.factors[self.column_factor]) + 1
+    def _columns(self, rows: slice) -> np.ndarray:
+        """The column tuple of each row ``rows`` of factor ``column_factor``."""
+        return _index_table(*self.factors[self.column_factor])[rows] + 1
 
     def _column_key(self):
-        """What ``_columns()`` depends on: runs with one key share it."""
+        """What ``_columns`` depends on: runs with one key share it."""
         return self.factors[self.column_factor]
 
 
@@ -832,8 +841,8 @@ class _Qap1Run(Segment):
         return [Qap1Params(n=self.n, i_set=tuple(i), j_set=tuple(j), k=self.k, l=self.l)
                 for i, j in zip(i_sets, j_sets)]
 
-    def _columns(self):
-        j_sets = self.cols[_index_table(*self.factors[1])]
+    def _columns(self, rows):
+        j_sets = self.cols[_index_table(*self.factors[1])[rows]]
         return np.hstack((np.full((len(j_sets), 1), self.l), j_sets))
 
     def _column_key(self):
@@ -939,8 +948,8 @@ class _Qap3Run(Segment):
         return [Qap3Params(n=self.n, p1_set=p1, p2_set=p2, q_set=self.q_set, beta=beta)
                 for p1, p2 in zip(p1_sets, p2_sets) for beta in self.betas]
 
-    def _columns(self):
-        return np.array([self.q_set])
+    def _columns(self, rows):
+        return np.array([self.q_set])[rows]
 
     def _column_key(self):
         return self.q_set

@@ -1,26 +1,21 @@
 """Exact ranks and spans over Q from modular arithmetic at large primes.
 
 A rank mod p never exceeds the rank over Q and equals it for all but
-finitely many primes.  Two routes turn that into a proof:
-
-* a matching upper bound from integer equations that vanish on every point
-  (the geometry layer's affine-hull equations, recorded as a
-  ``RankCertificate``);
-* ``lifted_kernel``: start from equations already proven on every point,
-  reduce a seeded subset of the points mod one prime, lift only the kernel
-  rows beyond those equations to integers (rational reconstruction where a
-  lift is not small), and check them exactly on every point.  Both then
-  cut out the points' span over Q, so they prove its rank and decide span
-  membership exactly.
+finitely many primes.  ``lifted_kernel`` turns that into a proof, the one
+route every proven rank takes: start from integer equations already proven
+on every point (``ProvenEquations``), reduce one seeded subset of the
+points mod one prime, lift only the kernel rows beyond those equations to
+integers (rational reconstruction where a lift is not small), and check
+them exactly on every point.  The known equations and these extras then
+cut out the points' span over Q, so they prove its rank (a
+``RankCertificate``) and decide span membership exactly.
 
 A failed lift or check gives no certificate, never a false one, and
 callers refuse the verdict as unproven.  ``rank_consensus`` reduces a
 matrix at three 31-bit primes from a vetted pool ("inconclusive" when they
-split); a rank it finds proves nothing until it meets an equation bound.
-With ``reach``, the first prime alone decides whether a matrix reaches a
-bound before the other primes are spent.  A fraction-free (Bareiss) integer
-elimination re-checks proven ranks in certification runs; it is exact but
-slower.
+split): a vote, not a proof, kept for the unproven ``affine_dim``.  A
+fraction-free (Bareiss) integer elimination re-checks proven ranks in
+certification runs; it is exact but slower.
 
 Callers hand in signed integer matrices of any width (the vertex layer
 passes int8 rows and differences); each elimination widens its own reduced
@@ -43,7 +38,6 @@ echelon pivots are the column rank profile, whatever the order of updates
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -67,9 +61,9 @@ FLOAT_EXACT = 2 ** 53
 # PANEL of them stays below 2**53, so float64 matmul is exact in any order.
 PANEL = 64
 assert PANEL * (2 ** 16 - 1) * (max(PRIME_POOL) - 1) < FLOAT_EXACT
-# A kernel subset stops growing once its last chunk of seeded rows held this
-# many rows dependent on the earlier ones; the seed of that draw; and the
-# rounds in which points the lifted kernel misses join the subset.
+# Points a kernel subset draws beyond the most rank the known equations
+# leave, the seed of that draw, and the rounds in which points the lifted
+# kernel misses join the subset.
 KERNEL_MARGIN = 32
 KERNEL_SEED = 0
 KERNEL_ROUNDS = 4
@@ -85,11 +79,11 @@ class RankCertificate:
     most columns - equation_rank dimensions linearly, and one less affinely
     (they lie on a hyperplane off the origin).  From below: the affine rank
     of ``subset_rows`` of the points, reduced mod ``prime``, reaches that
-    ``bound``.  ``kind`` names the equations: the hull equations E
-    ("affine-hull equations"), E and the form's own equation ("proper
-    face"), or E and the lifted extras of a tight or generator set ("lifted
-    kernel", its rank taken on the lifted rows, its subset counting the
-    points re-added in later rounds).
+    ``bound``; the subset counts the points re-added in later rounds.
+    ``kind`` names the equations: the known ones alone, the hull equations
+    E ("affine-hull equations") or E and a form's own equation ("proper
+    face"), or those and the lifted extras of the point set ("lifted
+    kernel", its rank taken on the lifted rows).
     """
 
     kind: str
@@ -109,10 +103,9 @@ class RankReport:
     """Outcome of a rank computation.
 
     ``consensus_rank`` is set only when every prime agrees; otherwise the
-    status is "inconclusive", or "short" when a ``reach`` was missed.
-    ``certificate`` is set when the rank is proven: every dimension the
-    geometry layer reports carries one, and only ``affine_dim`` leaves it
-    unset.
+    status is "inconclusive".  ``certificate`` is set when the rank is
+    proven: every dimension the geometry layer reports carries one, at its
+    one prime, and only ``affine_dim`` leaves it unset.
     """
 
     row_count: int
@@ -277,22 +270,11 @@ def _strip_zero_columns(matrix: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(matrix[:, used])
 
 
-def _prime_vote(at) -> tuple[dict[int, object], object]:
-    """Evaluate ``at(p)`` at the default primes.  Returns the value per
-    prime and the unanimous value, or None when the primes disagree (the
-    values are deterministic, so more primes could not settle a split)."""
-    votes = {p: at(p) for p in PRIME_POOL[:DEFAULT_PRIME_COUNT]}
-    values = set(votes.values())
-    return votes, values.pop() if len(values) == 1 else None
+def rank_consensus(matrix: np.ndarray, column_dimension: int | None = None) -> RankReport:
+    """Rank of an integer matrix by modular consensus: a vote, not a proof.
 
-
-def rank_consensus(matrix: np.ndarray, column_dimension: int | None = None,
-                   reach: int | None = None) -> RankReport:
-    """Rank of an integer matrix by modular consensus.
-
-    If the default primes disagree the report is marked inconclusive.  With
-    ``reach``, a first prime whose rank falls short of it ends the vote: the
-    report holds that one rank, no consensus and the status "short".
+    If the default primes disagree the report is marked inconclusive (the
+    ranks are deterministic, so more primes could not settle a split).
     """
     rows, cols = matrix.shape
     report = RankReport(row_count=rows,
@@ -301,15 +283,11 @@ def rank_consensus(matrix: np.ndarray, column_dimension: int | None = None,
         report.consensus_rank = 0
         return report
     work = _strip_zero_columns(matrix)
-    rank_at = functools.cache(lambda p: rank_mod_p(work, p))
-    first = PRIME_POOL[0]
-    if reach is not None and rank_at(first) < reach:
-        report.ranks = [(first, rank_at(first))]
-        report.status = "short"
-        return report
-    votes, report.consensus_rank = _prime_vote(rank_at)
-    report.ranks = list(votes.items())
-    if report.consensus_rank is None:
+    report.ranks = [(p, rank_mod_p(work, p)) for p in PRIME_POOL[:DEFAULT_PRIME_COUNT]]
+    ranks = {rank for _, rank in report.ranks}
+    if len(ranks) == 1:
+        report.consensus_rank = ranks.pop()
+    else:
         report.status = "inconclusive"
     return report
 
@@ -318,17 +296,49 @@ def rank_consensus(matrix: np.ndarray, column_dimension: int | None = None,
 # lifted kernels
 
 
+def _reduce_by_echelon(rows: np.ndarray, echelon: np.ndarray, p: int) -> np.ndarray:
+    """``rows`` mod p less a combination of the echelon rows that clears
+    every pivot column: each pivot in ascending order, since a later echelon
+    row is zero at every earlier pivot."""
+    left = np.mod(rows, np.int64(p))
+    for row, c in zip(echelon, np.argmax(echelon != 0, axis=1)):   # each row's pivot
+        _rank_one_update(left, left[:, c].copy(), row, p)
+    return left
+
+
 @dataclass(frozen=True)
 class ProvenEquations:
     """Integer equations the caller has proven to vanish on every point of
-    a set, with their echelon form mod ``prime``."""
+    a set, with their echelon form mod ``prime`` (eliminated here unless
+    given), kept as int32: every residue is below 2**31.  ``kind`` names
+    them in a certificate that needs no equation beyond them:
+    "affine-hull equations" or "proper face"."""
 
     equations: np.ndarray
     prime: int
+    kind: str = "affine-hull equations"
+    echelon: np.ndarray | None = None
 
-    @functools.cached_property
-    def echelon(self) -> np.ndarray:
-        return _echelonize_mod_p(self.equations, self.prime)[2].copy()
+    def __post_init__(self):
+        if self.echelon is None:
+            echelon = _echelonize_mod_p(self.equations, self.prime)[2].astype(np.int32)
+            object.__setattr__(self, "echelon", echelon)
+
+    def with_equation(self, row: np.ndarray, kind: str) -> ProvenEquations:
+        """These equations and one more integer ``row``, which the caller has
+        proven to vanish on every point of its set.  The echelon form grows
+        from the one held: what is left of the row after reducing it by the
+        echelon rows, scaled to a leading 1, joins them at its pivot."""
+        p = self.prime
+        left = _reduce_by_echelon(row[None], self.echelon, p)[0]
+        echelon = self.echelon
+        if left.any():
+            lead = int(np.flatnonzero(left)[0])
+            at = int(np.searchsorted(np.argmax(echelon != 0, axis=1), lead))
+            echelon = np.insert(echelon, at, left * pow(int(left[lead]), p - 2, p) % p, axis=0)
+        # the row in the narrowest type that holds it, so int8 equations stay narrow
+        narrow = row.astype(np.min_scalar_type(-_magnitude(row) - 1))
+        return ProvenEquations(np.vstack([self.equations, narrow]), p, kind, echelon)
 
 
 def _magnitude(matrix: np.ndarray) -> int:
@@ -424,56 +434,52 @@ def lifted_kernel(points, known: ProvenEquations):
     ``points.missed(equations)``, the positions of the points on which
     some integer equation is nonzero, exactly.
 
-    Seeded points join a subset chunk by chunk (doubling while every row is
-    independent) until a chunk holds ``KERNEL_MARGIN`` rows dependent on the
-    rest.  Mod p the subset's kernel has one row per free column, 1 there
-    and 0 at the other free columns; the known equations lie in it, so their
-    free columns fix them.  The extras are the kernel rows at the free
-    columns where those have no pivot.  Only they are lifted to integers and
-    checked on every point; for up to ``KERNEL_ROUNDS`` rounds the points
-    they miss join the subset and the extras are lifted again.
+    The known equations leave the points a rank of at most columns -
+    rank_p(known), so one seeded draw of that many points and
+    ``KERNEL_MARGIN`` more (all of them, if fewer) is eliminated once mod p.
+    Its kernel has one row per free column, 1 there and 0 at the other free
+    columns.  The known equations lie in it: where their rank fills it,
+    nothing is lifted; otherwise their free columns fix them, and the
+    extras are the kernel rows at the free columns where those have no
+    pivot.  Only the extras are lifted to integers and checked on every
+    point; for up to ``KERNEL_ROUNDS`` rounds the points they miss join the
+    subset and the extras are lifted again.
 
     The proof: the known equations and the extras vanish exactly on every
     point, so the points' rank over Q is at most columns - rank_Q(known ∪
     extras) <= columns - rank_p(known ∪ extras), taken on the lifted rows;
     the subset's rank mod p, columns - free columns, is at most the points'
-    rank over Q and reaches that bound.
+    rank over Q and reaches that bound.  The certificate takes the known
+    equations' ``kind`` when no extra is lifted, else "lifted kernel".
     """
     count, cols = points.shape
     p = known.prime
     limit = FLOAT_EXACT // max(cols, 1)
-    order = np.random.default_rng(KERNEL_SEED).permutation(count)
-    echelon = np.zeros((0, cols), dtype=np.int64)
-    pivots: list[int] = []
-    taken, chunk = 0, 2 * KERNEL_MARGIN
-    while taken < count:
-        new = order[taken:taken + chunk]
-        before = len(pivots)
-        rank, pivots, echelon = _echelonize_mod_p(np.vstack([echelon, points[new]]), p)
-        echelon = echelon.copy()   # kept: the rows alone, not the reduced matrix
-        taken += new.size
-        if new.size - (rank - before) >= KERNEL_MARGIN:
-            break
-        chunk = taken if rank - before == new.size else 2 * KERNEL_MARGIN
+    taken = min(count, cols - len(known.echelon) + KERNEL_MARGIN)
+    drawn = np.sort(np.random.default_rng(KERNEL_SEED).permutation(count)[:taken])
+    _, pivots, echelon = _echelonize_mod_p(points[drawn], p)
     for _ in range(KERNEL_ROUNDS):
         free = np.setdiff1d(np.arange(cols), pivots)
-        _, covered, _ = _echelonize_mod_p(known.echelon[:, free], p)
-        extras = _lift(_kernel_mod_p(pivots, echelon, np.delete(free, covered), p), p, limit)
-        if extras is None:
-            return None
-        missed = points.missed(extras)
-        if not missed.size:
-            rank, _, _ = _echelonize_mod_p(np.vstack([known.echelon, extras]), p)
-            if rank != free.size:
+        extras = np.zeros((0, cols), dtype=np.int64)
+        if len(known.echelon) < free.size:   # else the known equations fill the kernel
+            _, covered, _ = _echelonize_mod_p(known.echelon[:, free], p)
+            extras = _lift(_kernel_mod_p(pivots, echelon, np.delete(free, covered), p), p, limit)
+            if extras is None:
                 return None
-            return extras, RankCertificate(
-                kind="lifted kernel", columns=cols, prime=p, subset_rows=taken,
-                equation_rows=len(known.equations) + len(extras), equation_rank=rank)
-        # a missed point lies outside the subset's span, so it adds rank
-        missed = missed[:2 * KERNEL_MARGIN]
-        _, pivots, echelon = _echelonize_mod_p(np.vstack([echelon, points[missed]]), p)
-        echelon = echelon.copy()
-        taken += missed.size
+            missed = points.missed(extras)
+            if missed.size:
+                # a missed point lies outside the subset's span, so it adds rank
+                missed = missed[:2 * KERNEL_MARGIN]
+                _, pivots, echelon = _echelonize_mod_p(np.vstack([echelon, points[missed]]), p)
+                taken += missed.size
+                continue
+        rank = len(known.echelon) + rank_mod_p(_reduce_by_echelon(extras, known.echelon, p), p)
+        if rank != free.size:
+            return None
+        return extras, RankCertificate(
+            kind="lifted kernel" if len(extras) else known.kind, columns=cols, prime=p,
+            subset_rows=taken, equation_rows=len(known.equations) + len(extras),
+            equation_rank=rank)
     return None
 
 

@@ -37,15 +37,17 @@ the rows each table contributes to the orbit minima.  A row's T forms
 share its positions, and each run's layout holds its T templates and
 rhs (T is the number of betas of a qap3 run, else 1), so the family
 compiles to one block per distinct layout: the int16 triangle positions
-of its kept rows, the shared int64 templates, and each row's int32 base
-id, increasing.  A query is a gather and a small integer product,
-``y[positions] @ templates.T``, CHUNK_FORMS rows at a time; the first hit
-in row-major order is the least violated id of those rows.  The base ids
-are cut into stripes of BLOCK_FORMS; the sweep checks every block's rows
-of one stripe before the next, each block only below the least violated
-id found so far, and stops at the first stripe with a hit.  That least id
-is the witness, and ``forms_checked`` counts the family's forms up to the
-end of its stripe, as a sweep over every form would.
+of its kept rows, the shared int64 templates, and each row's base id,
+increasing (int32, or int64 where the family's ids pass 2**31 - 1).  A
+query is a gather and a small integer product, ``y[positions] @
+templates.T``, CHUNK_FORMS rows at a time; the first hit in row-major
+order is the least violated id of those rows.  The base ids are cut into
+stripes of BLOCK_FORMS, and only the stripes that hold a kept base id are
+swept.  The sweep checks every block's rows of one stripe before the
+next, each block only below the least violated id found so far, and
+stops at the first stripe with a hit.  That least id is the witness, and
+``forms_checked`` counts the family's forms up to the end of its stripe,
+as a sweep over every form would.
 
 The products run in int64, so a query first checks that no lhs (max |y|
 times the largest sum of |coefficients| of a template) and no scaled rhs
@@ -206,7 +208,7 @@ class TemplateBlock:
     positions: np.ndarray   # int16 (rows, entries): each row's triangle positions
     templates: np.ndarray   # int64 (T, entries)
     rhs: np.ndarray         # int64 (T,)
-    ids: np.ndarray         # int32 (rows,): each row's base id, increasing
+    ids: np.ndarray         # (rows,): each row's base id, increasing; int32 or int64
 
 
 @dataclass(frozen=True)
@@ -308,7 +310,10 @@ def compiled_blocks(family: str, n: int, classes: tuple = ()) -> CompiledFamily:
         sizes[block] += count
     positions = [np.empty((size, len(templates[0])), dtype=POSITION_DTYPE)
                  for (templates, _), size in zip(keys, sizes)]
-    ids = [np.empty(size, dtype=np.int32) for size in sizes]
+    # int32 ids while the family's largest id fits: numpy would wrap it silently
+    largest = max((run.start + run.count for run in runs), default=0) - 1
+    id_dtype = np.int32 if largest <= np.iinfo(np.int32).max else np.int64
+    ids = [np.empty(size, dtype=id_dtype) for size in sizes]
     filled = [0] * len(sizes)
     for (run, axes, count), block in zip(kept, run_blocks):
         for lo in range(0, count, CHUNK_FORMS):
@@ -322,11 +327,18 @@ def compiled_blocks(family: str, n: int, classes: tuple = ()) -> CompiledFamily:
                    for (templates, rhs), pos, base_ids in zip(keys, positions, ids))
     log.debug("%s at n=%d under column classes %s: %d of %d forms kept",
               family, n, classes, sum(count * len(run.rhs) for run, _, count in kept), forms)
-    stripes = (tuple((int(np.searchsorted(block.ids, first)),
-                      int(np.searchsorted(block.ids, first + BLOCK_FORMS)))
-                     for block in blocks)
-               for first in range(0, forms, BLOCK_FORMS))
-    stripes = tuple(slices for slices in stripes if any(lo < hi for lo, hi in slices))
+    # the stripes that hold a kept base id: jump from an id past its stripe
+    firsts = set()
+    for block in blocks:
+        at = 0
+        while at < block.ids.size:
+            first = int(block.ids[at]) // BLOCK_FORMS * BLOCK_FORMS
+            firsts.add(first)
+            at = int(np.searchsorted(block.ids, first + BLOCK_FORMS))
+    stripes = tuple(tuple((int(np.searchsorted(block.ids, first)),
+                           int(np.searchsorted(block.ids, first + BLOCK_FORMS)))
+                          for block in blocks)
+                    for first in sorted(firsts))
     return CompiledFamily(
         blocks=blocks, stripes=stripes, forms=forms,
         weight=max((sum(map(abs, t)) for templates, _ in keys for t in templates), default=0),

@@ -140,14 +140,16 @@ def test_criterion_03_facet_verification():
     ok = (report.verdict == "facet"
           and report.polytope_dim == POLYTOPE_DIM[7]
           and report.tight_dim == POLYTOPE_DIM[7] - 1
-          and len(report.polytope_rank.ranks) >= 3
-          and len(report.tight_rank.ranks) >= 3
+          and report.polytope_rank.primes == (report.polytope_rank.certificate.prime,)
+          and report.tight_rank.primes == (report.tight_rank.certificate.prime,)
+          and report.polytope_rank.certificate.bound == report.polytope_dim
+          and report.tight_rank.certificate.bound == report.tight_dim
           and certified.consensus_rank == 77
           and "certified" in certified.status
           and elapsed <= 1800)
     _line(3, ok, f"canonical m=7 facet at n=7: dims {report.tight_dim} = "
-                 f"{report.polytope_dim} - 1, primes "
-                 f"{report.polytope_rank.primes}; rational certification "
+                 f"{report.polytope_dim} - 1, proven at p = "
+                 f"{report.polytope_rank.certificate.prime}; rational certification "
                  f"agrees at n=5 ({elapsed:.0f}s, budget 1800s)")
 
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -483,15 +484,27 @@ def test_proven_polytope_dim_matches_the_full_vertex_vote(n):
         assert report.certificate.subset_rows == len(vertex_space(n).perms)
 
 
-def test_a_loose_equation_bound_is_refused_as_unproven():
-    from qappoly.geometry import affine_hull_equations, proven_polytope_dim, vertex_space
+def test_a_loose_equation_bound_is_met_by_lifted_extras(monkeypatch):
+    # half the hull equations leave room above the polytope's dimension: the
+    # lifted kernel fills it with extras checked on every vertex, and with
+    # no lift the loose bound proves nothing
+    from qappoly import geometry
     from qappoly.modrank import ProvenEquations
 
-    equations = affine_hull_equations(5)
-    loose = equations[: len(equations) // 2]
-    assert rank_mod_p(loose, PRIME_POOL[0]) < rank_mod_p(equations, PRIME_POOL[0])
-    with pytest.raises(QappolyError, match="unproven: the 120 vertices"):
-        proven_polytope_dim(vertex_space(5), ProvenEquations(loose, PRIME_POOL[0]))
+    space = geometry.vertex_space(5)
+    equations = geometry.affine_hull_equations(5)
+    loose = ProvenEquations(equations[: len(equations) // 2], PRIME_POOL[0])
+    full_rank = rank_mod_p(equations, PRIME_POOL[0])
+    assert len(loose.echelon) < full_rank
+    everything = np.arange(len(space.images))
+    report = geometry._proven_rank(space, everything, loose, "vertices")
+    certificate = report.certificate
+    assert report.consensus_rank == certificate.bound == 77
+    assert report.primes == (certificate.prime,)
+    assert (certificate.kind, certificate.equation_rank) == ("lifted kernel", full_rank)
+    monkeypatch.setattr(geometry, "lifted_kernel", lambda points, known: None)
+    with pytest.raises(QappolyError, match="unproven: no lifted kernel of the 120 vertices"):
+        geometry._proven_rank(space, everything, loose, "vertices")
 
 
 def test_equations_that_fail_on_a_vertex_are_refused():
@@ -588,14 +601,6 @@ def test_hull_equations_that_fail_on_a_vertex_refuse_every_claim(monkeypatch):
             cache.cache_clear()
 
 
-def test_a_short_first_prime_ends_the_vote():
-    report = rank_consensus(np.eye(4, dtype=np.int64), reach=5)
-    assert report.status == "short"
-    assert report.consensus_rank is None
-    assert report.primes == PRIME_POOL[:1]
-    assert rank_consensus(np.eye(4, dtype=np.int64), reach=4).consensus_rank == 4
-
-
 # ---------------------------------------------------------------------------
 # facet verdicts at the edges
 
@@ -625,8 +630,9 @@ def test_a_form_tight_everywhere_is_not_a_facet():
     assert report.verdict == "not facet"
     assert report.tight_count == 120
     assert report.tight_dim == report.polytope_dim == 77
+    # the hull equations alone, with no form equation and nothing lifted
     certificate = report.tight_rank.certificate
-    assert certificate.kind == "lifted kernel" and certificate.bound == 77
+    assert certificate.kind == "affine-hull equations" and certificate.bound == 77
 
 
 def test_a_form_tight_everywhere_is_refused_without_a_lift(no_lift):
@@ -656,6 +662,34 @@ def test_a_valid_only_qap5_form_is_refused_without_a_lift(no_lift):
     form = build_qap5(Qap5Params(n=5, beta=0, coeffs={(1, 1): 1, (2, 2): -1}))
     with pytest.raises(QappolyError, match="unproven: .* 102 tight vertices"):
         verify_facet(form, 5)
+
+
+def test_a_wrong_form_equation_is_refused_naming_its_tight_vertex(monkeypatch):
+    # one coefficient of the form's homogenised equation made wrong, on a
+    # support column that exactly one tight vertex sets: the exact check on
+    # every tight vertex refuses the equation and names that vertex
+    from qappoly import geometry
+    from qappoly.inequalities import Qap5Params, build_qap5
+
+    form = build_qap5(Qap5Params(n=4, beta=0, coeffs={(1, 1): 1, (2, 2): -1}))
+    space = geometry.vertex_space(4)
+    slack = form.scaled_slack_on_match_rows(space.zt)
+    assert slack.any()   # so the form's equation is used
+    tight = np.flatnonzero(slack == 0)
+    rows = space.rows(tight)
+    column = np.flatnonzero(rows.sum(axis=0, dtype=np.int64) == 1)[0]
+    vertex = space.one_line(tight[np.flatnonzero(rows[:, column])[0]])
+    right = geometry._form_equation
+
+    def wrong(form):
+        row = right(form)
+        row[column] += 1
+        return row
+
+    monkeypatch.setattr(geometry, "_form_equation", wrong)
+    with pytest.raises(QappolyError, match="the form's equation does not vanish on the "
+                                           f"tight vertex sigma = {re.escape(vertex)}$"):
+        geometry.verify_facet(form, 4)
 
 
 def _refused_with_a_corrupted_lift(corrupt, monkeypatch):
@@ -744,20 +778,23 @@ def test_the_n7_facet_is_proven_without_a_full_vertex_elimination(monkeypatch):
     from qappoly.inequalities import Qap4Params, build_qap4
 
     shapes = []
-    original = modrank.rank_mod_p
+    original = modrank._echelonize_mod_p
 
     def recording(matrix, p):
         shapes.append(matrix.shape)
         return original(matrix, p)
 
-    monkeypatch.setattr(modrank, "rank_mod_p", recording)
+    monkeypatch.setattr(modrank, "_echelonize_mod_p", recording)
     geometry.polytope_affine_dim.cache_clear()
     form = build_qap4(Qap4Params(n=7, i_set=tuple(range(1, 8)), j_set=tuple(range(1, 8))))
     report = geometry.verify_facet(form, 7)
     assert (report.verdict, report.polytope_dim, report.tight_dim) == ("facet", 457, 456)
-    assert report.polytope_rank.certificate.kind == "affine-hull equations"
-    assert report.tight_rank.certificate.kind == "proper face"
-    assert len(report.tight_rank.ranks) >= 3
+    for rank, kind, dim in ((report.polytope_rank, "affine-hull equations", 457),
+                            (report.tight_rank, "proper face", 456)):
+        certificate = rank.certificate
+        assert certificate.kind == kind
+        assert rank.primes == (certificate.prime,)
+        assert certificate.bound == dim
     assert shapes and max(rows for rows, _ in shapes) <= 1100
 
 
@@ -766,7 +803,7 @@ def test_the_n7_not_facet_is_proven_by_a_lifted_kernel(monkeypatch):
     # only for the subsets drawn and the vertices re-added, never for the
     # whole tight set or generator set
     from qappoly import geometry, modrank
-    from qappoly.geometry import SUBSET_MARGIN, VertexSpace
+    from qappoly.geometry import VertexSpace
     from qappoly.inequalities import Qap3Params, build_qap3
 
     shapes = []
@@ -794,11 +831,9 @@ def test_the_n7_not_facet_is_proven_by_a_lifted_kernel(monkeypatch):
     certificate = report.tight_rank.certificate
     assert certificate.kind == "lifted kernel" and certificate.bound == 454
     assert shapes and max(rows for rows, _ in shapes) <= 1100
-    # the polytope's subset, one proper-face subset of the tight set, and
-    # the kernel's subset with its re-adds
+    # the polytope's subset and the tight set's, with their re-adds
     polytope = report.polytope_rank.certificate
-    assert sum(asked) <= (polytope.subset_rows + polytope.bound + SUBSET_MARGIN
-                          + certificate.subset_rows)
+    assert sum(asked) <= polytope.subset_rows + certificate.subset_rows
     asked.clear()
     lemma = geometry.verify_szeroins(7, samples=200, seed=1)
     assert lemma.all_member
@@ -902,7 +937,65 @@ def test_lifted_kernel_tight_dims_at_n6_match_fraction_free_elimination(family):
 
     form = _n6_forms()[family]
     report = verify_facet(form, 6)
-    assert report.tight_rank.certificate.kind == "lifted kernel"
+    # the qap1 facet needs nothing beyond the hull and form equations
+    assert report.tight_rank.certificate.kind == (
+        "proper face" if family == "qap1" else "lifted kernel")
     space = vertex_space(6)
     rows = space.rows(np.flatnonzero(form.scaled_slack_on_match_rows(space.zt) == 0))
     assert report.tight_dim == rank_exact_rational(rows - rows[0])
+
+
+def _random_qap5(n, rng):
+    """A qap5 form with a random 0/1 coefficient matrix and beta in 0..n."""
+    from qappoly.inequalities import Qap5Params, build_qap5
+
+    coeffs = {(i, j): 1 for i in range(1, n + 1) for j in range(1, n + 1)
+              if rng.random() < 0.25}
+    return build_qap5(Qap5Params(n=n, beta=rng.randint(0, n), coeffs=coeffs))
+
+
+def test_seeded_qap5_verdicts_at_n5_are_confirmed_by_fraction_free_elimination():
+    # twelve seeded forms (two facets, one empty tight set, nine more not
+    # facets) and a form tight everywhere, each certified: fraction-free
+    # elimination confirms both proven dimensions.  The tight set is counted
+    # again from s, the coefficients a vertex matches: tight at beta - 1 or beta
+    from qappoly.geometry import verify_facet
+    from qappoly.inequalities import Qap5Params, build_qap5
+
+    rng = random.Random(8)
+    forms = [_random_qap5(5, rng) for _ in range(12)]
+    forms.append(build_qap5(Qap5Params(n=5, beta=1, coeffs={})))
+    kinds = Counter()
+    for form in forms:
+        report = verify_facet(form, 5, certify=True)
+        coeffs, beta = form.params.coeff_map(), form.params.beta
+        tight = sum(sum(coeffs.get(pair, 0) for pair in enumerate(sigma.image, 1))
+                    in (beta - 1, beta) for sigma in enumerate_permutations(5))
+        assert report.tight_count == tight
+        assert report.polytope_dim == 77 and "certified" in report.polytope_rank.status
+        if tight:
+            assert "certified" in report.tight_rank.status
+            assert report.tight_rank.certificate.bound == report.tight_dim
+        else:
+            assert report.tight_rank is None and report.tight_dim == -1
+        kinds[report.verdict, "empty" if not tight else "all" if tight == 120 else "some"] += 1
+    assert kinds == {("facet", "some"): 2, ("not facet", "some"): 9,
+                     ("not facet", "empty"): 1, ("not facet", "all"): 1}
+
+
+def test_tight_dims_at_n6_equal_the_voted_rank_of_the_whole_tight_set():
+    # the proof draws a subset; the vote reduces every tight vertex
+    from qappoly.geometry import vertex_space, verify_facet
+
+    space = vertex_space(6)
+    rng = random.Random(6)
+    forms = [_random_qap5(6, rng) for _ in range(12)] + list(_n6_forms().values())
+    verdicts = Counter()
+    for form in forms:
+        report = verify_facet(form, 6)
+        tight = np.flatnonzero(form.scaled_slack_on_match_rows(space.zt) == 0)
+        if tight.size:
+            voted = affine_dim([space.perms[v] for v in tight])
+            assert report.tight_dim == voted.consensus_rank
+            verdicts[report.verdict] += 1
+    assert verdicts["facet"] >= 1 and verdicts["not facet"] >= 3

@@ -58,12 +58,12 @@ def test_a_span_basis_without_a_lift_is_refused(monkeypatch):
 
 def test_span_basis_keeps_only_its_lifted_kernel():
     # the 24 vertices at n=4 have rank 23 (affine dimension 22): the hull
-    # equations prove it with no extra, and neither the generators nor an
-    # echelon basis is kept beside the equations
+    # equations prove it with no extra, so the certificate takes their kind,
+    # and neither the generators nor an echelon basis is kept beside them
     generators = ExactPoints(vertex_space(4).rows(range(24)))
     known = hull_equations(4)
     basis = ModularSpanBasis(generators, known)
-    assert basis.certificate.kind == "lifted kernel"
+    assert basis.certificate.kind == "affine-hull equations"
     assert basis.certificate.columns - basis.certificate.equation_rank == 23
     assert basis.certificate.bound == 22
     assert np.array_equal(basis.equations, known.equations)
@@ -100,7 +100,8 @@ def test_bareiss_rank_agrees_with_modular_consensus():
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_a_lifted_kernel_vanishes_on_its_points_and_has_full_row_rank(n, hull):
     # from nothing known, the extras are the whole kernel; from the hull
-    # equations, which cut out the span of all vertices, there are none
+    # equations, which cut out the span of all vertices, there are none and
+    # the certificate takes the hull equations' kind
     space = vertex_space(n)
     points = space.rows(range(len(space.perms)))
     known = hull_equations(n) if hull else nothing_known(points.shape[1])
@@ -111,7 +112,8 @@ def test_a_lifted_kernel_vanishes_on_its_points_and_has_full_row_rank(n, hull):
     assert rank_mod_p(extras, PRIME_POOL[1]) == extras.shape[0]
     assert certificate.subset_rows <= len(points)
     assert (certificate.kind, certificate.equation_rows, certificate.equation_rank) == (
-        "lifted kernel", len(known.equations) + len(extras), points.shape[1] - rank)
+        "affine-hull equations" if hull else "lifted kernel",
+        len(known.equations) + len(extras), points.shape[1] - rank)
     assert certificate.bound == rank - 1
 
 

@@ -728,6 +728,53 @@ def test_orbit_minima_are_the_least_ids_of_their_orbits(family, n):
                 assert_compiled_as_built(block, row, template, form)
 
 
+def test_column_tables_masked_in_chunks_give_the_whole_table_masks(monkeypatch):
+    # random class partitions at n=8, with a chunk of 7 rows that cuts every
+    # table unevenly: the masks are bitwise those of the whole table at once
+    rng = random.Random(8)
+    partitions = [random_classes(8, rng) for _ in range(3)]
+    monkeypatch.setattr(inequalities, "CHUNK_COLUMNS", 7)
+    for family in ("qap1", "qap2", "qap3", "qap4"):
+        for classes in partitions:
+            masks = {}
+            for run in family_segments(8, family):
+                run.orbit_minima(classes, masks)
+                key = run._column_key()
+                whole = inequalities._least_in_orbit(run._columns(slice(None)), classes)
+                assert masks[key].dtype == whole.dtype == bool
+                assert masks[key].tobytes() == whole.tobytes()
+
+
+def test_form_ids_past_int32_are_compiled_and_swept_exactly():
+    # every qap4 run at n=7 moved past 2**31 - 1: the compile stores int64
+    # ids, each the plain one plus the offset, and each point's least
+    # violated id moves by the same offset (int32 would wrap it negative)
+    offset = 2 ** 31 + 5
+    runs = family_segments(7, "qap4")
+    points = [point.to_scaled_vector() for point in seeded_points("qap4", 7, random.Random(7))]
+    compiled_blocks.cache_clear()
+    try:
+        plain = compiled_blocks("qap4", 7)
+        for run in runs:
+            run.start += offset
+        try:
+            compiled_blocks.cache_clear()
+            shifted = compiled_blocks("qap4", 7)
+        finally:
+            for run in runs:
+                run.start -= offset
+    finally:
+        compiled_blocks.cache_clear()
+    assert len(shifted.blocks) == len(plain.blocks) and len(shifted.stripes) == len(plain.stripes)
+    for before, after in zip(plain.blocks, shifted.blocks):
+        assert (before.ids.dtype, after.ids.dtype) == (np.int32, np.int64)
+        assert np.array_equal(after.ids, before.ids.astype(np.int64) + offset)
+    least = [reductions._least_violated(plain, *point) for point in points]
+    assert any(idx is not None for idx in least) and None in least
+    assert [reductions._least_violated(shifted, *point) for point in points] == [
+        None if idx is None else idx + offset for idx in least]
+
+
 @pytest.mark.parametrize("family,n", [("qap1", 7), ("qap2", 7), ("qap3", 7), ("qap4", 7)])
 def test_relabelling_columns_moves_the_positions_and_keeps_the_template(family, n):
     rng = random.Random(n)
