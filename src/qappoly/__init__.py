@@ -22,10 +22,8 @@ from .geometry import (
     check_identity1,
     check_identity2,
     check_s0_connectivity,
-    check_span_membership,
     classify_vertex,
     polytope_affine_dim,
-    s_k_sets,
     verify_facet,
     verify_s3ss0,
     verify_skasnxt4,

@@ -101,9 +101,12 @@ def _coeff_map(text: str) -> dict:
         pos, _, val = chunk.partition(":")
         try:
             i, j = _ints("--coeffs", pos)
-            out[(i, j)] = int(val)
+            value = int(val)
         except ValueError:
             raise QappolyError(f"--coeffs takes 'i,j:v;i,j:v', got {chunk!r}") from None
+        if (i, j) in out:
+            raise QappolyError(f"--coeffs gives cell {i},{j} more than once")
+        out[(i, j)] = value
     return out
 
 
@@ -164,7 +167,7 @@ def _require_enumerable(n: int, caps: Caps) -> None:
 
 
 def _require_count(flag: str, value: int) -> None:
-    """Refuse a negative count; 0 keeps the meaning each flag documents."""
+    """Refuse a negative count or seed; 0 keeps the meaning each flag documents."""
     if value < 0:
         raise QappolyError(f"{flag} must be >= 0, got {value}")
 
@@ -432,6 +435,7 @@ def main(argv=None) -> int:
                        seeds={"global": args.seed})
     start = time.perf_counter()
     try:
+        _require_count("--seed", args.seed)
         caps = Caps()
         if args.config:
             caps = caps_from_config(parse_config(Path(args.config).read_text()),

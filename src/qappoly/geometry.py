@@ -90,7 +90,11 @@ class MatchPattern:
 
 
 def classify_vertex(sigma: Permutation, pattern: MatchPattern) -> int:
-    """Number k of pattern pairs with sigma(i_r) = j_r, i.e. the S_k index."""
+    """Number k of pattern pairs with sigma(i_r) = j_r, i.e. the S_k index.
+
+    Kept as the per-permutation reference that the S_0 tests compare
+    ``VertexSpace.match_counts`` against; the package itself classifies
+    through ``match_counts``."""
     return sum(1 for i, j in pattern.pairs if sigma(i) == j)
 
 
@@ -607,50 +611,12 @@ def check_s0_connectivity(n: int, pattern: MatchPattern) -> S0ConnectivityReport
 # span membership and the span lemmas
 
 
-@dataclass
-class SpanReport:
-    member: bool
-    generator_count: int
-    certificate: RankCertificate
-
-
-def check_span_membership(target, generators) -> SpanReport:
-    """Exact linear-span membership.
-
-    The hull equations E and the generators' lifted extras cut out their
-    span over Q, so the target is a member exactly when both vanish on it;
-    the report carries their certificate.  Generators whose lift does not
-    pass are refused as unproven.
-    """
-    generators = list(generators)
-    if not generators:
-        raise QappolyError("span membership needs at least one generator")
-    space, rows = _vertex_rows(generators)
-    basis = ModularSpanBasis(_VertexSet(space, rows), hull_equations(space.n))
-    if isinstance(target, np.ndarray):
-        vec = target
-    else:
-        tp = _as_permutation(target)
-        if tp.n != space.n:
-            raise DimensionMismatchError("target and generators have mixed sizes")
-        vec = space.rows(space.index_of([tp.image]))[0]
-    return SpanReport(member=basis.contains(vec), generator_count=len(generators),
-                      certificate=basis.certificate)
-
-
 def _class_rows(space: VertexSpace, pattern: MatchPattern) -> dict[int, np.ndarray]:
     """Vertex rows of each S_k, k = 0..m, in enumeration order."""
     if any(not 1 <= v <= space.n for pair in pattern.pairs for v in pair):
         raise QappolyError(f"pattern pairs {pattern.pairs} must lie in [1, {space.n}]")
     counts = space.match_counts(pattern)
     return {k: np.flatnonzero(counts == k) for k in range(pattern.m + 1)}
-
-
-def s_k_sets(n: int, pattern: MatchPattern) -> dict[int, list[Permutation]]:
-    """Partition of all permutations by pattern match count."""
-    space = vertex_space(n)
-    return {k: [space.perms[v] for v in rows]
-            for k, rows in _class_rows(space, pattern).items()}
 
 
 @dataclass

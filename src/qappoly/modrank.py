@@ -46,10 +46,7 @@ import numpy as np
 from .errors import QappolyError
 
 # Verified primes just below 2**31 (all > 2**30).
-PRIME_POOL = (
-    2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
-    2147483549, 2147483543, 2147483497, 2147483489, 2147483477,
-)
+PRIME_POOL = (2147483647, 2147483629, 2147483587)
 DEFAULT_PRIME_COUNT = 3
 # Rows per block of the elimination's matrix products; float64 products
 # are exact while every partial sum is an integer below 2**53.

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ProtocolInputError
+from .errors import InvalidParameterError, ProtocolInputError
 from .inequalities import (
     LinearForm,
     Qap1Params,
@@ -326,7 +326,7 @@ def _in_family(params) -> bool:
     try:
         params.validate()
         return True
-    except Exception:
+    except InvalidParameterError:
         return False
 
 

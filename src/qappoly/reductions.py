@@ -40,14 +40,14 @@ compiles to one block per distinct layout: the int16 triangle positions
 of its kept rows, the shared int64 templates, and each row's base id,
 increasing (int32, or int64 where the family's ids pass 2**31 - 1).  A
 query is a gather and a small integer product, ``y[positions] @
-templates.T``, CHUNK_FORMS rows at a time; the first hit in row-major
-order is the least violated id of those rows.  The base ids are cut into
-stripes of BLOCK_FORMS, and only the stripes that hold a kept base id are
-swept.  The sweep checks every block's rows of one stripe before the
-next, each block only below the least violated id found so far, and
-stops at the first stripe with a hit.  That least id is the witness, and
-``forms_checked`` counts the family's forms up to the end of its stripe,
-as a sweep over every form would.
+templates.T``, CHUNK_FORMS rows at a time.  A block's base ids increase,
+so its first hit in row-major order is its least violated id, and the
+sweep passes over each block once, up to that hit.  Blocks come in
+increasing first base id, so the sweep stops at a block that starts past
+the least hit so far.  The least of the blocks' first hits is the
+witness, and ``forms_checked`` counts the family's forms up to the end of
+the witness's window of BLOCK_FORMS ids, as a sweep over every form in
+windows of that size would.
 
 The products run in int64, so a query first checks that no lhs (max |y|
 times the largest sum of |coefficients| of a template) and no scaled rhs
@@ -180,9 +180,9 @@ def build_point_qap4(graph: Graph, t: int) -> YPoint:
 # compiled membership sweeps
 
 
-# Form ids per early-exit stripe.  A sweep checks every block's rows of one
-# stripe before the next, so the witness, the least violated id of the
-# first stripe with a hit, is the family's first violated form.
+# Form ids per window of the reported ``forms_checked``: a violated point
+# counts the family's forms up to the end of its witness's window.  The
+# sweep itself passes over each compiled block once.
 BLOCK_FORMS = 50_000
 
 # Most position entries one compiled sweep may store, each row's once for
@@ -214,10 +214,6 @@ class TemplateBlock:
 @dataclass(frozen=True)
 class CompiledFamily:
     blocks: tuple[TemplateBlock, ...]
-    # each stripe covers form ids [s*BLOCK_FORMS, (s+1)*BLOCK_FORMS) for one
-    # s, in increasing s, and holds per block the (start, stop) of its rows
-    # with those ids; stripes that hold no compiled form are left out
-    stripes: tuple[tuple[tuple[int, int], ...], ...]
     forms: int   # the whole family's, kept or not
     weight: int  # largest |lhs| per unit of max |y|: the largest sum of |template|
     rhs_bound: int   # the largest |rhs|
@@ -273,8 +269,7 @@ def compiled_blocks(family: str, n: int, classes: tuple = ()) -> CompiledFamily:
     """The family's forms at size n that are least in their orbit under
     the column classes ``classes`` (``Segment.orbit_minima``; every form when
     there are none), one TemplateBlock per distinct (templates, rhs) run
-    shape, in order of first appearance, and the row slices of each
-    BLOCK_FORMS stripe of base ids.
+    shape, in order of first appearance.
 
     The rows come straight from the family's runs (``family_segments``),
     CHUNK_FORMS rows at a time, each row's positions stored once for its T
@@ -327,20 +322,8 @@ def compiled_blocks(family: str, n: int, classes: tuple = ()) -> CompiledFamily:
                    for (templates, rhs), pos, base_ids in zip(keys, positions, ids))
     log.debug("%s at n=%d under column classes %s: %d of %d forms kept",
               family, n, classes, sum(count * len(run.rhs) for run, _, count in kept), forms)
-    # the stripes that hold a kept base id: jump from an id past its stripe
-    firsts = set()
-    for block in blocks:
-        at = 0
-        while at < block.ids.size:
-            first = int(block.ids[at]) // BLOCK_FORMS * BLOCK_FORMS
-            firsts.add(first)
-            at = int(np.searchsorted(block.ids, first + BLOCK_FORMS))
-    stripes = tuple(tuple((int(np.searchsorted(block.ids, first)),
-                           int(np.searchsorted(block.ids, first + BLOCK_FORMS)))
-                          for block in blocks)
-                    for first in sorted(firsts))
     return CompiledFamily(
-        blocks=blocks, stripes=stripes, forms=forms,
+        blocks=blocks, forms=forms,
         weight=max((sum(map(abs, t)) for templates, _ in keys for t in templates), default=0),
         rhs_bound=max((abs(r) for _, rhs in keys for r in rhs), default=0))
 
@@ -358,14 +341,13 @@ class MembershipVerdict:
         return self.member
 
 
-def _first_violated(block: TemplateBlock, start: int, stop: int,
-                    yvec: np.ndarray, thresholds: np.ndarray) -> int | None:
-    """The least form id among the forms of the block's rows start..stop-1
-    whose lhs at yvec exceeds its template's threshold, or None.  A row's
-    ids follow its templates, and rows follow their base ids, so that is
-    the first hit in row-major order."""
-    for lo in range(start, stop, CHUNK_FORMS):
-        rows = block.positions[lo:min(lo + CHUNK_FORMS, stop)]
+def _first_violated(block: TemplateBlock, yvec: np.ndarray,
+                    thresholds: np.ndarray) -> int | None:
+    """The least form id of the block whose lhs at yvec exceeds its
+    template's threshold, or None.  A row's ids follow its templates, and
+    rows follow their base ids, so that is the first hit in row-major order."""
+    for lo in range(0, block.ids.size, CHUNK_FORMS):
+        rows = block.positions[lo:lo + CHUNK_FORMS]
         hits = np.flatnonzero(yvec[rows.astype(np.intp)] @ block.templates.T > thresholds)
         if hits.size:
             row, template = divmod(int(hits[0]), len(block.rhs))
@@ -374,20 +356,17 @@ def _first_violated(block: TemplateBlock, start: int, stop: int,
 
 
 def _least_violated(compiled: CompiledFamily, yvec: np.ndarray, denom: int) -> int | None:
-    """The least violated form id of the compiled forms, stripe by stripe:
-    the first stripe with a hit holds it."""
-    for slices in compiled.stripes:
-        idx = None
-        for block, (start, stop) in zip(compiled.blocks, slices):
-            if idx is not None:  # only rows based below the best hit so far matter;
-                # a row's ids are consecutive, so all of them lie below it
-                stop = start + int(np.searchsorted(block.ids[start:stop], idx))
-            hit = _first_violated(block, start, stop, yvec, denom * block.rhs)
-            if hit is not None:
-                idx = hit
-        if idx is not None:
-            return idx
-    return None
+    """The least violated form id of the compiled forms: the least of each
+    block's first hit.  Blocks come in increasing first base id, so none
+    after one that starts past the least hit so far can hold a lesser one."""
+    least = None
+    for block in compiled.blocks:
+        if least is not None and block.ids[0] > least:
+            break
+        hit = _first_violated(block, yvec, denom * block.rhs)
+        if hit is not None and (least is None or hit < least):
+            least = hit
+    return least
 
 
 def brute_force_membership(point: YPoint, family: str,
@@ -401,8 +380,9 @@ def brute_force_membership(point: YPoint, family: str,
     QappolyError.  The violated forms are a union of orbits, so the least
     violated orbit minimum is the first violated form in enumeration order;
     it is rematerialized as the witness and re-confirmed by the generic
-    evaluator.  ``forms_checked`` counts the forms up to the end of the
-    witness's BLOCK_FORMS stripe, or the whole family for a member.
+    evaluator.  Each compiled block is swept once, up to its first hit.
+    ``forms_checked`` counts the forms up to the end of the witness's
+    window of BLOCK_FORMS ids, or the whole family for a member.
     """
     if family not in MEMBERSHIP_FAMILIES:
         raise InvalidParameterError(

@@ -154,6 +154,7 @@ def test_lemma_patterns_without_the_sampled_class_are_usage_failures(argv, tmp_p
     ["protocol", "n0", "--a", "1111", "--b", "1111", "--samples", "-5"],
     ["verify-slack", "--family", "qap1", "--n", "6", "--limit", "-1"],
     ["verify-lemmas", "--which", "s3ss0", "--n", "5", "--samples", "-3"],
+    ["protocol", "n0", "--a", "1111", "--b", "1111", "--samples", "10", "--seed", "-1"],
 ])
 def test_negative_counts_are_usage_failures(argv, tmp_path):
     out = tmp_path / "report.json"
@@ -216,11 +217,13 @@ def test_options_the_family_does_not_read_are_usage_failures(argv, unread, trian
      "--coeffs takes 'i,j:v;i,j:v', got '1,1'"),
     (["verify-facet", "--family", "qap5", "--n", "5", "--beta", "0", "--coeffs", "1:2"],
      "--coeffs takes 'i,j:v;i,j:v', got '1:2'"),
+    (["verify-facet", "--family", "qap5", "--n", "5", "--beta", "0", "--coeffs",
+      "1,1:1;1,1:2"], "--coeffs gives cell 1,1 more than once"),
     (["reduce", "--family", "qap1", "--graph", "MISSING", "--t", "2"], "MISSING"),
     (["clique-oracle", "--family", "qap2", "--graph", "TRIANGLE7", "--config", "MISSING"],
      "MISSING"),
 ], ids=["qap1-sets", "qap2-beta", "qap5-beta", "P", "coeffs-value", "coeffs-pair",
-        "graph-file", "config-file"])
+        "coeffs-repeat", "graph-file", "config-file"])
 def test_malformed_and_missing_inputs_are_usage_failures(argv, error, triangle7, tmp_path):
     out, missing = tmp_path / "report.json", str(tmp_path / "missing.txt")
     argv = [{"TRIANGLE7": str(triangle7), "MISSING": missing}.get(arg, arg) for arg in argv]

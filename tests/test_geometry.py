@@ -14,16 +14,17 @@ from qappoly.geometry import (
     check_identity1,
     check_identity2,
     check_s0_connectivity,
-    check_span_membership,
     classify_vertex,
+    hull_equations,
     make_identity1_family,
     make_identity2_chain,
-    s_k_sets,
+    vertex_space,
 )
 from qappoly.inequalities import Qap2Params, build_qap2
 from qappoly.modrank import (
     DEFAULT_PRIME_COUNT,
     PRIME_POOL,
+    ModularSpanBasis,
     _echelonize_mod_p,
     rank_consensus,
     rank_mod_p,
@@ -44,10 +45,10 @@ def test_classify_identity_pattern():
 
 def test_classification_partitions_everything():
     pattern = MatchPattern.diagonal(6)
-    sets = s_k_sets(6, pattern)
-    assert sum(len(v) for v in sets.values()) == 720
+    counts = vertex_space(6).match_counts(pattern)
+    assert counts.size == 720
     # fixed-point census: C(6,k) * derangements(6-k)
-    assert [len(sets[k]) for k in range(7)] == [265, 264, 135, 40, 15, 0, 1]
+    assert np.bincount(counts, minlength=7).tolist() == [265, 264, 135, 40, 15, 0, 1]
 
 
 def test_vertex_shapes_exhaustive_n6_n7():
@@ -329,25 +330,29 @@ def test_szeroins_draws_the_targets_of_the_per_swap_listing(monkeypatch):
 # span membership
 
 
-def test_span_membership_of_generator(monkeypatch):
-    from qappoly import modrank
+def vertex_span(generators):
+    """The span basis of the permutations' vertices, from the hull
+    equations, and the space they lie in."""
+    from qappoly.geometry import _VertexSet
 
+    space = vertex_space(generators[0].n)
+    idx = space.index_of([sigma.image for sigma in generators])
+    return ModularSpanBasis(_VertexSet(space, idx), hull_equations(space.n)), space
+
+
+def test_span_membership_of_generator():
     gens = [Permutation.identity(5), Permutation((2, 1, 3, 4, 5)),
             Permutation((1, 3, 2, 4, 5))]
-    report = check_span_membership(gens[1], gens)
-    assert report.member
-    assert report.certificate.kind == "lifted kernel"
-    assert report.certificate.equation_rank == report.certificate.columns - 3
-    # with no lift, there is no verdict
-    monkeypatch.setattr(modrank, "lifted_kernel", lambda points, known: None)
-    with pytest.raises(QappolyError, match="unproven"):
-        check_span_membership(gens[1], gens)
+    basis, space = vertex_span(gens)
+    assert basis.contains(space.rows(space.index_of([gens[1].image]))[0])
+    assert basis.certificate.kind == "lifted kernel"
+    assert basis.certificate.equation_rank == basis.certificate.columns - 3
 
 
 def test_span_membership_negative():
-    gens = [Permutation.identity(5)]
+    basis, space = vertex_span([Permutation.identity(5)])
     target = Permutation((2, 1, 3, 4, 5))
-    assert not check_span_membership(target, gens).member
+    assert not basis.contains(space.rows(space.index_of([target.image]))[0])
 
 
 def test_equality_set_requires_qap4():
@@ -365,13 +370,11 @@ def test_szeroins_with_a_one_pair_pattern_has_no_s2_generators():
     assert report.samples == 3
 
 
-def test_s_k_sets_with_a_non_diagonal_pattern_match_classify_vertex():
+def test_match_counts_with_a_non_diagonal_pattern_match_classify_vertex():
     pattern = MatchPattern(((1, 3), (2, 5), (4, 1), (6, 6)))
-    sets = s_k_sets(6, pattern)
-    expected = {k: [] for k in range(pattern.m + 1)}
-    for p in enumerate_permutations(6):
-        expected[classify_vertex(p, pattern)].append(p)
-    assert sets == expected
+    expected = [classify_vertex(p, pattern) for p in enumerate_permutations(6)]
+    assert vertex_space(6).match_counts(pattern).tolist() == expected
+    assert set(expected) == set(range(pattern.m + 1))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -591,8 +594,7 @@ def test_hull_equations_that_fail_on_a_vertex_refuse_every_claim(monkeypatch):
         with pytest.raises(QappolyError, match=failing):
             geometry.verify_facet(form, 4)
         with pytest.raises(QappolyError, match=failing):
-            check_span_membership(Permutation.identity(4), [
-                Permutation.identity(4), Permutation((2, 1, 3, 4)), Permutation((1, 2, 4, 3))])
+            geometry.verify_skasnxt4(4, samples=1)
         geometry.polytope_affine_dim.cache_clear()
         with pytest.raises(QappolyError, match=failing):
             geometry.polytope_affine_dim(4)

@@ -308,8 +308,14 @@ def test_blocked_elimination_matches_the_unblocked_loop(case, p):
         assert rank == rank_exact_rational(matrix)
 
 
+# The pool's primes and the next seven below them: the split product is
+# exact for any modulus below 2**31, checked here at ten of the largest.
+LARGE_PRIMES = PRIME_POOL + (2147483579, 2147483563, 2147483549, 2147483543,
+                             2147483497, 2147483489, 2147483477)
+
+
 @pytest.mark.parametrize("k", [1, modrank.PANEL])
-@pytest.mark.parametrize("p", PRIME_POOL)
+@pytest.mark.parametrize("p", LARGE_PRIMES)
 def test_split_residue_matmul_is_exact_at_the_largest_residues(p, k):
     # p - 1 everywhere, and odd residues, whose products are odd: a sum past
     # 2**53 would lose their last bit (a split at 17 bits does)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qappoly.errors import ProtocolInputError
+from qappoly.inequalities import Qap2Params
 from qappoly.protocols import (
     HardMatrixSpec,
     as_bits,
@@ -163,6 +164,15 @@ def test_slack_qap2_spec_example():
     assert res.mode == "protocol" and res.slack == 0 and res.ok
     assert res.in_family is False  # |P| = 2 sits below the facet conditions
     assert res.setup_bits == 0
+
+
+def test_a_fault_inside_validate_is_not_read_as_out_of_family(monkeypatch):
+    def broken(params):
+        raise RuntimeError("validate broke")
+
+    monkeypatch.setattr(Qap2Params, "validate", broken)
+    with pytest.raises(RuntimeError, match="validate broke"):
+        slack_protocol("qap2", "1100", "1100")
 
 
 def test_slack_qap3_displaces_p2_row():

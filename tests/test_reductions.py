@@ -377,11 +377,9 @@ def assert_compiled_as_built(block, row, template, form):
 
 
 @pytest.mark.parametrize("family,n", [("qap1", 6), ("qap2", 7), ("qap3", 7), ("qap4", 7)])
-def test_compile_and_unranking_follow_the_oracle_order(family, n, monkeypatch):
+def test_compile_and_unranking_follow_the_oracle_order(family, n):
     oracle = list(ORACLE[family](n))
     forms = [BUILDERS[family](params) for params in oracle]
-    # small stripes, so that blocks straddle stripes
-    monkeypatch.setattr(reductions, "BLOCK_FORMS", 1000)
     compiled_blocks.cache_clear()
     try:
         compiled = compiled_blocks(family, n)
@@ -404,12 +402,6 @@ def test_compile_and_unranking_follow_the_oracle_order(family, n, monkeypatch):
     assert sorted(at) == list(range(len(forms)))
     for form_id, form in enumerate(forms):
         assert_compiled_as_built(*at[form_id], form)
-    # stripe s holds exactly the rows with base ids in [1000 s, 1000 (s + 1))
-    assert len(compiled.stripes) == math.ceil(len(forms) / 1000)
-    for stripe, slices in enumerate(compiled.stripes):
-        for block, (start, stop) in zip(compiled.blocks, slices):
-            inside = (block.ids >= 1000 * stripe) & (block.ids < 1000 * (stripe + 1))
-            assert np.flatnonzero(inside).tolist() == list(range(start, stop))
     for index, params in enumerate(oracle):
         assert family_form_at(n, family, index).params == params
     with pytest.raises(InvalidParameterError, match="no form"):
@@ -419,8 +411,8 @@ def test_compile_and_unranking_follow_the_oracle_order(family, n, monkeypatch):
 def test_witness_is_the_least_id_across_blocks():
     # at (k, l) = (1, 1) the diagonal 3 outweighs any three of the four
     # compatible cross entries, so the first violated form is an m = 4 form
-    # (ids 600..1199), while the m = 3 block's first hit comes later, from
-    # the cross entry at (k, l) = (1, 2): both hits share the one stripe
+    # (ids 600..1199), while the m = 3 block, swept first, hits later, from
+    # the cross entry at (k, l) = (1, 2)
     n = 6
     special = flat_index(n, 1, 1)
     values = {(special, special): Fraction(3)}
@@ -434,12 +426,30 @@ def test_witness_is_the_least_id_across_blocks():
                     if len(family_form_at(n, "qap1", index).params.i_set) == 3)
     compiled_blocks.cache_clear()
     compiled = compiled_blocks("qap1", n)
-    assert len(compiled.stripes) == 1 and compiled.blocks[0].templates.shape == (1, 7)  # m = 3
+    assert compiled.blocks[0].templates.shape == (1, 7)  # m = 3
     block_of = {int(form_id): number for number, block in enumerate(compiled.blocks)
                 for form_id in block.ids}
     assert violated[0] < first_m3 and block_of[violated[0]] > block_of[first_m3] == 0
     verdict = brute_force_membership(point, "qap1")
     assert verdict.witness_index == violated[0] and verdict.forms_checked == 47520
+
+
+@pytest.mark.parametrize("family", ["qap1", "qap2", "qap3", "qap4"])
+def test_the_least_violated_id_is_the_least_first_hit_of_every_block(family):
+    # the sweep stops at a block that starts past its least hit; every
+    # block swept whole gives the same least id
+    n = 7
+    compiled_blocks.cache_clear()
+    try:
+        for point in seeded_points(family, n, random.Random(3)):
+            yvec, denom = point.to_scaled_vector()
+            compiled = compiled_blocks(family, n, column_classes(point))
+            hits = [reductions._first_violated(block, yvec, denom * block.rhs)
+                    for block in compiled.blocks]
+            assert reductions._least_violated(compiled, yvec, denom) == min(
+                (hit for hit in hits if hit is not None), default=None)
+    finally:
+        compiled_blocks.cache_clear()
 
 
 def test_compiled_qap4_n8_holds_two_bytes_per_entry():
@@ -509,7 +519,7 @@ def test_qap3_at_n8_rows_with_several_betas_follow_the_oracle():
 
 @pytest.mark.parametrize("rows,block_forms,witness", [
     ((1, 2), 50_000, 1),   # the family's first row: beta = -1 holds, beta = 0 not
-    ((7, 8), 97, 97),      # a stripe boundary between the row's two forms
+    ((7, 8), 97, 97),      # a window boundary between the row's two forms
 ])
 def test_a_witness_can_follow_a_form_of_its_row_that_holds(rows, block_forms, witness,
                                                            monkeypatch):
@@ -765,7 +775,7 @@ def test_form_ids_past_int32_are_compiled_and_swept_exactly():
                 run.start -= offset
     finally:
         compiled_blocks.cache_clear()
-    assert len(shifted.blocks) == len(plain.blocks) and len(shifted.stripes) == len(plain.stripes)
+    assert len(shifted.blocks) == len(plain.blocks)
     for before, after in zip(plain.blocks, shifted.blocks):
         assert (before.ids.dtype, after.ids.dtype) == (np.int32, np.int64)
         assert np.array_equal(after.ids, before.ids.astype(np.int64) + offset)
@@ -808,7 +818,7 @@ def _verdicts(points, family):
 @pytest.mark.parametrize("family", ["qap1", "qap2", "qap3", "qap4"])
 def test_the_orbit_sweep_matches_the_whole_family(family, n, monkeypatch):
     points = list(seeded_points(family, n, random.Random(10 * n)))
-    # small stripes, so that witnesses lie past the first stripe
+    # small windows, so that witnesses lie past the first window
     monkeypatch.setattr(reductions, "BLOCK_FORMS", 1000)
     compiled_blocks.cache_clear()
     try:
