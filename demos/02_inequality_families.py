@@ -21,6 +21,7 @@ from qappoly import (
     enumerate_family,
     evaluate,
     vertex_from_permutation,
+    vertex_space,
 )
 from qappoly.inequalities import slack_table_csv
 
@@ -31,8 +32,10 @@ identity = vertex_from_permutation(Permutation.identity(6))
 res = evaluate(form, identity)
 print("qap1 at the identity vertex:")
 print(f"  lhs = {res.lhs} <= {res.rhs}  (satisfied: {res.satisfied})")
-print(f"  slack = {res.slack}, closed form gives "
-      f"{closed_form_slack('qap1', params, Permutation.identity(6))}")
+# the closed form runs on a batch of vertices, one per column of the match
+# matrix; the identity is vertex 0, the first column
+(closed,) = closed_form_slack("qap1", params, vertex_space(6).zt[:, :1])
+print(f"  slack = {res.slack}, closed form gives {closed}")
 
 # --- qap2: a P x Q block with threshold beta; rhs carries the only
 # half-integer, so forms are stored cleared by 2
@@ -59,7 +62,6 @@ for family, n in (("qap1", 6), ("qap2", 7), ("qap3", 7), ("qap4", 7)):
 
 # --- slack tables: the external CSV format
 forms = [form]
-perms = [Permutation.identity(6), Permutation((2, 1, 3, 4, 5, 6)),
-         Permutation((2, 3, 1, 5, 6, 4))]
+images = [(1, 2, 3, 4, 5, 6), (2, 1, 3, 4, 5, 6), (2, 3, 1, 5, 6, 4)]
 print("\nslack table sample:")
-print(slack_table_csv("qap1", forms, perms))
+print(slack_table_csv("qap1", forms, images))

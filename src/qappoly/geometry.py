@@ -33,13 +33,19 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidPermutationError, QappolyError
 from .indexing import EntryKey, Pair, flat_index, pair_from_flat, triangle_dimension
-from .inequalities import LinearForm, Qap4Params, entries_on_match_rows, permutation_table
+from .inequalities import (
+    LinearForm,
+    Qap4Params,
+    entries_on_match_rows,
+    match_matrix,
+    permutation_table,
+)
 from .modrank import (
     PRIME_POOL,
     ModularSpanBasis,
@@ -133,10 +139,6 @@ class VertexSpace:
     images: np.ndarray   # (n!, n) int8 one-line images, one vertex per row
     zt: np.ndarray       # (n*n, n!) int8 match indicators, one vertex per column
 
-    @cached_property
-    def perms(self) -> list[Permutation]:
-        return [Permutation(tuple(image)) for image in self.images.tolist()]
-
     def index_of(self, images) -> np.ndarray:
         """Vertex index of each one-line image: its lexicographic rank, the
         Lehmer code sum_i c_i (n-1-i)!, c_i the later entries below entry i."""
@@ -181,8 +183,7 @@ def vertex_space(n: int) -> VertexSpace:
         raise InvalidPermutationError(f"n must be positive, got {n}")
     require_enumerable(n, DEFAULT_ENUMERATION_CAP)
     images = permutation_table(n, n) + 1
-    cells = images.T[:, None] == np.arange(1, n + 1, dtype=np.int8)[:, None]
-    return VertexSpace(n=n, images=images, zt=cells.reshape(n * n, len(images)).view(np.int8))
+    return VertexSpace(n=n, images=images, zt=match_matrix(images))
 
 
 def _as_permutation(v) -> Permutation:

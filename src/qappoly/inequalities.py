@@ -20,11 +20,12 @@ Family quick reference (true, unscaled versions):
          (the most general family; qap1-qap4 are special cases)
 
 The closed-form slack of each family at a vertex is a polynomial in the
-number of matched index pairs; ``slack_from_counts`` holds those formulas,
-with the convention binom2(x) = x(x-1)/2 for any integer x, and runs them on
-the counts of one vertex or of a whole batch.  Batch counts and slacks,
-like every sparse form on all vertices, are read from the 0/1 match matrix
-``zt`` by ``entries_on_match_rows`` alone.
+number of matched index pairs; ``slack_counts`` holds each family's count
+cells and ``slack_from_counts`` those formulas, with the convention
+binom2(x) = x(x-1)/2 for any integer x.  ``closed_form_slack`` runs them on
+a batch of vertices at once: the counts, like every sparse form on all
+vertices, are read from the 0/1 match matrix ``zt`` by
+``entries_on_match_rows`` alone.
 
 The enumeration order of qap1-qap4 is written once, by ``family_segments``,
 as runs of forms whose index sets have fixed sizes, and their forms once,
@@ -59,7 +60,7 @@ from .indexing import (
     triangle_entries,
     triangle_position,
 )
-from .perms import DEFAULT_ENUMERATION_CAP, Permutation, QapVertex, require_enumerable
+from .perms import DEFAULT_ENUMERATION_CAP, QapVertex, require_enumerable
 
 log = logging.getLogger(__name__)
 
@@ -235,6 +236,15 @@ class LinearForm:
             "scale": self.scale,
             "n": n,
         }, sort_keys=True)
+
+
+def match_matrix(images) -> np.ndarray:
+    """The int8 0/1 match matrix ``zt`` of one-line images, one vertex per
+    column: row flat_index(n, i, j) - 1 holds 1 where the image sends i to j."""
+    images = np.asarray(images, dtype=np.int8)
+    n = images.shape[1]
+    cells = images.T[:, None] == np.arange(1, n + 1, dtype=np.int8)[:, None]
+    return cells.reshape(n * n, len(images)).view(np.int8)
 
 
 def entries_on_match_rows(zt: np.ndarray, entries) -> np.ndarray:
@@ -539,28 +549,18 @@ BUILDERS = {
 # closed-form slacks
 
 
-def match_statistics(family: str, params, sigma: Permutation) -> dict[str, int]:
-    """The matched-pair counts the closed slack formulas run on."""
-    image = sigma.image  # image[i - 1] == sigma(i), read directly: this runs per vertex
-    if family in ("qap1", "qap4"):
-        q = sum(image[i - 1] == j for i, j in zip(params.i_set, params.j_set))
-        if family == "qap4":
-            return {"q": q}
-        return {"q": q, "pkl": int(image[params.k - 1] == params.l)}
-    if family == "qap2":
-        return {"q": sum(image[i - 1] in params.q_set for i in params.p_set)}
-    if family == "qap3":
-        return {"q1": sum(image[i - 1] in params.q_set for i in params.p1_set),
-                "q2": sum(image[i - 1] in params.q_set for i in params.p2_set)}
-    if family == "qap5":
-        coeffs = params.coeff_map()
-        return {"s": sum(coeffs.get((i, j), 0) for i, j in enumerate(image, start=1))}
-    raise InvalidParameterError(f"unknown family {family!r}")
+def slack_counts(family: str, params, zt: np.ndarray) -> dict[str, np.ndarray]:
+    """The matched-pair counts the closed slack formulas run on, as int64
+    vectors over the vertices (columns) of the 0/1 match matrix ``zt``: each
+    count sums a weight over the family's cells (i, j) that a vertex
+    matches, sigma(i) = j.
 
-
-def closed_form_slack_on_match_rows(family: str, params, zt: np.ndarray) -> np.ndarray:
-    """closed_form_slack over a whole batch of vertices at once, from int64
-    counts read off the 0/1 match matrix.  Returns unscaled int64 slacks."""
+    The one place each family's count cells are written.  A count is at most
+    the sum of its |weights|, and each slack polynomial sums at most four
+    products of two factors, a count or beta plus at most one each; where
+    that bound passes INT64_MAX, and int64 slacks could wrap, the counts
+    are refused.
+    """
     if family in ("qap1", "qap4"):
         cells = {"q": dict.fromkeys(zip(params.i_set, params.j_set), 1)}
         if family == "qap1":
@@ -574,16 +574,20 @@ def closed_form_slack_on_match_rows(family: str, params, zt: np.ndarray) -> np.n
         cells = {"s": params.coeff_map()}
     else:
         raise InvalidParameterError(f"unknown family {family!r}")
-    return slack_from_counts(family, params, {name: entries_on_match_rows(
+    reach = 1 + abs(getattr(params, "beta", 0)) + max(
+        sum(map(abs, weights.values())) for weights in cells.values())
+    if 4 * reach * reach > INT64_MAX:
+        raise QappolyError(f"a closed-form slack could pass {INT64_MAX}")
+    return {name: entries_on_match_rows(
         zt, [(flat_index(params.n, i, j),) * 2 + (v,) for (i, j), v in weights.items()]
-    ).astype(np.int64) for name, weights in cells.items()})
+    ).astype(np.int64) for name, weights in cells.items()}
 
 
 def slack_from_counts(family: str, params, counts: dict):
     """True (unscaled) slack from the matched-pair counts.
 
     The one place each family's slack polynomial is written; the arithmetic
-    is the same on int counts and on int64 count vectors.
+    runs elementwise on the count vectors of ``slack_counts``.
     """
     if family == "qap1":
         return binom2(counts["q"] - counts["pkl"])
@@ -600,12 +604,13 @@ def slack_from_counts(family: str, params, counts: dict):
     raise InvalidParameterError(f"unknown family {family!r}")
 
 
-def closed_form_slack(family: str, params, sigma: Permutation, check: bool = True):
-    """True (unscaled) slack of the family's form at a vertex, from the
-    closed formulas in terms of matched-pair counts."""
+def closed_form_slack(family: str, params, zt: np.ndarray, check: bool = True) -> np.ndarray:
+    """True (unscaled) int64 slack of the family's form at every vertex
+    (column) of the 0/1 match matrix ``zt``, from the closed formulas in
+    terms of matched-pair counts."""
     if check:
         params.validate()
-    return slack_from_counts(family, params, match_statistics(family, params, sigma))
+    return slack_from_counts(family, params, slack_counts(family, params, zt))
 
 
 # ---------------------------------------------------------------------------
@@ -1063,15 +1068,21 @@ def enumerate_family(n: int, family: str, bounds: Qap5Bounds | None = None,
             yield from run.forms(np.arange(lo, min(lo + CHUNK_FORMS, run.row_count)))
 
 
-def slack_table_csv(family: str, forms, perms) -> str:
-    """CSV slack table with columns (form-id, sigma, q-stats, slack)."""
+def slack_table_csv(family: str, forms, images) -> str:
+    """CSV slack table with columns (form-id, sigma, q-stats, slack): one
+    line per form and vertex, the vertices given by their one-line images
+    and their counts read over the images' match matrix."""
+    images = np.asarray(images, dtype=np.int8)
+    zt = match_matrix(images)
+    sigmas = [" ".join(map(str, image)) for image in images.tolist()]
     lines = ["form_id,sigma,q_stats,slack"]
     for form_id, form in enumerate(forms):
-        for sigma in perms:
-            stats = match_statistics(family, form.params, sigma)
-            stat_text = ";".join(f"{k}={v}" for k, v in stats.items())
-            slack = slack_from_counts(family, form.params, stats)
-            lines.append(f"{form_id},{sigma.one_line()},{stat_text},{slack}")
+        counts = slack_counts(family, form.params, zt)
+        slacks = slack_from_counts(family, form.params, counts).tolist()
+        stats = zip(*([f"{name}={v}" for v in vector.tolist()]
+                      for name, vector in counts.items()))
+        for sigma, stat, slack in zip(sigmas, stats, slacks):
+            lines.append(f"{form_id},{sigma},{';'.join(stat)},{slack}")
     return "\n".join(lines) + "\n"
 
 

@@ -47,7 +47,6 @@ from .errors import QappolyError
 
 # Verified primes just below 2**31 (all > 2**30).
 PRIME_POOL = (2147483647, 2147483629, 2147483587)
-DEFAULT_PRIME_COUNT = 3
 # Rows per block of the elimination's matrix products; float64 products
 # are exact while every partial sum is an integer below 2**53.
 EQUATION_CHECK_ROWS = 1024
@@ -270,8 +269,8 @@ def _strip_zero_columns(matrix: np.ndarray) -> np.ndarray:
 def rank_consensus(matrix: np.ndarray, column_dimension: int | None = None) -> RankReport:
     """Rank of an integer matrix by modular consensus: a vote, not a proof.
 
-    If the default primes disagree the report is marked inconclusive (the
-    ranks are deterministic, so more primes could not settle a split).
+    If the primes of PRIME_POOL disagree the report is marked inconclusive
+    (the ranks are deterministic, so more primes could not settle a split).
     """
     rows, cols = matrix.shape
     report = RankReport(row_count=rows,
@@ -280,7 +279,7 @@ def rank_consensus(matrix: np.ndarray, column_dimension: int | None = None) -> R
         report.consensus_rank = 0
         return report
     work = _strip_zero_columns(matrix)
-    report.ranks = [(p, rank_mod_p(work, p)) for p in PRIME_POOL[:DEFAULT_PRIME_COUNT]]
+    report.ranks = [(p, rank_mod_p(work, p)) for p in PRIME_POOL]
     ranks = {rank for _, rank in report.ranks}
     if len(ranks) == 1:
         report.consensus_rank = ranks.pop()

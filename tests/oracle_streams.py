@@ -1,8 +1,13 @@
-"""The qap1-qap4 enumeration order written as plain nested loops.
+"""Independent statements of what the program computes in batches.
 
-The program defines that order once, as runs of index tables
+The qap1-qap4 enumeration order, written as plain nested loops: the program
+defines that order once, as runs of index tables
 (``inequalities.family_segments``); these generators are the independent
 statement of it that the tests compare against, form id by form id.
+
+The closed-form slack counts, read per vertex from its image: the program
+reads them for all vertices at once over the match matrix
+(``inequalities.slack_counts``).
 """
 
 import itertools
@@ -71,3 +76,23 @@ def qap4_params(n: int):
 
 ORACLE = {"qap1": qap1_params, "qap2": qap2_params, "qap3": qap3_params,
           "qap4": qap4_params}
+
+
+def slack_counts_at(family: str, params, image) -> dict[str, int]:
+    """The matched-pair counts of one vertex, read off its one-line image
+    (image[i - 1] == sigma(i)): the per-permutation statement of the count
+    cells that ``inequalities.slack_counts`` reads over the match matrix."""
+    if family in ("qap1", "qap4"):
+        q = sum(image[i - 1] == j for i, j in zip(params.i_set, params.j_set))
+        if family == "qap4":
+            return {"q": q}
+        return {"q": q, "pkl": int(image[params.k - 1] == params.l)}
+    if family == "qap2":
+        return {"q": sum(image[i - 1] in params.q_set for i in params.p_set)}
+    if family == "qap3":
+        return {"q1": sum(image[i - 1] in params.q_set for i in params.p1_set),
+                "q2": sum(image[i - 1] in params.q_set for i in params.p2_set)}
+    if family == "qap5":
+        coeffs = params.coeff_map()
+        return {"s": sum(coeffs.get((i, j), 0) for i, j in enumerate(image, start=1))}
+    raise ValueError(f"unknown family {family!r}")

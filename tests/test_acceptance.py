@@ -36,9 +36,9 @@ from qappoly.inequalities import (
     Qap4Params,
     build_qap4,
     closed_form_slack,
-    closed_form_slack_on_match_rows,
     enumerate_family,
     evaluate,
+    match_matrix,
 )
 from qappoly.perms import Permutation, vertex_from_permutation
 from qappoly.protocols import (
@@ -77,7 +77,7 @@ def family_sweep():
             for form in enumerate_family(n, family):
                 scaled = form.scaled_slack_on_match_rows(space.zt)
                 violations += int((scaled < 0).sum())
-                closed = closed_form_slack_on_match_rows(family, form.params, space.zt)
+                closed = closed_form_slack(family, form.params, space.zt, check=False)
                 mismatches += int((scaled != form.scale * closed).sum())
                 if forms % 50000 == 0:
                     sample_params.append(form)
@@ -115,11 +115,12 @@ def test_criterion_02_slack_formula_suite(family_sweep):
     for fam in MEMBERSHIP_FAMILIES:
         for form in family_sweep[(7, fam)]["samples"]:
             for _ in range(5):
-                sigma = space.perms[rng.randrange(len(space.perms))]
+                v = rng.randrange(len(space.images))
+                sigma = Permutation(tuple(space.images[v].tolist()))
                 res = evaluate(form, vertex_from_permutation(sigma))
-                assert res.slack == Fraction(
-                    form.scale * closed_form_slack(fam, form.params, sigma, check=False),
-                    form.scale)
+                (closed,) = closed_form_slack(fam, form.params, space.zt[:, [v]],
+                                              check=False)
+                assert res.slack == Fraction(form.scale * int(closed), form.scale)
                 spot += 1
     _line(2, mismatches == 0,
           f"evaluate-derived slack equals closed form on all {checked} forms "
@@ -268,7 +269,8 @@ def test_criterion_10_slack_protocol_exactness():
                 if res.mode == "protocol":
                     # dual route: direct evaluation vs the closed slack formula
                     ok &= res.slack == closed_form_slack(
-                        family, res.alice_params, res.bob_sigma, check=False)
+                        family, res.alice_params, match_matrix([res.bob_sigma.image]),
+                        check=False)[0]
                 runs += 1
     rng = random.Random(10)
     for family, length in (("qap1", 10), ("qap2", 6), ("qap3", 6), ("qap4", 12)):
@@ -280,7 +282,8 @@ def test_criterion_10_slack_protocol_exactness():
             if res.mode == "protocol":
                 # dual route: direct evaluation vs the closed slack formula
                 ok &= res.slack == closed_form_slack(
-                    family, res.alice_params, res.bob_sigma, check=False)
+                    family, res.alice_params, match_matrix([res.bob_sigma.image]),
+                    check=False)[0]
             runs += 1
     _line(10, ok, f"slack = N1/2 exactly on {runs} runs across the four "
                   "constructions (doubling convention verified)")

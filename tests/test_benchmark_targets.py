@@ -52,3 +52,20 @@ def test_a_traced_lemma_run_reaches_the_span_basis(tracing):
                    if name == "modrank.span_basis.contains")
     assert contains == 2
     assert not hasattr(cli.main, "__wrapped__")  # restored
+
+
+def test_a_traced_slack_run_checks_each_form_in_one_closed_form_call(tracing):
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        assert cli.main(["verify-slack", "--family", "qap1", "--n", "6",
+                         "--limit", "3"]) == 0
+    finally:
+        restore()
+    calls = {}
+    for (_, name), (count, _) in tracer.leaves.items():
+        calls[name] = calls.get(name, 0) + count
+    # one batched call over every vertex per form, none per vertex
+    assert calls["inequalities.closed_form_slack"] == 3
+    assert calls["inequalities.scaled_slack_on_match_rows"] == 3
+    assert not hasattr(cli.closed_form_slack, "__wrapped__")  # restored

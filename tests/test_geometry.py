@@ -22,7 +22,6 @@ from qappoly.geometry import (
 )
 from qappoly.inequalities import Qap2Params, build_qap2
 from qappoly.modrank import (
-    DEFAULT_PRIME_COUNT,
     PRIME_POOL,
     ModularSpanBasis,
     _echelonize_mod_p,
@@ -58,7 +57,7 @@ def test_vertex_shapes_exhaustive_n6_n7():
 
     for n in (6, 7):
         space = vertex_space(n)
-        rows = space.rows(range(len(space.perms)))
+        rows = space.rows(range(len(space.images)))
         assert (rows.sum(axis=1) == n + n * (n - 1) // 2).all()
         assert (space.zt.sum(axis=0) == n).all()
 
@@ -257,7 +256,6 @@ def test_a_vertex_index_is_the_lexicographic_rank_of_its_image(n):
     assert (space.index_of(space.images) == np.arange(math.factorial(n))).all()
     if n <= 6:
         assert space.images.tolist() == [list(p.image) for p in enumerate_permutations(n)]
-        assert space.perms == list(enumerate_permutations(n))
 
 
 @pytest.mark.parametrize("n", range(3, 8))
@@ -390,9 +388,9 @@ def test_vertex_rows_follow_the_support_coordinates(n):
                if f1 < f2 and all(a != b for a, b in
                                   zip(pair_from_flat(n, f1), pair_from_flat(n, f2)))]
     space = vertex_space(n)
-    rows = space.rows(range(len(space.perms)))
-    assert rows.dtype == "int8" and rows.shape == (len(space.perms), len(coords))
-    for v, perm in enumerate(space.perms):
+    rows = space.rows(range(len(space.images)))
+    assert rows.dtype == "int8" and rows.shape == (len(space.images), len(coords))
+    for v, perm in enumerate(enumerate_permutations(n)):
         entries = vertex_from_permutation(perm).entries
         assert [key for key, x in zip(coords, rows[v]) if x] == sorted(
             entries, key=coords.index)
@@ -458,7 +456,7 @@ def test_hull_equations_vanish_on_every_vertex(n):
     from qappoly.geometry import affine_hull_equations, vertex_space
 
     space = vertex_space(n)
-    rows = space.rows(range(len(space.perms)))
+    rows = space.rows(range(len(space.images)))
     for equation in affine_hull_equations(n).astype(np.int64):
         support = np.flatnonzero(equation)
         assert not (rows[:, support] @ equation[support]).any()
@@ -478,13 +476,13 @@ def test_proven_polytope_dim_matches_the_full_vertex_vote(n):
     from qappoly.geometry import polytope_affine_dim, vertex_space
 
     report = polytope_affine_dim(n)
-    assert report.consensus_rank == affine_dim(vertex_space(n).perms).consensus_rank
+    assert report.consensus_rank == affine_dim(enumerate_permutations(n)).consensus_rank
     assert report.certificate is not None
     assert report.certificate.bound == report.consensus_rank
     assert report.certificate.prime in report.primes or report.row_count == 0
     if n <= 4:
         # the seeded subset would outnumber the vertices: the whole set is it
-        assert report.certificate.subset_rows == len(vertex_space(n).perms)
+        assert report.certificate.subset_rows == len(vertex_space(n).images)
 
 
 def test_a_loose_equation_bound_is_met_by_lifted_extras(monkeypatch):
@@ -532,12 +530,12 @@ def test_the_vanishing_check_names_the_first_vertex_the_dense_product_misses():
         wrong = equations.copy()
         wrong[rng.randrange(len(wrong)), rng.randrange(n * n, wrong.shape[1])] += 1
         first = np.flatnonzero((rows @ wrong.T.astype(np.int64)).any(axis=1))[0]
-        sigma = space.perms[first].one_line()
+        sigma = space.one_line(first)
         with pytest.raises(QappolyError, match=f"does not vanish on sigma = {re.escape(sigma)}$"):
             _require_vanishing(space, wrong)
 
 
-def test_error_paths_name_a_vertex_without_the_permutation_table(monkeypatch):
+def test_error_paths_name_a_vertex_without_the_permutation_table():
     from qappoly.geometry import (
         VertexSpace,
         _require_vanishing,
@@ -549,9 +547,9 @@ def test_error_paths_name_a_vertex_without_the_permutation_table(monkeypatch):
     from qappoly.indexing import triangle_position
     from qappoly.inequalities import LinearForm, Qap4Params, build_qap4
 
-    # one Permutation per vertex is what formatting a single vertex must not build
-    monkeypatch.setattr(VertexSpace, "perms", property(
-        lambda self: pytest.fail("an error path built every Permutation")))
+    # the vertex space holds no Permutation per vertex: each error path
+    # formats the one vertex it names from its image
+    assert not hasattr(VertexSpace, "perms")
     wrong = affine_hull_equations(4).copy()
     wrong[0, 0] += 1   # now nonzero exactly where sigma(1) = 1
     with pytest.raises(QappolyError, match="does not vanish on sigma = 1 2 3 4$"):
@@ -850,7 +848,7 @@ class VoteOracle:
 
     def __init__(self, generators):
         self.bases = {}
-        for p in PRIME_POOL[:DEFAULT_PRIME_COUNT]:
+        for p in PRIME_POOL:
             _, pivots, rows = _echelonize_mod_p(generators, p)
             self.bases[p] = (pivots, rows.copy())
 
@@ -997,7 +995,7 @@ def test_tight_dims_at_n6_equal_the_voted_rank_of_the_whole_tight_set():
         report = verify_facet(form, 6)
         tight = np.flatnonzero(form.scaled_slack_on_match_rows(space.zt) == 0)
         if tight.size:
-            voted = affine_dim([space.perms[v] for v in tight])
+            voted = affine_dim([Permutation(tuple(space.images[v].tolist())) for v in tight])
             assert report.tight_dim == voted.consensus_rank
             verdicts[report.verdict] += 1
     assert verdicts["facet"] >= 1 and verdicts["not facet"] >= 3

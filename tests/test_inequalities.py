@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracle_streams import ORACLE
+from oracle_streams import ORACLE, slack_counts_at
 
 from qappoly.errors import (
     CapExceededError,
@@ -32,11 +32,15 @@ from qappoly.inequalities import (
     build_qap4,
     build_qap5,
     closed_form_slack,
-    closed_form_slack_on_match_rows,
     entries_on_match_rows,
     enumerate_family,
     evaluate,
     family_form_at,
+    family_segments,
+    match_matrix,
+    slack_counts,
+    slack_from_counts,
+    slack_table_csv,
 )
 from qappoly.perms import Permutation, enumerate_permutations, vertex_from_permutation
 
@@ -157,18 +161,19 @@ def test_qap5_degenerate_examples():
 
 def test_qap5_slack_identity_random():
     rng = random.Random(3)
-    perms = list(enumerate_permutations(5))
+    perms = list(enumerate_permutations(5))   # the vertex space's order
+    zt = vertex_space(5).zt
     for _ in range(30):
         coeffs = {(i, j): rng.randint(-2, 2) for i in range(1, 6) for j in range(1, 6)}
         beta = rng.randint(-2, 3)
         params = Qap5Params(n=5, beta=beta, coeffs=coeffs)
         form = build_qap5(params)
         lookup = params.coeff_map()
-        for sigma in perms:
+        closed = closed_form_slack("qap5", params, zt)
+        for v, sigma in enumerate(perms):
             s = sum(lookup.get((i, sigma(i)), 0) for i in range(1, 6))
             assert evaluate(form, vertex_from_permutation(sigma)).slack \
-                == (s - beta) * (s - beta + 1) \
-                == closed_form_slack("qap5", params, sigma)
+                == (s - beta) * (s - beta + 1) == closed[v]
 
 
 def test_qap2_qap3_match_qap5_at_vertices():
@@ -241,34 +246,83 @@ def test_evaluate_matches_dense_dot_product():
 # closed-form slacks
 
 
+def _closed_at(family, params, sigma):
+    """closed_form_slack at one vertex, over its one-column match matrix."""
+    (slack,) = closed_form_slack(family, params, match_matrix([sigma.image]))
+    return slack
+
+
 def test_closed_form_examples():
     q4 = Qap4Params(n=9, i_set=tuple(range(1, 8)), j_set=tuple(range(1, 8)))
-    assert closed_form_slack("qap4", q4, Permutation.identity(9)) == 15  # q=7 -> C(6,2)
+    assert _closed_at("qap4", q4, Permutation.identity(9)) == 15  # q=7 -> C(6,2)
 
     p2 = Qap2Params(n=8, p_set=(1, 2, 3), q_set=(1, 2, 3), beta=2)
     tight1 = Permutation((1, 4, 5, 2, 3, 6, 7, 8))   # q = 1 = beta - 1
     tight2 = Permutation((1, 2, 4, 3, 5, 6, 7, 8))   # q = 2 = beta
-    assert closed_form_slack("qap2", p2, tight1) == 0
-    assert closed_form_slack("qap2", p2, tight2) == 0
+    assert _closed_at("qap2", p2, tight1) == 0
+    assert _closed_at("qap2", p2, tight2) == 0
 
     p3 = Qap3Params(n=13, p1_set=(4, 5, 6), p2_set=(7,), q_set=(1, 2, 3), beta=2)
     sigma = Permutation((4, 5, 8, 1, 2, 9, 10, 3, 6, 7, 11, 12, 13))
     # q1 = 2 = beta with q2 = 0: slack 0
     assert sum(1 for i in p3.p1_set if sigma(i) in p3.q_set) == 2
     assert sum(1 for i in p3.p2_set if sigma(i) in p3.q_set) == 0
-    assert closed_form_slack("qap3", p3, sigma) == 0
+    assert _closed_at("qap3", p3, sigma) == 0
+
+
+def test_match_matrix_marks_the_cells_each_image_matches():
+    zt = match_matrix([(2, 3, 1)])
+    assert zt.dtype == np.int8 and zt.shape == (9, 1)
+    assert np.flatnonzero(zt[:, 0]).tolist() == [flat_index(3, i, j) - 1
+                                                 for i, j in ((1, 2), (2, 3), (3, 1))]
+
+
+def _sampled_forms(family, n, count, seed):
+    total = sum(run.count for run in family_segments(n, family))
+    return [family_form_at(n, family, index)
+            for index in sorted(random.Random(seed).sample(range(total), count))]
 
 
 def test_closed_form_vectorized_agrees_with_scalar():
-    space = vertex_space(5)
-    rng = random.Random(9)
-    p1 = Qap1Params(n=5, i_set=(1, 2, 3), j_set=(2, 3, 4), k=4, l=5)
-    p5 = Qap5Params(n=5, beta=1, coeffs={(1, 2): 2, (3, 3): -1})
-    for family, params in (("qap1", p1), ("qap5", p5)):
-        vec = closed_form_slack_on_match_rows(family, params, space.zt)
-        for idx in rng.sample(range(len(space.perms)), 30):
-            assert vec[idx] == closed_form_slack(family, params, space.perms[idx],
-                                                 check=False)
+    # the batch counts and slacks over zt against the per-image count oracle
+    # on every vertex: qap1 and qap5 at n=6, qap2-qap4 at n=7, the least n
+    # at which they have forms
+    q5 = build_qap5(Qap5Params(n=6, beta=1, coeffs={(1, 2): 2, (3, 3): -1, (5, 1): 1}))
+    cases = [("qap5", q5)] + [
+        (family, form) for family, n in (("qap1", 6), ("qap2", 7), ("qap3", 7), ("qap4", 7))
+        for form in _sampled_forms(family, n, 4, seed=len(family) + n)]
+    for family, form in cases:
+        space = vertex_space(form.n)
+        counts = slack_counts(family, form.params, space.zt)
+        closed = closed_form_slack(family, form.params, space.zt)
+        assert closed.dtype == np.int64 and closed.shape == (len(space.images),)
+        assert (closed >= 0).all()
+        assert (form.scale * closed == form.scaled_slack_on_match_rows(space.zt)).all()
+        for v, image in enumerate(space.images.tolist()):
+            oracle = slack_counts_at(family, form.params, image)
+            assert {name: int(vector[v]) for name, vector in counts.items()} == oracle
+            assert closed[v] == slack_from_counts(family, form.params, oracle)
+
+
+# sha256 of the slack table below, as the per-permutation route wrote it
+# before the table was read from the count vectors: the CSV must stay byte
+# for byte the same
+QAP3_N6_TABLE_SHA256 = "9bfc826664132def083aa1171af720586c02318fe3ae6c633871e14abe06a274"
+
+
+def test_slack_table_csv_is_pinned():
+    # qap3 has no valid form at n=6; built unchecked, its two counts (q1 and
+    # q2) still run through the table on every vertex
+    forms = [build_qap3(Qap3Params(n=6, p1_set=(1, 2), p2_set=(3,), q_set=(1, 2, 3),
+                                   beta=1), check=False),
+             build_qap3(Qap3Params(n=6, p1_set=(2, 4, 5), p2_set=(1, 6), q_set=(2, 3, 6),
+                                   beta=0), check=False)]
+    text = slack_table_csv("qap3", forms, vertex_space(6).images)
+    lines = text.splitlines()
+    assert lines[:3] == ["form_id,sigma,q_stats,slack", "0,1 2 3 4 5 6,q1=2;q2=1,0",
+                         "0,1 2 3 4 6 5,q1=2;q2=1,0"]
+    assert len(lines) == 1 + 2 * 720
+    assert hashlib.sha256(text.encode()).hexdigest() == QAP3_N6_TABLE_SHA256
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +377,15 @@ def test_entries_on_match_rows_widens_exactly_at_the_int16_limit(n):
     assert values.max() == 80000
 
 
+def test_closed_form_slack_refuses_slacks_past_int64():
+    # s(s+1) at s = 2**30 still fits an int64, at s = 2**40 it would wrap
+    zt = vertex_space(4).zt
+    fits = closed_form_slack("qap5", Qap5Params(n=4, beta=0, coeffs={(1, 1): 2 ** 30}), zt)
+    assert fits[0] == 2 ** 30 * (2 ** 30 + 1)   # the identity matches (1, 1)
+    with pytest.raises(QappolyError, match="could pass"):
+        closed_form_slack("qap5", Qap5Params(n=4, beta=0, coeffs={(1, 1): 2 ** 40}), zt)
+
+
 def test_entries_on_match_rows_refuses_sums_past_int64():
     space = vertex_space(4)
     with pytest.raises(QappolyError, match="past"):
@@ -339,12 +402,13 @@ def test_slacks_past_int16_stay_exact():
     assert sum(abs(c) for c in form.coeffs) <= 2 ** 15 - 1
     space = vertex_space(n)
     scaled = form.scaled_slack_on_match_rows(space.zt)
-    closed = closed_form_slack_on_match_rows("qap5", params, space.zt)
+    closed = closed_form_slack("qap5", params, space.zt)
     assert scaled.dtype == closed.dtype == np.int64 and scaled.min() > 2 ** 15
-    for row, sigma in enumerate(space.perms):
+    for row, sigma in enumerate(enumerate_permutations(n)):
         slack = evaluate(form, vertex_from_permutation(sigma)).slack
         assert scaled[row] == slack * form.scale
-        assert closed[row] == slack == closed_form_slack("qap5", params, sigma)
+        assert closed[row] == slack == slack_from_counts(
+            "qap5", params, slack_counts_at("qap5", params, sigma.image))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from qappoly import modrank
 from qappoly.errors import QappolyError
 from qappoly.geometry import hull_equations, vertex_space
 from qappoly.modrank import (
-    DEFAULT_PRIME_COUNT,
     PRIME_POOL,
     ModularSpanBasis,
     ProvenEquations,
@@ -24,7 +23,7 @@ def test_rank_disagreement_at_the_default_primes_is_inconclusive(monkeypatch):
 
     monkeypatch.setattr(modrank, "rank_mod_p", split_rank)
     report = rank_consensus(np.eye(3, dtype=np.int64))
-    assert report.primes == PRIME_POOL[:DEFAULT_PRIME_COUNT]
+    assert report.primes == PRIME_POOL
     assert report.status == "inconclusive"
     assert report.consensus_rank is None
 
@@ -72,7 +71,7 @@ def test_span_basis_keeps_only_its_lifted_kernel():
 
 def test_rank_consensus_reports_the_same_for_int8_and_int64():
     space = vertex_space(5)
-    rows = space.rows(range(len(space.perms)))
+    rows = space.rows(range(len(space.images)))
     diffs = rows - rows[:1]
     narrow = rank_consensus(diffs)
     wide = rank_consensus(diffs.astype(np.int64))
@@ -103,7 +102,7 @@ def test_a_lifted_kernel_vanishes_on_its_points_and_has_full_row_rank(n, hull):
     # equations, which cut out the span of all vertices, there are none and
     # the certificate takes the hull equations' kind
     space = vertex_space(n)
-    points = space.rows(range(len(space.perms)))
+    points = space.rows(range(len(space.images)))
     known = hull_equations(n) if hull else nothing_known(points.shape[1])
     extras, certificate = lifted_kernel(ExactPoints(points), known)
     assert not (points.astype(np.int64) @ extras.T).any()
@@ -283,7 +282,7 @@ ELIMINATION_CASES = {
 }
 
 
-@pytest.mark.parametrize("p", PRIME_POOL[:DEFAULT_PRIME_COUNT])
+@pytest.mark.parametrize("p", PRIME_POOL)
 @pytest.mark.parametrize("case", sorted(ELIMINATION_CASES))
 def test_blocked_elimination_matches_the_unblocked_loop(case, p):
     build, small = ELIMINATION_CASES[case]
@@ -339,7 +338,7 @@ def test_a_panel_of_split_products_stays_below_float64_exactness():
 def _n7_subset():
     space = vertex_space(7)
     rng = np.random.default_rng(0)
-    rows = space.rows(np.sort(rng.choice(len(space.perms), 490, replace=False)))
+    rows = space.rows(np.sort(rng.choice(len(space.images), 490, replace=False)))
     return rows[1:] - rows[0]
 
 
@@ -369,7 +368,7 @@ def test_blocked_elimination_memory_stays_within_row_blocks():
     # the unblocked loop, updating all 3000 rows at once, needed about 5.5
     blocks = 4.5
     space = vertex_space(7)
-    points = space.rows(np.random.default_rng(1).permutation(len(space.perms))[:3000])
+    points = space.rows(np.random.default_rng(1).permutation(len(space.images))[:3000])
     rows, cols = points.shape
     tracemalloc.start()
     try:

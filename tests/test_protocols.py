@@ -216,7 +216,7 @@ def test_slack_short_circuit_reasons():
 
 def test_slack_protocol_closed_form_agreement():
     # the protocol slack agrees with the closed-form slack of Alice's family
-    from qappoly.inequalities import closed_form_slack
+    from qappoly.inequalities import closed_form_slack, match_matrix
 
     rng = random.Random(8)
     for _ in range(50):
@@ -225,8 +225,9 @@ def test_slack_protocol_closed_form_agreement():
         res = slack_protocol("qap1", a, b)
         if res.mode != "protocol":
             continue
-        assert res.slack == closed_form_slack("qap1", res.alice_params,
-                                              res.bob_sigma)
+        (closed,) = closed_form_slack("qap1", res.alice_params,
+                                      match_matrix([res.bob_sigma.image]))
+        assert res.slack == closed
 
 
 def test_slack_qap1_rejects_tiny_n():
