@@ -7,8 +7,8 @@ for a tight set the inequality's own equation too), with any extra kernel
 rows lifted to integers and checked on every vertex of the set, leave at
 most columns - rank - 1 dimensions; from below, one seeded vertex subset
 reaches that rank modulo one 31-bit prime, since a rank mod p never
-exceeds the rank over Q.  Each proof is reported at that one prime, and a
-fraction-free (Bareiss) integer elimination can re-check the small cases.
+exceeds the rank over Q.  Each proof is reported at that one prime, and
+integer elimination with content removal (``--certify``) can re-check it.
 A valid inequality is facet-defining when its tight vertices span an
 affine subspace of dimension exactly one less than the polytope's; "not
 facet" is proven the same way.

@@ -9,12 +9,14 @@ Every dimension and span verdict is proven, by one route:
 ``modrank.lifted_kernel`` of the vertex set from equations already proven
 on it.  ``hull_equations`` holds the integer affine-hull equations E,
 checked exactly on every vertex.  The kernel eliminates one seeded subset
-mod one prime and lifts only the kernel rows beyond the known equations,
-checked exactly on every vertex of the set; the subset's rank meets the
-bound they give (``modrank.RankCertificate``).  The polytope starts from
-E.  A valid form's tight set starts from E and, where some vertex has
-positive slack, the form's own equation made homogeneous ("proper face":
-dim(P) - 1 at most, so a facet needs no extras).  The span lemmas decide
+mod one prime, at the columns where the known equations' echelon form has
+no pivot (every vertex satisfies them, so the rest follow), and lifts only
+the kernel rows beyond the known equations, checked exactly on every
+vertex of the set; the subset's rank meets the bound they give
+(``modrank.RankCertificate``).  The polytope starts from E.  A valid
+form's tight set starts from E and, where some vertex has positive slack,
+the form's own equation made homogeneous ("proper face": dim(P) - 1 at
+most, so a facet needs no extras).  The span lemmas decide
 membership against E and the generators' extras.  Where no proof stands,
 the verdict is refused as unproven.
 
@@ -211,8 +213,8 @@ def affine_dim(vertices, certify: bool = False) -> RankReport:
 
     Differences are taken against the vertex of the lexicographically
     smallest permutation in the set; the report's consensus_rank is the
-    affine dimension.  With certify=True a fraction-free (Bareiss) integer
-    elimination must agree with the modular consensus.
+    affine dimension.  With certify=True integer elimination with content
+    removal (``rank_exact_rational``) must agree with the modular consensus.
     """
     vertices = list(vertices)
     if not vertices:
@@ -353,13 +355,14 @@ def _form_equation(form: LinearForm) -> np.ndarray:
 
 def _certified(space: VertexSpace, idx: np.ndarray, report: RankReport) -> RankReport:
     """A copy of ``report``, the proven affine rank of the vertices ``idx``,
-    once fraction-free elimination of their differences gives the same
-    rank; raises "certification mismatch" when it does not."""
+    once integer elimination with content removal of their differences
+    (``rank_exact_rational``) gives the same rank; raises "certification
+    mismatch" when it does not."""
     rows = space.rows(idx)
     exact = rank_exact_rational(rows - rows[0])
     if exact != report.consensus_rank:
         raise QappolyError(
-            f"certification mismatch: fraction-free elimination gives affine "
+            f"certification mismatch: exact integer elimination gives affine "
             f"rank {exact} for {idx.size} vertices, the proof {report.consensus_rank}")
     return replace(report, status="ok (certified over Q)")
 
@@ -385,9 +388,9 @@ def verify_facet(form: LinearForm, n: int, certify: bool = False) -> FacetReport
     tight vertex first ("proper face" when nothing more is lifted, which
     proves a facet); a form tight everywhere starts from the hull equations
     alone.  Where no lift passes, the verdict is refused as unproven.  With
-    ``certify``,
-    fraction-free elimination of the differences over every vertex and over
-    the tight set must then confirm both proven dimensions.
+    ``certify``, integer elimination with content removal of the differences
+    over every vertex and over the tight set must then confirm both proven
+    dimensions.
     """
     if form.n != n:
         raise DimensionMismatchError(f"form has n={form.n}, expected {n}")

@@ -13,9 +13,15 @@ cut out the points' span over Q, so they prove its rank (a
 A failed lift or check gives no certificate, never a false one, and
 callers refuse the verdict as unproven.  ``rank_consensus`` reduces a
 matrix at three 31-bit primes from a vetted pool ("inconclusive" when they
-split): a vote, not a proof, kept for the unproven ``affine_dim``.  A
-fraction-free (Bareiss) integer elimination re-checks proven ranks in
-certification runs; it is exact but slower.
+split): a vote, not a proof, kept for the unproven ``affine_dim``.
+``rank_exact_rational``, integer elimination that divides each updated row
+by its content, re-checks proven ranks in certification runs; it is exact
+but slower.
+
+A kernel eliminates its points only at the columns where the known
+equations' echelon form has no pivot: every point satisfies those
+equations, so its residues at their pivot columns follow from the others,
+and a rank mod p taken on fewer columns is still a lower bound.
 
 Callers hand in signed integer matrices of any width (the vertex layer
 passes int8 rows and differences); each elimination widens its own reduced
@@ -292,12 +298,13 @@ def rank_consensus(matrix: np.ndarray, column_dimension: int | None = None) -> R
 # lifted kernels
 
 
-def _reduce_by_echelon(rows: np.ndarray, echelon: np.ndarray, p: int) -> np.ndarray:
+def _reduce_by_echelon(rows: np.ndarray, echelon: np.ndarray, pivots: np.ndarray,
+                       p: int) -> np.ndarray:
     """``rows`` mod p less a combination of the echelon rows that clears
     every pivot column: each pivot in ascending order, since a later echelon
     row is zero at every earlier pivot."""
     left = np.mod(rows, np.int64(p))
-    for row, c in zip(echelon, np.argmax(echelon != 0, axis=1)):   # each row's pivot
+    for row, c in zip(echelon, pivots):
         _rank_one_update(left, left[:, c].copy(), row, p)
     return left
 
@@ -305,20 +312,23 @@ def _reduce_by_echelon(rows: np.ndarray, echelon: np.ndarray, p: int) -> np.ndar
 @dataclass(frozen=True)
 class ProvenEquations:
     """Integer equations the caller has proven to vanish on every point of
-    a set, with their echelon form mod ``prime`` (eliminated here unless
-    given), kept as int32: every residue is below 2**31.  ``kind`` names
-    them in a certificate that needs no equation beyond them:
-    "affine-hull equations" or "proper face"."""
+    a set, with their echelon form mod ``prime`` and its ascending pivot
+    columns (eliminated here unless given), the echelon kept as int32: every
+    residue is below 2**31.  ``kind`` names them in a certificate that
+    needs no equation beyond them: "affine-hull equations" or "proper
+    face"."""
 
     equations: np.ndarray
     prime: int
     kind: str = "affine-hull equations"
     echelon: np.ndarray | None = None
+    pivots: np.ndarray | None = None
 
     def __post_init__(self):
         if self.echelon is None:
-            echelon = _echelonize_mod_p(self.equations, self.prime)[2].astype(np.int32)
-            object.__setattr__(self, "echelon", echelon)
+            _, pivots, echelon = _echelonize_mod_p(self.equations, self.prime)
+            object.__setattr__(self, "echelon", echelon.astype(np.int32))
+            object.__setattr__(self, "pivots", np.array(pivots, dtype=np.intp))
 
     def with_equation(self, row: np.ndarray, kind: str) -> ProvenEquations:
         """These equations and one more integer ``row``, which the caller has
@@ -326,15 +336,16 @@ class ProvenEquations:
         from the one held: what is left of the row after reducing it by the
         echelon rows, scaled to a leading 1, joins them at its pivot."""
         p = self.prime
-        left = _reduce_by_echelon(row[None], self.echelon, p)[0]
-        echelon = self.echelon
+        left = _reduce_by_echelon(row[None], self.echelon, self.pivots, p)[0]
+        echelon, pivots = self.echelon, self.pivots
         if left.any():
             lead = int(np.flatnonzero(left)[0])
-            at = int(np.searchsorted(np.argmax(echelon != 0, axis=1), lead))
+            at = int(np.searchsorted(pivots, lead))
             echelon = np.insert(echelon, at, left * pow(int(left[lead]), p - 2, p) % p, axis=0)
+            pivots = np.insert(pivots, at, lead)
         # the row in the narrowest type that holds it, so int8 equations stay narrow
         narrow = row.astype(np.min_scalar_type(-_magnitude(row) - 1))
-        return ProvenEquations(np.vstack([self.equations, narrow]), p, kind, echelon)
+        return ProvenEquations(np.vstack([self.equations, narrow]), p, kind, echelon, pivots)
 
 
 def _magnitude(matrix: np.ndarray) -> int:
@@ -431,46 +442,55 @@ def lifted_kernel(points, known: ProvenEquations):
     some integer equation is nonzero, exactly.
 
     The known equations leave the points a rank of at most columns -
-    rank_p(known), so one seeded draw of that many points and
-    ``KERNEL_MARGIN`` more (all of them, if fewer) is eliminated once mod p.
-    Its kernel has one row per free column, 1 there and 0 at the other free
-    columns.  The known equations lie in it: where their rank fills it,
-    nothing is lifted; otherwise their free columns fix them, and the
-    extras are the kernel rows at the free columns where those have no
-    pivot.  Only the extras are lifted to integers and checked on every
-    point; for up to ``KERNEL_ROUNDS`` rounds the points they miss join the
-    subset and the extras are lifted again.
+    rank_p(known), the number of columns ``unheld`` where their echelon
+    form has no pivot, so one seeded draw of that many points and
+    ``KERNEL_MARGIN`` more (all of them, if fewer) is eliminated once mod p,
+    at the unheld columns only.  Every point satisfies the known equations,
+    so its residues at their pivot columns follow from the unheld ones, and
+    a rank mod p of fewer columns is still at most the rank over Q.  The
+    subset's kernel has one row per free unheld column, 1 there and 0 at
+    the other free columns; embedded with zeros at the pivot columns of
+    the known equations, these rows are the extras.  Only the extras are
+    lifted to integers and checked on every point; for up to
+    ``KERNEL_ROUNDS`` rounds the points they miss join the subset and the
+    extras are lifted again.
 
     The proof: the known equations and the extras vanish exactly on every
     point, so the points' rank over Q is at most columns - rank_Q(known ∪
     extras) <= columns - rank_p(known ∪ extras), taken on the lifted rows;
-    the subset's rank mod p, columns - free columns, is at most the points'
-    rank over Q and reaches that bound.  The certificate takes the known
-    equations' ``kind`` when no extra is lifted, else "lifted kernel".
+    the subset's rank mod p at the unheld columns, columns - free columns
+    - rank_p(known), is at most the points' rank over Q and reaches that
+    bound.  The certificate takes the known equations' ``kind`` when no
+    extra is lifted, else "lifted kernel".
     """
     count, cols = points.shape
     p = known.prime
     limit = FLOAT_EXACT // max(cols, 1)
-    taken = min(count, cols - len(known.echelon) + KERNEL_MARGIN)
+    unheld = np.setdiff1d(np.arange(cols), known.pivots)
+    taken = min(count, unheld.size + KERNEL_MARGIN)
     drawn = np.sort(np.random.default_rng(KERNEL_SEED).permutation(count)[:taken])
-    _, pivots, echelon = _echelonize_mod_p(points[drawn], p)
+    _, pivots, echelon = _echelonize_mod_p(points[drawn][:, unheld], p)
     for _ in range(KERNEL_ROUNDS):
-        free = np.setdiff1d(np.arange(cols), pivots)
+        free = np.setdiff1d(np.arange(unheld.size), pivots)
         extras = np.zeros((0, cols), dtype=np.int64)
-        if len(known.echelon) < free.size:   # else the known equations fill the kernel
-            _, covered, _ = _echelonize_mod_p(known.echelon[:, free], p)
-            extras = _lift(_kernel_mod_p(pivots, echelon, np.delete(free, covered), p), p, limit)
+        if free.size:   # else the known equations fill the kernel
+            kernel = np.zeros((free.size, cols), dtype=np.int64)
+            kernel[:, unheld] = _kernel_mod_p(pivots, echelon, free, p)
+            extras = _lift(kernel, p, limit)
             if extras is None:
                 return None
             missed = points.missed(extras)
             if missed.size:
                 # a missed point lies outside the subset's span, so it adds rank
                 missed = missed[:2 * KERNEL_MARGIN]
-                _, pivots, echelon = _echelonize_mod_p(np.vstack([echelon, points[missed]]), p)
+                _, pivots, echelon = _echelonize_mod_p(
+                    np.vstack([echelon, points[missed][:, unheld]]), p)
                 taken += missed.size
                 continue
-        rank = len(known.echelon) + rank_mod_p(_reduce_by_echelon(extras, known.echelon, p), p)
-        if rank != free.size:
+        # reduced by the known echelon form, the extras are zero at its pivots
+        reduced = _reduce_by_echelon(extras, known.echelon, known.pivots, p)
+        rank = len(known.echelon) + rank_mod_p(reduced[:, unheld], p)
+        if rank != cols - len(pivots):
             return None
         return extras, RankCertificate(
             kind="lifted kernel" if len(extras) else known.kind, columns=cols, prime=p,
@@ -512,29 +532,53 @@ class ModularSpanBasis:
         return not (exact @ vector.astype(object)).any()
 
 
-def rank_exact_rational(matrix: np.ndarray) -> int:
-    """Certification path: exact rank over Q by fraction-free elimination.
+def _cleared(block: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """``block``'s rows less multiples of ``top`` that clear their first
+    column, each divided by its content: row <- (a·row - b·top) / gcd,
+    where a is top's first entry and b the row's.  The rows keep their span
+    over Q with ``top``, since a is nonzero.  int64 while |a|·max|block| +
+    max|b|·max|top| < 2**63 bounds every entry on the way, else Python
+    integers (an object array)."""
+    a = int(top[0])
+    if block.dtype != object and (abs(a) * _magnitude(block)
+                                  + _magnitude(block[:, 0]) * _magnitude(top) >= 2 ** 63):
+        block, top = block.astype(object), top.astype(object)
+    rows = a * block - block[:, :1] * top
+    content = np.gcd.reduce(rows, axis=1)
+    content[content == 0] = 1
+    return rows // content[:, None]
 
-    Bareiss's scheme (Math. Comp. 1968) keeps every entry an integer minor
-    of the input: after each pivot step the rows below are updated by
-    (a*x - b*y) / previous pivot, a division that is always exact.
+
+def rank_exact_rational(matrix: np.ndarray) -> int:
+    """Certification path: exact rank over Q by integer elimination with
+    content removal.
+
+    Each pivot clears its column from only the rows below that are nonzero
+    there, ``EQUATION_CHECK_ROWS`` rows at a time, and divides each updated
+    row by its content (``_cleared``), which keeps the entries small.  The
+    work is int64 while a bound on the next update fits and Python integers
+    from the first update that could overflow; an object-valued input
+    starts as Python integers.
     """
-    rows = [row for row in matrix.tolist() if any(row)]
+    work = np.asarray(matrix)
+    work = work[work.any(axis=1)].astype(object if work.dtype == object else np.int64)
+    rows, cols = work.shape
     rank = 0
-    previous = 1
-    for c in range(matrix.shape[1]):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        a = top[c]
-        for row in rows[rank + 1:]:
-            # columns before c are already zero below the pivot row
-            b = row[c]
-            row[c:] = [(a * x - b * y) // previous for x, y in zip(row[c:], top[c:])]
-        previous = a
-        rank += 1
-        if rank == len(rows):
+    for c in range(cols):
+        if rank == rows:
             break
+        nz = np.flatnonzero(work[rank:, c])
+        if nz.size == 0:
+            continue
+        if nz[0]:
+            work[[rank, rank + nz[0]]] = work[[rank + nz[0], rank]]
+        below = rank + nz[1:]
+        for start in range(0, below.size, EQUATION_CHECK_ROWS):
+            some = below[start:start + EQUATION_CHECK_ROWS]
+            # columns before c are already zero below the pivot row
+            cleared = _cleared(work[some, c:], work[rank, c:])
+            if cleared.dtype != work.dtype:
+                work = work.astype(object)
+            work[some, c:] = cleared
+        rank += 1
     return rank

@@ -8,6 +8,10 @@ statement of it that the tests compare against, form id by form id.
 The closed-form slack counts, read per vertex from its image: the program
 reads them for all vertices at once over the match matrix
 (``inequalities.slack_counts``).
+
+The exact rank over Q by Bareiss's fraction-free elimination on lists of
+Python integers: the program takes it by integer elimination with content
+removal (``modrank.rank_exact_rational``).
 """
 
 import itertools
@@ -96,3 +100,31 @@ def slack_counts_at(family: str, params, image) -> dict[str, int]:
         coeffs = params.coeff_map()
         return {"s": sum(coeffs.get((i, j), 0) for i, j in enumerate(image, start=1))}
     raise ValueError(f"unknown family {family!r}")
+
+
+def bareiss_rank(matrix) -> int:
+    """Exact rank over Q of an integer matrix by fraction-free elimination.
+
+    Bareiss's scheme (Math. Comp. 1968) keeps every entry an integer minor
+    of the input: after each pivot step the rows below are updated by
+    (a*x - b*y) / previous pivot, a division that is always exact.
+    """
+    rows = [row for row in matrix.tolist() if any(row)]
+    rank = 0
+    previous = 1
+    for c in range(matrix.shape[1]):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        a = top[c]
+        for row in rows[rank + 1:]:
+            # columns before c are already zero below the pivot row
+            b = row[c]
+            row[c:] = [(a * x - b * y) // previous for x, y in zip(row[c:], top[c:])]
+        previous = a
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank

@@ -246,6 +246,31 @@ def test_verify_facet_takes_certify(tmp_path):
     assert certificate["polytope"] and certificate["tight"]
 
 
+def test_certify_confirms_the_readme_qap5_form_at_n6(monkeypatch, tmp_path):
+    # exact elimination over all 720 vertices and the 624 tight ones
+    # confirms both proven dimensions, so the report is the uncertified one
+    from qappoly import geometry
+
+    shapes = []
+    exact = geometry.rank_exact_rational
+
+    def recording(matrix):
+        shapes.append(matrix.shape)
+        return exact(matrix)
+
+    monkeypatch.setattr(geometry, "rank_exact_rational", recording)
+    argv = [arg if arg != "5" else "6" for arg in QAP5_CERTIFY if arg != "--certify"]
+    analyses = []
+    for extra in ([], ["--certify"]):
+        out = tmp_path / "report.json"
+        assert main(argv + extra + ["--json", str(out)]) == 0
+        analyses.append(json.loads(out.read_text())["verdicts"][-1]["details"])
+    assert shapes == [(720, 486), (624, 486)]
+    plain, certified = analyses
+    assert certified == plain
+    assert (certified["polytope_dim"], certified["tight_dim"]) == (206, 199)
+
+
 def test_a_certification_mismatch_is_a_failed_report(monkeypatch, tmp_path):
     from qappoly import geometry
 

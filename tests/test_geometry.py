@@ -784,24 +784,31 @@ def test_the_n7_facet_is_proven_without_a_full_vertex_elimination(monkeypatch):
         shapes.append(matrix.shape)
         return original(matrix, p)
 
+    # E's own echelon form comes first: every elimination recorded below is
+    # inside lifted_kernel, at the columns where E's echelon has no pivot
+    unheld = 931 - len(geometry.hull_equations(7).echelon)
+    assert unheld == 458
     monkeypatch.setattr(modrank, "_echelonize_mod_p", recording)
     geometry.polytope_affine_dim.cache_clear()
     form = build_qap4(Qap4Params(n=7, i_set=tuple(range(1, 8)), j_set=tuple(range(1, 8))))
     report = geometry.verify_facet(form, 7)
     assert (report.verdict, report.polytope_dim, report.tight_dim) == ("facet", 457, 456)
-    for rank, kind, dim in ((report.polytope_rank, "affine-hull equations", 457),
-                            (report.tight_rank, "proper face", 456)):
+    for rank, kind, dim, rows in ((report.polytope_rank, "affine-hull equations", 457, 490),
+                                  (report.tight_rank, "proper face", 456, 489)):
         certificate = rank.certificate
         assert certificate.kind == kind
         assert rank.primes == (certificate.prime,)
         assert certificate.bound == dim
+        assert certificate.subset_rows == rows
     assert shapes and max(rows for rows, _ in shapes) <= 1100
+    assert max(cols for _, cols in shapes) <= unheld
 
 
 def test_the_n7_not_facet_is_proven_by_a_lifted_kernel(monkeypatch):
-    # no elimination is taller than 1,100 rows, and vertex rows are built
-    # only for the subsets drawn and the vertices re-added, never for the
-    # whole tight set or generator set
+    # no elimination is taller than 1,100 rows or wider than the 458 columns
+    # where E's echelon form has no pivot, the certificates stay as pinned,
+    # and vertex rows are built only for the subsets drawn and the vertices
+    # re-added, never for the whole tight set or generator set
     from qappoly import geometry, modrank
     from qappoly.geometry import VertexSpace
     from qappoly.inequalities import Qap3Params, build_qap3
@@ -821,6 +828,8 @@ def test_the_n7_not_facet_is_proven_by_a_lifted_kernel(monkeypatch):
         asked.append(len(built))
         return built
 
+    # as in the facet test, only lifted_kernel eliminates once E is echeloned
+    unheld = 931 - len(geometry.hull_equations(7).echelon)
     monkeypatch.setattr(modrank, "_echelonize_mod_p", recording)
     monkeypatch.setattr(VertexSpace, "rows", counting)
     geometry.polytope_affine_dim.cache_clear()
@@ -830,13 +839,18 @@ def test_the_n7_not_facet_is_proven_by_a_lifted_kernel(monkeypatch):
             report.tight_count) == ("not facet", 457, 454, 3600)
     certificate = report.tight_rank.certificate
     assert certificate.kind == "lifted kernel" and certificate.bound == 454
+    assert (certificate.equation_rows, certificate.subset_rows) == (605, 489)
     assert shapes and max(rows for rows, _ in shapes) <= 1100
     # the polytope's subset and the tight set's, with their re-adds
     polytope = report.polytope_rank.certificate
+    assert (polytope.kind, polytope.bound, polytope.subset_rows) == (
+        "affine-hull equations", 457, 490)
     assert sum(asked) <= polytope.subset_rows + certificate.subset_rows
     asked.clear()
     lemma = geometry.verify_szeroins(7, samples=200, seed=1)
     assert lemma.all_member
+    assert lemma.certificates[0].subset_rows == 490
+    assert max(cols for _, cols in shapes) <= unheld
     # the basis's subset with its re-adds, then two rows per sampled pair
     assert sum(asked) <= lemma.certificates[0].subset_rows + 2 * 200
 

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracle_streams import bareiss_rank
 
 from qappoly import modrank
 from qappoly.errors import QappolyError
@@ -80,7 +81,7 @@ def test_rank_consensus_reports_the_same_for_int8_and_int64():
     assert narrow.consensus_rank == 77
 
 
-def test_bareiss_rank_agrees_with_modular_consensus():
+def test_exact_rank_agrees_with_modular_consensus():
     rng = np.random.default_rng(7)
     for _ in range(60):
         rows, cols = rng.integers(1, 10, size=2)
@@ -89,6 +90,50 @@ def test_bareiss_rank_agrees_with_modular_consensus():
         if rows >= 3:
             matrix[-1] = 3 * matrix[0] - 2 * matrix[1]  # a dependent row
         assert rank_exact_rational(matrix) == rank_consensus(matrix).consensus_rank
+
+
+def test_exact_rank_agrees_with_bareiss_on_seeded_low_rank_matrices(monkeypatch):
+    # small combinations of a few random rows: entries of 3 bits stay int64,
+    # of 40 bits fail the int64 guard and widen, and an object input past
+    # 2**63 starts as Python integers
+    dtypes = []
+    cleared = modrank._cleared
+
+    def recording(block, top):
+        rows = cleared(block, top)
+        dtypes.append(rows.dtype)
+        return rows
+
+    monkeypatch.setattr(modrank, "_cleared", recording)
+    rng = np.random.default_rng(31)
+    widened = 0
+    for trial in range(120):
+        rows, cols, rank = rng.integers(1, 14, size=3)
+        bits = (3, 40, 64)[trial % 3]
+        basis = rng.integers(-2 ** min(bits, 62), 2 ** min(bits, 62), size=(rank, cols))
+        matrix = rng.integers(-3, 4, size=(rows, rank)).astype(object) @ basis.astype(object)
+        if bits == 64:
+            matrix = matrix * (2 ** 63 + 1)
+        else:
+            matrix = matrix.astype(np.int64)
+        before = len(dtypes)
+        assert rank_exact_rational(matrix) == bareiss_rank(matrix), trial
+        widened += bits == 40 and object in dtypes[before:]
+    assert {np.dtype(np.int64), np.dtype(object)} <= set(dtypes)
+    assert widened >= 10
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_exact_rank_agrees_with_bareiss_on_vertex_differences(n):
+    from qappoly.inequalities import Qap5Params, build_qap5
+
+    space = vertex_space(n)
+    form = build_qap5(Qap5Params(n=n, beta=0, coeffs={(1, 1): 1, (2, 2): -1}))
+    tight = np.flatnonzero(form.scaled_slack_on_match_rows(space.zt) == 0)
+    for idx in (np.arange(len(space.images)), tight):
+        rows = space.rows(idx)
+        diffs = rows - rows[0]
+        assert rank_exact_rational(diffs) == bareiss_rank(diffs)
 
 
 # ---------------------------------------------------------------------------
