@@ -10,6 +10,7 @@ when every verdict in the report passes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -340,7 +341,10 @@ def _cmd_protocol(args, report: RunReport, caps: Caps):
         raise QappolyError(f"unknown protocol action {args.action!r}")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call: parsing never
+    changes it, and each ``parse_args`` fills a fresh Namespace."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="FILE", help="write the JSON report here")
     common.add_argument("--seed", type=int, default=0)

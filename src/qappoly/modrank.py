@@ -21,7 +21,9 @@ but slower.
 A kernel eliminates its points only at the columns where the known
 equations' echelon form has no pivot: every point satisfies those
 equations, so its residues at their pivot columns follow from the others,
-and a rank mod p taken on fewer columns is still a lower bound.
+and a rank mod p taken on fewer columns is still a lower bound.  The
+lifted extras are zero at those pivot columns, checked exactly, so their
+rank beside the known equations is taken at the other columns alone.
 
 Callers hand in signed integer matrices of any width (the vertex layer
 passes int8 rows and differences); each elimination widens its own reduced
@@ -204,7 +206,7 @@ def _factor_panel(panel: np.ndarray, p: int):
         if pr != r:
             panel[[r, pr]] = panel[[pr, r]]
             order[[r, pr]] = order[[pr, r]]
-        inv = pow(int(panel[r, c]), p - 2, p)
+        inv = pow(int(panel[r, c]), -1, p)
         panel[r, c:] = (panel[r, c:] * inv) % p
         _rank_one_update(panel[r + 1:, c + 1:], panel[r + 1:, c], panel[r, c + 1:], p)
         local.append(c)
@@ -341,7 +343,7 @@ class ProvenEquations:
         if left.any():
             lead = int(np.flatnonzero(left)[0])
             at = int(np.searchsorted(pivots, lead))
-            echelon = np.insert(echelon, at, left * pow(int(left[lead]), p - 2, p) % p, axis=0)
+            echelon = np.insert(echelon, at, left * pow(int(left[lead]), -1, p) % p, axis=0)
             pivots = np.insert(pivots, at, lead)
         # the row in the narrowest type that holds it, so int8 equations stay narrow
         narrow = row.astype(np.min_scalar_type(-_magnitude(row) - 1))
@@ -423,7 +425,7 @@ def _lift(kernel: np.ndarray, p: int, limit: int) -> np.ndarray | None:
     numerators, denominators = lifted.copy(), np.ones_like(lifted)
     numerators[large], denominators[large] = fractions
     for r in np.flatnonzero((denominators > 1).any(axis=1)):
-        lcm = math.lcm(*np.unique(denominators[r]).tolist())
+        lcm = math.lcm(*set(denominators[r].tolist()))
         if lcm >= limit:
             return None
         scale = lcm // denominators[r]
@@ -460,18 +462,21 @@ def lifted_kernel(points, known: ProvenEquations):
     extras) <= columns - rank_p(known ∪ extras), taken on the lifted rows;
     the subset's rank mod p at the unheld columns, columns - free columns
     - rank_p(known), is at most the points' rank over Q and reaches that
-    bound.  The certificate takes the known equations' ``kind`` when no
+    bound.  The extras are checked to be exactly zero at the known pivots,
+    where the known echelon form is unit triangular, so rank_p(known ∪
+    extras) is rank_p(known) plus the extras' rank mod p at the unheld
+    columns.  The certificate takes the known equations' ``kind`` when no
     extra is lifted, else "lifted kernel".
     """
     count, cols = points.shape
     p = known.prime
     limit = FLOAT_EXACT // max(cols, 1)
-    unheld = np.setdiff1d(np.arange(cols), known.pivots)
+    unheld = np.delete(np.arange(cols), known.pivots)
     taken = min(count, unheld.size + KERNEL_MARGIN)
     drawn = np.sort(np.random.default_rng(KERNEL_SEED).permutation(count)[:taken])
     _, pivots, echelon = _echelonize_mod_p(points[drawn][:, unheld], p)
     for _ in range(KERNEL_ROUNDS):
-        free = np.setdiff1d(np.arange(unheld.size), pivots)
+        free = np.delete(np.arange(unheld.size), pivots)
         extras = np.zeros((0, cols), dtype=np.int64)
         if free.size:   # else the known equations fill the kernel
             kernel = np.zeros((free.size, cols), dtype=np.int64)
@@ -487,9 +492,11 @@ def lifted_kernel(points, known: ProvenEquations):
                     np.vstack([echelon, points[missed][:, unheld]]), p)
                 taken += missed.size
                 continue
-        # reduced by the known echelon form, the extras are zero at its pivots
-        reduced = _reduce_by_echelon(extras, known.echelon, known.pivots, p)
-        rank = len(known.echelon) + rank_mod_p(reduced[:, unheld], p)
+        # zero at the known pivots, the extras are independent of the known
+        # echelon form, which is unit triangular there
+        if extras[:, known.pivots].any():
+            return None
+        rank = len(known.echelon) + rank_mod_p(extras[:, unheld], p)
         if rank != cols - len(pivots):
             return None
         return extras, RankCertificate(

@@ -9,7 +9,10 @@ an independent exact branch-and-bound solver.
 A point is built directly as its scaled integer vector (``YPoint``): the
 n**2 x n**2 matrix is filled from the graph's adjacency broadcast over the
 cells, times the lcm of the point's denominators, and its upper triangle
-read row-major, which is ``triangle_position`` order.
+read row-major, which is ``triangle_position`` order.  The per-graph
+adjacency table (read-only, kept for the last few graphs) and the
+per-size triangle index are built once, so a t-sweep of points over one
+graph pays for them once.
 
 Membership is decided against every enumerated form of the family, with
 exact integer arithmetic, through one form per orbit of the point's column
@@ -93,22 +96,35 @@ log = logging.getLogger(__name__)
 # reduction points
 
 
+@functools.lru_cache(maxsize=8)
 def _rows_adjacent(graph: Graph) -> np.ndarray:
     """n**2 x n**2 booleans, indexed by flat index - 1: whether the rows of
-    the two cells are joined in the graph."""
+    the two cells are joined in the graph.  Read-only and kept for the last
+    few graphs, since a sweep builds many points of one graph."""
     n = graph.n
     adjacent = np.zeros((n, n), dtype=bool)
     if graph.edges:
         u, v = np.array(sorted(graph.edges)).T - 1
         adjacent[u, v] = adjacent[v, u] = True
     row = np.repeat(np.arange(n), n)
-    return adjacent[np.ix_(row, row)]
+    table = adjacent[np.ix_(row, row)]
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _triangle_indices(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(size)``, read-only: row-major, which is
+    ``indexing.triangle_position`` order for size n**2."""
+    rows, cols = np.triu_indices(size)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def _upper_triangle(matrix: np.ndarray) -> np.ndarray:
     """The upper triangle of an n**2 x n**2 matrix, row-major: the order of
     ``indexing.triangle_position``."""
-    return matrix[np.triu_indices(len(matrix))]
+    return matrix[_triangle_indices(len(matrix))]
 
 
 def build_point_qap1(graph: Graph, k: int, l: int, t: int) -> YPoint:
@@ -225,7 +241,7 @@ def _column_swaps(n: int) -> tuple[list[tuple[int, int]], np.ndarray]:
     position that every triangle position maps to: swapping the columns
     moves cell (i, a) to (i, b) and back."""
     nn = n * n
-    f1, f2 = np.triu_indices(nn)   # 0-based, in triangle_position order
+    f1, f2 = _triangle_indices(nn)   # 0-based, in triangle_position order
     row, col = np.divmod(np.arange(nn), n)
     swaps = list(itertools.combinations(range(1, n + 1), 2))
     images = np.empty((len(swaps), f1.size), dtype=np.intp)

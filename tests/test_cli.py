@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -420,3 +424,62 @@ def test_the_facet_n7_operations_keep_their_verdicts(argv, name, pinned, tmp_pat
     verdicts = {v["name"]: v for v in json.loads(out.read_text())["verdicts"]}
     assert verdicts[name]["passed"]
     assert {key: verdicts[name]["details"][key] for key in pinned} == pinned
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _fresh_process(code, *args):
+    """Run Python ``code`` in a fresh interpreter with this checkout's src/
+    on the path; returns its standard output."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code, *args], cwd=ROOT,
+                            env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def _without_timings(path):
+    report = json.loads(path.read_text())
+    report.pop("timings")
+    return report
+
+
+def test_main_builds_one_parser_and_no_option_carries_over(tmp_path):
+    # a flag given to one call and the default a call records are both
+    # absent from the next call's report, which equals a fresh process's
+    from qappoly.cli import build_parser
+
+    plain = [arg for arg in QAP5_CERTIFY if arg != "--certify"]
+    lemmas = ["verify-lemmas", "--which", "s3ss0", "--n", "5"]
+    calls = [QAP5_CERTIFY, plain, lemmas, lemmas + ["--samples", "5"], lemmas]
+    build_parser.cache_clear()
+    reports = []
+    for index, argv in enumerate(calls):
+        out = tmp_path / f"report{index}.json"
+        assert main(argv + ["--json", str(out)]) == 0
+        reports.append(_without_timings(out))
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)
+    assert reports[0]["parameters"]["certify"] is True
+    assert reports[1]["parameters"]["certify"] is False
+    assert [report["parameters"]["samples"] for report in reports[2:]] == [200, 5, 200]
+    fresh = tmp_path / "fresh.json"
+    for index in (1, 4):
+        _fresh_process("import sys; from qappoly.cli import main; main(sys.argv[1:])",
+                       *calls[index], "--json", str(fresh))
+        assert reports[index] == _without_timings(fresh)
+
+
+def test_the_readme_qap5_check_leaves_numpy_ma_unloaded(tmp_path):
+    # the tight set's proof lifts extras, and no step of it needs numpy's
+    # set routines, whose first use imports numpy.ma
+    out = tmp_path / "report.json"
+    argv = [arg for arg in QAP5_CERTIFY if arg != "--certify"]
+    loaded = _fresh_process("import sys; from qappoly.cli import main\n"
+                            "main(sys.argv[1:]); print('numpy.ma' in sys.modules)",
+                            *argv, "--json", str(out))
+    assert loaded.splitlines()[-1] == "False"
+    details = json.loads(out.read_text())["verdicts"][-1]["details"]
+    assert details["certificate"]["tight"]["kind"] == "lifted kernel"

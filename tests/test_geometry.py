@@ -773,6 +773,29 @@ def test_a_planted_extra_that_misses_one_tight_vertex_is_caught(rounds, monkeypa
         assert len(calls) == KERNEL_ROUNDS
 
 
+def test_a_planted_extra_at_a_held_column_refuses_the_tight_dim(monkeypatch):
+    # the planted row is 1 on a support column that no tight vertex sets, so
+    # it vanishes on every tight vertex and the exact check passes it; but
+    # that column is a pivot of E's echelon form, where a lifted kernel row
+    # is always 0, so the proof is refused
+    from qappoly.geometry import hull_equations, vertex_space, verify_facet
+    from qappoly.inequalities import Qap5Params, build_qap5
+
+    form = build_qap5(Qap5Params(n=5, beta=0, coeffs={(1, 1): 1, (2, 2): -1}))
+    assert verify_facet(form, 5).tight_rank.certificate.kind == "lifted kernel"
+    space = vertex_space(5)
+    tight = np.flatnonzero(form.scaled_slack_on_match_rows(space.zt) == 0)
+    hits = space.rows(tight).sum(axis=0, dtype=np.int64)
+    held = int(np.flatnonzero(hits == 0)[0])
+    assert held in hull_equations(5).pivots
+    row = np.zeros(hits.size, dtype=np.int64)
+    row[held] = 1
+    calls = _planting(monkeypatch, row, 1)
+    with pytest.raises(QappolyError, match="unproven: .* 102 tight vertices"):
+        verify_facet(form, 5)
+    assert len(calls) == 1
+
+
 def test_the_n7_facet_is_proven_without_a_full_vertex_elimination(monkeypatch):
     from qappoly import geometry, modrank
     from qappoly.inequalities import Qap4Params, build_qap4

@@ -179,6 +179,9 @@ def oracle_json(n, values, provenance):
 
 
 def assert_point_matches(point, n, values, provenance):
+    entrywise = YPoint(n, values, provenance)
+    assert point.denom == entrywise.denom
+    assert np.array_equal(point.vector, entrywise.vector)
     vec, denom = point.to_scaled_vector()
     expected_vec, expected_denom = oracle_scaled(n, values)
     assert vec.dtype == np.int64 and np.array_equal(vec, expected_vec)
@@ -206,13 +209,18 @@ def _builder_cases(n, rng):
 
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_point_builders_match_the_fraction_loops(n):
+    # every point of a graph after its first is built from its cached
+    # adjacency table
     rng = random.Random(n)
+    reductions._rows_adjacent.cache_clear()
     cases = 0
     for build, oracle, args in _builder_cases(n, rng):
         values, provenance = oracle(*args)
         assert_point_matches(build(*args), n, values, provenance)
         cases += 1
     assert cases > 3 * 2 * n
+    info = reductions._rows_adjacent.cache_info()
+    assert (info.misses, info.hits) == (3, cases - 3)
 
 
 @pytest.mark.parametrize("build,oracle,args", [
@@ -231,6 +239,18 @@ def test_point_builders_refuse_what_the_fraction_loops_refuse(build, oracle, arg
     with pytest.raises(InvalidParameterError) as refused:
         build(*args)
     assert str(refused.value) == str(expected.value)
+
+
+def test_the_cached_adjacency_table_is_read_only():
+    table = reductions._rows_adjacent(TRIANGLE_7)
+    assert table is reductions._rows_adjacent(Graph.from_edges(7, [(3, 1), (2, 1), (3, 2)]))
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = True
+    for index in reductions._triangle_indices(49):
+        with pytest.raises(ValueError, match="read-only"):
+            index[0] = 1
+    # cell (1,1) is in row 1, joined to rows 2 and 3 only
+    assert np.array_equal(np.flatnonzero(table[0]), np.arange(7, 21))
 
 
 def test_points_round_trip_through_the_vector():
