@@ -160,11 +160,6 @@ def _refuse_unread(args, options: dict, variant: str) -> None:
         raise QappolyError(f"{variant} does not read {', '.join(given)}")
 
 
-def _require_enumerable(n: int, caps: Caps) -> None:
-    """``perms.require_enumerable`` at the configured enumeration cap."""
-    require_enumerable(n, caps.enumeration_cap)
-
-
 def _require_count(flag: str, value: int) -> None:
     """Refuse a negative count or seed; 0 keeps the meaning each flag documents."""
     if value < 0:
@@ -173,7 +168,7 @@ def _require_count(flag: str, value: int) -> None:
 
 def _cmd_verify_facet(args, report: RunReport, caps: Caps):
     _refuse_unread(args, FACET_OPTIONS, args.family)
-    _require_enumerable(args.n, caps)
+    require_enumerable(args.n, caps.enumeration_cap)
     form = _build_form(args)
     facet = verify_facet(form, args.n, certify=args.certify)
     report.add("validity", True, note="no violating vertex found")
@@ -233,7 +228,7 @@ def _cmd_verify_lemmas(args, report: RunReport, caps: Caps):
         report.add("identity2 has 32 nonzeros (16 of each sign)", bad == 0,
                    runs=args.samples, failures=bad)
     if which in ("szeroconn", "all"):
-        _require_enumerable(n, caps)
+        require_enumerable(n, caps.enumeration_cap)
         res = check_s0_connectivity(n, pattern)
         report.add("S0 transposition graph connected", res.connected,
                    size=res.size, components=res.component_count, status=res.status)
@@ -242,7 +237,7 @@ def _cmd_verify_lemmas(args, report: RunReport, caps: Caps):
             ("s3ss0", verify_s3ss0, "S_3 span membership"),
             ("szeroins", verify_szeroins, "S_0 neighbor differences in span(S)")):
         if which in (lemma, "all"):
-            _require_enumerable(n, caps)
+            require_enumerable(n, caps.enumeration_cap)
             res = verify(n, pattern, samples=args.samples, seed=args.seed)
             # one per generator set
             report.add(name, res.all_member, samples=res.samples,
@@ -252,7 +247,7 @@ def _cmd_verify_lemmas(args, report: RunReport, caps: Caps):
 def _cmd_verify_slack(args, report: RunReport, caps: Caps):
     n = args.n
     _require_count("--limit", args.limit)
-    _require_enumerable(n, caps)
+    require_enumerable(n, caps.enumeration_cap)
     if not any(run.count for run in family_segments(n, args.family)):
         raise QappolyError(f"{args.family} has no forms at n={n} to verify")
     space = vertex_space(n)

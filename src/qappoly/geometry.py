@@ -17,8 +17,10 @@ vertex of the set; the subset's rank meets the bound they give
 form's tight set starts from E and, where some vertex has positive slack,
 the form's own equation made homogeneous ("proper face": dim(P) - 1 at
 most, so a facet needs no extras).  The span lemmas decide
-membership against E and the generators' extras.  Where no proof stands,
-the verdict is refused as unproven.
+membership against E and the generators' extras.  A dimension whose lift
+does not pass is still proven when its vertices are independent mod the
+prime, so independent over Q ("independent points"); any other verdict
+without a proof is refused as unproven.
 
 The S_k classes, S_0 connectivity and the span lemmas read a per-n
 ``VertexSpace`` cache: each vertex once, as an int8 one-line image in
@@ -55,8 +57,8 @@ from .modrank import (
     RankCertificate,
     RankReport,
     lifted_kernel,
-    rank_consensus,
     rank_exact_rational,
+    rank_mod_p,
 )
 from .perms import (
     DEFAULT_ENUMERATION_CAP,
@@ -209,27 +211,17 @@ def _vertex_rows(vertices) -> tuple[VertexSpace, np.ndarray]:
 
 
 def affine_dim(vertices, certify: bool = False) -> RankReport:
-    """Affine dimension of a vertex set, exactly.
-
-    Differences are taken against the vertex of the lexicographically
-    smallest permutation in the set; the report's consensus_rank is the
-    affine dimension.  With certify=True integer elimination with content
-    removal (``rank_exact_rational``) must agree with the modular consensus.
-    """
+    """Affine dimension of a vertex set, proven as every dimension is:
+    ``_proven_rank`` of its distinct vertices from ``hull_equations``, then
+    ``_certified`` under ``certify``.  Raises "unproven" or "certification
+    mismatch" like ``verify_facet``."""
     vertices = list(vertices)
     if not vertices:
         raise QappolyError("affine_dim of an empty vertex set")
-    space, rows = _vertex_rows(vertices)
-    diffs = space.rows(rows) - space.rows([rows.min()])
-    report = rank_consensus(diffs, column_dimension=triangle_dimension(space.n))
-    if certify and report.consensus_rank is not None:
-        exact = rank_exact_rational(diffs)
-        if exact != report.consensus_rank:
-            report.status = "certification mismatch"
-            report.consensus_rank = None
-        else:
-            report.status = "ok (certified over Q)"
-    return report
+    space, idx = _vertex_rows(vertices)
+    idx = np.unique(idx)
+    report = _proven_rank(space, idx, hull_equations(space.n), "vertices")
+    return _certified(space, idx, report) if certify else report
 
 
 @lru_cache(maxsize=4)
@@ -320,12 +312,19 @@ def _proven_rank(space: VertexSpace, idx: np.ndarray, known: ProvenEquations,
                  what: str) -> RankReport:
     """The affine rank of the vertices ``idx``, proven by their lifted
     kernel from ``known`` (the diagonal sum is n on every vertex, so it is
-    their linear rank - 1), reported at the certificate's one prime; raises
-    "unproven" when no lift passes."""
-    lifted = lifted_kernel(_VertexSet(space, idx), known)
-    if lifted is None:
+    their linear rank - 1), reported at the certificate's one prime.  Where
+    no lift passes, distinct vertices independent mod the prime are
+    independent over Q ("independent points"); else raises "unproven"."""
+    points = _VertexSet(space, idx)
+    lifted = lifted_kernel(points, known)
+    if lifted is not None:
+        _, proof = lifted
+    elif rank_mod_p(space.rows(idx), known.prime) == idx.size:
+        proof = RankCertificate(kind="independent points", columns=points.shape[1],
+                                equation_rows=0, equation_rank=0, prime=known.prime,
+                                subset_rows=idx.size)
+    else:
         raise QappolyError(f"unproven: no lifted kernel of the {idx.size} {what} passes")
-    _, proof = lifted
     return RankReport(row_count=proof.subset_rows, column_dimension=triangle_dimension(space.n),
                       ranks=[(proof.prime, proof.bound)], consensus_rank=proof.bound,
                       certificate=proof)

@@ -98,10 +98,11 @@ def parse_graph(text: str) -> Graph:
                 raise GraphParseError(
                     f"line {lineno}: expected 'p edge <n> <m>', got {line!r}")
             try:
-                n = int(parts[2])
-                int(parts[3])
+                n, m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise GraphParseError(f"line {lineno}: non-integer sizes in {line!r}")
+            if n < 1 or m < 0:
+                raise GraphParseError(f"line {lineno}: expected n >= 1 and m >= 0, got {line!r}")
             saw_dimacs = True
             continue
         if parts[0] == "e":

@@ -13,7 +13,7 @@ cut out the points' span over Q, so they prove its rank (a
 A failed lift or check gives no certificate, never a false one, and
 callers refuse the verdict as unproven.  ``rank_consensus`` reduces a
 matrix at three 31-bit primes from a vetted pool ("inconclusive" when they
-split): a vote, not a proof, kept for the unproven ``affine_dim``.
+split): a vote, not a proof, and no proven rank uses it.
 ``rank_exact_rational``, integer elimination that divides each updated row
 by its content, re-checks proven ranks in certification runs; it is exact
 but slower.
@@ -88,6 +88,10 @@ class RankCertificate:
     E ("affine-hull equations") or E and a form's own equation ("proper
     face"), or those and the lifted extras of the point set ("lifted
     kernel", its rank taken on the lifted rows).
+
+    Kind "independent points" needs no equation (0 rows, rank 0): the
+    ``subset_rows`` points, the whole set, are independent mod ``prime``,
+    so over Q, and ``bound`` is subset_rows - 1.
     """
 
     kind: str
@@ -99,6 +103,8 @@ class RankCertificate:
 
     @property
     def bound(self) -> int:
+        if self.kind == "independent points":
+            return self.subset_rows - 1
         return self.columns - self.equation_rank - 1
 
 
@@ -109,7 +115,7 @@ class RankReport:
     ``consensus_rank`` is set only when every prime agrees; otherwise the
     status is "inconclusive".  ``certificate`` is set when the rank is
     proven: every dimension the geometry layer reports carries one, at its
-    one prime, and only ``affine_dim`` leaves it unset.
+    one prime, and only ``rank_consensus`` leaves it unset.
     """
 
     row_count: int
@@ -266,19 +272,13 @@ def rank_mod_p(matrix: np.ndarray, p: int) -> int:
     return rank
 
 
-def _strip_zero_columns(matrix: np.ndarray) -> np.ndarray:
-    """Drop identically-zero columns; they never contribute to the rank."""
-    used = np.nonzero(matrix.any(axis=0))[0]
-    if used.size == matrix.shape[1]:
-        return matrix
-    return np.ascontiguousarray(matrix[:, used])
-
-
 def rank_consensus(matrix: np.ndarray, column_dimension: int | None = None) -> RankReport:
     """Rank of an integer matrix by modular consensus: a vote, not a proof.
 
     If the primes of PRIME_POOL disagree the report is marked inconclusive
     (the ranks are deterministic, so more primes could not settle a split).
+    No proven rank calls it: it is the independent reference that tests
+    compare proofs against, and the benchmark tracer wraps it by name.
     """
     rows, cols = matrix.shape
     report = RankReport(row_count=rows,
@@ -286,8 +286,7 @@ def rank_consensus(matrix: np.ndarray, column_dimension: int | None = None) -> R
     if rows == 0:
         report.consensus_rank = 0
         return report
-    work = _strip_zero_columns(matrix)
-    report.ranks = [(p, rank_mod_p(work, p)) for p in PRIME_POOL]
+    report.ranks = [(p, rank_mod_p(matrix, p)) for p in PRIME_POOL]
     ranks = {rank for _, rank in report.ranks}
     if len(ranks) == 1:
         report.consensus_rank = ranks.pop()

@@ -26,6 +26,7 @@ from qappoly.modrank import (
     ModularSpanBasis,
     _echelonize_mod_p,
     rank_consensus,
+    rank_exact_rational,
     rank_mod_p,
 )
 from qappoly.perms import Permutation, enumerate_permutations, vertex_from_permutation
@@ -88,8 +89,8 @@ def test_affine_dim_empty_rejected():
 @pytest.mark.parametrize("n,dim", [(3, 5), (4, 22), (5, 77)])
 def test_affine_dim_regression_constants(n, dim):
     report = affine_dim(list(enumerate_permutations(n)))
-    assert report.consensus_rank == dim
-    assert len(report.ranks) >= 3
+    assert report.consensus_rank == dim == report.certificate.bound
+    assert report.primes == (report.certificate.prime,)
     assert report.column_dimension == (n**4 + n**2) // 2
 
 
@@ -105,6 +106,65 @@ def test_affine_dim_monotone_under_inclusion():
     subset = rng.sample(perms, 8)
     small = affine_dim(subset).consensus_rank
     assert small <= affine_dim(perms).consensus_rank
+
+
+def test_affine_dim_of_seeded_subsets_equals_exact_elimination():
+    # the proof against integer elimination of the differences; small
+    # subsets are independent, larger ones need the lifted kernel
+    kinds = Counter()
+    for n in (5, 6):
+        space = vertex_space(n)
+        rng = np.random.default_rng(n)
+        for size in rng.integers(1, min(200, len(space.images)), size=8, endpoint=True):
+            idx = np.sort(rng.choice(len(space.images), size, replace=False))
+            rows = space.rows(idx)
+            report = affine_dim([Permutation(tuple(space.images[v].tolist())) for v in idx])
+            assert report.consensus_rank == rank_exact_rational(rows - rows[0])
+            kinds[report.certificate.kind] += 1
+    assert kinds["independent points"] and kinds["lifted kernel"]
+
+
+def test_affine_dim_without_a_lift_proves_only_independent_vertices(monkeypatch):
+    from qappoly import geometry
+
+    monkeypatch.setattr(geometry, "lifted_kernel", lambda points, known: None)
+    space = vertex_space(5)
+    few = [Permutation(tuple(image.tolist())) for image in space.images[:12]]
+    assert rank_exact_rational(space.rows(range(12))) == 12
+    report = affine_dim(few)
+    assert report.certificate.kind == "independent points"
+    assert report.consensus_rank == report.certificate.bound == 11
+    # all 120 vertices span 77 dimensions: dependent, so nothing is proven
+    with pytest.raises(QappolyError, match="unproven: .* 120 vertices"):
+        affine_dim(enumerate_permutations(5))
+
+
+def test_affine_dim_certification_mismatch_raises(monkeypatch):
+    from qappoly import geometry
+
+    monkeypatch.setattr(geometry, "rank_exact_rational",
+                        lambda matrix: rank_exact_rational(matrix) + 1)
+    with pytest.raises(QappolyError, match="certification mismatch"):
+        affine_dim(list(enumerate_permutations(4)), certify=True)
+
+
+def test_no_proven_rank_calls_the_vote(monkeypatch):
+    # rank_consensus is a reference for tests only: with it refused in
+    # every module that binds it, every proven route still runs
+    import sys
+
+    from qappoly.cli import main
+
+    def refused(*args, **kwargs):
+        raise AssertionError("rank_consensus called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qappoly" and hasattr(module, "rank_consensus"):
+            monkeypatch.setattr(module, "rank_consensus", refused)
+    assert affine_dim(enumerate_permutations(5)).consensus_rank == 77
+    assert main(["verify-facet", "--family", "qap5", "--n", "5", "--beta", "0",
+                 "--coeffs", "1,1:1;2,2:-1", "--expect", "valid-only", "--certify"]) == 0
+    assert main(["verify-lemmas", "--which", "s3ss0", "--n", "6"]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +413,23 @@ def test_span_membership_negative():
     assert not basis.contains(space.rows(space.index_of([target.image]))[0])
 
 
+def test_a_span_basis_of_independent_generators_still_refuses_a_non_member(monkeypatch):
+    # independence proves a rank, not a span: membership needs the lifted
+    # extras, so without a lift the basis is refused rather than left to
+    # admit every vector that satisfies the hull equations
+    from qappoly import modrank
+
+    gens = [Permutation.identity(5), Permutation((2, 1, 3, 4, 5)),
+            Permutation((1, 3, 2, 4, 5))]
+    basis, space = vertex_span(gens)
+    rows = space.rows(space.index_of([sigma.image for sigma in gens] + [(2, 3, 1, 4, 5)]))
+    assert rank_exact_rational(rows) == 4
+    assert not basis.contains(rows[-1])
+    monkeypatch.setattr(modrank, "_lift", lambda kernel, p, limit: None)
+    with pytest.raises(QappolyError, match="unproven: .* 3 span generators"):
+        vertex_span(gens)
+
+
 def test_equality_set_requires_qap4():
     from qappoly.geometry import check_equality_set
 
@@ -476,7 +553,8 @@ def test_proven_polytope_dim_matches_the_full_vertex_vote(n):
     from qappoly.geometry import polytope_affine_dim, vertex_space
 
     report = polytope_affine_dim(n)
-    assert report.consensus_rank == affine_dim(enumerate_permutations(n)).consensus_rank
+    rows = vertex_space(n).rows(range(math.factorial(n)))
+    assert report.consensus_rank == rank_consensus(rows - rows[0]).consensus_rank
     assert report.certificate is not None
     assert report.certificate.bound == report.consensus_rank
     assert report.certificate.prime in report.primes or report.row_count == 0
@@ -747,7 +825,8 @@ def test_a_planted_extra_that_misses_one_tight_vertex_is_caught(rounds, monkeypa
     # the planted row is 1 on a support column that exactly one tight vertex
     # sets: the exact check finds that vertex, which joins the subset; a
     # plant in the first lift only is proven away by the next round, one in
-    # every lift leaves the tight dimension unproven
+    # every lift leaves no lifted kernel, and the 20 tight vertices, being
+    # independent, are proven as such
     from qappoly.geometry import vertex_space, verify_facet
     from qappoly.inequalities import Qap5Params, build_qap5
     from qappoly.modrank import KERNEL_ROUNDS
@@ -768,9 +847,31 @@ def test_a_planted_extra_that_misses_one_tight_vertex_is_caught(rounds, monkeypa
         assert certificate.subset_rows == plain.subset_rows + 1
         assert certificate.equation_rows == plain.equation_rows
     else:
-        with pytest.raises(QappolyError, match="unproven: .* 20 tight vertices"):
-            verify_facet(form, 4)
+        report = verify_facet(form, 4)
         assert len(calls) == KERNEL_ROUNDS
+        certificate = report.tight_rank.certificate
+        assert certificate.kind == "independent points"
+        assert (report.verdict, report.tight_dim) == ("not facet", plain.bound)
+        assert certificate.bound == certificate.subset_rows - 1 == 19
+
+
+def test_a_planted_extra_in_every_lift_leaves_a_dependent_tight_set_unproven(monkeypatch):
+    # the 102 tight vertices span 72 dimensions: with no lifted kernel,
+    # independence cannot prove them either
+    from qappoly.geometry import vertex_space, verify_facet
+    from qappoly.inequalities import Qap5Params, build_qap5
+    from qappoly.modrank import KERNEL_ROUNDS
+
+    form = build_qap5(Qap5Params(n=5, beta=0, coeffs={(1, 1): 1, (2, 2): -1}))
+    space = vertex_space(5)
+    tight = np.flatnonzero(form.scaled_slack_on_match_rows(space.zt) == 0)
+    hits = space.rows(tight).sum(axis=0, dtype=np.int64)
+    row = np.zeros(hits.size, dtype=np.int64)
+    row[np.argmin(np.where(hits > 0, hits, hits.max() + 1))] = 1
+    calls = _planting(monkeypatch, row, KERNEL_ROUNDS)
+    with pytest.raises(QappolyError, match="unproven: .* 102 tight vertices"):
+        verify_facet(form, 5)
+    assert len(calls) == KERNEL_ROUNDS
 
 
 def test_a_planted_extra_at_a_held_column_refuses_the_tight_dim(monkeypatch):
@@ -1032,7 +1133,7 @@ def test_tight_dims_at_n6_equal_the_voted_rank_of_the_whole_tight_set():
         report = verify_facet(form, 6)
         tight = np.flatnonzero(form.scaled_slack_on_match_rows(space.zt) == 0)
         if tight.size:
-            voted = affine_dim([Permutation(tuple(space.images[v].tolist())) for v in tight])
-            assert report.tight_dim == voted.consensus_rank
+            rows = space.rows(tight)
+            assert report.tight_dim == rank_consensus(rows - rows[0]).consensus_rank
             verdicts[report.verdict] += 1
     assert verdicts["facet"] >= 1 and verdicts["not facet"] >= 3

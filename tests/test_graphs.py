@@ -65,6 +65,8 @@ def test_parse_dimacs_with_comments():
     ("p edge 4 1\ne 0 3\n", "line 2: endpoint 0 is below 1"),
     ("p edge 3 2\ne 1 2\ne 1 5\n", "line 3: endpoint 5 exceeds declared n=3"),
     ("1 2\n-1 2\n", "line 2: endpoint -1 is below 1"),
+    ("p edge -3 0\n", "line 1: expected n >= 1"),
+    ("p edge 3 -5\ne 1 2\n", "line 1: expected n >= 1 and m >= 0"),
 ])
 def test_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(GraphParseError, match=fragment):
