@@ -17,7 +17,8 @@ vertex of the set; the subset's rank meets the bound they give
 form's tight set starts from E and, where some vertex has positive slack,
 the form's own equation made homogeneous ("proper face": dim(P) - 1 at
 most, so a facet needs no extras).  The span lemmas decide
-membership against E and the generators' extras.  A dimension whose lift
+membership against E and the generators' extras, each generator set's
+sampled targets in one batch.  A dimension whose lift
 does not pass is still proven when its vertices are independent mod the
 prime, so independent over Q ("independent points"); any other verdict
 without a proof is refused as unproven.
@@ -636,25 +637,30 @@ class SpanLemmaReport:
 
 
 def _sample_span_lemma(lemma: str, space: VertexSpace, generators, draw,
-                       samples: int, seed: int) -> SpanLemmaReport:
+                       samples: int, seed: int, targets=None) -> SpanLemmaReport:
     """Count the sampled targets that lie in their generators' span.
 
     ``generators`` holds the vertex rows spanning the targets, or a dict of
     them per class k, cycled through sample by sample and reported as
-    samples per k.  ``draw(rng, k)`` returns a target vector.  Each
-    generator set's certificate makes every verdict against it exact.
+    samples per k.  ``draw(rng, k)`` draws one target as vertex indices.
+    Every draw is made first, in sample order, and then each generator
+    set's targets are built in one ``targets(drawn)`` call (``space.rows``
+    unless given) and decided in one ``contains`` call.  Each generator
+    set's certificate makes every verdict against it exact.
     """
     per_k = isinstance(generators, dict)
     bases = {k: ModularSpanBasis(_VertexSet(space, rows), hull_equations(space.n))
              for k, rows in (generators if per_k else {None: generators}).items()}
     keys = list(bases)
-    counts = dict.fromkeys(keys, 0)
+    drawn = {key: [] for key in keys}
     rng = random.Random(seed)
-    member_count = 0
     for s in range(samples):
         key = keys[s % len(keys)]
-        member_count += bases[key].contains(draw(rng, key))
-        counts[key] += 1
+        drawn[key].append(draw(rng, key))
+    build = targets or space.rows
+    member_count = sum(int(bases[key].contains(build(drawn[key])).sum())
+                       for key in keys if drawn[key])
+    counts = {key: len(drawn[key]) for key in keys}
     return SpanLemmaReport(lemma=lemma, n=space.n, samples=samples,
                            member_count=member_count,
                            all_member=member_count == samples, seed=seed,
@@ -677,7 +683,7 @@ def verify_skasnxt4(n: int, pattern: MatchPattern | None = None, samples: int = 
                   for k in ks}
     return _sample_span_lemma(
         "s_k in span of the four sets below", space, generators,
-        lambda rng, k: space.rows([rng.choice(classes[k])])[0], samples, seed)
+        lambda rng, k: rng.choice(classes[k]), samples, seed)
 
 
 def verify_s3ss0(n: int, pattern: MatchPattern | None = None, samples: int = 200,
@@ -691,7 +697,7 @@ def verify_s3ss0(n: int, pattern: MatchPattern | None = None, samples: int = 200
     return _sample_span_lemma(
         "s_3 in span of S, S_0", space,
         np.concatenate([classes[1], classes[2], classes[0]]),
-        lambda rng, _: space.rows([rng.choice(classes[3])])[0], samples, seed)
+        lambda rng, _: rng.choice(classes[3]), samples, seed)
 
 
 def verify_szeroins(n: int, pattern: MatchPattern | None = None, samples: int = 200,
@@ -713,10 +719,13 @@ def verify_szeroins(n: int, pattern: MatchPattern | None = None, samples: int = 
             row = rng.randrange(s0.size)
             neighbours = links[row][linked[row]]
             if neighbours.size:
-                pair = space.rows([s0[row], rng.choice(neighbours)])
-                return pair[0] - pair[1]
+                return s0[row], rng.choice(neighbours)
+
+    def differences(pairs):
+        rows = space.rows(np.ravel(pairs))   # both ends of every pair at once
+        return rows[0::2] - rows[1::2]
 
     return _sample_span_lemma(
         "S_0 neighbor differences in span(S)", space,
         np.concatenate([classes[k] for k in (1, 2) if k in classes]),
-        draw, samples, seed)
+        draw, samples, seed, differences)

@@ -27,9 +27,16 @@ rank beside the known equations is taken at the other columns alone.
 
 Callers hand in signed integer matrices of any width (the vertex layer
 passes int8 rows and differences); each elimination widens its own reduced
-copy to int64 once.  The primes are reduced one after another, so at most
-one reduced copy is alive at a time.  All primes are below 2**31 so
-products of two residues fit in int64.
+copy to int64 once and reduces it in place.  The primes are reduced one
+after another, so at most one reduced copy is alive at a time.  All primes
+are below 2**31 so products of two residues fit in int64.
+
+Memory: no proof holds a second array of a full matrix's size.  Beyond its
+reduced copy, an elimination holds arrays one panel wide and row blocks of
+about ``PRODUCT_BLOCK_BYTES``; a proper face shares the echelon form of the
+equations it grows from (``ProvenEquations.with_equation``); and a span
+basis holds the known equations by reference, deciding membership
+``MEMBERSHIP_BLOCK`` equations by as many targets at a time.
 
 The elimination is blocked (Dumas, Giorgi and Pernet, ACM TOMS 2008).  It
 factors ``PANEL`` = 64 columns at a time with one rank-1 update per pivot,
@@ -37,9 +44,9 @@ confined to the panel, then clears the panel from the rows below with one
 matrix product mod p.  That product splits each multiplier into its high
 15 and low 16 bits, so both halves are float64 matmuls whose sums of 64
 products stay integers below 2**53: exact in any summation order.  Only
-rows with a nonzero multiplier are updated, ``EQUATION_CHECK_ROWS`` at a
-time, so beyond the reduced copy the temporaries stay a few blocks of that
-many rows.  The pivots and echelon rows are those of the unblocked loop:
+rows with a nonzero multiplier are updated, in row blocks sized to the
+width they update (``_subtract_product``).  The pivots and echelon rows are
+those of the unblocked loop:
 echelon pivots are the column rank profile, whatever the order of updates
 (Jeannerod, Pernet and Storjohann, JSC 2013).
 """
@@ -55,9 +62,14 @@ from .errors import QappolyError
 
 # Verified primes just below 2**31 (all > 2**30).
 PRIME_POOL = (2147483647, 2147483629, 2147483587)
-# Rows per block of the elimination's matrix products; float64 products
-# are exact while every partial sum is an integer below 2**53.
+# Rows per block of ``rank_exact_rational``'s updates.
 EQUATION_CHECK_ROWS = 1024
+# Bytes of float64 in one row block of the elimination's matrix products,
+# whose height follows from the width the block updates.
+PRODUCT_BLOCK_BYTES = 2 ** 20
+# Equation rows, and targets, per block of a span membership product.
+MEMBERSHIP_BLOCK = 64
+# float64 sums of integer products are exact while they stay below this.
 FLOAT_EXACT = 2 ** 53
 # Columns per panel of the blocked elimination, and so the inner dimension
 # of every ``_matmul_mod_p``.  That helper multiplies the low 16 bits of one
@@ -156,14 +168,17 @@ def _matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     a = 2**16·a_hi + a_lo with a_hi < 2**15 and a_lo < 2**16; each half
     times b is one float64 matmul, exact by the bound stated at ``PANEL``.
     The halves meet in int64 as ((a_hi @ b mod p)·2**16 + a_lo @ b) mod p,
-    whose sum stays below 2**54.
+    whose sum stays below 2**54.  A float64 b is used as it is.
     """
     assert a.shape[1] <= PANEL
-    b = b.astype(np.float64)
+    b = np.asarray(b, dtype=np.float64)
     out = ((a >> 16).astype(np.float64) @ b).astype(np.int64)
     _reduce(out, p)
     out <<= 16
-    out += ((a & 0xFFFF).astype(np.float64) @ b).astype(np.int64)
+    # the low half is cast to int64 in the ufunc's small buffers, so at most
+    # two arrays of the product's size are alive at once
+    np.add(out, (a & 0xFFFF).astype(np.float64) @ b, out=out, dtype=np.int64,
+           casting="unsafe")
     _reduce(out, p)
     return out
 
@@ -173,17 +188,23 @@ def _subtract_product(target: np.ndarray, multipliers: np.ndarray,
     """target -= multipliers @ rows mod p, in place, for residues in [0, p).
 
     Only the target rows with a nonzero multiplier and the columns where
-    some row is nonzero are touched, ``EQUATION_CHECK_ROWS`` rows at a time,
-    so the temporaries stay within a few blocks of that many rows.
+    some row is nonzero are touched.  The rows are taken in blocks of about
+    ``PRODUCT_BLOCK_BYTES`` of float64 at the touched width (151 rows for E
+    at n=7), so each temporary, the gathered block and its products, stays
+    near that size however tall the target is.
     """
     active = np.flatnonzero(multipliers.any(axis=1))
     used = np.flatnonzero(rows.any(axis=0))
-    rows = rows[:, used]
-    for start in range(0, active.size, EQUATION_CHECK_ROWS):
-        some = active[start:start + EQUATION_CHECK_ROWS]
+    rows = rows[:, used].astype(np.float64)   # converted once for every block
+    height = max(1, PRODUCT_BLOCK_BYTES // (8 * max(used.size, 1)))
+    for start in range(0, active.size, height):
+        some = active[start:start + height]
         idx = np.ix_(some, used)
+        # the product first: its temporaries are gone before the gather
+        product = _matmul_mod_p(multipliers[some], rows, p)
         block = target[idx]
-        block -= _matmul_mod_p(multipliers[some], rows, p)
+        block -= product
+        del product
         _reduce(block, p)
         target[idx] = block
 
@@ -236,8 +257,12 @@ def _echelonize_mod_p(matrix: np.ndarray, p: int):
     from the rows below.  The pivots, rows and row swaps are those of the
     unblocked loop, column by column; only when each update lands differs.
     """
-    # an np.int64 modulus: numpy 2 rejects a Python int above the input dtype
-    m = np.ascontiguousarray(np.mod(matrix, np.int64(p)))
+    # widened once into row-major order, then reduced in place: a narrow
+    # input reduced directly would hold a second full-size int64 array, its
+    # cast (Python integers, which may not fit int64, are reduced first)
+    m = np.array(np.mod(matrix, p) if matrix.dtype == object else matrix,
+                 dtype=np.int64, order="C")
+    np.mod(m, p, out=m)
     rows, cols = m.shape
     r = 0
     pivots: list[int] = []
@@ -299,17 +324,6 @@ def rank_consensus(matrix: np.ndarray, column_dimension: int | None = None) -> R
 # lifted kernels
 
 
-def _reduce_by_echelon(rows: np.ndarray, echelon: np.ndarray, pivots: np.ndarray,
-                       p: int) -> np.ndarray:
-    """``rows`` mod p less a combination of the echelon rows that clears
-    every pivot column: each pivot in ascending order, since a later echelon
-    row is zero at every earlier pivot."""
-    left = np.mod(rows, np.int64(p))
-    for row, c in zip(echelon, pivots):
-        _rank_one_update(left, left[:, c].copy(), row, p)
-    return left
-
-
 @dataclass(frozen=True)
 class ProvenEquations:
     """Integer equations the caller has proven to vanish on every point of
@@ -317,13 +331,22 @@ class ProvenEquations:
     columns (eliminated here unless given), the echelon kept as int32: every
     residue is below 2**31.  ``kind`` names them in a certificate that
     needs no equation beyond them: "affine-hull equations" or "proper
-    face"."""
+    face".
+
+    Equations added by ``with_equation`` keep the echelon form they grew
+    from by reference, so a proper face shares E's cached echelon: each
+    added row that is independent mod p joins ``beyond`` as a (row, pivot)
+    pair, reduced by every echelon row before it, so zero at all their
+    pivots.  Sorted by pivot, ``echelon`` and ``beyond`` are one echelon
+    form, unit triangular at ``held``, of rank ``rank``.
+    """
 
     equations: np.ndarray
     prime: int
     kind: str = "affine-hull equations"
     echelon: np.ndarray | None = None
     pivots: np.ndarray | None = None
+    beyond: tuple[tuple[np.ndarray, int], ...] = ()
 
     def __post_init__(self):
         if self.echelon is None:
@@ -331,22 +354,45 @@ class ProvenEquations:
             object.__setattr__(self, "echelon", echelon.astype(np.int32))
             object.__setattr__(self, "pivots", np.array(pivots, dtype=np.intp))
 
+    @property
+    def rank(self) -> int:
+        return len(self.echelon) + len(self.beyond)
+
+    @property
+    def held(self) -> np.ndarray:
+        """Every pivot column, ``pivots`` and then those of ``beyond``."""
+        return np.concatenate([self.pivots, [c for _, c in self.beyond]]).astype(np.intp)
+
+    def remainder(self, rows: np.ndarray) -> np.ndarray:
+        """``rows`` mod p less the combination of the echelon rows that
+        clears every pivot column.  The echelon rows go in ascending pivot
+        order, since a later one is zero at every earlier pivot, and then
+        ``beyond`` in the order added, each zero at every pivot before it;
+        the combination is unique, so this is the remainder of the sorted
+        echelon form."""
+        p = self.prime
+        left = np.mod(rows, np.int64(p))
+        for pairs in (zip(self.echelon, self.pivots), self.beyond):
+            for row, c in pairs:
+                _rank_one_update(left, left[:, c].copy(), row, p)
+        return left
+
     def with_equation(self, row: np.ndarray, kind: str) -> ProvenEquations:
         """These equations and one more integer ``row``, which the caller has
-        proven to vanish on every point of its set.  The echelon form grows
-        from the one held: what is left of the row after reducing it by the
-        echelon rows, scaled to a leading 1, joins them at its pivot."""
+        proven to vanish on every point of its set.  What is left of the row
+        after reducing it by the echelon form, scaled to a leading 1, joins
+        ``beyond``; the echelon form held is shared, not copied."""
         p = self.prime
-        left = _reduce_by_echelon(row[None], self.echelon, self.pivots, p)[0]
-        echelon, pivots = self.echelon, self.pivots
+        left = self.remainder(row[None])[0]
+        beyond = self.beyond
         if left.any():
             lead = int(np.flatnonzero(left)[0])
-            at = int(np.searchsorted(pivots, lead))
-            echelon = np.insert(echelon, at, left * pow(int(left[lead]), -1, p) % p, axis=0)
-            pivots = np.insert(pivots, at, lead)
+            reduced = (left * pow(int(left[lead]), -1, p) % p).astype(np.int32)
+            beyond += ((reduced, lead),)
         # the row in the narrowest type that holds it, so int8 equations stay narrow
         narrow = row.astype(np.min_scalar_type(-_magnitude(row) - 1))
-        return ProvenEquations(np.vstack([self.equations, narrow]), p, kind, echelon, pivots)
+        return ProvenEquations(np.vstack([self.equations, narrow]), p, kind,
+                               self.echelon, self.pivots, beyond)
 
 
 def _magnitude(matrix: np.ndarray) -> int:
@@ -470,7 +516,8 @@ def lifted_kernel(points, known: ProvenEquations):
     count, cols = points.shape
     p = known.prime
     limit = FLOAT_EXACT // max(cols, 1)
-    unheld = np.delete(np.arange(cols), known.pivots)
+    held = known.held
+    unheld = np.delete(np.arange(cols), held)
     taken = min(count, unheld.size + KERNEL_MARGIN)
     drawn = np.sort(np.random.default_rng(KERNEL_SEED).permutation(count)[:taken])
     _, pivots, echelon = _echelonize_mod_p(points[drawn][:, unheld], p)
@@ -493,9 +540,9 @@ def lifted_kernel(points, known: ProvenEquations):
                 continue
         # zero at the known pivots, the extras are independent of the known
         # echelon form, which is unit triangular there
-        if extras[:, known.pivots].any():
+        if extras[:, held].any():
             return None
-        rank = len(known.echelon) + rank_mod_p(extras[:, unheld], p)
+        rank = known.rank + rank_mod_p(extras[:, unheld], p)
         if rank != cols - len(pivots):
             return None
         return extras, RankCertificate(
@@ -510,8 +557,12 @@ class ModularSpanBasis:
 
     The known equations and the extras of ``lifted_kernel(generators,
     known)`` cut out the generators' span over Q, so ``contains`` checks
-    them on the vector, and ``certificate`` records the proof.  Generators
+    them on the vectors, and ``certificate`` records the proof.  Generators
     whose lift does not pass are refused as unproven.
+
+    The known equations are held by reference (for the hull equations, the
+    cached read-only int8 E), beside the int64 extras; no float64 copy is
+    kept, only each ``MEMBERSHIP_BLOCK`` of rows' largest magnitude.
     """
 
     def __init__(self, generators, known: ProvenEquations):
@@ -520,22 +571,47 @@ class ModularSpanBasis:
             raise QappolyError(
                 f"unproven: no lifted kernel of the {generators.shape[0]} span "
                 f"generators passes at p = {known.prime}")
-        extras, self.certificate = lifted
-        # exact integers in float64: entries times columns stay below 2**53
-        self.equations = np.vstack([known.equations, extras]).astype(np.float64)
-        self.largest = _magnitude(self.equations)
+        self.extras, self.certificate = lifted
+        self.equations = known.equations
+        self.largest = [_magnitude(block) for block in self._blocks()]
 
-    def contains(self, vector: np.ndarray) -> bool:
-        """Whether every equation vanishes on the vector exactly, i.e. it lies
-        in the span; float64 sums are exact while they stay below 2**53."""
-        vector = np.asarray(vector)
-        if vector.shape != (self.equations.shape[1],):
-            raise QappolyError(f"vector has shape {vector.shape}, expected "
-                               f"({self.equations.shape[1]},)")
-        if self.largest * _magnitude(vector) * vector.size < FLOAT_EXACT:
-            return not (self.equations @ vector.astype(np.float64)).any()
-        exact = self.equations.astype(np.int64).astype(object)
-        return not (exact @ vector.astype(object)).any()
+    def _blocks(self):
+        """The known equations, then the extras, ``MEMBERSHIP_BLOCK`` rows at
+        a time, as views."""
+        for part in (self.equations, self.extras):
+            for start in range(0, len(part), MEMBERSHIP_BLOCK):
+                yield part[start:start + MEMBERSHIP_BLOCK]
+
+    def contains(self, vectors: np.ndarray) -> np.ndarray:
+        """Whether every equation vanishes exactly on each row of
+        ``vectors``, i.e. it lies in the span: one bool per row.
+
+        The products go ``MEMBERSHIP_BLOCK`` equation rows by as many
+        targets at a time, in float64 where the block's largest equation
+        entry times its largest target entry times the columns is below
+        2**53, which keeps every sum exact, and in Python integers where it
+        is not."""
+        vectors = np.asarray(vectors)
+        columns = self.equations.shape[1]
+        if vectors.ndim != 2 or vectors.shape[1] != columns:
+            raise QappolyError(f"targets have shape {vectors.shape}, expected "
+                               f"(count, {columns})")
+        member = np.ones(len(vectors), dtype=bool)
+        for start in range(0, len(vectors), MEMBERSHIP_BLOCK):
+            targets = vectors[start:start + MEMBERSHIP_BLOCK]
+            largest = _magnitude(targets)
+            as_float = as_int = None
+            for block, size in zip(self._blocks(), self.largest):
+                if size * largest * columns < FLOAT_EXACT:
+                    if as_float is None:
+                        as_float = targets.T.astype(np.float64)
+                    products = block.astype(np.float64) @ as_float
+                else:
+                    if as_int is None:
+                        as_int = targets.T.astype(object)
+                    products = block.astype(object) @ as_int
+                member[start:start + len(targets)] &= ~(products != 0).any(axis=0)
+        return member
 
 
 def _cleared(block: np.ndarray, top: np.ndarray) -> np.ndarray:

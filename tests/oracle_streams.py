@@ -12,9 +12,15 @@ reads them for all vertices at once over the match matrix
 The exact rank over Q by Bareiss's fraction-free elimination on lists of
 Python integers: the program takes it by integer elimination with content
 removal (``modrank.rank_exact_rational``).
+
+An echelon form mod p grown by one row with ``np.insert`` into a copy: the
+program keeps the echelon form it grows from by reference and the reduced
+row beside it (``modrank.ProvenEquations.with_equation``).
 """
 
 import itertools
+
+import numpy as np
 
 from qappoly.errors import InvalidParameterError
 from qappoly.inequalities import Qap1Params, Qap2Params, Qap3Params, Qap4Params
@@ -128,3 +134,29 @@ def bareiss_rank(matrix) -> int:
         if rank == len(rows):
             break
     return rank
+
+
+def inserted_echelon(echelon, pivots, row, p):
+    """The echelon form mod p of ``echelon``'s rows (at ascending ``pivots``)
+    and one more integer ``row``, as one array: the row is reduced by every
+    echelon row, scaled to a leading 1 and inserted at its pivot with
+    ``np.insert``, a second copy of the whole echelon form.  Returns the
+    grown echelon form and its pivots."""
+    left = echelon_remainder(row[None], echelon, pivots, p)[0]
+    if not left.any():
+        return echelon.astype(np.int64), list(pivots)
+    lead = int(np.flatnonzero(left)[0])
+    at = int(np.searchsorted(pivots, lead))
+    scaled = left * pow(int(left[lead]), -1, p) % p
+    return (np.insert(echelon.astype(np.int64), at, scaled, axis=0),
+            np.insert(np.asarray(pivots), at, lead).tolist())
+
+
+def echelon_remainder(rows, echelon, pivots, p):
+    """``rows`` mod p less the combination of the echelon rows that clears
+    every pivot column, one echelon row at a time in ascending pivot order
+    (products of two residues below 2**31 fit in int64)."""
+    left = np.mod(np.asarray(rows, dtype=np.int64), p)
+    for erow, c in zip(np.asarray(echelon, dtype=np.int64), pivots):
+        left = (left - left[:, c, None] * erow) % p
+    return left

@@ -360,9 +360,9 @@ def test_szeroins_draws_the_targets_of_the_per_swap_listing(monkeypatch):
     targets = []
     contains = ModularSpanBasis.contains
 
-    def captured(self, vector):
-        targets.append(vector)
-        return contains(self, vector)
+    def captured(self, vectors):
+        targets.extend(vectors)
+        return contains(self, vectors)
 
     monkeypatch.setattr(ModularSpanBasis, "contains", captured)
     assert verify_szeroins(6, samples=200, seed=3).all_member
@@ -402,7 +402,7 @@ def test_span_membership_of_generator():
     gens = [Permutation.identity(5), Permutation((2, 1, 3, 4, 5)),
             Permutation((1, 3, 2, 4, 5))]
     basis, space = vertex_span(gens)
-    assert basis.contains(space.rows(space.index_of([gens[1].image]))[0])
+    assert basis.contains(space.rows(space.index_of([gens[1].image]))).tolist() == [True]
     assert basis.certificate.kind == "lifted kernel"
     assert basis.certificate.equation_rank == basis.certificate.columns - 3
 
@@ -410,7 +410,7 @@ def test_span_membership_of_generator():
 def test_span_membership_negative():
     basis, space = vertex_span([Permutation.identity(5)])
     target = Permutation((2, 1, 3, 4, 5))
-    assert not basis.contains(space.rows(space.index_of([target.image]))[0])
+    assert basis.contains(space.rows(space.index_of([target.image]))).tolist() == [False]
 
 
 def test_a_span_basis_of_independent_generators_still_refuses_a_non_member(monkeypatch):
@@ -424,7 +424,7 @@ def test_a_span_basis_of_independent_generators_still_refuses_a_non_member(monke
     basis, space = vertex_span(gens)
     rows = space.rows(space.index_of([sigma.image for sigma in gens] + [(2, 3, 1, 4, 5)]))
     assert rank_exact_rational(rows) == 4
-    assert not basis.contains(rows[-1])
+    assert basis.contains(rows).tolist() == [True, True, True, False]
     monkeypatch.setattr(modrank, "_lift", lambda kernel, p, limit: None)
     with pytest.raises(QappolyError, match="unproven: .* 3 span generators"):
         vertex_span(gens)
@@ -1015,12 +1015,17 @@ def test_certified_span_verdicts_match_the_vote_at_n6(monkeypatch):
         init(self, generators, known)
         self.oracle = VoteOracle(generators[np.arange(generators.shape[0])])
 
-    def both(self, vector):
-        raised = vector.astype(np.int64)
-        raised[len(verdicts) % vector.size] += 1
-        for target in (vector, raised):
-            verdicts.append((contains(self, target), self.oracle.contains(target)))
-        return contains(self, vector)
+    def both(self, vectors):
+        # each target and, beside it, the target with one coordinate raised,
+        # decided in one batch; the i-th pair raises coordinate 2i mod size
+        count, size = vectors.shape
+        raised = vectors.astype(np.int64)
+        raised[np.arange(count), (len(verdicts) + 2 * np.arange(count)) % size] += 1
+        batch = np.stack([vectors.astype(np.int64), raised], axis=1).reshape(-1, size)
+        certified = contains(self, batch)
+        verdicts.extend((bool(got), self.oracle.contains(target))
+                        for got, target in zip(certified, batch))
+        return certified[0::2]
 
     monkeypatch.setattr(ModularSpanBasis, "__init__", with_oracle)
     monkeypatch.setattr(ModularSpanBasis, "contains", both)
@@ -1030,6 +1035,70 @@ def test_certified_span_verdicts_match_the_vote_at_n6(monkeypatch):
     assert all(certified == voted for certified, voted in verdicts)
     members = sum(certified for certified, _ in verdicts)
     assert 600 <= members < len(verdicts)
+
+
+def test_the_span_lemmas_hold_no_full_size_copy_of_the_hull_equations():
+    # three generator sets at n=7 (k = 4, 5, 7; S_6 is empty), each basis
+    # alive to the end: when each kept its own float64 copy of E and its
+    # extras (603 x 931 x 8 B = 4.5 MB apiece) and every elimination cast
+    # its input whole, this peaked at 19.8 MiB; sharing E and deciding in
+    # blocks takes 5.4 MiB
+    import tracemalloc
+
+    from qappoly.geometry import verify_skasnxt4
+
+    vertex_space(7), hull_equations(7)   # cached: not part of the peak
+    tracemalloc.start()
+    try:
+        report = verify_skasnxt4(7, samples=50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.all_member and len(report.certificates) == 3
+    assert peak < 8 * 2 ** 20
+
+
+def _readme_form(family, n):
+    """The README's example forms, qap5 at any n and qap4 and qap2 at n=7."""
+    from qappoly.inequalities import Qap4Params, Qap5Params, build_qap4, build_qap5
+
+    if family == "qap5":
+        return build_qap5(Qap5Params(n=n, beta=0, coeffs={(1, 1): 1, (2, 2): -1}))
+    if family == "qap4":
+        return build_qap4(Qap4Params(n=n, i_set=tuple(range(1, 8)), j_set=tuple(range(1, 8))))
+    return build_qap2(Qap2Params(n=n, p_set=(1, 2, 3), q_set=(1, 2, 3), beta=2))
+
+
+@pytest.mark.parametrize("family,n", [("qap5", 5), ("qap5", 6), ("qap5", 7),
+                                      ("qap4", 7), ("qap2", 7)])
+def test_the_proper_face_shares_the_hull_echelon_and_matches_an_inserted_copy(family, n):
+    # the proper face keeps E's cached echelon form by reference and the
+    # form's reduced equation beside it; its pivots, rank and remainders
+    # equal those of the one echelon form that np.insert builds in a copy
+    from oracle_streams import echelon_remainder, inserted_echelon
+
+    from qappoly.geometry import _form_equation
+
+    form = _readme_form(family, n)
+    space = vertex_space(n)
+    assert form.scaled_slack_on_match_rows(space.zt).any()   # a proper face
+    known = hull_equations(n)
+    equation = _form_equation(form)
+    face = known.with_equation(equation, "proper face")
+    assert face.echelon is known.echelon and face.pivots is known.pivots
+    assert len(face.beyond) == 1 and face.rank == len(known.echelon) + 1
+    p = known.prime
+    echelon, pivots = inserted_echelon(known.echelon, known.pivots, equation, p)
+    assert sorted(face.held.tolist()) == pivots
+    assert face.rank == len(echelon)
+    rng = np.random.default_rng(n)
+    rows = np.vstack([rng.integers(-5, 6, size=(4, equation.size)),
+                      space.rows(rng.integers(len(space.images), size=3)),
+                      equation])
+    remainder = face.remainder(rows)
+    assert np.array_equal(remainder, echelon_remainder(rows, echelon, pivots, p))
+    # the equation is in the face's row space; the other rows are not
+    assert remainder[:-1].any(axis=1).all() and not remainder[-1].any()
 
 
 # ---------------------------------------------------------------------------

@@ -58,16 +58,20 @@ def test_a_span_basis_without_a_lift_is_refused(monkeypatch):
 
 def test_span_basis_keeps_only_its_lifted_kernel():
     # the 24 vertices at n=4 have rank 23 (affine dimension 22): the hull
-    # equations prove it with no extra, so the certificate takes their kind,
-    # and neither the generators nor an echelon basis is kept beside them
+    # equations prove it with no extra, so the certificate takes their kind;
+    # the basis shares the known equations and keeps no float64 copy of them,
+    # nor the generators or an echelon basis
     generators = ExactPoints(vertex_space(4).rows(range(24)))
     known = hull_equations(4)
     basis = ModularSpanBasis(generators, known)
     assert basis.certificate.kind == "affine-hull equations"
     assert basis.certificate.columns - basis.certificate.equation_rank == 23
     assert basis.certificate.bound == 22
-    assert np.array_equal(basis.equations, known.equations)
-    assert set(vars(basis)) == {"certificate", "equations", "largest"}
+    assert np.shares_memory(basis.equations, known.equations)
+    assert basis.extras.shape == (0, known.equations.shape[1])
+    arrays = [value for value in vars(basis).values() if isinstance(value, np.ndarray)]
+    assert arrays and not any(array.dtype.kind == "f" for array in arrays)
+    assert sum(array.nbytes for array in arrays) == known.equations.nbytes
 
 
 def test_rank_consensus_reports_the_same_for_int8_and_int64():
@@ -167,8 +171,7 @@ def test_a_lifted_kernel_reconstructs_denominators():
     extras, _ = lifted_kernel(points, nothing_known(3))
     assert extras.tolist() in ([[1, -3, 1]], [[-1, 3, -1]])
     basis = ModularSpanBasis(points, nothing_known(3))
-    assert basis.contains(np.array([3, 2, 3]))
-    assert not basis.contains(np.array([1, 0, 0]))
+    assert basis.contains(np.array([[3, 2, 3], [1, 0, 0]])).tolist() == [True, False]
 
 
 def test_membership_is_exact_past_float64():
@@ -176,8 +179,29 @@ def test_membership_is_exact_past_float64():
     # of Python integers tell them apart
     basis = ModularSpanBasis(ExactPoints(np.array([[3, 1, 0], [0, 1, 3]])), nothing_known(3))
     big = 2 ** 60
-    assert basis.contains(np.array([3 * big, 2 * big, 3 * big]))
-    assert not basis.contains(np.array([3 * big + 1, 2 * big, 3 * big]))
+    assert basis.contains(np.array([[3 * big, 2 * big, 3 * big],
+                                    [3 * big + 1, 2 * big, 3 * big]])).tolist() == [True, False]
+
+
+def test_one_batch_decides_python_integer_and_float64_targets_alike():
+    # 70 targets are two blocks of at most 64: the first holds small members
+    # and non-members only, so it runs in float64; the second mixes small
+    # ones with targets near 2**60, which fail the float64 guard, so that
+    # block runs in Python integers; each verdict is exact either way
+    generators = np.array([[3, 1, 0], [0, 1, 3]])
+    basis = ModularSpanBasis(ExactPoints(generators), nothing_known(3))
+    rng = np.random.default_rng(5)
+    targets = rng.integers(-9, 10, size=(70, 2)) @ generators
+    targets[rng.integers(70, size=20), 0] += 1   # off the span: w·v moves by 1
+    big = 2 ** 60
+    targets[66:] = [[3 * big, 2 * big, 3 * big], [3 * big + 1, 2 * big, 3 * big],
+                    [0, big, 3 * big], [1, 0, 0]]
+    # the span is the kernel of w = (1, -3, 1), read in Python integers
+    expected = [not value for value in targets.astype(object) @ np.array([1, -3, 1], dtype=object)]
+    assert any(expected[:64]) and not all(expected[:64])
+    assert expected[64:66] and expected[66:] == [True, False, True, False]
+    got = basis.contains(targets)
+    assert got.dtype == bool and got.tolist() == expected
 
 
 def test_a_flipped_lift_entry_loses_the_certificate(monkeypatch):
@@ -213,7 +237,16 @@ def test_an_empty_point_set_has_the_identity_kernel():
     extras, certificate = lifted_kernel(points, nothing_known(4))
     assert extras.tolist() == np.eye(4, dtype=int).tolist()
     assert certificate.equation_rank == 4 and certificate.subset_rows == 0
-    assert not ModularSpanBasis(points, nothing_known(4)).contains(np.array([0, 0, 1, 0]))
+    basis = ModularSpanBasis(points, nothing_known(4))
+    assert basis.contains(np.array([[0, 0, 1, 0], [0, 0, 0, 0]])).tolist() == [False, True]
+    assert basis.contains(np.zeros((0, 4), dtype=np.int8)).tolist() == []
+
+
+def test_membership_takes_a_batch_of_targets_only():
+    basis = ModularSpanBasis(ExactPoints(np.array([[3, 1, 0], [0, 1, 3]])), nothing_known(3))
+    for shape in ((3,), (2, 4)):
+        with pytest.raises(QappolyError, match="targets have shape"):
+            basis.contains(np.zeros(shape, dtype=np.int64))
 
 
 def test_a_lift_short_of_full_row_rank_is_no_proof(monkeypatch):
@@ -323,6 +356,10 @@ ELIMINATION_CASES = {
     "low rank": (lambda rng: rng.integers(-3, 4, size=(120, 6))
                  @ rng.integers(-3, 4, size=(6, 129)), True),
     "small int8": (lambda rng: rng.integers(-2, 3, size=(12, 9), dtype=np.int8), True),
+    # the first panel clears its 397 rows below at 1,034 columns, in four
+    # row blocks of at most 126 rows
+    "low rank, several row blocks": (lambda rng: rng.integers(-3, 4, size=(400, 3))
+                                     @ rng.integers(-3, 4, size=(3, 1100)), True),
     "n=6 vertex rows": (lambda rng: vertex_space(6).rows(range(720)), False),
 }
 
@@ -389,29 +426,33 @@ def _n7_subset():
 
 def test_the_blocked_elimination_runs_one_product_per_panel(monkeypatch):
     # a product per pivot would be 457 calls; a panel of 64 columns takes
-    # one per block of EQUATION_CHECK_ROWS rows
+    # one per row block, and a row block holds PRODUCT_BLOCK_BYTES of
+    # float64 at the width it updates, so at least 140 rows at 931 columns
     matrix = _n7_subset()
     assert matrix.shape == (489, 931)
     calls = []
     original = modrank._matmul_mod_p
 
     def counting(a, b, p):
-        calls.append(a.shape)
+        calls.append((a.shape[0], b.shape[1]))
         return original(a, b, p)
 
     monkeypatch.setattr(modrank, "_matmul_mod_p", counting)
     assert rank_mod_p(matrix, PRIME_POOL[0]) == 457
-    row_blocks = -(-matrix.shape[0] // modrank.EQUATION_CHECK_ROWS)
+    fewest = modrank.PRODUCT_BLOCK_BYTES // (8 * matrix.shape[1])
+    assert fewest == 140
+    row_blocks = -(-matrix.shape[0] // fewest)
     assert 0 < len(calls) <= -(-matrix.shape[1] // modrank.PANEL) * row_blocks
-    assert all(rows <= modrank.EQUATION_CHECK_ROWS for rows, _ in calls)
+    assert all(rows * width * 8 <= modrank.PRODUCT_BLOCK_BYTES for rows, width in calls)
 
 
 def test_blocked_elimination_memory_stays_within_row_blocks():
-    # beyond its int64 working copy, the elimination holds at most this many
-    # blocks of EQUATION_CHECK_ROWS x cols 8-byte values at once (the trailing
-    # block, its product, and the product's low half in float64 and int64);
-    # the unblocked loop, updating all 3000 rows at once, needed about 5.5
-    blocks = 4.5
+    # beyond its int64 working copy, the elimination holds a few full-height
+    # arrays one panel wide (the panel, its multipliers, a gathered rank-1
+    # update) and a few row blocks of PRODUCT_BLOCK_BYTES (a product, the
+    # rows it updates, a reduction's quotient).  Measured: 7.3 MiB at 3000
+    # rows; casting the int8 input whole and four blocks of 1,024 rows at
+    # once took 26.4 MiB, and the unblocked loop about 5.5 blocks of 1,024
     space = vertex_space(7)
     points = space.rows(np.random.default_rng(1).permutation(len(space.images))[:3000])
     rows, cols = points.shape
@@ -422,4 +463,5 @@ def test_blocked_elimination_memory_stays_within_row_blocks():
     finally:
         tracemalloc.stop()
     assert rank == 458
-    assert peak - rows * cols * 8 <= blocks * modrank.EQUATION_CHECK_ROWS * cols * 8
+    panel_wide = rows * modrank.PANEL * 8
+    assert peak - rows * cols * 8 <= 3 * panel_wide + 4 * modrank.PRODUCT_BLOCK_BYTES
