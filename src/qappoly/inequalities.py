@@ -632,11 +632,6 @@ class Qap5Bounds:
 # higher).
 CHUNK_FORMS = 1024
 
-# Rows of a column table masked per step by ``Segment.orbit_minima``: about
-# 1 MB per temporary, where the whole ordered table at n=10 takes 35 MB.
-CHUNK_COLUMNS = 1 << 16
-
-
 def permutation_table(size: int, r: int) -> np.ndarray:
     """The r-permutations (r <= size) of range(size), one per row of an int8
     table, in ``itertools.permutations`` order.  Each slot's Lehmer digit is
@@ -661,6 +656,82 @@ def _index_table(size: int, r: int, ordered: bool) -> np.ndarray:
     rows = math.comb(size, r)
     flat = itertools.chain.from_iterable(itertools.combinations(range(size), r))
     return np.fromiter(flat, dtype=np.int8, count=rows * r).reshape(rows, r)
+
+
+def _index_rank(picks, size: int, ordered: bool) -> np.ndarray:
+    """The row of each of ``picks`` in ``_index_table(size, r, ordered)``,
+    found by arithmetic, no table built.
+
+    An r-permutation's row is its Lehmer rank: digit i, the count of values
+    below pick i that no earlier slot holds, weighs perm(size-1-i, r-1-i).
+    An r-combination a_0 < ... < a_{r-1} is ranked by the combinatorial
+    number system: its row is comb(size, r) - 1 - sum_i comb(size-1-a_i, r-i).
+    """
+    picks = np.asarray(picks, dtype=np.int64)
+    r = picks.shape[1]
+    slots = np.arange(r)
+    if ordered:
+        # [row, i, j]: an earlier slot j < i holds a smaller value
+        earlier = (picks[:, None, :] < picks[:, :, None]) & (slots < slots[:, None])
+        weights = np.array([math.perm(size - 1 - i, r - 1 - i) for i in range(r)],
+                           dtype=np.int64)
+        return (picks - earlier.sum(axis=2)) @ weights
+    binom = np.array([[math.comb(a, k) for k in range(r + 1)] for a in range(size)],
+                     dtype=np.int64).reshape(size, r + 1)
+    return math.comb(size, r) - 1 - binom[size - 1 - picks, r - slots].sum(axis=1)
+
+
+@functools.lru_cache(maxsize=64)
+def _class_predecessors(n: int, classes) -> tuple[int, ...]:
+    """Per 0-based column, the column before it in its class, or -1 for the
+    least column of a class and a column in no class."""
+    before = [-1] * n
+    for members in classes:
+        for previous, c in itertools.pairwise(members):
+            before[c - 1] = previous - 1
+    return tuple(before)
+
+
+def _follow_predecessors(columns, before) -> bool:
+    """Whether each of ``columns`` comes after its class predecessor in them."""
+    return all(before[c] < 0 or before[c] in columns[:at] for at, c in enumerate(columns))
+
+
+@functools.lru_cache(maxsize=256)
+def _least_rows(n: int, r: int, ordered: bool, before: tuple[int, ...],
+                lead: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``_index_table(n - len(lead), r, ordered)``, a table over
+    the 0-based columns outside ``lead``, whose column tuples, led by
+    ``lead``, are least in their orbit; ascending, with their int8 entries.
+
+    A tuple is least when each column follows its class predecessor
+    ``before[c]`` (``_class_predecessors``).  The tuples are built one slot
+    at a time: each is extended by every column it allows, in ascending
+    order (past its last one unless ``ordered``), so they come in
+    lexicographic order, which is the table's, and each has its row by
+    ``_index_rank``.  The work is proportional to the tuples kept.  Cached
+    per key, read-only: the qap1 runs of one l and m share their rows.
+    """
+    # the empty tuple, unless lead itself is not least
+    tuples = np.zeros((int(_follow_predecessors(lead, before)), 0), dtype=np.int8)
+    used = np.zeros((len(tuples), n), dtype=bool)
+    used[:, list(lead)] = True
+    before = np.array(before)
+    free = before < 0
+    columns = np.arange(n)
+    for slot in range(r):
+        allowed = ~used & (free | used[:, before])
+        if not ordered and slot:
+            allowed &= columns > tuples[:, -1:]
+        parent, column = np.nonzero(allowed)
+        tuples = np.hstack((tuples[parent], column[:, None].astype(np.int8)))
+        used = used[parent]
+        used[np.arange(parent.size), column] = True
+    # each column's place among the columns outside lead
+    picks = tuples - sum((tuples > c).astype(np.int8) for c in lead)
+    rows = _index_rank(picks, n - len(lead), ordered)
+    rows.flags.writeable = picks.flags.writeable = False
+    return rows, picks
 
 
 def _grid(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -688,7 +759,8 @@ class Segment:
 
     Row r of the run is row r of the product of ``factors``, each one the
     index table ``_index_table(*factor)``, the last one varying fastest, as
-    itertools.product orders them; ``_sets`` gives each row's index sets.
+    itertools.product orders them; ``_picked_sets`` maps each row's table
+    entries (its picks) to its index sets.
     The run's layout states its forms, once for the builders (``form``) too:
     ``_cells`` maps a row's index sets to its cells, entry e of a form joins
     the cells at slots ``pairs[0][e]`` and ``pairs[1][e]``, and template t
@@ -698,10 +770,10 @@ class Segment:
     row's T parameter sets in template order.  ``family``, ``sense`` and
     ``scale`` are the family's.
 
-    A form's columns, read in slot order, are its column tuple: row r of
-    ``_columns``, the rows of factor ``column_factor`` mapped to columns
-    (for qap1 led by l).  A qap3 run has one Q, so ``column_factor`` is None
-    and ``_columns`` holds that one tuple.
+    A form's columns, read in slot order, are its column tuple: the picks
+    of factor ``column_factor`` mapped to columns (for qap1 led by l).  A
+    qap3 run has one Q, so ``column_factor`` is None and Q is its one
+    column tuple.
     """
 
     family: str
@@ -728,12 +800,17 @@ class Segment:
 
     def _sets(self, rows) -> tuple[np.ndarray, ...]:
         """The 1-based index sets of the run rows ``rows``."""
-        return tuple(pick + 1 for pick in self._picks(rows))
+        return self._picked_sets(self._picks(rows))
 
-    def arrays(self, rows) -> np.ndarray:
-        """The triangle positions of the run rows ``rows``, (rows, entries),
-        each row shared by its T forms."""
-        return self._slot_positions(self._sets(rows))
+    def _picked_sets(self, picks) -> tuple[np.ndarray, ...]:
+        """The 1-based index sets of the rows whose factors' table entries
+        are ``picks`` (int64)."""
+        return tuple(pick + 1 for pick in picks)
+
+    def arrays(self, picks) -> np.ndarray:
+        """The triangle positions, (rows, entries), of the rows whose
+        factors' table entries are ``picks``, each row shared by its T forms."""
+        return self._slot_positions(self._picked_sets(picks))
 
     def forms(self, rows) -> list[LinearForm]:
         """The forms of the run rows ``rows``, T per row in template order."""
@@ -761,59 +838,34 @@ class Segment:
                 for (row, (coeffs, rhs)), form_params in zip(
                     itertools.product(self._slot_positions(sets).tolist(), templates), params)]
 
-    def orbit_minima(self, classes, masks: dict) -> list[np.ndarray]:
+    def orbit_minima(self, classes) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per factor, the ascending rows of its index table that the run's
-        orbit minima use; the minima are the product of these rows.
+        orbit minima use, with the table's entries at those rows; the minima
+        are the product of these rows.
 
         ``classes`` are disjoint sorted column tuples, and the group
         Sym(C1) x Sym(C2) x ... relabels the columns of every form.  Where
         two forms share an orbit, their order is lexicographic on their
         column tuples.  So a form is the least of its orbit exactly when,
         in every class, the tuple's entries in that class, read in slot
-        order, are its smallest members in ascending order.  With no
-        classes every row is kept.  ``masks``, shared by the runs of one
-        compile, holds each column table's mask by its ``_column_key``; the
-        table is masked CHUNK_COLUMNS rows at a time.
+        order, are its smallest members in ascending order: each column
+        follows its predecessor in its class.  The column factor's rows are
+        generated as such tuples and found by rank (``_least_rows``); its
+        table is never built.  Every other factor keeps its whole table, as
+        does every factor when there are no classes.
         """
-        axes = [np.arange(size) for size in self.shape]
-        if classes:
-            key = self._column_key()
-            if key not in masks:
-                rows = 1 if self.column_factor is None else self.shape[self.column_factor]
-                masks[key] = np.empty(rows, dtype=bool)
-                for lo in range(0, rows, CHUNK_COLUMNS):
-                    chunk = slice(lo, lo + CHUNK_COLUMNS)
-                    masks[key][chunk] = _least_in_orbit(self._columns(chunk), classes)
-            if self.column_factor is None:   # the run's one column tuple
-                if not masks[key][0]:
-                    axes[0] = axes[0][:0]
+        axes = []
+        for at, factor in enumerate(self.factors):
+            if classes and at == self.column_factor:
+                axes.append(self._least_column_rows(_class_predecessors(self.n, classes)))
             else:
-                axes[self.column_factor] = np.flatnonzero(masks[key])
+                axes.append((np.arange(self.shape[at]), _index_table(*factor)))
         return axes
 
-    def _columns(self, rows: slice) -> np.ndarray:
-        """The column tuple of each row ``rows`` of factor ``column_factor``."""
-        return _index_table(*self.factors[self.column_factor])[rows] + 1
-
-    def _column_key(self):
-        """What ``_columns`` depends on: runs with one key share it."""
-        return self.factors[self.column_factor]
-
-
-def _least_in_orbit(columns: np.ndarray, classes) -> np.ndarray:
-    """Whether each row of column tuples is the least of its orbit: in every
-    class, the row's entries that lie in it, in slot order, are the class's
-    smallest members in ascending order."""
-    keep = np.ones(len(columns), dtype=bool)
-    size = max(int(columns.max()), *map(max, classes)) + 1
-    for members in classes:
-        rank = np.full(size, -1, dtype=np.int8)   # -1 outside the class
-        rank[list(members)] = np.arange(len(members))
-        ranks = rank[columns]
-        inside = ranks >= 0
-        ordinal = np.cumsum(inside, axis=1, dtype=np.int8) - 1
-        keep &= np.all(~inside | (ranks == ordinal), axis=1)
-    return keep
+    def _least_column_rows(self, before: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The column factor's rows whose column tuples are least in their
+        orbit, and their table entries."""
+        return _least_rows(self.n, *self.factors[self.column_factor][1:], before)
 
 
 @functools.lru_cache(maxsize=None)
@@ -837,8 +889,8 @@ class _Qap1Run(Segment):
         universe = np.arange(1, n + 1)
         self.rows, self.cols = universe[universe != k], universe[universe != l]
 
-    def _sets(self, rows):
-        i_picks, j_picks = self._picks(rows)
+    def _picked_sets(self, picks):
+        i_picks, j_picks = picks
         return self.rows[i_picks], self.cols[j_picks]
 
     def _params(self, sets):
@@ -846,12 +898,9 @@ class _Qap1Run(Segment):
         return [Qap1Params(n=self.n, i_set=tuple(i), j_set=tuple(j), k=self.k, l=self.l)
                 for i, j in zip(i_sets, j_sets)]
 
-    def _columns(self, rows):
-        j_sets = self.cols[_index_table(*self.factors[1])[rows]]
-        return np.hstack((np.full((len(j_sets), 1), self.l), j_sets))
-
-    def _column_key(self):
-        return self.l, self.factors[1]
+    def _least_column_rows(self, before):
+        # the j-table is over the columns other than l, which leads the tuple
+        return _least_rows(self.n, *self.factors[1][1:], before, lead=(self.l - 1,))
 
     def _cells(self, sets):
         i_sets, j_sets = sets
@@ -940,8 +989,8 @@ class _Qap3Run(Segment):
                          _qap3_layout(len(q_set), p1, p2, betas))
         self.q_set, self.betas = q_set, betas
 
-    def _sets(self, rows):
-        p1_picks, rest_picks = self._picks(rows)
+    def _picked_sets(self, picks):
+        p1_picks, rest_picks = picks
         free = np.ones((len(p1_picks), self.n), dtype=bool)
         np.put_along_axis(free, p1_picks, False, axis=1)
         rest = np.nonzero(free)[1].reshape(len(p1_picks), -1)
@@ -953,11 +1002,12 @@ class _Qap3Run(Segment):
         return [Qap3Params(n=self.n, p1_set=p1, p2_set=p2, q_set=self.q_set, beta=beta)
                 for p1, p2 in zip(p1_sets, p2_sets) for beta in self.betas]
 
-    def _columns(self, rows):
-        return np.array([self.q_set])[rows]
-
-    def _column_key(self):
-        return self.q_set
+    def orbit_minima(self, classes):
+        q = [c - 1 for c in self.q_set]
+        if classes and not _follow_predecessors(q, _class_predecessors(self.n, classes)):
+            # Q, the run's one column tuple, is not least: no row is kept
+            return [(np.arange(0), _index_table(*factor)[:0]) for factor in self.factors]
+        return super().orbit_minima(classes)
 
     def _cells(self, sets):
         q = _one_row(self.q_set)

@@ -33,8 +33,8 @@ are below 2**31 so products of two residues fit in int64.
 
 Memory: no proof holds a second array of a full matrix's size.  Beyond its
 reduced copy, an elimination holds arrays one panel wide and row blocks of
-about ``PRODUCT_BLOCK_BYTES``; a proper face shares the echelon form of the
-equations it grows from (``ProvenEquations.with_equation``); and a span
+about ``PRODUCT_BLOCK_BYTES``; a proper face shares the equations it grows
+from and their echelon form (``ProvenEquations.with_equation``); and a span
 basis holds the known equations by reference, deciding membership
 ``MEMBERSHIP_BLOCK`` equations by as many targets at a time.
 
@@ -333,12 +333,14 @@ class ProvenEquations:
     needs no equation beyond them: "affine-hull equations" or "proper
     face".
 
-    Equations added by ``with_equation`` keep the echelon form they grew
-    from by reference, so a proper face shares E's cached echelon: each
-    added row that is independent mod p joins ``beyond`` as a (row, pivot)
-    pair, reduced by every echelon row before it, so zero at all their
-    pivots.  Sorted by pivot, ``echelon`` and ``beyond`` are one echelon
-    form, unit triangular at ``held``, of rank ``rank``.
+    Equations added by ``with_equation`` keep the equations and the
+    echelon form they grew from by reference, so a proper face shares E and
+    its cached echelon: each added row joins ``added`` as a one-row array
+    beside ``equations``.  An added row that is independent mod p joins
+    ``beyond`` as a (row, pivot) pair, reduced by every echelon row before
+    it, so zero at all their pivots.  Sorted by pivot, ``echelon`` and
+    ``beyond`` are one echelon form, unit triangular at ``held``, of rank
+    ``rank``.
     """
 
     equations: np.ndarray
@@ -347,6 +349,7 @@ class ProvenEquations:
     echelon: np.ndarray | None = None
     pivots: np.ndarray | None = None
     beyond: tuple[tuple[np.ndarray, int], ...] = ()
+    added: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
         if self.echelon is None:
@@ -357,6 +360,11 @@ class ProvenEquations:
     @property
     def rank(self) -> int:
         return len(self.echelon) + len(self.beyond)
+
+    @property
+    def row_count(self) -> int:
+        """Every equation's: ``equations`` and the rows added to them."""
+        return len(self.equations) + len(self.added)
 
     @property
     def held(self) -> np.ndarray:
@@ -381,7 +389,8 @@ class ProvenEquations:
         """These equations and one more integer ``row``, which the caller has
         proven to vanish on every point of its set.  What is left of the row
         after reducing it by the echelon form, scaled to a leading 1, joins
-        ``beyond``; the echelon form held is shared, not copied."""
+        ``beyond``; the equations and echelon form held are shared, not
+        copied."""
         p = self.prime
         left = self.remainder(row[None])[0]
         beyond = self.beyond
@@ -391,8 +400,8 @@ class ProvenEquations:
             beyond += ((reduced, lead),)
         # the row in the narrowest type that holds it, so int8 equations stay narrow
         narrow = row.astype(np.min_scalar_type(-_magnitude(row) - 1))
-        return ProvenEquations(np.vstack([self.equations, narrow]), p, kind,
-                               self.echelon, self.pivots, beyond)
+        return ProvenEquations(self.equations, p, kind, self.echelon, self.pivots, beyond,
+                               self.added + (narrow[None],))
 
 
 def _magnitude(matrix: np.ndarray) -> int:
@@ -547,7 +556,7 @@ def lifted_kernel(points, known: ProvenEquations):
             return None
         return extras, RankCertificate(
             kind="lifted kernel" if len(extras) else known.kind, columns=cols, prime=p,
-            subset_rows=taken, equation_rows=len(known.equations) + len(extras),
+            subset_rows=taken, equation_rows=known.row_count + len(extras),
             equation_rank=rank)
     return None
 
@@ -561,8 +570,9 @@ class ModularSpanBasis:
     whose lift does not pass are refused as unproven.
 
     The known equations are held by reference (for the hull equations, the
-    cached read-only int8 E), beside the int64 extras; no float64 copy is
-    kept, only each ``MEMBERSHIP_BLOCK`` of rows' largest magnitude.
+    cached read-only int8 E, and any rows added to them), beside the int64
+    extras; no float64 copy is kept, only each ``MEMBERSHIP_BLOCK`` of rows'
+    largest magnitude.
     """
 
     def __init__(self, generators, known: ProvenEquations):
@@ -572,13 +582,13 @@ class ModularSpanBasis:
                 f"unproven: no lifted kernel of the {generators.shape[0]} span "
                 f"generators passes at p = {known.prime}")
         self.extras, self.certificate = lifted
-        self.equations = known.equations
+        self.equations, self.added = known.equations, known.added
         self.largest = [_magnitude(block) for block in self._blocks()]
 
     def _blocks(self):
-        """The known equations, then the extras, ``MEMBERSHIP_BLOCK`` rows at
-        a time, as views."""
-        for part in (self.equations, self.extras):
+        """The known equations, then the rows added to them and the extras,
+        ``MEMBERSHIP_BLOCK`` rows at a time, as views."""
+        for part in (self.equations, *self.added, self.extras):
             for start in range(0, len(part), MEMBERSHIP_BLOCK):
                 yield part[start:start + MEMBERSHIP_BLOCK]
 

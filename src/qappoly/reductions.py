@@ -18,26 +18,33 @@ Membership is decided against every enumerated form of the family, with
 exact integer arithmetic, through one form per orbit of the point's column
 symmetry.  ``column_classes`` applies each column transposition (a b),
 which moves cell (i, a) to (i, b) and back, to the point's scaled vector
-and compares exactly.  The transpositions that fix the point join its
-columns into classes C1, C2, ..., and every permutation in
-Sym(C1) x Sym(C2) x ... fixes the point.  Such a permutation maps each
-family onto itself and keeps a form's template, so all forms of one orbit
-have the same lhs at the point.  The sweep keeps the least form id of each
+and compares exactly; the position images of all n(n-1)/2 swaps are
+built once per n, in one vectorized pass.  The transpositions that fix
+the point join its columns into classes C1, C2, ..., and every
+permutation in Sym(C1) x Sym(C2) x ... fixes the point.  Such a
+permutation maps each family onto itself and keeps a form's template, so
+all forms of one orbit have the same lhs at the point.  The sweep keeps the least form id of each
 orbit (``Segment.orbit_minima``).  The ids of one orbit are ordered
 lexicographically on the forms' column tuples: (l, j_1..j_m) for qap1,
 the j-tuple for qap4, Q for qap2 and qap3.  (A qap1 orbit crosses runs only
 through l, which leads its tuple; a qap3 run has one Q, so whole qap3 runs
 are kept or dropped.)  So the least id is the form whose entries in each
-class are that class's smallest columns in ascending order.  The violated
-forms are a union of orbits, so the least violated form kept is the first
-violated form of the whole family.  With no class every form is kept.
+class are that class's smallest columns in ascending order.  Those column
+tuples are generated directly, slot by slot, and each finds its row of
+the run's index table by its rank (the Lehmer rank of an r-permutation,
+the combinatorial number system for a combination), so no ordered table
+is built or masked and the work follows the forms kept (9 of the 362,880
+qap4 forms at n = 8).  The violated forms are a union of orbits, so the
+least violated form kept is the first violated form of the whole family.
+With no class every form is kept, read from the whole tables.
 
 Each (family, n, classes) is compiled once, in numpy, and kept in a
 two-entry LRU cache.  The compile reads the family's segments
 (``inequalities.family_segments``): runs of forms with fixed index-set
 sizes, each the product of a few index tables, and keeps the product of
-the rows each table contributes to the orbit minima.  A row's T forms
-share its positions, and each run's layout holds its T templates and
+the rows each table contributes to the orbit minima, building their
+positions from those rows' table entries.  A row's T forms share its
+positions, and each run's layout holds its T templates and
 rhs (T is the number of betas of a qap3 run, else 1), so the family
 compiles to one block per distinct layout: the int16 triangle positions
 of its kept rows, the shared int64 templates, and each row's base id,
@@ -63,7 +70,6 @@ witness is decoded from its form id through the same segments.
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -76,7 +82,7 @@ from .graphs import (
     cliques_of_size_at_least,
     max_clique_capped,
 )
-from .indexing import flat_index, pair_from_flat, triangle_dimension, triangle_position
+from .indexing import flat_index, pair_from_flat, triangle_dimension
 from .inequalities import (
     CHUNK_FORMS,
     INT64_MAX,
@@ -239,18 +245,20 @@ class CompiledFamily:
 def _column_swaps(n: int) -> tuple[list[tuple[int, int]], np.ndarray]:
     """The column transpositions (a, b), a < b, and for each the triangle
     position that every triangle position maps to: swapping the columns
-    moves cell (i, a) to (i, b) and back."""
+    moves cell (i, a) to (i, b) and back.  Every swap at once: each one's
+    cell images, then each moved entry's position, read from a table of
+    the position of every ordered cell pair.  The images are row-major, one
+    swap per row (``np.take`` keeps that order; a column-major table makes
+    each check of a point twice as slow)."""
     nn = n * n
     f1, f2 = _triangle_indices(nn)   # 0-based, in triangle_position order
+    position = np.empty((nn, nn), dtype=np.intp)
+    position[f1, f2] = position[f2, f1] = np.arange(f1.size)
     row, col = np.divmod(np.arange(nn), n)
-    swaps = list(itertools.combinations(range(1, n + 1), 2))
-    images = np.empty((len(swaps), f1.size), dtype=np.intp)
-    for at, (a, b) in enumerate(swaps):
-        swapped = np.where(col == a - 1, b - 1, np.where(col == b - 1, a - 1, col))
-        cell = n * row + swapped + 1
-        g1, g2 = cell[f1], cell[f2]
-        images[at] = triangle_position(n, np.minimum(g1, g2), np.maximum(g1, g2))
-    return swaps, images
+    a, b = (column[:, None] for column in np.triu_indices(n, 1))   # in combinations order
+    cell = n * row + np.where(col == a, b, np.where(col == b, a, col))
+    images = position.ravel()[np.take(cell, f1, axis=1) * nn + np.take(cell, f2, axis=1)]
+    return list(zip((a[:, 0] + 1).tolist(), (b[:, 0] + 1).tolist())), images
 
 
 def column_classes(point: YPoint) -> tuple[tuple[int, ...], ...]:
@@ -273,11 +281,14 @@ def column_classes(point: YPoint) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(members) for members in classes.values() if len(members) > 1)
 
 
-def _rows_of(run: Segment, axes: list[np.ndarray], lo: int, hi: int) -> np.ndarray:
-    """Run rows lo..hi-1 of the product of the per-factor table rows ``axes``."""
-    digits = np.unravel_index(np.arange(lo, hi), tuple(axis.size for axis in axes))
-    return np.ravel_multi_index(tuple(axis[digit] for axis, digit in zip(axes, digits)),
+def _product_rows(run: Segment, axes: list, lo: int, hi: int):
+    """Rows lo..hi-1 of the product of the per-factor (table rows, their
+    entries) ``axes``: their run rows and their picks, as ``run.arrays``
+    takes them."""
+    digits = np.unravel_index(np.arange(lo, hi), tuple(kept.size for kept, _ in axes))
+    rows = np.ravel_multi_index(tuple(kept[digit] for (kept, _), digit in zip(axes, digits)),
                                 run.shape)
+    return rows, tuple(table[digit].astype(np.int64) for (_, table), digit in zip(axes, digits))
 
 
 @functools.lru_cache(maxsize=2)
@@ -296,11 +307,10 @@ def compiled_blocks(family: str, n: int, classes: tuple = ()) -> CompiledFamily:
     """
     runs = family_segments(n, family)
     forms = sum(run.count for run in runs)
-    kept = []   # (run, the table rows of its orbit minima per factor, their count)
-    masks = {}
+    kept = []   # (run, per factor its orbit minima's table rows and entries, their count)
     for run in runs:
-        axes = run.orbit_minima(classes, masks)
-        count = math.prod(axis.size for axis in axes)
+        axes = run.orbit_minima(classes)
+        count = math.prod(rows.size for rows, _ in axes)
         if count:
             kept.append((run, axes, count))
     entries = sum(count * run.entries for run, _, count in kept)
@@ -328,9 +338,9 @@ def compiled_blocks(family: str, n: int, classes: tuple = ()) -> CompiledFamily:
     filled = [0] * len(sizes)
     for (run, axes, count), block in zip(kept, run_blocks):
         for lo in range(0, count, CHUNK_FORMS):
-            rows = _rows_of(run, axes, lo, min(lo + CHUNK_FORMS, count))
+            rows, picks = _product_rows(run, axes, lo, min(lo + CHUNK_FORMS, count))
             start, stop = filled[block], filled[block] + rows.size
-            positions[block][start:stop] = run.arrays(rows)
+            positions[block][start:stop] = run.arrays(picks)
             ids[block][start:stop] = run.start + rows * len(run.rhs)
             filled[block] = stop
     blocks = tuple(TemplateBlock(positions=pos, templates=np.array(templates, dtype=np.int64),

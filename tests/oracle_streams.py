@@ -16,12 +16,19 @@ removal (``modrank.rank_exact_rational``).
 An echelon form mod p grown by one row with ``np.insert`` into a copy: the
 program keeps the echelon form it grows from by reference and the reduced
 row beside it (``modrank.ProvenEquations.with_equation``).
+
+The orbit minima of a run as a mask on every column tuple of its whole
+index table, and a table row's lexicographic rank counted in plain loops:
+the program generates the least column tuples alone and ranks them by
+arithmetic (``inequalities.Segment.orbit_minima``).
 """
 
 import itertools
+import math
 
 import numpy as np
 
+from qappoly import inequalities
 from qappoly.errors import InvalidParameterError
 from qappoly.inequalities import Qap1Params, Qap2Params, Qap3Params, Qap4Params
 
@@ -160,3 +167,62 @@ def echelon_remainder(rows, echelon, pivots, p):
     for erow, c in zip(np.asarray(echelon, dtype=np.int64), pivots):
         left = (left - left[:, c, None] * erow) % p
     return left
+
+
+def least_in_orbit(columns, classes) -> np.ndarray:
+    """Whether each row of column tuples is the least of its orbit: in every
+    class, the row's entries that lie in it, in slot order, are the class's
+    smallest members in ascending order."""
+    keep = np.ones(len(columns), dtype=bool)
+    size = max(int(columns.max()), *map(max, classes)) + 1
+    for members in classes:
+        rank = np.full(size, -1, dtype=np.int8)   # -1 outside the class
+        rank[list(members)] = np.arange(len(members))
+        ranks = rank[columns]
+        inside = ranks >= 0
+        ordinal = np.cumsum(inside, axis=1, dtype=np.int8) - 1
+        keep &= np.all(~inside | (ranks == ordinal), axis=1)
+    return keep
+
+
+def column_tuples(run) -> np.ndarray:
+    """The column tuple of every row of the run's column table, in table
+    order: the j-tuples led by l for qap1, the j-tuples for qap4, the Q-sets
+    for qap2 and the one Q of a qap3 run."""
+    if run.column_factor is None:
+        return np.array([run.q_set])
+    table = inequalities._index_table(*run.factors[run.column_factor])
+    if run.family == "qap1":
+        return np.hstack((np.full((len(table), 1), run.l), run.cols[table]))
+    return table + 1
+
+
+def masked_orbit_minima(run, classes) -> list:
+    """``run.orbit_minima(classes)`` by masking the whole column table."""
+    axes = [(np.arange(size), inequalities._index_table(*factor))
+            for size, factor in zip(run.shape, run.factors)]
+    if classes:
+        keep = least_in_orbit(column_tuples(run), classes)
+        if run.column_factor is None:
+            if not keep[0]:   # the run's one Q is not least
+                axes[0] = tuple(part[:0] for part in axes[0])
+        else:
+            rows = np.flatnonzero(keep)
+            axes[run.column_factor] = (rows, axes[run.column_factor][1][rows])
+    return axes
+
+
+def lexicographic_rank(pick, size: int, ordered: bool) -> int:
+    """The number of r-permutations (r-combinations unless ``ordered``) of
+    range(size) that come before ``pick`` in lexicographic order: for each
+    slot, those that agree with it before the slot and hold a smaller
+    value there."""
+    r, rank = len(pick), 0
+    for slot, value in enumerate(pick):
+        if ordered:
+            smaller = sum(1 for v in range(value) if v not in pick[:slot])
+            rank += smaller * math.perm(size - slot - 1, r - slot - 1)
+        else:
+            least = pick[slot - 1] + 1 if slot else 0
+            rank += sum(math.comb(size - v - 1, r - slot - 1) for v in range(least, value))
+    return rank

@@ -1072,9 +1072,10 @@ def _readme_form(family, n):
 @pytest.mark.parametrize("family,n", [("qap5", 5), ("qap5", 6), ("qap5", 7),
                                       ("qap4", 7), ("qap2", 7)])
 def test_the_proper_face_shares_the_hull_echelon_and_matches_an_inserted_copy(family, n):
-    # the proper face keeps E's cached echelon form by reference and the
-    # form's reduced equation beside it; its pivots, rank and remainders
-    # equal those of the one echelon form that np.insert builds in a copy
+    # the proper face keeps E and its cached echelon form by reference and
+    # the form's equation and its reduced row beside them; its pivots, rank
+    # and remainders equal those of the one echelon form that np.insert
+    # builds in a copy
     from oracle_streams import echelon_remainder, inserted_echelon
 
     from qappoly.geometry import _form_equation
@@ -1086,6 +1087,10 @@ def test_the_proper_face_shares_the_hull_echelon_and_matches_an_inserted_copy(fa
     equation = _form_equation(form)
     face = known.with_equation(equation, "proper face")
     assert face.echelon is known.echelon and face.pivots is known.pivots
+    assert np.shares_memory(face.equations, hull_equations(n).equations)
+    assert len(face.added) == 1 and np.array_equal(face.added[0], equation[None])
+    assert face.added[0].dtype.itemsize <= equation.dtype.itemsize
+    assert face.row_count == len(known.equations) + 1
     assert len(face.beyond) == 1 and face.rank == len(known.echelon) + 1
     p = known.prime
     echelon, pivots = inserted_echelon(known.echelon, known.pivots, equation, p)

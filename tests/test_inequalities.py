@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracle_streams import ORACLE, slack_counts_at
+from oracle_streams import ORACLE, lexicographic_rank, slack_counts_at
 
+from qappoly import inequalities
 from qappoly.errors import (
     CapExceededError,
     DimensionMismatchError,
@@ -480,6 +481,34 @@ def test_family_form_at_matches_enumeration(family, n):
         assert form.params == forms[index].params
     with pytest.raises(InvalidParameterError, match="no form"):
         family_form_at(n, family, len(forms))
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+def test_index_rank_is_the_row_of_every_table_row(ordered):
+    for size in range(9):
+        for r in range(size + 1):
+            table = inequalities._index_table(size, r, ordered)
+            ranks = inequalities._index_rank(table, size, ordered)
+            assert ranks.dtype == np.int64
+            assert np.array_equal(ranks, np.arange(len(table)))
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+@pytest.mark.parametrize("size", [9, 10, 11, 12])
+def test_index_rank_of_seeded_picks_is_their_lexicographic_rank(size, ordered):
+    rng = random.Random(size)
+    picks = [rng.sample(range(size), r) for r in range(size + 1) for _ in range(20)]
+    if not ordered:
+        picks = [sorted(pick) for pick in picks]
+    # the first and last row of each table
+    picks += [list(range(r)) for r in range(size + 1)]
+    picks += [list(range(size - 1, size - r - 1, -1)) if ordered else list(range(size - r, size))
+              for r in range(size + 1)]
+    for pick in picks:
+        rank = inequalities._index_rank(np.array([pick]).reshape(1, -1), size, ordered)
+        assert rank.tolist() == [lexicographic_rank(pick, size, ordered)]
+    last = math.perm(size, size) if ordered else 1
+    assert inequalities._index_rank([list(picks[-1])], size, ordered).tolist() == [last - 1]
 
 
 def test_enumerate_cap():

@@ -74,6 +74,19 @@ def test_span_basis_keeps_only_its_lifted_kernel():
     assert sum(array.nbytes for array in arrays) == known.equations.nbytes
 
 
+def test_a_span_basis_from_a_proper_face_checks_the_added_row():
+    # z = 0 is added to the known equations, not copied into them: the
+    # basis holds both by reference and checks the added row too
+    empty = nothing_known(3)
+    face = empty.with_equation(np.array([0, 0, 1]), "proper face")
+    assert face.equations is empty.equations and face.row_count == 1
+    basis = ModularSpanBasis(ExactPoints([[1, 0, 0], [0, 1, 0]]), face)
+    assert (basis.certificate.kind, basis.certificate.equation_rows) == ("proper face", 1)
+    assert basis.equations is empty.equations and basis.added is face.added
+    assert basis.contains(np.array([[2, 3, 0], [0, 0, 1], [1, 1, 1]])).tolist() == [
+        True, False, False]
+
+
 def test_rank_consensus_reports_the_same_for_int8_and_int64():
     space = vertex_space(5)
     rows = space.rows(range(len(space.images)))

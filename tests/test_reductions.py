@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracle_streams import ORACLE
+from oracle_streams import ORACLE, masked_orbit_minima
 
 from qappoly import inequalities, reductions
 from qappoly.errors import CapExceededError, InvalidParameterError, QappolyError
@@ -758,21 +759,99 @@ def test_orbit_minima_are_the_least_ids_of_their_orbits(family, n):
                 assert_compiled_as_built(block, row, template, form)
 
 
-def test_column_tables_masked_in_chunks_give_the_whole_table_masks(monkeypatch):
-    # random class partitions at n=8, with a chunk of 7 rows that cuts every
-    # table unevenly: the masks are bitwise those of the whole table at once
-    rng = random.Random(8)
-    partitions = [random_classes(8, rng) for _ in range(3)]
-    monkeypatch.setattr(inequalities, "CHUNK_COLUMNS", 7)
+def reduction_classes(n, rng):
+    """The column classes of the qap1, qap2 and qap4 reduction points of a
+    random graph (qap1 with l = 1, as the oracle sweeps it)."""
+    graph = random_graph(n, 0.5, rng)
+    return [column_classes(build_point_qap1(graph, 2, 1, 3)),
+            column_classes(build_point_qap2(graph, 1)),
+            column_classes(build_point_qap4(graph, 6))]
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_generated_orbit_minima_are_the_whole_table_masks(n):
+    # the rows kept per factor, their table entries and so their ids, for
+    # the reduction-point classes and three random partitions: generated
+    # and ranked, they are the rows of the whole-table mask.  A qap1 run's
+    # tables do not depend on k, so one k is masked.
+    rng = random.Random(n)
+    partitions = reduction_classes(n, rng) + [random_classes(n, rng) for _ in range(3)]
+    assert all(partitions)
+    for family in ("qap1", "qap2", "qap3", "qap4"):
+        runs = [run for run in family_segments(n, family) if getattr(run, "k", 1) == 1]
+        for classes in partitions:
+            for run in runs:
+                generated = run.orbit_minima(classes)
+                masked = masked_orbit_minima(run, classes)
+                count = math.prod(rows.size for rows, _ in masked)
+                assert math.prod(rows.size for rows, _ in generated) == count
+                if count and run.column_factor is not None:
+                    (rows, picks), (want, table) = (
+                        axes[run.column_factor] for axes in (generated, masked))
+                    assert rows.tobytes() == want.astype(np.int64).tobytes()
+                    assert picks.dtype == table.dtype and picks.tobytes() == table.tobytes()
+
+
+def _compiled_bytes(compiled):
+    return (compiled.forms, compiled.weight, compiled.rhs_bound,
+            [tuple((a.dtype.str, a.shape, a.tobytes())
+                   for a in (block.positions, block.templates, block.rhs, block.ids))
+             for block in compiled.blocks])
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_compiled_blocks_equal_the_whole_table_mask_compile(n, monkeypatch):
+    rng = random.Random(10 + n)
+    partitions = reduction_classes(n, rng) + [random_classes(n, rng) for _ in range(3)]
     for family in ("qap1", "qap2", "qap3", "qap4"):
         for classes in partitions:
-            masks = {}
-            for run in family_segments(8, family):
-                run.orbit_minima(classes, masks)
-                key = run._column_key()
-                whole = inequalities._least_in_orbit(run._columns(slice(None)), classes)
-                assert masks[key].dtype == whole.dtype == bool
-                assert masks[key].tobytes() == whole.tobytes()
+            compiled_blocks.cache_clear()
+            try:
+                generated = compiled_blocks(family, n, classes)
+                with monkeypatch.context() as masked:
+                    for run in family_segments(n, family):
+                        masked.setattr(run, "orbit_minima",
+                                       functools.partial(masked_orbit_minima, run))
+                    compiled_blocks.cache_clear()
+                    oracle = compiled_blocks(family, n, classes)
+            finally:
+                compiled_blocks.cache_clear()
+            assert _compiled_bytes(generated) == _compiled_bytes(oracle)
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 11, 12])
+def test_reduction_point_compiles_build_no_ordered_table(n, monkeypatch):
+    # the j-tables at n = 12 would hold up to 479,001,600 rows: the orbit
+    # minima are generated, so only the small combination tables are read
+    index_table = inequalities._index_table
+
+    def unordered_only(size, r, ordered):
+        if ordered:
+            raise AssertionError(f"the ordered table ({size}, {r}) was built")
+        return index_table(size, r, ordered)
+
+    monkeypatch.setattr(inequalities, "_index_table", unordered_only)
+    compiled_blocks.cache_clear()
+    try:
+        partitions = reduction_classes(n, random.Random(n))
+        for family, classes in zip(("qap1", "qap2", "qap4"), partitions):
+            compiled = compiled_blocks(family, n, classes)
+            assert compiled.forms == sum(run.count for run in family_segments(n, family))
+            assert 0 < sum(block.ids.size for block in compiled.blocks) < compiled.forms
+    finally:
+        compiled_blocks.cache_clear()
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_column_swaps_move_positions_as_the_column_image_loops(n):
+    swaps, images = reductions._column_swaps(n)
+    assert swaps == list(itertools.combinations(range(1, n + 1), 2))
+    assert images.dtype == np.intp and images.shape == (len(swaps), triangle_dimension(n))
+    assert images.flags.c_contiguous   # one swap's images per row, as column_classes reads them
+    for (a, b), moved in zip(swaps, images):
+        image = list(range(1, n + 1))
+        image[a - 1], image[b - 1] = b, a
+        assert np.array_equal(moved, column_image(n, image))
 
 
 def test_form_ids_past_int32_are_compiled_and_swept_exactly():
