@@ -12,8 +12,9 @@ from qappoly import (
     apply_transposition,
     enumerate_permutations,
     flat_index,
-    vertex_from_permutation,
+    vertex_space,
 )
+from qappoly.inequalities import match_matrix
 
 n = 4
 sigma = Permutation((2, 4, 1, 3))
@@ -21,26 +22,35 @@ print(f"permutation in one-line notation: {sigma.one_line()}")
 print(f"its sign (parity): {sigma.sign():+d}")
 print(f"flat index of position pair (3, 1) at n={n}: {flat_index(n, 3, 1)}")
 
-vertex = vertex_from_permutation(sigma)
-print(f"\nvertex has {len(vertex.entries)} stored entries "
-      f"({n} diagonal + {n*(n-1)//2} off-diagonal canonical pairs)")
-print(f"as nonzero cells of the full symmetric matrix: {vertex.nonzero_cell_count()}"
-      f" (= n^2)")
-print("entry (1,2),(2,4):", vertex.value_at(1, 2, 2, 4), " <- sigma(1)=2 and sigma(2)=4")
-print("entry (1,2),(2,3):", vertex.value_at(1, 2, 2, 3), " <- sigma(2) != 3")
+# a vertex is read from its image: the match column z holds a 1 at the flat
+# index n(i-1) + sigma(i) of each matched cell, and the vertex is z z^T
+z = match_matrix([sigma.image])[:, 0].astype(int)
+vertex = np.outer(z, z)
+print(f"\nmatch column: ones at flat indices {(np.flatnonzero(z) + 1).tolist()}")
+print(f"vertex z z^T: {np.count_nonzero(vertex)} nonzero cells (= n^2), "
+      f"{np.count_nonzero(np.triu(vertex))} in the upper triangle "
+      f"({n} diagonal + {n*(n-1)//2} off-diagonal)")
+print("entry (1,2),(2,4):", vertex[flat_index(n, 1, 2) - 1, flat_index(n, 2, 4) - 1],
+      " <- sigma(1)=2 and sigma(2)=4")
+print("entry (1,2),(2,3):", vertex[flat_index(n, 1, 2) - 1, flat_index(n, 2, 3) - 1],
+      " <- sigma(2) != 3")
 
-# the sparse vertex agrees with the dense outer product of the vectorization
+# the exhaustive checks hold the vertex as one int8 row over the support
+# coordinates, the cells some vertex can make nonzero
+space = vertex_space(n)
+(index,) = space.index_of([sigma.image])
+(row,) = space.rows([index])
+print(f"\nvertex {index} of {len(space.images)} in lexicographic order: "
+      f"{row.sum()} ones in its row over {row.size} support coordinates")
+
+# both agree with the dense outer product of the vectorization
 p = np.zeros((n, n), dtype=int)
 for i in range(1, n + 1):
     p[i - 1, sigma(i) - 1] = 1
 dense = np.outer(p.reshape(-1), p.reshape(-1))
-agree = all(
-    vertex.value_at(i, j, k, l) == dense[flat_index(n, i, j) - 1,
-                                         flat_index(n, k, l) - 1]
-    for i in range(1, n + 1) for j in range(1, n + 1)
-    for k in range(1, n + 1) for l in range(1, n + 1)
-)
-print(f"\nsparse vertex == vec(P) vec(P)^T dense oracle: {agree}")
+agree = (np.array_equal(vertex, dense)
+         and row.sum() == np.count_nonzero(np.triu(dense)))
+print(f"match-column vertex and row == vec(P) vec(P)^T dense oracle: {agree}")
 
 tau = apply_transposition(sigma, 1, 3)
 print(f"\nswapping positions 1 and 3: {sigma.one_line()}  ->  {tau.one_line()}")

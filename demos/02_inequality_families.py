@@ -7,8 +7,9 @@ number of matched index pairs, which this demo checks against direct
 evaluation.
 """
 
+from fractions import Fraction
+
 from qappoly import (
-    Permutation,
     Qap1Params,
     Qap2Params,
     Qap4Params,
@@ -19,23 +20,22 @@ from qappoly import (
     build_qap5,
     closed_form_slack,
     enumerate_family,
-    evaluate,
-    vertex_from_permutation,
     vertex_space,
 )
-from qappoly.inequalities import slack_table_csv
+from qappoly.inequalities import entries_on_match_rows, slack_table_csv
 
 # --- qap1: m matched pairs played against one special cell (k, l)
 params = Qap1Params(n=6, i_set=(1, 2, 3), j_set=(1, 2, 3), k=4, l=4)
 form = build_qap1(params)
-identity = vertex_from_permutation(Permutation.identity(6))
-res = evaluate(form, identity)
+# forms are read on a batch of vertices, one per column of the match matrix;
+# the identity is vertex 0, the first column
+identity = vertex_space(6).zt[:, :1]
+(lhs,) = entries_on_match_rows(identity, form.entries())
+(scaled,) = form.scaled_slack_on_match_rows(identity)
 print("qap1 at the identity vertex:")
-print(f"  lhs = {res.lhs} <= {res.rhs}  (satisfied: {res.satisfied})")
-# the closed form runs on a batch of vertices, one per column of the match
-# matrix; the identity is vertex 0, the first column
-(closed,) = closed_form_slack("qap1", params, vertex_space(6).zt[:, :1])
-print(f"  slack = {res.slack}, closed form gives {closed}")
+print(f"  lhs = {lhs} <= {form.rhs}  (satisfied: {lhs <= form.rhs})")
+(closed,) = closed_form_slack("qap1", params, identity)
+print(f"  slack = {Fraction(int(scaled), form.scale)}, closed form gives {closed}")
 
 # --- qap2: a P x Q block with threshold beta; rhs carries the only
 # half-integer, so forms are stored cleared by 2

@@ -50,13 +50,7 @@ from .inequalities import (
     enumerate_family,
     evaluate,
 )
-from .perms import (
-    Permutation,
-    QapVertex,
-    apply_transposition,
-    enumerate_permutations,
-    vertex_from_permutation,
-)
+from .perms import Permutation, apply_transposition, enumerate_permutations
 from .protocols import (
     HardMatrixSpec,
     embedding_check,

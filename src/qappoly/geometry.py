@@ -61,14 +61,7 @@ from .modrank import (
     rank_exact_rational,
     rank_mod_p,
 )
-from .perms import (
-    DEFAULT_ENUMERATION_CAP,
-    Permutation,
-    QapVertex,
-    apply_transposition,
-    require_enumerable,
-    vertex_from_permutation,
-)
+from .perms import DEFAULT_ENUMERATION_CAP, Permutation, apply_transposition, require_enumerable
 
 
 @dataclass(frozen=True)
@@ -194,9 +187,7 @@ def vertex_space(n: int) -> VertexSpace:
 def _as_permutation(v) -> Permutation:
     if isinstance(v, Permutation):
         return v
-    if isinstance(v, QapVertex):
-        return v.source_permutation
-    raise QappolyError(f"expected a vertex or permutation, got {type(v).__name__}")
+    raise QappolyError(f"expected a permutation, got {type(v).__name__}")
 
 
 def _vertex_rows(vertices) -> tuple[VertexSpace, np.ndarray]:
@@ -470,6 +461,22 @@ class Identity1Report:
     nonzero_entries: dict
 
 
+def _signed_entry_sum(images, signs) -> dict[EntryKey, int]:
+    """The nonzero entries (f1, f2), f1 <= f2, of the signed sum of the
+    vertices of one-line ``images``.  A vertex's ones are the pairs a <= b
+    of its n flat indices n(i-1) + sigma(i), which increase with i, so no
+    matrix of the (n**4 + n**2)/2 coordinates is ever built."""
+    images = np.asarray(images, dtype=np.int64)
+    n = images.shape[1]
+    flats = n * np.arange(n) + images
+    a, b = np.triu_indices(n)
+    keys, inverse = np.unique(flats[:, a] * (n * n + 1) + flats[:, b], return_inverse=True)
+    total = np.bincount(inverse.ravel(), weights=np.repeat(signs, a.size)).astype(np.int64)
+    hit = np.flatnonzero(total)
+    f1, f2 = np.divmod(keys[hit], n * n + 1)
+    return dict(zip(zip(f1.tolist(), f2.tolist()), total[hit].tolist()))
+
+
 def make_identity1_family(base: Permutation, k1: int, k2: int, k3: int) -> list[Permutation]:
     """The six permutations arranging base's values at positions k1,k2,k3
     in every possible way, identical elsewhere."""
@@ -509,13 +516,8 @@ def check_identity1(sigmas, x: int, y: int) -> Identity1Report:
         raise QappolyError(
             f"transposition indices ({x},{y}) must be distinct, in range, and "
             f"disjoint from the disagreement indices {disagree}")
-    total: dict[EntryKey, int] = {}
     family = sigmas + [apply_transposition(s, x, y) for s in sigmas]
-    for sigma in family:
-        sign = sigma.sign()
-        for key in vertex_from_permutation(sigma).entries:
-            total[key] = total.get(key, 0) + sign
-    nonzero = {k: v for k, v in total.items() if v != 0}
+    nonzero = _signed_entry_sum([s.image for s in family], [s.sign() for s in family])
     return Identity1Report(is_zero=not nonzero, disagreement_indices=disagree,
                            term_count=len(family), nonzero_entries=nonzero)
 
@@ -554,11 +556,7 @@ def check_identity2(s1: Permutation, s2: Permutation, s3: Permutation,
        s3 != apply_transposition(s2, ip, jp) or \
        s4 != apply_transposition(s3, i, j):
         raise QappolyError("permutation chain does not follow the required swaps")
-    total: dict[EntryKey, int] = {}
-    for sigma, sign in ((s1, 1), (s2, -1), (s3, 1), (s4, -1)):
-        for key in vertex_from_permutation(sigma).entries:
-            total[key] = total.get(key, 0) + sign
-    nonzero = {k: v for k, v in total.items() if v != 0}
+    nonzero = _signed_entry_sum([s1.image, s2.image, s3.image, s4.image], [1, -1, 1, -1])
     # an off-diagonal entry counts in both orientations of the full matrix
     weight = {(f1, f2): 1 if f1 == f2 else 2 for f1, f2 in nonzero}
     plus = sum(w for key, w in weight.items() if nonzero[key] > 0)

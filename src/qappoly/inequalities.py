@@ -60,7 +60,7 @@ from .indexing import (
     triangle_entries,
     triangle_position,
 )
-from .perms import DEFAULT_ENUMERATION_CAP, QapVertex, require_enumerable
+from .perms import DEFAULT_ENUMERATION_CAP, require_enumerable
 
 log = logging.getLogger(__name__)
 
@@ -144,13 +144,6 @@ class YPoint:
     def zero(cls, n: int) -> "YPoint":
         return cls.from_scaled_vector(n, np.zeros(triangle_dimension(n), dtype=np.int64), 1,
                                       provenance="zero point")
-
-    @classmethod
-    def from_vertex(cls, vertex: QapVertex) -> "YPoint":
-        vector = np.zeros(triangle_dimension(vertex.n), dtype=np.int64)
-        vector[[triangle_position(vertex.n, f1, f2) for f1, f2 in vertex.entries]] = 1
-        return cls.from_scaled_vector(
-            vertex.n, vector, 1, provenance=f"vertex {vertex.source_permutation.one_line()}")
 
     @property
     def values(self) -> dict[EntryKey, Fraction]:
@@ -286,14 +279,12 @@ class EvaluationResult:
         return Fraction(num, self.scale)
 
 
-def evaluate(form: LinearForm, point: "YPoint | QapVertex") -> EvaluationResult:
+def evaluate(form: LinearForm, point: YPoint) -> EvaluationResult:
     """Exact evaluation of a form at an arbitrary point.
 
     Each coefficient applies once per unordered pair against the symmetric
     value Y[ij, kl] (== Y[kl, ij]).
     """
-    if isinstance(point, QapVertex):
-        point = YPoint.from_vertex(point)
     if point.n != form.n:
         raise DimensionMismatchError(f"form n={form.n} vs point n={point.n}")
     vector = point.vector

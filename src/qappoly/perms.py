@@ -1,20 +1,20 @@
-"""Permutations and the rank-1 polytope vertices they generate.
+"""Permutations, the labels of the rank-1 polytope vertices.
 
 A permutation sigma of [n] yields the 0/1 symmetric matrix with entry
 (ij, kl) equal to P_sigma(i,j) * P_sigma(k,l), i.e. 1 exactly when
 sigma(i) = j and sigma(k) = l.  Each vertex therefore has n diagonal ones
-and n(n-1)/2 distinct unordered off-diagonal ones; it is stored sparsely as
-that set of canonical entry keys, never as a dense matrix.
+and n(n-1)/2 distinct unordered off-diagonal ones, the pairs of its n flat
+indices n(i-1) + sigma(i).  No vertex is ever stored as a matrix or an
+entry set: the package reads a vertex from its one-line image, through the
+match matrix (``inequalities.match_matrix``) or the flat indices themselves.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CapExceededError, InvalidPermutationError
-from .indexing import EntryKey, canon_entry, flat_index, pair_from_flat
 
 DEFAULT_ENUMERATION_CAP = 9
 
@@ -66,10 +66,6 @@ class Permutation:
         return " ".join(str(v) for v in self.image)
 
     @classmethod
-    def from_one_line(cls, text: str) -> "Permutation":
-        return cls(tuple(int(tok) for tok in text.split()))
-
-    @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(1, n + 1)))
 
@@ -103,41 +99,3 @@ def enumerate_permutations(n: int, cap: int = DEFAULT_ENUMERATION_CAP):
     require_enumerable(n, cap)
     for img in itertools.permutations(range(1, n + 1)):
         yield Permutation(img)
-
-
-@dataclass(frozen=True)
-class QapVertex:
-    """Sparse vertex P2(sigma): the set of canonical entry keys with value 1."""
-
-    n: int
-    entries: frozenset[EntryKey]
-    source_permutation: Permutation = field(compare=False)
-
-    def value_at(self, i: int, j: int, k: int, l: int) -> int:
-        key = canon_entry(flat_index(self.n, i, j), flat_index(self.n, k, l))
-        return 1 if key in self.entries else 0
-
-    def nonzero_cell_count(self) -> int:
-        """Number of nonzero cells of the full symmetric matrix (both
-        orientations of each off-diagonal entry counted)."""
-        diag = sum(1 for f1, f2 in self.entries if f1 == f2)
-        return diag + 2 * (len(self.entries) - diag)
-
-    def to_json(self) -> str:
-        pairs = sorted(self.entries)
-        return json.dumps(
-            [[list(pair_from_flat(self.n, f1)), list(pair_from_flat(self.n, f2))]
-             for f1, f2 in pairs]
-        )
-
-
-def vertex_from_permutation(sigma: Permutation) -> QapVertex:
-    """Build the vertex whose (ij, kl) entry is P_sigma(i,j) * P_sigma(k,l)."""
-    n = sigma.n
-    flats = [flat_index(n, i, sigma(i)) for i in range(1, n + 1)]
-    entries = set()
-    for a in range(n):
-        entries.add((flats[a], flats[a]))
-        for b in range(a + 1, n):
-            entries.add(canon_entry(flats[a], flats[b]))
-    return QapVertex(n=n, entries=frozenset(entries), source_permutation=sigma)

@@ -36,9 +36,9 @@ from .inequalities import (
     build_qap2,
     build_qap3,
     build_qap4,
-    evaluate,
+    match_matrix,
 )
-from .perms import Permutation, vertex_from_permutation
+from .perms import Permutation
 
 Bits = tuple[int, ...]
 
@@ -293,6 +293,12 @@ def _halved_block_permutation(b: Bits, forced_swaps: frozenset[int]) -> Permutat
     return Permutation(tuple(img))
 
 
+def _slack_at(form: LinearForm, sigma: Permutation) -> Fraction:
+    """The form's exact slack at sigma's vertex, read from its match column."""
+    scaled = form.scaled_slack_on_match_rows(match_matrix([sigma.image]))
+    return Fraction(int(scaled[0]), form.scale)
+
+
 def _slack_qap1(a: Bits, b: Bits) -> SlackProtocolResult:
     n = len(a)
     if n < 6:
@@ -315,9 +321,8 @@ def _slack_qap1(a: Bits, b: Bits) -> SlackProtocolResult:
     forced = list(b)
     forced[p - 1] = 1  # Bob sets b_p = 1 before building his permutation
     sigma = fixed_ones_permutation(tuple(forced))
-    vertex = vertex_from_permutation(sigma)
     return _result("qap1", a, b, mode="protocol",
-                   slack=evaluate(form, vertex).slack, setup_bits=bits_for(n),
+                   slack=_slack_at(form, sigma), setup_bits=bits_for(n),
                    form=form, sigma=sigma, params=params,
                    in_family=True)
 
@@ -337,9 +342,8 @@ def _slack_qap2(a: Bits, b: Bits) -> SlackProtocolResult:
     params = Qap2Params(n=n, p_set=support, q_set=support, beta=2)
     form = build_qap2(params, check=False)
     sigma = _halved_block_permutation(b, forced_swaps=frozenset())
-    vertex = vertex_from_permutation(sigma)
     return _result("qap2", a, b, mode="protocol",
-                   slack=evaluate(form, vertex).slack, setup_bits=0,
+                   slack=_slack_at(form, sigma), setup_bits=0,
                    form=form, sigma=sigma, params=params,
                    in_family=_in_family(params))
 
@@ -355,9 +359,8 @@ def _slack_qap3(a: Bits, b: Bits) -> SlackProtocolResult:
                         q_set=support, beta=2)
     form = build_qap3(params, check=False)
     sigma = _halved_block_permutation(b, forced_swaps=frozenset({p2}))
-    vertex = vertex_from_permutation(sigma)
     return _result("qap3", a, b, mode="protocol",
-                   slack=evaluate(form, vertex).slack, setup_bits=bits_for(n),
+                   slack=_slack_at(form, sigma), setup_bits=bits_for(n),
                    form=form, sigma=sigma, params=params,
                    in_family=_in_family(params))
 
@@ -378,9 +381,8 @@ def _slack_qap4(a: Bits, b: Bits) -> SlackProtocolResult:
     params = Qap4Params(n=n, i_set=support, j_set=support)
     form = build_qap4(params)
     sigma = fixed_ones_permutation(b)
-    vertex = vertex_from_permutation(sigma)
     return _result("qap4", a, b, mode="protocol",
-                   slack=evaluate(form, vertex).slack, setup_bits=0,
+                   slack=_slack_at(form, sigma), setup_bits=0,
                    form=form, sigma=sigma, params=params,
                    in_family=True)
 

@@ -21,6 +21,12 @@ The orbit minima of a run as a mask on every column tuple of its whole
 index table, and a table row's lexicographic rank counted in plain loops:
 the program generates the least column tuples alone and ranks them by
 arithmetic (``inequalities.Segment.orbit_minima``).
+
+A vertex's ones as a set of canonical entry keys, built pair by pair of its
+matched cells: the program reads a vertex from its image, through its
+column of the match matrix (``inequalities.match_matrix``) or, for the
+signed sums of the vertex identities, through all of its flat indices in
+one batch (``geometry._signed_entry_sum``).
 """
 
 import itertools
@@ -93,6 +99,20 @@ def qap4_params(n: int):
 
 ORACLE = {"qap1": qap1_params, "qap2": qap2_params, "qap3": qap3_params,
           "qap4": qap4_params}
+
+
+def vertex_entries(image) -> set[tuple[int, int]]:
+    """The keys (f1, f2), f1 <= f2, of the ones of the vertex of a one-line
+    image: (ij, kl) is 1 exactly when sigma(i) = j and sigma(k) = l, and the
+    flat index of (i, j) is n(i-1) + j."""
+    n = len(image)
+    entries = set()
+    for i in range(1, n + 1):
+        for k in range(i, n + 1):
+            f1 = n * (i - 1) + image[i - 1]
+            f2 = n * (k - 1) + image[k - 1]
+            entries.add((min(f1, f2), max(f1, f2)))
+    return entries
 
 
 def slack_counts_at(family: str, params, image) -> dict[str, int]:

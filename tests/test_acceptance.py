@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from oracle_streams import vertex_entries
 
 from qappoly.geometry import (
     MatchPattern,
@@ -34,13 +35,14 @@ from qappoly.graphs import (
 from qappoly.inequalities import (
     MEMBERSHIP_FAMILIES,
     Qap4Params,
+    YPoint,
     build_qap4,
     closed_form_slack,
     enumerate_family,
     evaluate,
     match_matrix,
 )
-from qappoly.perms import Permutation, vertex_from_permutation
+from qappoly.perms import Permutation
 from qappoly.protocols import (
     HardMatrixSpec,
     bits_for,
@@ -116,8 +118,8 @@ def test_criterion_02_slack_formula_suite(family_sweep):
         for form in family_sweep[(7, fam)]["samples"]:
             for _ in range(5):
                 v = rng.randrange(len(space.images))
-                sigma = Permutation(tuple(space.images[v].tolist()))
-                res = evaluate(form, vertex_from_permutation(sigma))
+                entries = vertex_entries(space.images[v].tolist())
+                res = evaluate(form, YPoint(7, dict.fromkeys(entries, 1)))
                 (closed,) = closed_form_slack(fam, form.params, space.zt[:, [v]],
                                               check=False)
                 assert res.slack == Fraction(form.scale * int(closed), form.scale)

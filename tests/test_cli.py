@@ -45,6 +45,15 @@ def test_verify_lemmas_identity2(capsys):
     assert "[PASS]" in capsys.readouterr().out
 
 
+def test_verify_lemmas_identity2_at_n100(tmp_path):
+    # the identity lemmas enumerate nothing, so they run far past the cap
+    out = tmp_path / "report.json"
+    assert main(["verify-lemmas", "--which", "identity2", "--n", "100",
+                 "--samples", "20", "--json", str(out)]) == 0
+    (verdict,) = json.loads(out.read_text())["verdicts"]
+    assert verdict["details"] == {"runs": 20, "failures": 0}
+
+
 def test_verify_slack_qap2_n7():
     assert main(["verify-slack", "--family", "qap2", "--n", "7"]) == 0
 

@@ -6,10 +6,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from oracle_streams import vertex_entries
 
 from qappoly.errors import QappolyError
 from qappoly.geometry import (
     MatchPattern,
+    _signed_entry_sum,
     affine_dim,
     check_identity1,
     check_identity2,
@@ -20,6 +22,7 @@ from qappoly.geometry import (
     make_identity2_chain,
     vertex_space,
 )
+from qappoly.indexing import pair_from_flat
 from qappoly.inequalities import Qap2Params, build_qap2
 from qappoly.modrank import (
     PRIME_POOL,
@@ -29,7 +32,7 @@ from qappoly.modrank import (
     rank_exact_rational,
     rank_mod_p,
 )
-from qappoly.perms import Permutation, enumerate_permutations, vertex_from_permutation
+from qappoly.perms import Permutation, apply_transposition, enumerate_permutations
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +78,7 @@ def test_malformed_pattern_rejected():
 
 
 def test_affine_dim_trivial_cases():
-    single = [vertex_from_permutation(Permutation.identity(4))]
+    single = [Permutation.identity(4)]
     assert affine_dim(single).consensus_rank == 0
     two = [Permutation.identity(4), Permutation((2, 1, 3, 4))]
     assert affine_dim(two).consensus_rank == 1
@@ -190,21 +193,40 @@ def test_identity1_arity_check():
         check_identity1(family[:5], x, y)
 
 
-def test_identity1_sign_sensitivity():
-    # the 12-term sum vanishes, but flipping any one sign leaves -2x that
-    # vertex, so the mutated sum must be nonzero
-    from qappoly.perms import apply_transposition, vertex_from_permutation
+def _oracle_signed_sum(sigmas, signs) -> dict:
+    total = Counter()
+    for sigma, sign in zip(sigmas, signs):
+        for key in vertex_entries(sigma.image):
+            total[key] += sign
+    return {key: v for key, v in total.items() if v}
 
-    rng = random.Random(5)
-    family, x, y = _random_identity1_config(rng, 7)
-    assert check_identity1(family, x, y).is_zero
-    total = {}
-    terms = family + [apply_transposition(s, x, y) for s in family]
-    for pos, sigma in enumerate(terms):
-        sign = sigma.sign() if pos else -sigma.sign()
-        for key in vertex_from_permutation(sigma).entries:
-            total[key] = total.get(key, 0) + sign
-    assert any(v != 0 for v in total.values())
+
+@pytest.mark.parametrize("n", [5, 8, 12, 40])
+def test_identity_sums_match_the_oracle(n):
+    # flipping one sign of the vanishing 12-term sum leaves -2x that vertex
+    rng = random.Random(n)
+    for _ in range(10):
+        family, x, y = _random_identity1_config(rng, n)
+        terms = family + [apply_transposition(s, x, y) for s in family]
+        signs = [s.sign() for s in terms]
+        assert check_identity1(family, x, y).nonzero_entries \
+            == _oracle_signed_sum(terms, signs) == {}
+        flipped = [-signs[0]] + signs[1:]
+        planted = _oracle_signed_sum(terms, flipped)
+        assert planted and _signed_entry_sum([s.image for s in terms], flipped) == planted
+
+        i, j, ip, jp = rng.sample(range(1, n + 1), 4)
+        base = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+        chain = make_identity2_chain(base, i, j, ip, jp)
+        report = check_identity2(*chain, i, j, ip, jp)
+        oracle = _oracle_signed_sum(chain, (1, -1, 1, -1))
+        weight = {key: 1 if key[0] == key[1] else 2 for key in oracle}
+        plus = sum(w for key, w in weight.items() if oracle[key] > 0)
+        assert (report.nonzero_count, report.plus_count, report.minus_count) \
+            == (sum(weight.values()), plus, sum(weight.values()) - plus)
+        assert report.affected_flats == tuple(sorted(oracle))
+        assert report.affected_entries == tuple(sorted(
+            (pair_from_flat(n, f1), pair_from_flat(n, f2)) for f1, f2 in oracle))
 
 
 def test_identity1_rejects_overlapping_transposition_indices():
@@ -457,7 +479,6 @@ def test_vertex_rows_follow_the_support_coordinates(n):
     # diagonal cells in flat order, then off-diagonal pairs with distinct
     # rows and columns in lexicographic order
     from qappoly.geometry import vertex_space
-    from qappoly.indexing import pair_from_flat
 
     cells = range(1, n * n + 1)
     coords = [(f, f) for f in cells]
@@ -468,7 +489,7 @@ def test_vertex_rows_follow_the_support_coordinates(n):
     rows = space.rows(range(len(space.images)))
     assert rows.dtype == "int8" and rows.shape == (len(space.images), len(coords))
     for v, perm in enumerate(enumerate_permutations(n)):
-        entries = vertex_from_permutation(perm).entries
+        entries = vertex_entries(perm.image)
         assert [key for key, x in zip(coords, rows[v]) if x] == sorted(
             entries, key=coords.index)
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracle_streams import ORACLE, lexicographic_rank, slack_counts_at
+from oracle_streams import ORACLE, lexicographic_rank, slack_counts_at, vertex_entries
 
 from qappoly import inequalities
 from qappoly.errors import (
@@ -43,7 +43,12 @@ from qappoly.inequalities import (
     slack_from_counts,
     slack_table_csv,
 )
-from qappoly.perms import Permutation, enumerate_permutations, vertex_from_permutation
+from qappoly.perms import Permutation, enumerate_permutations
+
+
+def _vertex_point(sigma: Permutation) -> YPoint:
+    """The vertex of sigma as a point, from the oracle's entry set."""
+    return YPoint(sigma.n, dict.fromkeys(vertex_entries(sigma.image), 1))
 
 
 def _diag(form) -> dict[int, int]:
@@ -84,7 +89,7 @@ def test_qap1_rejections():
 
 def test_qap1_identity_evaluation():
     form = build_qap1(Qap1Params(n=6, i_set=(1, 2, 3), j_set=(1, 2, 3), k=4, l=4))
-    ident = vertex_from_permutation(Permutation.identity(6))
+    ident = _vertex_point(Permutation.identity(6))
     assert evaluate(form, ident).lhs == -1  # q=3 matches, P(4,4)=1: 3 - 1 - 3
     assert evaluate(form, ident).slack == 1
 
@@ -151,18 +156,19 @@ def test_qap5_degenerate_examples():
     form = build_qap5(Qap5Params(n=4, beta=2, coeffs={(1, 1): 1}))
     assert list(_diag(form).values()) == [-2] and form.rhs == -2
     for sigma in enumerate_permutations(4):
-        lhs = evaluate(form, vertex_from_permutation(sigma)).lhs
+        lhs = evaluate(form, _vertex_point(sigma)).lhs
         assert lhs in (-2, 0)
     # all-zero coefficients with beta=1: 0 >= 0, tight everywhere
     zero = build_qap5(Qap5Params(n=4, beta=1, coeffs={}))
     assert zero.rhs == 0
     for sigma in enumerate_permutations(4):
-        assert evaluate(zero, vertex_from_permutation(sigma)).slack == 0
+        assert evaluate(zero, _vertex_point(sigma)).slack == 0
 
 
 def test_qap5_slack_identity_random():
     rng = random.Random(3)
     perms = list(enumerate_permutations(5))   # the vertex space's order
+    points = [_vertex_point(sigma) for sigma in perms]
     zt = vertex_space(5).zt
     for _ in range(30):
         coeffs = {(i, j): rng.randint(-2, 2) for i in range(1, 6) for j in range(1, 6)}
@@ -173,7 +179,7 @@ def test_qap5_slack_identity_random():
         closed = closed_form_slack("qap5", params, zt)
         for v, sigma in enumerate(perms):
             s = sum(lookup.get((i, sigma(i)), 0) for i in range(1, 6))
-            assert evaluate(form, vertex_from_permutation(sigma)).slack \
+            assert evaluate(form, points[v]).slack \
                 == (s - beta) * (s - beta + 1) == closed[v]
 
 
@@ -193,7 +199,7 @@ def test_qap2_qap3_match_qap5_at_vertices():
     rng = random.Random(5)
     for _ in range(200):
         sigma = Permutation(tuple(rng.sample(range(1, 8), 7)))
-        v = vertex_from_permutation(sigma)
+        v = _vertex_point(sigma)
         assert evaluate(f3, v).slack * f3.scale == evaluate(f5, v).slack
         assert evaluate(f2, v).slack * f2.scale == evaluate(g5, v).slack
 
@@ -217,7 +223,7 @@ def test_evaluate_dimension_mismatch():
 def test_evaluate_qap4_on_three_match_vertex():
     form = build_qap4(Qap4Params(n=7, i_set=tuple(range(1, 8)), j_set=tuple(range(1, 8))))
     sigma = Permutation((1, 2, 3, 5, 4, 7, 6))  # exactly 3 fixed points
-    res = evaluate(form, vertex_from_permutation(sigma))
+    res = evaluate(form, _vertex_point(sigma))
     assert res.lhs == 0 and res.satisfied  # 3 - C(3,2) = 0 <= 1
 
 
@@ -335,7 +341,7 @@ def _dense_values(n: int, entries) -> list[int]:
     integers from each vertex's YPoint vector."""
     return [sum(c * int(point.vector[triangle_position(n, min(f1, f2), max(f1, f2))])
                 for f1, f2, c in entries)
-            for point in (YPoint.from_vertex(vertex_from_permutation(sigma))
+            for point in (_vertex_point(sigma)
                           for sigma in enumerate_permutations(n))]
 
 
@@ -406,7 +412,7 @@ def test_slacks_past_int16_stay_exact():
     closed = closed_form_slack("qap5", params, space.zt)
     assert scaled.dtype == closed.dtype == np.int64 and scaled.min() > 2 ** 15
     for row, sigma in enumerate(enumerate_permutations(n)):
-        slack = evaluate(form, vertex_from_permutation(sigma)).slack
+        slack = evaluate(form, _vertex_point(sigma)).slack
         assert scaled[row] == slack * form.scale
         assert closed[row] == slack == slack_from_counts(
             "qap5", params, slack_counts_at("qap5", params, sigma.image))

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracle_streams import vertex_entries
 
 from qappoly.errors import ProtocolInputError
-from qappoly.inequalities import Qap2Params
+from qappoly.inequalities import Qap2Params, YPoint, evaluate
 from qappoly.protocols import (
     HardMatrixSpec,
     as_bits,
@@ -189,9 +190,11 @@ def test_slack_qap3_displaces_p2_row():
 
 
 @pytest.mark.parametrize("family,length", [
-    ("qap1", 6), ("qap2", 4), ("qap3", 4), ("qap4", 7),
+    ("qap1", 6), *((family, length) for family in ("qap2", "qap3") for length in range(1, 7)),
+    ("qap4", 7),
 ])
 def test_slack_protocols_exhaustive_smallest(family, length):
+    # the slack read from the match column equals the oracle vertex's
     protocol_runs = 0
     for a in _all_vectors(length):
         for b in _all_vectors(length):
@@ -200,7 +203,9 @@ def test_slack_protocols_exhaustive_smallest(family, length):
             assert res.doubled_output == n1_value(res.a, res.b)
             if res.mode == "protocol":
                 protocol_runs += 1
-                assert res.bob_sigma is not None and res.alice_form is not None
+                sigma = res.bob_sigma
+                vertex = YPoint(sigma.n, dict.fromkeys(vertex_entries(sigma.image), 1))
+                assert res.slack == evaluate(res.alice_form, vertex).slack, (family, a, b)
     assert protocol_runs > 0
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracle_streams import ORACLE, masked_orbit_minima
+from oracle_streams import ORACLE, masked_orbit_minima, vertex_entries
 
 from qappoly import inequalities, reductions
 from qappoly.errors import CapExceededError, InvalidParameterError, QappolyError
@@ -30,7 +30,7 @@ from qappoly.inequalities import (
     family_form_at,
     family_segments,
 )
-from qappoly.perms import Permutation, vertex_from_permutation
+from qappoly.perms import Permutation
 from qappoly.reductions import (
     brute_force_membership,
     build_point_qap1,
@@ -273,10 +273,9 @@ def test_points_round_trip_through_the_vector():
     assert_point_matches(zero, n, {}, "zero point")
     for sigma in (Permutation(tuple(range(1, n + 1))),
                   Permutation(tuple(rng.sample(range(1, n + 1), n)))):
-        vertex = vertex_from_permutation(sigma)
-        assert_point_matches(YPoint.from_vertex(vertex), n,
-                             {key: Fraction(1) for key in vertex.entries},
-                             f"vertex {sigma.one_line()}")
+        entries = dict.fromkeys(vertex_entries(sigma.image), Fraction(1))
+        label = f"vertex {sigma.one_line()}"
+        assert_point_matches(YPoint(n, entries, provenance=label), n, entries, label)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +291,7 @@ def test_vertices_are_members_of_every_family():
     rng = random.Random(4)
     for _ in range(3):
         sigma = Permutation(tuple(rng.sample(range(1, 8), 7)))
-        point = YPoint.from_vertex(vertex_from_permutation(sigma))
+        point = YPoint(7, dict.fromkeys(vertex_entries(sigma.image), 1))
         for family in ("qap2", "qap3", "qap4"):
             assert brute_force_membership(point, family).member, (family, sigma)
 
@@ -719,7 +718,7 @@ def test_column_classes_of_the_reduction_points():
     assert column_classes(build_point_qap2(graph, 2)) == (tuple(range(2, 9)),)
     assert column_classes(build_point_qap1(graph, 5, 3, 4)) == ((1, 2, 4, 5, 6, 7, 8),)
     sigma = Permutation((2, 1, 3, 5, 4, 6))
-    assert column_classes(YPoint.from_vertex(vertex_from_permutation(sigma))) == ()
+    assert column_classes(YPoint(6, dict.fromkeys(vertex_entries(sigma.image), 1))) == ()
 
 
 def test_a_point_broken_in_one_entry_has_no_column_class():
