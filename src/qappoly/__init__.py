@@ -22,7 +22,6 @@ from .geometry import (
     check_identity1,
     check_identity2,
     check_s0_connectivity,
-    classify_vertex,
     polytope_affine_dim,
     verify_facet,
     verify_s3ss0,
@@ -30,7 +29,7 @@ from .geometry import (
     verify_szeroins,
     vertex_space,
 )
-from .graphs import Graph, max_clique_bruteforce, nonisomorphic_graphs, parse_graph
+from .graphs import Graph, max_clique_bruteforce, parse_graph
 from .indexing import flat_index, pair_from_flat
 from .inequalities import (
     LinearForm,

@@ -93,15 +93,6 @@ class MatchPattern:
         return cls(tuple(zip(params.i_set, params.j_set)))
 
 
-def classify_vertex(sigma: Permutation, pattern: MatchPattern) -> int:
-    """Number k of pattern pairs with sigma(i_r) = j_r, i.e. the S_k index.
-
-    Kept as the per-permutation reference that the S_0 tests compare
-    ``VertexSpace.match_counts`` against; the package itself classifies
-    through ``match_counts``."""
-    return sum(1 for i, j in pattern.pairs if sigma(i) == j)
-
-
 # ---------------------------------------------------------------------------
 # vertex space cache
 
@@ -184,14 +175,11 @@ def vertex_space(n: int) -> VertexSpace:
     return VertexSpace(n=n, images=images, zt=match_matrix(images))
 
 
-def _as_permutation(v) -> Permutation:
-    if isinstance(v, Permutation):
-        return v
-    raise QappolyError(f"expected a permutation, got {type(v).__name__}")
-
-
 def _vertex_rows(vertices) -> tuple[VertexSpace, np.ndarray]:
-    images = [_as_permutation(v).image for v in vertices]
+    for v in vertices:
+        if not isinstance(v, Permutation):
+            raise QappolyError(f"expected a permutation, got {type(v).__name__}")
+    images = [v.image for v in vertices]
     if len({len(image) for image in images}) > 1:
         raise DimensionMismatchError("all vertices must share the same n")
     space = vertex_space(len(images[0]))

@@ -9,9 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
 
 from .errors import CapExceededError, GraphParseError, QappolyError
 
@@ -39,20 +36,6 @@ class Graph:
     def complete(cls, n: int) -> "Graph":
         return cls.from_edges(n, itertools.combinations(range(1, n + 1), 2))
 
-    @classmethod
-    def cycle(cls, n: int) -> "Graph":
-        return cls.from_edges(n, [(i, i % n + 1) for i in range(1, n + 1)])
-
-    @classmethod
-    def petersen(cls) -> "Graph":
-        outer = [(i, i % 5 + 1) for i in range(1, 6)]
-        spokes = [(i, i + 5) for i in range(1, 6)]
-        inner = [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]
-        return cls.from_edges(10, outer + spokes + inner)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
     def adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
         for u, v in self.edges:
@@ -62,19 +45,6 @@ class Graph:
 
     def is_complete(self) -> bool:
         return len(self.edges) == self.n * (self.n - 1) // 2
-
-    def induced(self, vertices) -> "Graph":
-        """Induced subgraph, relabelled to [1..k] following sorted order."""
-        keep = sorted(vertices)
-        relabel = {v: idx + 1 for idx, v in enumerate(keep)}
-        edges = [(relabel[u], relabel[v]) for u, v in self.edges
-                 if u in relabel and v in relabel]
-        return Graph.from_edges(len(keep), edges)
-
-    def to_dimacs(self) -> str:
-        lines = [f"p edge {self.n} {len(self.edges)}"]
-        lines += [f"e {u} {v}" for u, v in sorted(self.edges)]
-        return "\n".join(lines) + "\n"
 
 
 def parse_graph(text: str) -> Graph:
@@ -199,40 +169,3 @@ def max_clique_capped(graph: Graph, largest: int) -> int:
     direct subset enumeration from that size downward."""
     size = _largest_clique_between(graph, min(largest, graph.n), 2)
     return size if size is not None else (1 if graph.n else 0)
-
-
-@lru_cache(maxsize=2)
-def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
-    """All graphs on n labelled vertices up to isomorphism (n <= 6).
-
-    Every edge-set bitmask is mapped to the minimum bitmask over all vertex
-    relabelings; the canonical representatives are the orbit minima.
-    """
-    if n > 6:
-        raise CapExceededError("non-isomorphic enumeration supported for n <= 6")
-    if n < 1:
-        raise QappolyError("n must be positive")
-    edge_list = list(itertools.combinations(range(n), 2))
-    e = len(edge_list)
-    edge_pos = {pair: idx for idx, pair in enumerate(edge_list)}
-    masks = np.arange(2 ** e, dtype=np.int64)
-    bits = (masks[:, None] >> np.arange(e)) & 1          # (2^e, e)
-    weights = 1 << np.arange(e, dtype=np.int64)
-    canonical = masks.copy()
-    for perm in itertools.permutations(range(n)):
-        remap = [edge_pos[tuple(sorted((perm[u], perm[v])))] for u, v in edge_list]
-        permuted = bits[:, remap] @ weights
-        np.minimum(canonical, permuted, out=canonical)
-    reps = np.nonzero(canonical == masks)[0]
-    graphs = []
-    for mask in reps:
-        edges = [(u + 1, v + 1) for idx, (u, v) in enumerate(edge_list)
-                 if mask >> idx & 1]
-        graphs.append(Graph.from_edges(n, edges))
-    return tuple(graphs)
-
-
-def random_graph(n: int, edge_probability: float, rng) -> Graph:
-    edges = [(u, v) for u, v in itertools.combinations(range(1, n + 1), 2)
-             if rng.random() < edge_probability]
-    return Graph.from_edges(n, edges)

@@ -210,11 +210,6 @@ class LinearForm:
         lhs = entries_on_match_rows(zt, self.entries()).astype(np.int64)
         return self.rhs - lhs if self.sense == "<=" else lhs - self.rhs
 
-    def key(self) -> tuple:
-        """Canonical identity, used for deduplication checks."""
-        return (self.family, self.n, tuple(sorted(zip(self.positions, self.coeffs))),
-                self.rhs, self.sense, self.scale)
-
     def to_json(self) -> str:
         n = self.n
         entries = sorted(self.entries())
@@ -456,18 +451,6 @@ class Qap5Params:
 # builders
 
 
-@functools.lru_cache(maxsize=None)
-def _row_offsets(n: int) -> tuple[int, ...]:
-    """offsets[f1] + f2 == triangle_position(n, f1, f2) for f1 <= f2."""
-    return (0,) + tuple(triangle_position(n, f, f) - f for f in range(1, n * n + 1))
-
-
-def _positions(n: int, pairs) -> tuple[int, ...]:
-    """Triangle positions of flat-index pairs given in either order."""
-    offsets = _row_offsets(n)
-    return tuple(offsets[f1] + f2 if f1 <= f2 else offsets[f2] + f1 for f1, f2 in pairs)
-
-
 def _one_row(values) -> np.ndarray:
     """An index set as a one-row int64 table, as the runs' cell code reads it."""
     return np.array([values], dtype=np.int64)
@@ -523,7 +506,8 @@ def build_qap5(params: Qap5Params, check: bool = True) -> LinearForm:
     pairs = [(f, f) for f, _ in cells] + [(f, g) for (f, _), (g, _) in crosses]
     coeffs = (tuple(v * v - (2 * b - 1) * v for _, v in cells)
               + tuple(2 * v * w for (_, v), (_, w) in crosses))
-    return LinearForm(n=n, positions=_positions(n, pairs), coeffs=coeffs,
+    positions = tuple(triangle_position(n, min(f, g), max(f, g)) for f, g in pairs)
+    return LinearForm(n=n, positions=positions, coeffs=coeffs,
                       rhs=b - b * b, sense=">=", scale=1, family="qap5", params=params)
 
 
@@ -789,10 +773,6 @@ class Segment:
         return tuple(_index_table(*factor)[digit].astype(np.int64)
                      for factor, digit in zip(self.factors, digits))
 
-    def _sets(self, rows) -> tuple[np.ndarray, ...]:
-        """The 1-based index sets of the run rows ``rows``."""
-        return self._picked_sets(self._picks(rows))
-
     def _picked_sets(self, picks) -> tuple[np.ndarray, ...]:
         """The 1-based index sets of the rows whose factors' table entries
         are ``picks`` (int64)."""
@@ -805,7 +785,7 @@ class Segment:
 
     def forms(self, rows) -> list[LinearForm]:
         """The forms of the run rows ``rows``, T per row in template order."""
-        sets = self._sets(rows)
+        sets = self._picked_sets(self._picks(rows))
         return self._build(sets, self._params(sets))
 
     def form(self, params, *sets) -> LinearForm:

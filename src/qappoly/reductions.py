@@ -82,7 +82,7 @@ from .graphs import (
     cliques_of_size_at_least,
     max_clique_capped,
 )
-from .indexing import flat_index, pair_from_flat, triangle_dimension
+from .indexing import flat_index, triangle_dimension
 from .inequalities import (
     CHUNK_FORMS,
     INT64_MAX,
@@ -291,6 +291,13 @@ def _product_rows(run: Segment, axes: list, lo: int, hi: int):
     return rows, tuple(table[digit].astype(np.int64) for (_, table), digit in zip(axes, digits))
 
 
+def _check_entries(family: str, n: int, entries: int) -> None:
+    if entries > COMPILE_ENTRY_LIMIT:
+        raise CapExceededError(
+            f"{family} at n={n} compiles to {entries} coefficient entries, more "
+            f"than {COMPILE_ENTRY_LIMIT}; its membership sweep is refused")
+
+
 @functools.lru_cache(maxsize=2)
 def compiled_blocks(family: str, n: int, classes: tuple = ()) -> CompiledFamily:
     """The family's forms at size n that are least in their orbit under
@@ -302,22 +309,21 @@ def compiled_blocks(family: str, n: int, classes: tuple = ()) -> CompiledFamily:
     CHUNK_FORMS rows at a time, each row's positions stored once for its T
     forms.  Every block is allocated once, at its size counted from the
     runs, and filled in place.  Raises CapExceededError, before any form is
-    built, when the kept position entries pass COMPILE_ENTRY_LIMIT.  The
-    enumeration cap is the caller's to check.
+    built (with no classes, before any index table), when the kept position
+    entries pass COMPILE_ENTRY_LIMIT.  The enumeration cap is the caller's
+    to check.
     """
     runs = family_segments(n, family)
     forms = sum(run.count for run in runs)
+    if not classes:   # every row is kept
+        _check_entries(family, n, sum(run.row_count * run.entries for run in runs))
     kept = []   # (run, per factor its orbit minima's table rows and entries, their count)
     for run in runs:
         axes = run.orbit_minima(classes)
         count = math.prod(rows.size for rows, _ in axes)
         if count:
             kept.append((run, axes, count))
-    entries = sum(count * run.entries for run, _, count in kept)
-    if entries > COMPILE_ENTRY_LIMIT:
-        raise CapExceededError(
-            f"{family} at n={n} compiles to {entries} coefficient entries, more "
-            f"than {COMPILE_ENTRY_LIMIT}; its membership sweep is refused")
+    _check_entries(family, n, sum(count * run.entries for run, _, count in kept))
     assert triangle_dimension(n) <= np.iinfo(POSITION_DTYPE).max
     keys: dict[tuple, int] = {}     # signed (templates, rhs) -> block
     run_blocks = []                 # each kept run's block
@@ -540,43 +546,3 @@ def clique_via_membership_oracle(graph: Graph, family: str,
         return _sweep_qap4(graph, cap)
     raise InvalidParameterError(
         f"clique extraction exists for qap1, qap2, qap4; got {family!r}")
-
-
-# ---------------------------------------------------------------------------
-# expanded-graph helpers (used to cross-check the qap1 construction)
-
-
-def expanded_graph_qap1(graph: Graph, k: int, l: int) -> Graph:
-    """The n-partite expansion with the extra edges attached to cell (k, l):
-    vertices are cells (i, j) labelled by flat index, edges join cells in
-    graph-adjacent partitions, and (k, l) is joined to every cell outside
-    partition k."""
-    n = graph.n
-    nn = n * n
-    edges = []
-    for f1 in range(1, nn + 1):
-        i1, _ = pair_from_flat(n, f1)
-        for f2 in range(f1 + 1, nn + 1):
-            i2, _ = pair_from_flat(n, f2)
-            if i1 != i2 and graph.has_edge(i1, i2):
-                edges.append((f1, f2))
-    klf = (k - 1) * n + l
-    for f in range(1, nn + 1):
-        i, _ = pair_from_flat(n, f)
-        if i != k:
-            edges.append((min(klf, f), max(klf, f)))
-    return Graph.from_edges(nn, edges)
-
-
-def neighborhood_clique_number(graph: Graph, k: int, l: int) -> int:
-    """Largest clique inside the neighborhood of cell (k, l) in the expanded
-    graph; the qap1 point is feasible exactly when this is at most t."""
-    from .graphs import max_clique_bruteforce
-
-    expanded = expanded_graph_qap1(graph, k, l)
-    adj = expanded.adjacency()
-    klf = (k - 1) * graph.n + l
-    hood = sorted(adj[klf])
-    induced = expanded.induced(hood)
-    size, _ = max_clique_bruteforce(induced, cap=graph.n * graph.n)
-    return size

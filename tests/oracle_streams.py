@@ -27,6 +27,20 @@ matched cells: the program reads a vertex from its image, through its
 column of the match matrix (``inequalities.match_matrix``) or, for the
 signed sums of the vertex identities, through all of its flat indices in
 one batch (``geometry._signed_entry_sum``).
+
+A vertex's S_k index counted from a ``Permutation``, pair by pair of the
+pattern: the program counts it for every vertex at once over the match
+matrix (``geometry.VertexSpace.match_counts``).
+
+A form's identity as its family, size, sorted (position, coefficient)
+pairs, rhs, sense and scale: the program names a form by its id in
+enumeration order (``inequalities.family_form_at``).
+
+The qap1 point's feasibility read from the graph: the clique number of the
+neighbourhood of cell (k, l) in the n-partite expansion of the graph, found
+by the exact clique search on the induced subgraph.  The program decides it
+by the membership sweep (``reductions.brute_force_membership``) on the
+point that ``reductions.build_point_qap1`` builds.
 """
 
 import itertools
@@ -36,6 +50,8 @@ import numpy as np
 
 from qappoly import inequalities
 from qappoly.errors import InvalidParameterError
+from qappoly.graphs import Graph, max_clique_bruteforce
+from qappoly.indexing import pair_from_flat
 from qappoly.inequalities import Qap1Params, Qap2Params, Qap3Params, Qap4Params
 
 
@@ -246,3 +262,59 @@ def lexicographic_rank(pick, size: int, ordered: bool) -> int:
             least = pick[slot - 1] + 1 if slot else 0
             rank += sum(math.comb(size - v - 1, r - slot - 1) for v in range(least, value))
     return rank
+
+
+def classify_vertex(sigma, pattern) -> int:
+    """Number k of pattern pairs with sigma(i_r) = j_r, i.e. the S_k index."""
+    return sum(1 for i, j in pattern.pairs if sigma(i) == j)
+
+
+def form_key(form) -> tuple:
+    """Canonical identity of a form, for deduplication checks."""
+    return (form.family, form.n, tuple(sorted(zip(form.positions, form.coeffs))),
+            form.rhs, form.sense, form.scale)
+
+
+def has_edge(graph: Graph, u: int, v: int) -> bool:
+    return (min(u, v), max(u, v)) in graph.edges
+
+
+def induced(graph: Graph, vertices) -> Graph:
+    """Induced subgraph, relabelled to [1..k] following sorted order."""
+    keep = sorted(vertices)
+    relabel = {v: idx + 1 for idx, v in enumerate(keep)}
+    edges = [(relabel[u], relabel[v]) for u, v in graph.edges
+             if u in relabel and v in relabel]
+    return Graph.from_edges(len(keep), edges)
+
+
+def expanded_graph_qap1(graph: Graph, k: int, l: int) -> Graph:
+    """The n-partite expansion with the extra edges attached to cell (k, l):
+    vertices are cells (i, j) labelled by flat index, edges join cells in
+    graph-adjacent partitions, and (k, l) is joined to every cell outside
+    partition k."""
+    n = graph.n
+    nn = n * n
+    edges = []
+    for f1 in range(1, nn + 1):
+        i1, _ = pair_from_flat(n, f1)
+        for f2 in range(f1 + 1, nn + 1):
+            i2, _ = pair_from_flat(n, f2)
+            if i1 != i2 and has_edge(graph, i1, i2):
+                edges.append((f1, f2))
+    klf = (k - 1) * n + l
+    for f in range(1, nn + 1):
+        i, _ = pair_from_flat(n, f)
+        if i != k:
+            edges.append((min(klf, f), max(klf, f)))
+    return Graph.from_edges(nn, edges)
+
+
+def neighborhood_clique_number(graph: Graph, k: int, l: int) -> int:
+    """Largest clique inside the neighborhood of cell (k, l) in the expanded
+    graph; the qap1 point is feasible exactly when this is at most t."""
+    expanded = expanded_graph_qap1(graph, k, l)
+    klf = (k - 1) * graph.n + l
+    hood = sorted(expanded.adjacency()[klf])
+    size, _ = max_clique_bruteforce(induced(expanded, hood), cap=graph.n * graph.n)
+    return size

@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from graph_fixtures import nonisomorphic_graphs, random_graph
 from oracle_streams import vertex_entries
 
 from qappoly.geometry import (
@@ -27,11 +28,7 @@ from qappoly.geometry import (
     verify_szeroins,
     vertex_space,
 )
-from qappoly.graphs import (
-    max_clique_bruteforce,
-    nonisomorphic_graphs,
-    random_graph,
-)
+from qappoly.graphs import max_clique_bruteforce
 from qappoly.inequalities import (
     MEMBERSHIP_FAMILIES,
     Qap4Params,

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from graph_fixtures import dimacs
 
 from qappoly.cli import main
 from qappoly.config import Caps, caps_from_config, parse_config
@@ -15,7 +16,7 @@ from qappoly.graphs import Graph
 @pytest.fixture
 def triangle7(tmp_path):
     path = tmp_path / "triangle7.col"
-    path.write_text(Graph.from_edges(7, [(1, 2), (2, 3), (1, 3)]).to_dimacs())
+    path.write_text(dimacs(Graph.from_edges(7, [(1, 2), (2, 3), (1, 3)])))
     return path
 
 
@@ -69,6 +70,40 @@ def test_reduce_and_oracle(triangle7, tmp_path):
     assert main(["clique-oracle", "--family", "qap2", "--graph", str(triangle7)]) == 0
 
 
+def test_verify_facet_qap1(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify-facet", "--family", "qap1", "--n", "7", "--i-set", "1,2,3",
+                 "--j-set", "1,2,3", "--k", "4", "--l", "4", "--json", str(out)]) == 0
+    verdicts = {v["name"]: v["details"] for v in json.loads(out.read_text())["verdicts"]}
+    assert {key: verdicts["facet"][key]
+            for key in ("verdict", "polytope_dim", "tight_dim", "tight_count")} == {
+        "verdict": "facet", "polytope_dim": 457, "tight_dim": 456, "tight_count": 4356}
+
+
+def test_verify_slack_writes_its_table(tmp_path):
+    table = tmp_path / "slack.csv"
+    assert main(["verify-slack", "--family", "qap1", "--n", "6", "--limit", "4",
+                 "--csv", str(table)]) == 0
+    lines = table.read_text().splitlines()
+    assert len(lines) == 1 + 4 * 720   # the header, then one line per form and vertex
+    assert lines[:2] == ["form_id,sigma,q_stats,slack", "0,1 2 3 4 5 6,q=3;pkl=1,1"]
+
+
+@pytest.mark.parametrize("graph,member,witness_index", [
+    (Graph.complete(7), False, 0),
+    (Graph.from_edges(7, [(1, 2), (2, 3), (1, 3)]), True, None),
+], ids=["K7", "triangle"])
+def test_reduce_qap4(graph, member, witness_index, tmp_path):
+    path, out = tmp_path / "graph.col", tmp_path / "reduce.json"
+    path.write_text(dimacs(graph))
+    assert main(["reduce", "--family", "qap4", "--graph", str(path), "--t", "6",
+                 "--json", str(out)]) == 0
+    (verdict,) = json.loads(out.read_text())["verdicts"]
+    details = verdict["details"]
+    assert (details["member"], details.get("witness_index"), details["forms_checked"]) == (
+        member, witness_index, 5040)
+
+
 def test_protocol_commands(tmp_path):
     assert main(["protocol", "n0", "--a", "1111", "--b", "1111",
                  "--samples", "5000", "--seed", "2"]) == 0
@@ -104,6 +139,10 @@ def test_config_caps():
                             acknowledge=True).clique_cap == 25
     with pytest.raises(QappolyError, match="unknown"):
         caps_from_config(parse_config("mystery=1\n"))
+    with pytest.raises(QappolyError, match="config line 1: expected key=value"):
+        parse_config("enumeration_cap 10")
+    with pytest.raises(QappolyError, match="enumeration_cap needs an integer"):
+        caps_from_config(parse_config("enumeration_cap=ten\n"))
 
 
 def test_config_file_flows_through_cli(tmp_path, triangle7):
@@ -235,8 +274,9 @@ def test_options_the_family_does_not_read_are_usage_failures(argv, unread, trian
     (["reduce", "--family", "qap1", "--graph", "MISSING", "--t", "2"], "MISSING"),
     (["clique-oracle", "--family", "qap2", "--graph", "TRIANGLE7", "--config", "MISSING"],
      "MISSING"),
+    (["verify-lemmas", "--which", "identity1", "--n", "4"], "lemma checks need n >= 5"),
 ], ids=["qap1-sets", "qap2-beta", "qap5-beta", "P", "coeffs-value", "coeffs-pair",
-        "coeffs-repeat", "graph-file", "config-file"])
+        "coeffs-repeat", "graph-file", "config-file", "lemma-n"])
 def test_malformed_and_missing_inputs_are_usage_failures(argv, error, triangle7, tmp_path):
     out, missing = tmp_path / "report.json", str(tmp_path / "missing.txt")
     argv = [{"TRIANGLE7": str(triangle7), "MISSING": missing}.get(arg, arg) for arg in argv]

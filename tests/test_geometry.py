@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracle_streams import vertex_entries
+from oracle_streams import classify_vertex, vertex_entries
 
 from qappoly.errors import QappolyError
 from qappoly.geometry import (
@@ -16,7 +16,6 @@ from qappoly.geometry import (
     check_identity1,
     check_identity2,
     check_s0_connectivity,
-    classify_vertex,
     hull_equations,
     make_identity1_family,
     make_identity2_chain,

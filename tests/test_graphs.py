@@ -1,4 +1,6 @@
 import pytest
+from graph_fixtures import cycle, dimacs, nonisomorphic_graphs, petersen
+from oracle_streams import has_edge, induced
 
 from qappoly.errors import CapExceededError, GraphParseError, QappolyError
 from qappoly.graphs import (
@@ -6,15 +8,14 @@ from qappoly.graphs import (
     cliques_of_size_at_least,
     max_clique_bruteforce,
     max_clique_capped,
-    nonisomorphic_graphs,
     parse_graph,
 )
 
 
 def test_clique_examples():
     assert max_clique_bruteforce(Graph.complete(5))[0] == 5
-    assert max_clique_bruteforce(Graph.cycle(5))[0] == 2
-    assert max_clique_bruteforce(Graph.petersen())[0] == 2
+    assert max_clique_bruteforce(cycle(5))[0] == 2
+    assert max_clique_bruteforce(petersen())[0] == 2
 
 
 def test_clique_witness_is_a_clique():
@@ -24,7 +25,7 @@ def test_clique_witness_is_a_clique():
     assert len(witness) == size
     for idx, u in enumerate(witness):
         for v in witness[idx + 1:]:
-            assert g.has_edge(u, v)
+            assert has_edge(g, u, v)
 
 
 def test_clique_cap():
@@ -41,7 +42,7 @@ def test_capped_and_threshold_search():
 
 def test_dimacs_round_trip():
     g = Graph.from_edges(4, [(1, 2), (3, 4)])
-    parsed = parse_graph(g.to_dimacs())
+    parsed = parse_graph(dimacs(g))
     assert parsed == g
 
 
@@ -67,10 +68,18 @@ def test_parse_dimacs_with_comments():
     ("1 2\n-1 2\n", "line 2: endpoint -1 is below 1"),
     ("p edge -3 0\n", "line 1: expected n >= 1"),
     ("p edge 3 -5\ne 1 2\n", "line 1: expected n >= 1 and m >= 0"),
+    ("e 1 2\np edge 3 1\n", "line 1: edge line before 'p edge' header"),
+    ("p edge 3 1\ne 1 2\np edge 3 1\n", "line 3: problem line must come first"),
+    ("p edge 3 1\ne 1 x\n", "line 2: non-integer endpoint"),
 ])
 def test_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(GraphParseError, match=fragment):
         parse_graph(text)
+
+
+def test_input_without_vertices_is_refused():
+    with pytest.raises(GraphParseError, match="no vertices found"):
+        parse_graph("c only comments\nc here\n")
 
 
 def test_self_loops_rejected():
@@ -91,5 +100,5 @@ def test_nonisomorphic_representatives_distinct():
 
 def test_induced_subgraph():
     g = Graph.from_edges(6, [(1, 2), (2, 5), (5, 6), (3, 4)])
-    sub = g.induced([2, 5, 6])
+    sub = induced(g, [2, 5, 6])
     assert sub.n == 3 and sub.edges == frozenset({(1, 2), (2, 3)})

@@ -187,6 +187,21 @@ def test_a_lifted_kernel_reconstructs_denominators():
     assert basis.contains(np.array([[3, 2, 3], [1, 0, 0]])).tolist() == [True, False]
 
 
+def test_a_lift_past_its_limit_is_refused():
+    p = PRIME_POOL[0]
+
+    def residues(*fractions):
+        return np.array([[a * pow(b, -1, p) % p for a, b in fractions]], dtype=np.int64)
+
+    # the lcm of the denominators, 15, reaches the limit
+    assert modrank._lift(residues((1, 3), (1, 5)), p, 10) is None
+    assert modrank._lift(residues((1, 3), (1, 5)), p, 16).tolist() == [[5, 3]]
+    # the lcm 6 does not, but 7/2 scales to 21
+    row = residues((7, 2), (1, 3), (1, 1))
+    assert modrank._lift(row, p, 20) is None
+    assert modrank._lift(row, p, 22).tolist() == [[21, 2, 6]]
+
+
 def test_membership_is_exact_past_float64():
     # 3 * 2**60 + 1 and 3 * 2**60 round to the same float64; the products
     # of Python integers tell them apart

@@ -8,11 +8,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracle_streams import ORACLE, masked_orbit_minima, vertex_entries
+from graph_fixtures import cycle, random_graph
+from oracle_streams import (
+    ORACLE,
+    has_edge,
+    masked_orbit_minima,
+    neighborhood_clique_number,
+    vertex_entries,
+)
 
 from qappoly import inequalities, reductions
 from qappoly.errors import CapExceededError, InvalidParameterError, QappolyError
-from qappoly.graphs import Graph, max_clique_bruteforce, random_graph
+from qappoly.graphs import Graph, max_clique_bruteforce
 from qappoly.indexing import (
     canon_entry,
     flat_index,
@@ -39,7 +46,6 @@ from qappoly.reductions import (
     clique_via_membership_oracle,
     column_classes,
     compiled_blocks,
-    neighborhood_clique_number,
 )
 
 C5_PLUS_ISOLATED = Graph.from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
@@ -65,7 +71,7 @@ def test_qap1_point_preconditions():
     with pytest.raises(InvalidParameterError, match="t >= 2"):
         build_point_qap1(C5_PLUS_ISOLATED, 1, 1, 1)
     with pytest.raises(InvalidParameterError, match="n >= 6"):
-        build_point_qap1(Graph.cycle(5), 1, 1, 2)
+        build_point_qap1(cycle(5), 1, 1, 2)
 
 
 def test_qap2_point_cases():
@@ -86,7 +92,7 @@ def test_qap4_point_cases():
     with pytest.raises(InvalidParameterError, match="t >= 6"):
         build_point_qap4(TRIANGLE_7, 5)
     with pytest.raises(InvalidParameterError, match="n >= 7"):
-        build_point_qap4(Graph.cycle(6), 6)
+        build_point_qap4(cycle(6), 6)
 
 
 # Reference builders written as plain loops, one Fraction per entry: the
@@ -113,7 +119,7 @@ def oracle_point_qap1(graph, k, l, t):
                 oi, oj = (i2, j2) if (i1, j1) == (k, l) else (i1, j1)
                 v = 1 if (oi != k and oj != l) else 0
             else:
-                v = 0 if graph.has_edge(i1, i2) else n
+                v = 0 if has_edge(graph, i1, i2) else n
             if v:
                 values[(f1, f2)] = Fraction(v)
     return values, {"reduction": "qap1", "k": k, "l": l, "t": t,
@@ -131,7 +137,7 @@ def oracle_point_qap2(graph, t):
         for f2 in range(f1, nn + 1):
             i2, j2 = pair_from_flat(n, f2)
             if i1 != i2:
-                if not graph.has_edge(i1, i2):
+                if not has_edge(graph, i1, i2):
                     values[(f1, f2)] = Fraction(nn)
             elif f1 == f2 and j1 == 1:
                 values[(f1, f2)] = Fraction(1, t)
@@ -151,7 +157,7 @@ def oracle_point_qap4(graph, t):
         for f2 in range(f1, nn + 1):
             i2, j2 = pair_from_flat(n, f2)
             if i1 != i2:
-                if not graph.has_edge(i1, i2):
+                if not has_edge(graph, i1, i2):
                     values[(f1, f2)] = Fraction(n, 6)
             elif f1 == f2:
                 values[(f1, f2)] = Fraction(1, t)
@@ -226,13 +232,13 @@ def test_point_builders_match_the_fraction_loops(n):
 
 @pytest.mark.parametrize("build,oracle,args", [
     (build_point_qap1, oracle_point_qap1, (C5_PLUS_ISOLATED, 1, 1, 1)),
-    (build_point_qap1, oracle_point_qap1, (Graph.cycle(5), 1, 1, 2)),
+    (build_point_qap1, oracle_point_qap1, (cycle(5), 1, 1, 2)),
     (build_point_qap1, oracle_point_qap1, (C5_PLUS_ISOLATED, 7, 1, 2)),
     (build_point_qap1, oracle_point_qap1, (C5_PLUS_ISOLATED, 1, 0, 2)),
     (build_point_qap2, oracle_point_qap2, (C5_PLUS_ISOLATED, 3)),
     (build_point_qap2, oracle_point_qap2, (TRIANGLE_7, 0)),
     (build_point_qap4, oracle_point_qap4, (TRIANGLE_7, 5)),
-    (build_point_qap4, oracle_point_qap4, (Graph.cycle(6), 6)),
+    (build_point_qap4, oracle_point_qap4, (cycle(6), 6)),
 ])
 def test_point_builders_refuse_what_the_fraction_loops_refuse(build, oracle, args):
     with pytest.raises(InvalidParameterError) as expected:
@@ -617,6 +623,20 @@ def test_entry_limit_is_checked_before_any_form_is_built(monkeypatch):
     with pytest.raises(InvalidParameterError, match="no form"):
         family_form_at(9, "qap1", forms)
     assert compiled_blocks.cache_info().currsize == 0
+
+
+def test_a_point_without_column_classes_is_refused_before_any_table_is_built(monkeypatch):
+    # every form is kept, so the entries are counted from the runs alone
+    rng = np.random.default_rng(10)
+    point = YPoint.from_scaled_vector(10, rng.integers(0, 10, triangle_dimension(10)), 1)
+    assert column_classes(point) == ()
+
+    def refuse(*args):
+        raise AssertionError("an index table was built")
+
+    monkeypatch.setattr(inequalities, "_index_table", refuse)
+    with pytest.raises(CapExceededError, match="more than 140000000"):
+        brute_force_membership(point, "qap4", cap=10)
 
 
 # ---------------------------------------------------------------------------
@@ -1044,7 +1064,7 @@ def test_oracle_rejects_excluded_cases():
     with pytest.raises(InvalidParameterError, match="except K_n"):
         clique_via_membership_oracle(Graph.complete(6), "qap1")
     with pytest.raises(InvalidParameterError, match="n >= 6"):
-        clique_via_membership_oracle(Graph.cycle(5), "qap1")
+        clique_via_membership_oracle(cycle(5), "qap1")
     with pytest.raises(InvalidParameterError, match="qap1, qap2, qap4"):
         clique_via_membership_oracle(TRIANGLE_7, "qap3")
 
