@@ -255,7 +255,7 @@ def _cmd_verify_slack(args, report: RunReport, caps: Caps):
     mismatches = 0
     invalid = 0
     csv_forms = []
-    for form in enumerate_family(n, args.family):
+    for form in enumerate_family(n, args.family, cap=caps.enumeration_cap):
         scaled = form.scaled_slack_on_match_rows(space.zt)
         expected = form.scale * closed_form_slack(args.family, form.params, space.zt,
                                                   check=False)

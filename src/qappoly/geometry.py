@@ -25,11 +25,12 @@ without a proof is refused as unproven.
 
 The S_k classes, S_0 connectivity and the span lemmas read a per-n
 ``VertexSpace`` cache: each vertex once, as an int8 one-line image in
-lexicographic order, so its index is its Lehmer rank (``index_of``, also
-used for ``neighbours``).  The int8 0/1 match matrix ``zt`` derived from the
-images gives ``rows`` (int8 vertex rows, built only for drawn subsets and
-widened by ``modrank`` only inside elimination); ``entries_on_match_rows``
-reads every sparse form on a vertex set from it, E and the extras included.
+lexicographic order, unranked by ``inequalities.index_unrank``, so its
+index is its Lehmer rank (``index_of``, by ``index_rank``; also used for
+``neighbours``).  The int8 0/1 match matrix ``zt`` derived from the images
+gives ``rows`` (int8 vertex rows, built only for drawn subsets and widened
+by ``modrank`` only inside elimination); ``entries_on_match_rows`` reads
+every sparse form on a vertex set from it, E and the extras included.
 """
 
 from __future__ import annotations
@@ -42,14 +43,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidPermutationError, QappolyError
+from .errors import CapExceededError, DimensionMismatchError, InvalidPermutationError, QappolyError
 from .indexing import EntryKey, Pair, flat_index, pair_from_flat, triangle_dimension
 from .inequalities import (
     LinearForm,
     Qap4Params,
     entries_on_match_rows,
+    index_rank,
+    index_unrank,
     match_matrix,
-    permutation_table,
 )
 from .modrank import (
     PRIME_POOL,
@@ -61,7 +63,7 @@ from .modrank import (
     rank_exact_rational,
     rank_mod_p,
 )
-from .perms import DEFAULT_ENUMERATION_CAP, Permutation, apply_transposition, require_enumerable
+from .perms import DEFAULT_ENUMERATION_CAP, Permutation, apply_transposition
 
 
 @dataclass(frozen=True)
@@ -130,13 +132,8 @@ class VertexSpace:
 
     def index_of(self, images) -> np.ndarray:
         """Vertex index of each one-line image: its lexicographic rank, the
-        Lehmer code sum_i c_i (n-1-i)!, c_i the later entries below entry i."""
-        entries = np.asarray(images).T.copy()   # one contiguous row per position
-        index = np.zeros(entries.shape[1], dtype=np.int64)
-        for i in range(self.n - 1):
-            below = (entries[i + 1:] < entries[i]).sum(axis=0, dtype=np.int64)
-            index += below * math.factorial(self.n - 1 - i)
-        return index
+        Lehmer rank of the n-permutation image - 1 (``index_rank``)."""
+        return index_rank(np.asarray(images) - 1, self.n, ordered=True)
 
     def neighbours(self, idx) -> np.ndarray:
         """Index of the vertex one transposition (x, y) away from each vertex
@@ -170,8 +167,10 @@ class VertexSpace:
 def vertex_space(n: int) -> VertexSpace:
     if n < 1:
         raise InvalidPermutationError(f"n must be positive, got {n}")
-    require_enumerable(n, DEFAULT_ENUMERATION_CAP)
-    images = permutation_table(n, n) + 1
+    if n > DEFAULT_ENUMERATION_CAP:
+        raise CapExceededError(f"n={n}: the vertex table is built only for "
+                               f"n <= {DEFAULT_ENUMERATION_CAP}, whatever the enumeration cap")
+    images = index_unrank(np.arange(math.factorial(n)), n, n, ordered=True) + 1
     return VertexSpace(n=n, images=images, zt=match_matrix(images))
 
 

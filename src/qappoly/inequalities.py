@@ -607,53 +607,62 @@ class Qap5Bounds:
 # higher).
 CHUNK_FORMS = 1024
 
-def permutation_table(size: int, r: int) -> np.ndarray:
-    """The r-permutations (r <= size) of range(size), one per row of an int8
-    table, in ``itertools.permutations`` order.  Each slot's Lehmer digit is
-    its digit range repeated and tiled; from the last slot back, each later
-    entry at or past a slot's digit shifts up past it."""
-    slots = np.empty((r, math.perm(size, r)), dtype=np.int8)   # one contiguous row per slot
-    for i in range(r):
-        digits = np.repeat(np.arange(size - i, dtype=np.int8), math.perm(size - i - 1, r - i - 1))
-        slots[i] = np.tile(digits, math.perm(size, i))
-    for i in range(r - 2, -1, -1):
-        later = slots[i + 1:]
-        later += later >= slots[i]
-    return np.ascontiguousarray(slots.T)
-
 
 @functools.lru_cache(maxsize=None)
-def _index_table(size: int, r: int, ordered: bool) -> np.ndarray:
-    """The r-combinations of range(size), or its r-permutations when
-    ``ordered``, one per row of an int8 table, in itertools order."""
+def _binomials(size: int) -> np.ndarray:
+    """-comb(size-1-a, k) at [k, a]: pick a's weight in slot r-k, negated to ascend."""
+    table = -np.array([[math.comb(size - 1 - a, k) for a in range(size)]
+                       for k in range(size + 1)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def index_rank(picks, size: int, ordered: bool) -> np.ndarray:
+    """The int64 row of each row of ``picks`` among the r-combinations of
+    range(size), or its r-permutations when ``ordered``, in itertools order
+    (the inverse of ``index_unrank``).  An r-permutation's row is its Lehmer
+    rank: digit i, pick i less the earlier picks below it, weighs
+    perm(size-1-i, r-1-i).  An r-combination a_0 < ... < a_{r-1} has row
+    comb(size, r) - 1 - sum_i comb(size-1-a_i, r-i) (combinatorial numbers)."""
+    picks = np.asarray(picks)
+    count, r = picks.shape
+    if not ordered:
+        weights = _binomials(size)[r - np.arange(r), picks.astype(np.intp)]
+        return math.comb(size, r) - 1 + weights.sum(axis=1)
+    slots = picks.T.astype(np.int8, order="C")   # one contiguous row per slot
+    rank = np.zeros(count, dtype=np.int64)
+    for i in range(r):
+        digit = slots[i] - (slots[:i] < slots[i]).sum(axis=0, dtype=np.int8)
+        rank += digit * np.int64(math.perm(size - 1 - i, r - 1 - i))
+    return rank
+
+
+def index_unrank(rows, size: int, r: int, ordered: bool) -> np.ndarray:
+    """The r-combination of range(size), or its r-permutation when
+    ``ordered``, at each of ``rows`` in itertools order, as a C-contiguous
+    int8 table (the inverse of ``index_rank``).  An r-permutation's Lehmer
+    digits are its row's mixed-radix digits, slot i of radix size - i; from
+    the last slot back, each later entry at or past a slot's digit shifts
+    up past it.  An r-combination's pick a_i is the least a with
+    comb(size-1-a, r-i) at most what slots before i leave of comb(size, r) - 1 - row."""
+    rows = np.asarray(rows, dtype=np.int64)
+    slots = np.empty((r, rows.size), dtype=np.int8)   # one contiguous row per slot
     if ordered:
-        return permutation_table(size, r)
-    rows = math.comb(size, r)
-    flat = itertools.chain.from_iterable(itertools.combinations(range(size), r))
-    return np.fromiter(flat, dtype=np.int8, count=rows * r).reshape(rows, r)
-
-
-def _index_rank(picks, size: int, ordered: bool) -> np.ndarray:
-    """The row of each of ``picks`` in ``_index_table(size, r, ordered)``,
-    found by arithmetic, no table built.
-
-    An r-permutation's row is its Lehmer rank: digit i, the count of values
-    below pick i that no earlier slot holds, weighs perm(size-1-i, r-1-i).
-    An r-combination a_0 < ... < a_{r-1} is ranked by the combinatorial
-    number system: its row is comb(size, r) - 1 - sum_i comb(size-1-a_i, r-i).
-    """
-    picks = np.asarray(picks, dtype=np.int64)
-    r = picks.shape[1]
-    slots = np.arange(r)
-    if ordered:
-        # [row, i, j]: an earlier slot j < i holds a smaller value
-        earlier = (picks[:, None, :] < picks[:, :, None]) & (slots < slots[:, None])
-        weights = np.array([math.perm(size - 1 - i, r - 1 - i) for i in range(r)],
-                           dtype=np.int64)
-        return (picks - earlier.sum(axis=2)) @ weights
-    binom = np.array([[math.comb(a, k) for k in range(r + 1)] for a in range(size)],
-                     dtype=np.int64).reshape(size, r + 1)
-    return math.comb(size, r) - 1 - binom[size - 1 - picks, r - slots].sum(axis=1)
+        # int32 divisions, twice as fast, while every row fits
+        left = rows.astype(np.int32 if math.perm(size, r) < 2 ** 31 else np.int64)
+        for i in range(r - 1, -1, -1):
+            left, slots[i] = np.divmod(left, size - i)
+        for i in range(r - 2, -1, -1):
+            later = slots[i + 1:]
+            later += later >= slots[i]
+    else:
+        left = rows - (math.comb(size, r) - 1)   # minus what is left to sum
+        for i in range(r):
+            weights = _binomials(size)[r - i]
+            pick = weights.searchsorted(left)
+            left -= weights.take(pick)
+            slots[i] = pick
+    return np.ascontiguousarray(slots.T)
 
 
 @functools.lru_cache(maxsize=64)
@@ -674,17 +683,17 @@ def _follow_predecessors(columns, before) -> bool:
 
 @functools.lru_cache(maxsize=256)
 def _least_rows(n: int, r: int, ordered: bool, before: tuple[int, ...],
-                lead: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of ``_index_table(n - len(lead), r, ordered)``, a table over
-    the 0-based columns outside ``lead``, whose column tuples, led by
-    ``lead``, are least in their orbit; ascending, with their int8 entries.
+                lead: tuple[int, ...]) -> np.ndarray:
+    """The ascending rows, among the r-tuples (``index_rank``) of the
+    n - len(lead) 0-based columns outside ``lead``, whose column tuples, led
+    by ``lead``, are least in their orbit.
 
     A tuple is least when each column follows its class predecessor
     ``before[c]`` (``_class_predecessors``).  The tuples are built one slot
     at a time: each is extended by every column it allows, in ascending
     order (past its last one unless ``ordered``), so they come in
-    lexicographic order, which is the table's, and each has its row by
-    ``_index_rank``.  The work is proportional to the tuples kept.  Cached
+    lexicographic order, which is the rows' order, and each has its row by
+    ``index_rank``.  The work is proportional to the tuples kept.  Cached
     per key, read-only: the qap1 runs of one l and m share their rows.
     """
     # the empty tuple, unless lead itself is not least
@@ -704,9 +713,9 @@ def _least_rows(n: int, r: int, ordered: bool, before: tuple[int, ...],
         used[np.arange(parent.size), column] = True
     # each column's place among the columns outside lead
     picks = tuples - sum((tuples > c).astype(np.int8) for c in lead)
-    rows = _index_rank(picks, n - len(lead), ordered)
-    rows.flags.writeable = picks.flags.writeable = False
-    return rows, picks
+    rows = index_rank(picks, n - len(lead), ordered)
+    rows.flags.writeable = False
+    return rows
 
 
 def _grid(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -732,10 +741,10 @@ class Segment:
     """A run of consecutive forms of one family whose index sets have fixed
     sizes (and, for qap2, a fixed beta).
 
-    Row r of the run is row r of the product of ``factors``, each one the
-    index table ``_index_table(*factor)``, the last one varying fastest, as
-    itertools.product orders them; ``_picked_sets`` maps each row's table
-    entries (its picks) to its index sets.
+    Row r of the run is row r of the product of ``factors``, the last one
+    varying fastest, as itertools.product orders them; ``_picks`` unranks
+    each factor's digit of a row (``index_unrank(digit, *factor)``) and
+    ``_picked_sets`` maps those picks to the row's index sets.
     The run's layout states its forms, once for the builders (``form``) too:
     ``_cells`` maps a row's index sets to its cells, entry e of a form joins
     the cells at slots ``pairs[0][e]`` and ``pairs[1][e]``, and template t
@@ -746,15 +755,17 @@ class Segment:
     ``scale`` are the family's.
 
     A form's columns, read in slot order, are its column tuple: the picks
-    of factor ``column_factor`` mapped to columns (for qap1 led by l).  A
-    qap3 run has one Q, so ``column_factor`` is None and Q is its one
-    column tuple.
+    of factor ``column_factor`` mapped to columns, led by the 0-based
+    columns ``lead`` (l for qap1), which that factor's picks skip.  A qap3
+    run has one Q, so ``column_factor`` is None and Q is its one column
+    tuple.
     """
 
     family: str
     sense = "<="
     scale = 1
     column_factor: int | None = 1
+    lead: tuple[int, ...] = ()
 
     def __init__(self, n: int, factors: tuple, layout: tuple):
         self.n = n
@@ -768,20 +779,20 @@ class Segment:
         self.entries = len(self.pairs[0])
 
     def _picks(self, rows) -> tuple[np.ndarray, ...]:
-        """Each factor's table rows for the run rows ``rows``, as int64."""
+        """Each factor's picks for the run rows ``rows``, as int64."""
         digits = np.unravel_index(rows, self.shape)
-        return tuple(_index_table(*factor)[digit].astype(np.int64)
+        return tuple(index_unrank(digit, *factor).astype(np.int64)
                      for factor, digit in zip(self.factors, digits))
 
     def _picked_sets(self, picks) -> tuple[np.ndarray, ...]:
-        """The 1-based index sets of the rows whose factors' table entries
-        are ``picks`` (int64)."""
+        """The 1-based index sets of the rows whose factors' picks are
+        ``picks`` (int64)."""
         return tuple(pick + 1 for pick in picks)
 
-    def arrays(self, picks) -> np.ndarray:
-        """The triangle positions, (rows, entries), of the rows whose
-        factors' table entries are ``picks``, each row shared by its T forms."""
-        return self._slot_positions(self._picked_sets(picks))
+    def arrays(self, rows) -> np.ndarray:
+        """The triangle positions, (rows, entries), of the run rows ``rows``,
+        each row shared by its T forms."""
+        return self._slot_positions(self._picked_sets(self._picks(rows)))
 
     def forms(self, rows) -> list[LinearForm]:
         """The forms of the run rows ``rows``, T per row in template order."""
@@ -809,10 +820,9 @@ class Segment:
                 for (row, (coeffs, rhs)), form_params in zip(
                     itertools.product(self._slot_positions(sets).tolist(), templates), params)]
 
-    def orbit_minima(self, classes) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per factor, the ascending rows of its index table that the run's
-        orbit minima use, with the table's entries at those rows; the minima
-        are the product of these rows.
+    def orbit_minima(self, classes) -> list[np.ndarray]:
+        """Per factor, the ascending rows of it that the run's orbit minima
+        use; the minima are the product of these rows.
 
         ``classes`` are disjoint sorted column tuples, and the group
         Sym(C1) x Sym(C2) x ... relabels the columns of every form.  Where
@@ -821,22 +831,16 @@ class Segment:
         in every class, the tuple's entries in that class, read in slot
         order, are its smallest members in ascending order: each column
         follows its predecessor in its class.  The column factor's rows are
-        generated as such tuples and found by rank (``_least_rows``); its
-        table is never built.  Every other factor keeps its whole table, as
-        does every factor when there are no classes.
+        generated as such tuples and found by rank (``_least_rows``).  Every
+        other factor keeps all its rows, as does every factor when there are
+        no classes.
         """
-        axes = []
-        for at, factor in enumerate(self.factors):
-            if classes and at == self.column_factor:
-                axes.append(self._least_column_rows(_class_predecessors(self.n, classes)))
-            else:
-                axes.append((np.arange(self.shape[at]), _index_table(*factor)))
-        return axes
-
-    def _least_column_rows(self, before: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """The column factor's rows whose column tuples are least in their
-        orbit, and their table entries."""
-        return _least_rows(self.n, *self.factors[self.column_factor][1:], before)
+        if not classes:
+            return [np.arange(size) for size in self.shape]
+        before = _class_predecessors(self.n, classes)
+        return [_least_rows(self.n, *self.factors[at][1:], before, self.lead)
+                if at == self.column_factor else np.arange(size)
+                for at, size in enumerate(self.shape)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -856,7 +860,7 @@ class _Qap1Run(Segment):
 
     def __init__(self, n: int, k: int, l: int, m: int):
         super().__init__(n, ((n - 1, m, False), (n - 1, m, True)), _qap1_layout(m))
-        self.k, self.l = k, l
+        self.k, self.l, self.lead = k, l, (l - 1,)
         universe = np.arange(1, n + 1)
         self.rows, self.cols = universe[universe != k], universe[universe != l]
 
@@ -868,10 +872,6 @@ class _Qap1Run(Segment):
         i_sets, j_sets = (s.tolist() for s in sets)
         return [Qap1Params(n=self.n, i_set=tuple(i), j_set=tuple(j), k=self.k, l=self.l)
                 for i, j in zip(i_sets, j_sets)]
-
-    def _least_column_rows(self, before):
-        # the j-table is over the columns other than l, which leads the tuple
-        return _least_rows(self.n, *self.factors[1][1:], before, lead=(self.l - 1,))
 
     def _cells(self, sets):
         i_sets, j_sets = sets
@@ -977,7 +977,7 @@ class _Qap3Run(Segment):
         q = [c - 1 for c in self.q_set]
         if classes and not _follow_predecessors(q, _class_predecessors(self.n, classes)):
             # Q, the run's one column tuple, is not least: no row is kept
-            return [(np.arange(0), _index_table(*factor)[:0]) for factor in self.factors]
+            return [np.arange(0) for _ in self.factors]
         return super().orbit_minima(classes)
 
     def _cells(self, sets):
@@ -1107,12 +1107,15 @@ def slack_table_csv(family: str, forms, images) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.lru_cache(maxsize=64)
 def family_form_at(n: int, family: str, index: int,
                    cap: int = DEFAULT_ENUMERATION_CAP) -> LinearForm:
     """The index-th form of the deterministic qap1-qap4 enumeration (form ids
     are stable, so this reconstructs membership witnesses).  A bisect over
-    the run starts finds the form's run, a divmod its row in the run's
-    index tables and its template; only that row's forms are built."""
+    the run starts finds the form's run, a divmod its run row and its
+    template; that row is unranked (``Segment._picks``) and only its forms
+    are built.  The last 64 forms are kept, shared with their callers, who
+    leave them unchanged: a clique sweep's points often share a witness."""
     require_enumerable(n, cap)
     runs = family_segments(n, family)
     at = bisect.bisect_right(runs, index, key=operator.attrgetter("start")) - 1

@@ -31,20 +31,20 @@ through l, which leads its tuple; a qap3 run has one Q, so whole qap3 runs
 are kept or dropped.)  So the least id is the form whose entries in each
 class are that class's smallest columns in ascending order.  Those column
 tuples are generated directly, slot by slot, and each finds its row of
-the run's index table by its rank (the Lehmer rank of an r-permutation,
-the combinatorial number system for a combination), so no ordered table
-is built or masked and the work follows the forms kept (9 of the 362,880
-qap4 forms at n = 8).  The violated forms are a union of orbits, so the
-least violated form kept is the first violated form of the whole family.
-With no class every form is kept, read from the whole tables.
+the run's factor by its rank (``inequalities.index_rank``: the Lehmer rank
+of an r-permutation, the combinatorial number system for a combination),
+so no ordered table is built or masked and the work follows the forms
+kept (9 of the 362,880 qap4 forms at n = 8).  The violated forms are a
+union of orbits, so the least violated form kept is the first violated
+form of the whole family.  With no class every form is kept.
 
 Each (family, n, classes) is compiled once, in numpy, and kept in a
 two-entry LRU cache.  The compile reads the family's segments
 (``inequalities.family_segments``): runs of forms with fixed index-set
-sizes, each the product of a few index tables, and keeps the product of
-the rows each table contributes to the orbit minima, building their
-positions from those rows' table entries.  A row's T forms share its
-positions, and each run's layout holds its T templates and
+sizes, each the product of a few factors of ranked index sets, and keeps
+the product of the rows each factor contributes to the orbit minima,
+building their positions from those run rows, unranked.  A row's T forms
+share its positions, and each run's layout holds its T templates and
 rhs (T is the number of betas of a qap3 run, else 1), so the family
 compiles to one block per distinct layout: the int16 triangle positions
 of its kept rows, the shared int64 templates, and each row's base id,
@@ -64,7 +64,7 @@ times the largest sum of |coefficients| of a template) and no scaled rhs
 can pass INT64_MAX, and refuses a point past that bound.  The rows of a
 run have one entry count, so the kept entries are known before any form
 is built, and a sweep past COMPILE_ENTRY_LIMIT is refused up front.  A
-witness is decoded from its form id through the same segments.
+witness is decoded from its form id by unranking its one run row.
 """
 
 from __future__ import annotations
@@ -281,14 +281,11 @@ def column_classes(point: YPoint) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(members) for members in classes.values() if len(members) > 1)
 
 
-def _product_rows(run: Segment, axes: list, lo: int, hi: int):
-    """Rows lo..hi-1 of the product of the per-factor (table rows, their
-    entries) ``axes``: their run rows and their picks, as ``run.arrays``
-    takes them."""
-    digits = np.unravel_index(np.arange(lo, hi), tuple(kept.size for kept, _ in axes))
-    rows = np.ravel_multi_index(tuple(kept[digit] for (kept, _), digit in zip(axes, digits)),
+def _product_rows(run: Segment, axes: list, lo: int, hi: int) -> np.ndarray:
+    """The run rows of rows lo..hi-1 of the product of the kept rows ``axes``."""
+    digits = np.unravel_index(np.arange(lo, hi), tuple(kept.size for kept in axes))
+    return np.ravel_multi_index(tuple(kept[digit] for kept, digit in zip(axes, digits)),
                                 run.shape)
-    return rows, tuple(table[digit].astype(np.int64) for (_, table), digit in zip(axes, digits))
 
 
 def _check_entries(family: str, n: int, entries: int) -> None:
@@ -306,21 +303,21 @@ def compiled_blocks(family: str, n: int, classes: tuple = ()) -> CompiledFamily:
     shape, in order of first appearance.
 
     The rows come straight from the family's runs (``family_segments``),
-    CHUNK_FORMS rows at a time, each row's positions stored once for its T
-    forms.  Every block is allocated once, at its size counted from the
-    runs, and filled in place.  Raises CapExceededError, before any form is
-    built (with no classes, before any index table), when the kept position
-    entries pass COMPILE_ENTRY_LIMIT.  The enumeration cap is the caller's
-    to check.
+    CHUNK_FORMS run rows at a time, unranked (``Segment.arrays``), each
+    row's positions stored once for its T forms.  Every block is allocated
+    once, at its size counted from the runs, and filled in place.  Raises
+    CapExceededError, before any form is built (with no classes, before
+    any row is unranked), when the kept position entries pass
+    COMPILE_ENTRY_LIMIT.  The enumeration cap is the caller's to check.
     """
     runs = family_segments(n, family)
     forms = sum(run.count for run in runs)
     if not classes:   # every row is kept
         _check_entries(family, n, sum(run.row_count * run.entries for run in runs))
-    kept = []   # (run, per factor its orbit minima's table rows and entries, their count)
+    kept = []   # (run, per factor its orbit minima's rows, their count)
     for run in runs:
         axes = run.orbit_minima(classes)
-        count = math.prod(rows.size for rows, _ in axes)
+        count = math.prod(rows.size for rows in axes)
         if count:
             kept.append((run, axes, count))
     _check_entries(family, n, sum(count * run.entries for run, _, count in kept))
@@ -344,9 +341,9 @@ def compiled_blocks(family: str, n: int, classes: tuple = ()) -> CompiledFamily:
     filled = [0] * len(sizes)
     for (run, axes, count), block in zip(kept, run_blocks):
         for lo in range(0, count, CHUNK_FORMS):
-            rows, picks = _product_rows(run, axes, lo, min(lo + CHUNK_FORMS, count))
+            rows = _product_rows(run, axes, lo, min(lo + CHUNK_FORMS, count))
             start, stop = filled[block], filled[block] + rows.size
-            positions[block][start:stop] = run.arrays(picks)
+            positions[block][start:stop] = run.arrays(rows)
             ids[block][start:stop] = run.start + rows * len(run.rhs)
             filled[block] = stop
     blocks = tuple(TemplateBlock(positions=pos, templates=np.array(templates, dtype=np.int64),

@@ -1,7 +1,7 @@
 """Independent statements of what the program computes in batches.
 
 The qap1-qap4 enumeration order, written as plain nested loops: the program
-defines that order once, as runs of index tables
+defines that order once, as runs of products of ranked index sets
 (``inequalities.family_segments``); these generators are the independent
 statement of it that the tests compare against, form id by form id.
 
@@ -17,10 +17,12 @@ An echelon form mod p grown by one row with ``np.insert`` into a copy: the
 program keeps the echelon form it grows from by reference and the reduced
 row beside it (``modrank.ProvenEquations.with_equation``).
 
-The orbit minima of a run as a mask on every column tuple of its whole
-index table, and a table row's lexicographic rank counted in plain loops:
-the program generates the least column tuples alone and ranks them by
-arithmetic (``inequalities.Segment.orbit_minima``).
+The r-combinations and r-permutations of range(size) as whole itertools
+tables, the orbit minima of a run as a mask on every column tuple of its
+column factor's table, and a pick's lexicographic rank counted in plain
+loops: the program builds no table, unranks and ranks each row by
+arithmetic (``inequalities.index_unrank``, ``index_rank``) and generates
+the least column tuples alone (``inequalities.Segment.orbit_minima``).
 
 A vertex's ones as a set of canonical entry keys, built pair by pair of its
 matched cells: the program reads a vertex from its image, through its
@@ -48,7 +50,6 @@ import math
 
 import numpy as np
 
-from qappoly import inequalities
 from qappoly.errors import InvalidParameterError
 from qappoly.graphs import Graph, max_clique_bruteforce
 from qappoly.indexing import pair_from_flat
@@ -221,13 +222,22 @@ def least_in_orbit(columns, classes) -> np.ndarray:
     return keep
 
 
+def index_table(size: int, r: int, ordered: bool) -> np.ndarray:
+    """The r-combinations of range(size), or its r-permutations when
+    ``ordered``, one per row of an int8 table, in itertools order."""
+    tuples = (itertools.permutations if ordered else itertools.combinations)(range(size), r)
+    rows = math.perm(size, r) if ordered else math.comb(size, r)
+    flat = itertools.chain.from_iterable(tuples)
+    return np.fromiter(flat, dtype=np.int8, count=rows * r).reshape(rows, r)
+
+
 def column_tuples(run) -> np.ndarray:
-    """The column tuple of every row of the run's column table, in table
+    """The column tuple of every row of the run's column factor, in row
     order: the j-tuples led by l for qap1, the j-tuples for qap4, the Q-sets
     for qap2 and the one Q of a qap3 run."""
     if run.column_factor is None:
         return np.array([run.q_set])
-    table = inequalities._index_table(*run.factors[run.column_factor])
+    table = index_table(*run.factors[run.column_factor])
     if run.family == "qap1":
         return np.hstack((np.full((len(table), 1), run.l), run.cols[table]))
     return table + 1
@@ -235,16 +245,14 @@ def column_tuples(run) -> np.ndarray:
 
 def masked_orbit_minima(run, classes) -> list:
     """``run.orbit_minima(classes)`` by masking the whole column table."""
-    axes = [(np.arange(size), inequalities._index_table(*factor))
-            for size, factor in zip(run.shape, run.factors)]
+    axes = [np.arange(size) for size in run.shape]
     if classes:
         keep = least_in_orbit(column_tuples(run), classes)
         if run.column_factor is None:
             if not keep[0]:   # the run's one Q is not least
-                axes[0] = tuple(part[:0] for part in axes[0])
+                axes = [rows[:0] for rows in axes]
         else:
-            rows = np.flatnonzero(keep)
-            axes[run.column_factor] = (rows, axes[run.column_factor][1][rows])
+            axes[run.column_factor] = np.flatnonzero(keep)
     return axes
 
 

@@ -395,17 +395,23 @@ def test_sampled_lemmas_record_the_default_sample_count(tmp_path):
     assert report["verdicts"][0]["details"]["samples"] == 200
 
 
-def test_szeroconn_above_the_vertex_space_limit_is_a_usage_failure(tmp_path):
-    # a raised cap lets n=10 past the CLI, but no vertex space is built above 9
+@pytest.mark.parametrize("argv", [
+    ["verify-lemmas", "--which", "szeroconn", "--n", "10"],
+    ["verify-facet", "--family", "qap4", "--n", "10", "--m", "10"],
+    ["verify-slack", "--family", "qap4", "--n", "10"],
+], ids=["szeroconn", "verify-facet", "verify-slack"])
+def test_the_vertex_space_limit_is_named_past_a_raised_cap(argv, tmp_path):
+    # a raised cap lets n=10 past the CLI, but no vertex space is built
+    # above 9, and the refusal names that limit, not the cap
     cfg = tmp_path / "cap10.cfg"
     cfg.write_text("enumeration_cap=10\n")
     out = tmp_path / "report.json"
-    assert main(["verify-lemmas", "--which", "szeroconn", "--n", "10",
-                 "--config", str(cfg), "--acknowledge-caps",
-                 "--json", str(out)]) == 1
+    assert main(argv + ["--config", str(cfg), "--acknowledge-caps",
+                        "--json", str(out)]) == 1
     verdicts = json.loads(out.read_text())["verdicts"]
     assert [v["name"] for v in verdicts] == ["usage"]
-    assert "exceeds the enumeration cap 9" in verdicts[0]["details"]["error"]
+    assert verdicts[0]["details"]["error"] == (
+        "n=10: the vertex table is built only for n <= 9, whatever the enumeration cap")
 
 
 def test_verify_slack_reuses_the_cached_vertex_space():

@@ -1,21 +1,27 @@
+import bisect
 import hashlib
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from oracle_streams import (
     ORACLE,
     form_key,
+    index_table,
     lexicographic_rank,
     slack_counts_at,
     vertex_entries,
 )
 
-from qappoly import inequalities
 from qappoly.errors import (
     CapExceededError,
     DimensionMismatchError,
@@ -25,6 +31,7 @@ from qappoly.errors import (
 from qappoly.geometry import vertex_space
 from qappoly.indexing import flat_index, triangle_position
 from qappoly.inequalities import (
+    BUILDERS,
     Qap1Params,
     Qap2Params,
     Qap3Params,
@@ -44,12 +51,16 @@ from qappoly.inequalities import (
     evaluate,
     family_form_at,
     family_segments,
+    index_rank,
+    index_unrank,
     match_matrix,
     slack_counts,
     slack_from_counts,
     slack_table_csv,
 )
 from qappoly.perms import Permutation, enumerate_permutations
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _vertex_point(sigma: Permutation) -> YPoint:
@@ -496,13 +507,16 @@ def test_family_form_at_matches_enumeration(family, n):
 
 
 @pytest.mark.parametrize("ordered", [False, True])
-def test_index_rank_is_the_row_of_every_table_row(ordered):
-    for size in range(9):
-        for r in range(size + 1):
-            table = inequalities._index_table(size, r, ordered)
-            ranks = inequalities._index_rank(table, size, ordered)
-            assert ranks.dtype == np.int64
-            assert np.array_equal(ranks, np.arange(len(table)))
+@pytest.mark.parametrize("size", range(9))
+def test_index_unrank_is_itertools_order_and_rank_inverts_it(size, ordered):
+    for r in range(size + 1):
+        table = index_table(size, r, ordered)
+        rows = np.arange(len(table))
+        picks = index_unrank(rows, size, r, ordered)
+        assert picks.dtype == np.int8 and picks.flags.c_contiguous
+        assert picks.shape == table.shape and np.array_equal(picks, table)
+        ranks = index_rank(picks, size, ordered)
+        assert ranks.dtype == np.int64 and np.array_equal(ranks, rows)
 
 
 @pytest.mark.parametrize("ordered", [False, True])
@@ -517,10 +531,95 @@ def test_index_rank_of_seeded_picks_is_their_lexicographic_rank(size, ordered):
     picks += [list(range(size - 1, size - r - 1, -1)) if ordered else list(range(size - r, size))
               for r in range(size + 1)]
     for pick in picks:
-        rank = inequalities._index_rank(np.array([pick]).reshape(1, -1), size, ordered)
+        rank = index_rank(np.array([pick]).reshape(1, -1), size, ordered)
         assert rank.tolist() == [lexicographic_rank(pick, size, ordered)]
+        assert index_unrank(rank, size, len(pick), ordered).tolist() == [pick]
     last = math.perm(size, size) if ordered else 1
-    assert inequalities._index_rank([list(picks[-1])], size, ordered).tolist() == [last - 1]
+    assert index_rank([list(picks[-1])], size, ordered).tolist() == [last - 1]
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+@pytest.mark.parametrize("size", [9, 10, 11, 12, 13])
+def test_seeded_rows_round_trip(size, ordered):
+    # at size 13 the ordered rows pass 2**31 - 1 and are divided in int64
+    rng = np.random.default_rng(size)
+    for r in range(size + 1):
+        count = math.perm(size, r) if ordered else math.comb(size, r)
+        rows = np.concatenate(([0, count - 1], rng.integers(0, count, 50)))
+        picks = index_unrank(rows, size, r, ordered)
+        assert picks.dtype == np.int8 and picks.shape == (rows.size, r)
+        assert ((0 <= picks) & (picks < size)).all()
+        assert all(len(set(pick)) == r for pick in picks.tolist())
+        if not ordered:
+            assert (np.diff(picks, axis=1) > 0).all()
+        assert np.array_equal(index_rank(picks, size, ordered), rows)
+
+
+def _run_row(run, params) -> int:
+    """The run row of a form's parameters: each factor's picks, ranked."""
+    if run.family == "qap1":
+        picks = (np.searchsorted(run.rows, params.i_set), np.searchsorted(run.cols, params.j_set))
+    elif run.family == "qap2":
+        picks = (np.array(sorted(params.p_set)) - 1, np.array(sorted(params.q_set)) - 1)
+    else:
+        picks = (np.array(params.i_set) - 1, np.array(params.j_set) - 1)
+    ranks = [index_rank(pick[None], size, ordered)
+             for pick, (size, _, ordered) in zip(picks, run.factors)]
+    return int(np.ravel_multi_index(ranks, run.shape)[0])
+
+
+def _seeded_ids(n, family, count):
+    """The first and last form id and ``count`` seeded ones, with the run of each."""
+    runs = family_segments(n, family)
+    total = runs[-1].start + runs[-1].count
+    rng = random.Random(n)
+    ids = [0, total - 1] + [rng.randrange(total) for _ in range(count)]
+    return [(index, runs[bisect.bisect_right([run.start for run in runs], index) - 1])
+            for index in ids]
+
+
+@pytest.mark.parametrize("family", ["qap1", "qap2", "qap4"])
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_form_ids_past_the_vertex_cap_are_built_and_rank_back(n, family):
+    # no index table holds these rows: the qap4 j-factor at n = 12 has
+    # 479,001,600 of them
+    for index, run in _seeded_ids(n, family, 8):
+        form = family_form_at(n, family, index, cap=n)
+        assert form == BUILDERS[family](form.params)
+        assert run.start + _run_row(run, form.params) * len(run.rhs) == index
+
+
+def test_witness_ids_at_n12_take_well_under_a_second():
+    ids = [(family, index) for family in ("qap1", "qap2", "qap4")
+           for index, _ in _seeded_ids(12, family, 23)]
+    family_form_at.cache_clear()   # every form is built
+    start = time.perf_counter()
+    for family, index in ids:
+        family_form_at(12, family, index, cap=12)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_witness_of_the_m11_run_at_n11_reads_no_table():
+    # the run's j-factor has 11! rows, about 420 MiB as a whole int8 table.
+    # The peak is the fresh process's own (VmHWM): getrusage's maxrss keeps
+    # the larger peak of the test process that started it.
+    code = (
+        "import random\n"
+        "from pathlib import Path\n"
+        "from qappoly.inequalities import family_form_at, family_segments\n"
+        "run = family_segments(11, 'qap4')[-1]\n"
+        "assert run.factors == ((11, 11, False), (11, 11, True))\n"
+        "index = run.start + random.Random(11).randrange(run.count)\n"
+        "form = family_form_at(11, 'qap4', index, cap=11)\n"
+        "status = Path('/proc/self/status').read_text().split('VmHWM:')[1]\n"
+        "print(form.params.m, status.split()[0])\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                            env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stderr
+    m, peak_kib = map(int, result.stdout.split())
+    assert m == 11 and peak_kib < 100 * 1024
 
 
 def test_enumerate_cap():

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 
@@ -8,7 +7,6 @@ from oracle_streams import vertex_entries
 
 from qappoly.errors import CapExceededError, InvalidPermutationError
 from qappoly.indexing import pair_from_flat
-from qappoly.inequalities import permutation_table
 from qappoly.perms import Permutation, apply_transposition, enumerate_permutations
 
 
@@ -105,13 +103,3 @@ def test_sign_multiplicativity():
 def test_one_line_serialization():
     sigma = Permutation((3, 1, 2))
     assert sigma.one_line() == "3 1 2"
-
-
-@pytest.mark.parametrize("size", range(9))
-def test_permutation_tables_follow_itertools_order(size):
-    for r in range(size + 1):
-        table = permutation_table(size, r)
-        expected = list(itertools.permutations(range(size), r))
-        assert table.dtype == np.int8 and table.flags.c_contiguous
-        assert table.shape == (len(expected), r)
-        assert table.tolist() == [list(row) for row in expected]

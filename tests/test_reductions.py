@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -632,9 +633,9 @@ def test_a_point_without_column_classes_is_refused_before_any_table_is_built(mon
     assert column_classes(point) == ()
 
     def refuse(*args):
-        raise AssertionError("an index table was built")
+        raise AssertionError("a row was unranked")
 
-    monkeypatch.setattr(inequalities, "_index_table", refuse)
+    monkeypatch.setattr(inequalities, "index_unrank", refuse)
     with pytest.raises(CapExceededError, match="more than 140000000"):
         brute_force_membership(point, "qap4", cap=10)
 
@@ -789,10 +790,10 @@ def reduction_classes(n, rng):
 
 @pytest.mark.parametrize("n", [7, 8, 9])
 def test_generated_orbit_minima_are_the_whole_table_masks(n):
-    # the rows kept per factor, their table entries and so their ids, for
-    # the reduction-point classes and three random partitions: generated
-    # and ranked, they are the rows of the whole-table mask.  A qap1 run's
-    # tables do not depend on k, so one k is masked.
+    # the rows kept per factor, and so their ids, for the reduction-point
+    # classes and three random partitions: generated and ranked, they are
+    # the rows of the whole-table mask.  A qap1 run's rows do not depend on
+    # k, so one k is masked.
     rng = random.Random(n)
     partitions = reduction_classes(n, rng) + [random_classes(n, rng) for _ in range(3)]
     assert all(partitions)
@@ -802,13 +803,11 @@ def test_generated_orbit_minima_are_the_whole_table_masks(n):
             for run in runs:
                 generated = run.orbit_minima(classes)
                 masked = masked_orbit_minima(run, classes)
-                count = math.prod(rows.size for rows, _ in masked)
-                assert math.prod(rows.size for rows, _ in generated) == count
+                count = math.prod(rows.size for rows in masked)
+                assert math.prod(rows.size for rows in generated) == count
                 if count and run.column_factor is not None:
-                    (rows, picks), (want, table) = (
-                        axes[run.column_factor] for axes in (generated, masked))
+                    rows, want = (axes[run.column_factor] for axes in (generated, masked))
                     assert rows.tobytes() == want.astype(np.int64).tobytes()
-                    assert picks.dtype == table.dtype and picks.tobytes() == table.tobytes()
 
 
 def _compiled_bytes(compiled):
@@ -840,23 +839,35 @@ def test_compiled_blocks_equal_the_whole_table_mask_compile(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [8, 9, 10, 11, 12])
 def test_reduction_point_compiles_build_no_ordered_table(n, monkeypatch):
-    # the j-tables at n = 12 would hold up to 479,001,600 rows: the orbit
-    # minima are generated, so only the small combination tables are read
-    index_table = inequalities._index_table
+    # the j-factors at n = 12 hold up to 479,001,600 rows: the orbit minima
+    # are generated, so an ordered unrank reads only the kept rows, each once
+    index_unrank = inequalities.index_unrank
+    unranked = []
 
-    def unordered_only(size, r, ordered):
+    def counting(rows, size, r, ordered):
         if ordered:
-            raise AssertionError(f"the ordered table ({size}, {r}) was built")
-        return index_table(size, r, ordered)
+            unranked.append(len(rows))
+        return index_unrank(rows, size, r, ordered)
 
-    monkeypatch.setattr(inequalities, "_index_table", unordered_only)
+    monkeypatch.setattr(inequalities, "index_unrank", counting)
     compiled_blocks.cache_clear()
     try:
         partitions = reduction_classes(n, random.Random(n))
         for family, classes in zip(("qap1", "qap2", "qap4"), partitions):
-            compiled = compiled_blocks(family, n, classes)
+            unranked.clear()
+            tracemalloc.start()
+            try:
+                compiled = compiled_blocks(family, n, classes)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            kept = sum(block.ids.size for block in compiled.blocks)
             assert compiled.forms == sum(run.count for run in family_segments(n, family))
-            assert 0 < sum(block.ids.size for block in compiled.blocks) < compiled.forms
+            assert 0 < kept < compiled.forms
+            # qap2 has no ordered factor; qap1 and qap4 have one per run,
+            # and not even its row numbers are built (12! of them take 3.6 GiB)
+            assert sum(unranked) == (0 if family == "qap2" else kept)
+            assert family == "qap2" or peak < 64 * 2 ** 20
     finally:
         compiled_blocks.cache_clear()
 
